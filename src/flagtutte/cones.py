@@ -1,11 +1,15 @@
 """Half-open simplicial cones and the geometry under the localization sums.
 
 The engine only ever meets cones whose rays are difference vectors e_j - e_i
-(tangent cones of flag-matroid base polytopes) and their flips and slices, so
-every simplicial piece is automatically unimodular; the constructor still
-asserts this through the Smith-form lattice index.  Pointedness and extreme
-ray tests use digraph arguments in the difference-vector case and an exact
-phase-1 simplex otherwise.
+(tangent cones of flag-matroid base polytopes) and their flips and slices.
+Their ray matrices are directed-graph incidence matrices, so rank tests,
+coordinates and the unimodularity check are graph computations (spanning
+forests and tree flows, see `linalg`): an independent set of such rays is
+automatically a lattice basis of its span.  Cones with general rays, which
+only the public API can build, fall back to exact `Fraction` elimination and
+the Smith-form lattice index.  Pointedness and extreme ray tests use digraph
+arguments in the difference-vector case and an exact phase-1 simplex
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from .errors import (
 )
 from .linalg import (
     difference_vector_graph, digraph_has_cycle, digraph_reachable,
-    integer_coordinates, lattice_index, matrix_rank, nonneg_combination_exists,
-    primitive, smith_diagonal, solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
+    flow_coordinates, forest_flow, forest_rank, integer_coordinates,
+    lattice_index, matrix_rank, nonneg_combination_exists, primitive,
+    solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
 )
 from .matroid import _bits
 
@@ -58,13 +63,17 @@ class HalfOpenSimplicialCone:
                 raise NotPointed("zero vector offered as a ray")
             if v != primitive(v):
                 raise NotUnimodular("rays must be primitive")
-        if self.rays:
-            diag = smith_diagonal(self.rays)
-            if len(diag) != len(self.rays):
+        if not self.rays:
+            return
+        edges = difference_vector_graph(self.rays, n)
+        if edges is not None:
+            # independent network-matrix columns always have lattice index 1
+            if forest_rank(edges, n) != len(edges):
                 raise NotUnimodular("rays are linearly dependent")
-            idx = 1
-            for d in diag:
-                idx *= d
+        else:
+            idx = lattice_index(self.rays)
+            if idx == 0:
+                raise NotUnimodular("rays are linearly dependent")
             if idx != 1:
                 raise NotUnimodular(
                     "rays span a sublattice of index %d" % idx)
@@ -208,8 +217,7 @@ def tangent_cone_generators(fm, flag_basis):
 # ------------------------------------------------------------- triangulation
 
 
-def _is_pointed(rays, n):
-    edges = difference_vector_graph(rays, n)
+def _is_pointed(rays, edges, n):
     if edges is not None:
         return not digraph_has_cycle(edges, n)
     # pointed iff 0 is not a convex combination: append a normalizing row
@@ -218,14 +226,14 @@ def _is_pointed(rays, n):
     return not nonneg_combination_exists(cols, target)
 
 
-def _in_cone_of(v, others, n):
+def _in_cone_of(k, others, rays, edges, n):
+    """Whether rays[k] lies in the cone over the rays indexed by others."""
     if not others:
-        return all(x == 0 for x in v)
-    edges = difference_vector_graph(list(others) + [v], n)
+        return False
     if edges is not None:
-        i, j = edges[-1]
-        return digraph_reachable(edges[:-1], n, i, j)
-    return nonneg_combination_exists(list(others), v)
+        i, j = edges[k]
+        return digraph_reachable([edges[o] for o in others], n, i, j)
+    return nonneg_combination_exists([rays[o] for o in others], rays[k])
 
 
 @lru_cache(maxsize=100000)
@@ -241,31 +249,53 @@ def _triangulate_cells(generators):
     for v in gens:
         if all(x == 0 for x in v):
             raise NotPointed("zero vector among the generators")
-    if gens and not _is_pointed(gens, n):
+    edges = difference_vector_graph(gens, n)
+    if gens and not _is_pointed(gens, edges, n):
         raise NotPointed("generators admit a nontrivial nonnegative "
                          "combination equal to zero")
     # extreme-ray reduction
-    keep = list(gens)
-    for v in list(keep):
-        rest = [u for u in keep if u != v]
-        if _in_cone_of(v, rest, n):
+    keep = list(range(len(gens)))
+    for k in list(keep):
+        rest = [o for o in keep if o != k]
+        if _in_cone_of(k, rest, gens, edges, n):
             keep = rest
-    gens = tuple(keep)
+    gens = tuple(gens[k] for k in keep)
     if not gens:
         return gens, ((),), ((),)
 
-    cells = []
-    span = []
+    if edges is None:
+        def independent(idxs):
+            return matrix_rank([gens[i] for i in idxs]) == len(idxs)
+
+        def solver(cell):
+            rays = [gens[i] for i in cell]
+            return lambda v: solve_exact(rays, v)
+    else:
+        edges = [edges[k] for k in keep]
+
+        def independent(idxs):
+            return forest_rank([edges[i] for i in idxs], n) == len(idxs)
+
+        def solver(cell):
+            flow = forest_flow([edges[i] for i in cell], n)
+            return lambda v: None if flow is None else flow_coordinates(flow, v)
+
+    solvers = {}
 
     def coords_in(cell, v):
-        return solve_exact([gens[i] for i in cell], v)
+        solve = solvers.get(cell)
+        if solve is None:
+            solve = solvers[cell] = solver(cell)
+        return solve(v)
 
+    cells = []
+    span = []
     for idx, g in enumerate(gens):
         if not cells:
             cells = [(idx,)]
             span = [idx]
             continue
-        if matrix_rank([gens[i] for i in span] + [g]) > len(span):
+        if independent(span + [idx]):
             cells = [c + (idx,) for c in cells]
             span.append(idx)
             continue
@@ -300,18 +330,13 @@ def _triangulate_cells(generators):
     rho = (0,) * n
     for v in gens:
         rho = vec_add(rho, v)
-    perturb = []
-    chosen = []
-    for v in gens:
-        if matrix_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            perturb.append(v)
+    # the placing loop's greedy basis of the span
+    perturb = [gens[i] for i in span]
     flags = []
     for c in cells:
-        rays = [gens[i] for i in c]
-        seqs = [solve_exact(rays, rho)]
+        seqs = [coords_in(c, rho)]
         for u in perturb:
-            seqs.append(solve_exact(rays, u))
+            seqs.append(coords_in(c, u))
         if any(s is None for s in seqs):
             raise InternalAssertion("reference point outside the cone span")
         cell_flags = []

@@ -26,7 +26,10 @@ from .cones import (
 from .errors import (
     DegenerateWeights, HypothesisViolated, InternalAssertion, NonCancellingPole,
 )
-from .linalg import kernel_basis_int, matrix_rank, vec_dot
+from .linalg import (
+    difference_vector_graph, forest_flow, kernel_basis_int, matrix_rank,
+    vec_dot,
+)
 from .polynomial import AuxPolynomial, _merge_vars
 
 
@@ -288,8 +291,23 @@ def _pivot_structure(rays, n):
     Returns (H, R, adj, det) with H the integer orthogonal complement rows
     (x in span iff H x = 0), R the pivot coordinate rows, and adj/det giving
     the unique rational coordinates a = adj . x_R / det (integer exactly when
-    x is a lattice point of the span, since the rays are unimodular).
+    x is a lattice point of the span, since the rays are unimodular).  For
+    difference-vector rays these are read off the spanning forest: H holds
+    the component indicators, R the non-root vertices, adj the signed
+    subtree matrix and det = 1.
     """
+    edges = difference_vector_graph(rays, n)
+    if edges is not None:
+        flow = forest_flow(edges, n)
+        if flow is None:
+            raise InternalAssertion("rays lost rank unexpectedly")
+        components, subtrees = flow
+        H = [tuple(int(v in comp) for v in range(n)) for comp in components]
+        roots = {comp[0] for comp in components}
+        chosen = [v for v in range(n) if v not in roots]
+        adj = [[sign if v in verts else 0 for v in chosen]
+               for sign, verts in subtrees]
+        return H, chosen, adj, 1
     d = len(rays)
     H = kernel_basis_int(list(rays))
     # choose pivot rows by Fraction elimination on the n x d ray-column matrix

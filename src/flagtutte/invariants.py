@@ -23,8 +23,9 @@ from .cones import (
     triangulate_half_open,
 )
 from .errors import (
-    HasLoopOrColoop, InputError, LoopOrColoop, NonCancellingPole, NotAQuotient,
-    NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
+    GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
+    NonCancellingPole, NotAQuotient, NotDivisible, NotInUV, RankGapZero,
+    RankZeroConstituent,
 )
 from .genfun import (
     EquivariantPolynomial, GenFun, GenFunTerm, _flip, _support_core,
@@ -188,8 +189,14 @@ def _basis_kernel(fm, fb, mode="kt"):
 
 
 def _dedup_kernel(A, U, V):
+    """Merge repeated (apex, U, V) rows through one mixed-radix int64 code."""
     amin = int(A.min()) if A.size else 0
     span = int(A.max()) - amin + 1 if A.size else 1
+    radix = span ** A.shape[1] * (int(U.max()) + 1) * (int(V.max()) + 1)
+    if radix > np.iinfo(np.int64).max:
+        raise GroundSetTooLarge(
+            "numerator kernel on %d elements does not fit an int64 code"
+            % A.shape[1])
     code = np.zeros(len(A), dtype=np.int64)
     stride = 1
     for c in range(A.shape[1]):

@@ -1,9 +1,19 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact linear algebra on small integer vectors: a graph fast path for
+difference vectors and a rational fallback for everything else.
 
-Everything here is deliberately plain: vectors are tuples of ints, matrices
-are lists of row tuples, arithmetic is exact (Python ints and Fractions).
-Sizes are tiny (dimensions up to the ground-set size, so <= 64 and in the
-invariant pipeline <= 8), so cubic algorithms are fine.
+Vectors are tuples of ints, matrices lists of row tuples.  Every ray the cone
+engine meets is a difference vector e_j - e_i, i.e. a column of a directed
+graph's incidence matrix, which is totally unimodular.  For such columns
+rank, span membership and coordinates are graph questions: the rank is the
+size of a union-find spanning forest, an edge set is independent exactly
+when it closes no (undirected) cycle, and the coordinates of a vector
+against a forest are its tree flow, i.e. signed subtree sums
+(`difference_vector_graph`, `forest_rank`, `forest_flow`,
+`flow_coordinates`).  General rays (public-API cones, matrix matroids) go
+through exact `Fraction` Gaussian elimination (`matrix_rank`, `solve_exact`,
+`kernel_basis_int`), the Smith form and a phase-1 simplex.  Sizes are tiny
+(dimensions up to the ground-set size, so <= 64 and in the invariant
+pipeline <= 8), so cubic algorithms are fine.
 """
 
 from __future__ import annotations
@@ -26,10 +36,6 @@ def vec_neg(a):
 
 def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def primitive(v):
@@ -105,6 +111,10 @@ def solve_exact(cols, target):
 
 def integer_coordinates(cols, target):
     """Like solve_exact but demands integer coordinates; None otherwise."""
+    edges = difference_vector_graph(cols, len(target))
+    if edges is not None:
+        flow = forest_flow(edges, len(target))
+        return None if flow is None else flow_coordinates(flow, target)
     a = solve_exact(cols, target)
     if a is None:
         return None
@@ -203,10 +213,12 @@ def smith_diagonal(rows):
 def lattice_index(rays):
     """Index of the lattice spanned by integer rays inside span cap Z^n.
 
-    Rays must be Q-linearly independent; the index is the product of the
-    Smith invariant factors, and equals 1 exactly for unimodular systems.
+    The index is the product of the Smith invariant factors and equals 1
+    exactly for unimodular systems; Q-linearly dependent rays give 0.
     """
     diag = smith_diagonal(rays)
+    if len(diag) != len(rays):
+        return 0
     idx = 1
     for d in diag:
         idx *= d
@@ -293,9 +305,7 @@ def difference_vector_graph(rays, n):
             elif x != 0:
                 ok = False
                 break
-        if not ok or pos is None or neg is None:
-            return None
-        if sum(v[idx] != 0 for idx in range(n)) != 2:
+        if not ok or pos is None or neg is None or len(v) != n:
             return None
         edges.append((neg, pos))
     return edges
@@ -344,3 +354,79 @@ def digraph_reachable(edges, n, src, dst):
                 seen[nxt] = True
                 stack.append(nxt)
     return False
+
+
+def forest_rank(edges, n):
+    """Rank of the difference vectors e_j - e_i, (i, j) in edges, on n
+    vertices: the size of a union-find spanning forest."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rank = 0
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            rank += 1
+    return rank
+
+
+def forest_flow(edges, n):
+    """Tree-flow data of the difference vectors e_j - e_i, (i, j) in edges.
+
+    Returns None when the edges close an undirected cycle, i.e. the vectors
+    are linearly dependent.  Otherwise (components, subtrees):
+    `components` lists the vertex tuples of the forest's components, root
+    first, isolated vertices included, and a vector lies in the span exactly
+    when it sums to 0 on each; `subtrees[k] = (sign, vertices)` with
+    `vertices` the subtree below edge k, so coordinate k of a vector x in
+    the span is sign * (sum of x over vertices).
+    """
+    adj = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(edges):
+        adj[i].append((j, k, 1))
+        adj[j].append((i, k, -1))
+    seen = [False] * n
+    via = [None] * n
+    below = [None] * n
+    components = []
+    subtrees = [None] * len(edges)
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for u in order:
+            for v, k, sign in adj[u]:
+                if via[u] is not None and k == via[u][0]:
+                    continue
+                if seen[v]:
+                    return None
+                seen[v] = True
+                via[v] = (k, sign)
+                order.append(v)
+        for v in order:
+            below[v] = [v]
+        for v in reversed(order[1:]):
+            k, sign = via[v]
+            subtrees[k] = (sign, tuple(sorted(below[v])))
+            i, j = edges[k]
+            below[i if j == v else j].extend(below[v])
+        components.append(tuple(order))
+    return components, subtrees
+
+
+def flow_coordinates(flow, target):
+    """Coordinates of target against the forest of forest_flow, or None
+    when target lies outside its span."""
+    components, subtrees = flow
+    for comp in components:
+        if sum(target[v] for v in comp):
+            return None
+    return tuple(sign * sum(target[v] for v in verts)
+                 for sign, verts in subtrees)

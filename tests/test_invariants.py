@@ -4,19 +4,23 @@ The deletion-contraction oracle recomputes Tutte polynomials recursively,
 independently of the corank-nullity sum used by the library.
 """
 
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
                        beta_invariant, beta_polynomial, characteristic,
                        compute_invariant, count_lattice_points, flag,
+                       flag_corpus,
                        h_candidate_lv, h_polynomial, h_value_uv, k_char, kt,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
                        poincare, reduced_beta_via_higgs, tutte)
-from flagtutte.errors import (HasLoopOrColoop, InputError, NotAQuotient,
-                              RankGapZero, RankZeroConstituent,
-                              UnknownInvariant)
+from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
+                              InputError, NotAQuotient, RankGapZero,
+                              RankZeroConstituent, UnknownInvariant)
+from flagtutte.invariants import _dedup_kernel
 
 U = Matroid.uniform
 
@@ -353,3 +357,53 @@ def test_matroid_invariants_accept_one_step_flags():
     assert compute_invariant("tutte", flag(U(1, 2))).polynomial == X + Y
     # a single matroid works anywhere a quotient pair is expected
     assert compute_invariant("lvt", U(2, 3)).polynomial == tutte(U(2, 3))
+
+
+# ----------------------------------------------------------- golden digests
+
+
+def _digest(polys):
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(p.canonical_str().encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_kt_golden_digest_over_corpus():
+    flags = flag_corpus()[::6]
+    assert len(flags) == 200
+    assert _digest(kt(fm) for fm in flags) == (
+        "320b5138b95e5e766666417ee9e472324557e35d1ead399c98b53f2723a43e3c")
+
+
+def test_kt_equivariant_golden_digest_over_corpus():
+    flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1][::12]
+    assert len(flags) == 77
+    assert _digest(kt_equivariant(fm) for fm in flags) == (
+        "7690e34985e67eb72ee8d97f762c0802b1e334c3c2859786d68e9e1cc620d00a")
+
+
+# ------------------------------------------------------- kernel code width
+
+
+def test_dedup_kernel_merges_rows():
+    A = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.int64)
+    U = np.array([1, 1, 0], dtype=np.int64)
+    V = np.array([0, 0, 2], dtype=np.int64)
+    A2, U2, V2, vals = _dedup_kernel(A, U, V)
+    rows = sorted(zip(map(tuple, A2.tolist()), U2.tolist(), V2.tolist(),
+                      vals.tolist()))
+    assert rows == [((0, 1), 1, 0, 2), ((1, 0), 0, 2, 1)]
+
+
+def test_dedup_kernel_rejects_codes_beyond_int64():
+    # span 3 over 39 columns (3^39 < 2^63) still encodes exactly
+    A = np.array([[0] * 39, [2] * 39, [0] * 39], dtype=np.int64)
+    zeros = np.zeros(3, dtype=np.int64)
+    assert _dedup_kernel(A, zeros, zeros)[3].tolist() == [2, 1]
+    # 3^41 > 2^63 - 1 would wrap silently
+    A = np.array([[0] * 41, [2] * 41], dtype=np.int64)
+    zeros = np.zeros(2, dtype=np.int64)
+    with pytest.raises(GroundSetTooLarge):
+        _dedup_kernel(A, zeros, zeros)
