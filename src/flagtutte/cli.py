@@ -15,7 +15,7 @@ from .corpus import corpus_summary, matroid_corpus
 from .errors import (GeometryError, InputError, InternalAssertion,
                      NotAQuotient, ParseError, UnknownIdentity)
 from .genfun import EquivariantPolynomial
-from .invariants import (brion_example_report, check_beta_higgs,
+from .invariants import (_as_flag, brion_example_report, check_beta_higgs,
                          check_direct_sum, check_duality,
                          check_kchi_conjecture, check_latticepoints,
                          check_lvt_delcont, check_lvt_special,
@@ -159,12 +159,6 @@ def _as_pair(obj, what):
     raise InputError("%s needs a two-step flag matroid input" % what)
 
 
-def _as_flag_obj(obj):
-    if isinstance(obj, FlagMatroid):
-        return obj
-    return flag(obj)
-
-
 def _as_matroid_obj(obj, what):
     if isinstance(obj, Matroid):
         return obj
@@ -181,7 +175,7 @@ def _verify_reports(name, obj, seed):
     if name == "kt22":
         if obj is None:
             obj = flag(U(1, 3), U(2, 3))
-        return [verify_kt22(_as_flag_obj(obj))]
+        return [verify_kt22(_as_flag(obj))]
     if name == "delcont":
         m = U(2, 4) if obj is None else _as_matroid_obj(obj, "delcont")
         bad = m.loops() | m.coloops()
@@ -205,7 +199,7 @@ def _verify_reports(name, obj, seed):
                   else _as_pair(obj, "lvt-delcont"))
         return [check_lvt_delcont(m1, m2)]
     if name == "duality":
-        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag_obj(obj)
+        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag(obj)
         return [check_duality(fm)]
     if name == "direct-sum":
         if obj is None:
@@ -215,13 +209,13 @@ def _verify_reports(name, obj, seed):
             if not (isinstance(obj, list) and len(obj) == 2):
                 raise InputError("direct-sum needs a JSON list of exactly "
                                  "two flag documents")
-            pairs = [(_as_flag_obj(obj[0]), _as_flag_obj(obj[1]))]
+            pairs = [(_as_flag(obj[0]), _as_flag(obj[1]))]
         return [check_direct_sum(a, b) for a, b in pairs]
     if name == "latticepoints":
-        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag_obj(obj)
+        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag(obj)
         return [check_latticepoints(fm)]
     if name == "h-uv":
-        fm = flag(U(2, 4), U(3, 4)) if obj is None else _as_flag_obj(obj)
+        fm = flag(U(2, 4), U(3, 4)) if obj is None else _as_flag(obj)
         return [verify_h_uv(fm)]
     if name == "beta-higgs":
         m1, m2 = ((U(1, 3), U(2, 3)) if obj is None

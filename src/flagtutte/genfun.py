@@ -4,9 +4,15 @@ A GenFun is a formal expression sum_i coeff_i * Hilb(C_i) with C_i half-open
 unimodular simplicial cones.  When the expression happens to be a Laurent
 polynomial (every pipeline in this package arranges that), coefficients are
 extracted exactly by Lawrence-Varchenko flips along a symbolically irrational
-direction, hyperplane slices are taken cell by cell, and the t -> 1
-specialization goes through a one-variable substitution t_i = z^(c_i) with
-exact division by the surviving (1 - z^d) factors.
+direction and hyperplane slices are taken cell by cell.
+
+Two integer cores serve both the GenFun API and the localization sums of
+invariants.py.  They take the same kernel list: per half-open cone at the
+origin its rays, open flags and sign, plus int64 arrays of numerator apexes,
+coefficient classes and multiplicities.  _support_core extracts the full
+support by signed membership counts in a bounded box; _specialize_t1 sets
+t -> 1 through the one-variable substitution t_i = z^(c_i) with exact
+division by the (1 - z^d) factors, one integer per class.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .cones import (
     flip_cone, slice_cone,
 )
 from .errors import (
-    DegenerateWeights, HypothesisViolated, InternalAssertion, NonCancellingPole,
+    DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
+    InternalAssertion, NonCancellingPole,
 )
 from .linalg import (
     difference_vector_graph, forest_flow, kernel_basis_int, matrix_rank,
@@ -481,6 +488,45 @@ def _support_core(n, los, his, cone_kernels, class_polys, direction=None):
     return support_dict
 
 
+def _genfun_kernels(g, direction=None):
+    """A GenFun as kernels for _specialize_t1 and _support_core.
+
+    One kernel per distinct (rays, open_flags, sign), flipped along the
+    direction when one is given.  Classes are the coefficient monomials,
+    with multiplicities scaled by the common denominator of all
+    coefficients: only the whole sum is a Laurent polynomial, but then so is
+    its coefficient of each monomial.  Returns (kernels, aux variables,
+    class exponent tuples, common denominator).
+    """
+    vars_ = ()
+    den = 1
+    for t in g.terms:
+        vars_ = _merge_vars(vars_, t.coeff.vars)
+        for c in t.coeff.terms.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+    class_index = {}
+    by_cone = {}
+    for t in g.terms:
+        cone = t.cone if direction is None else _flip(t.cone, direction)
+        counts = by_cone.setdefault((cone.rays, cone.open_flags, cone.sign),
+                                    {})
+        for exps, c in t.coeff.align(vars_).terms.items():
+            key = (cone.apex, class_index.setdefault(exps, len(class_index)))
+            counts[key] = counts.get(key, 0) + int(c * den)
+    kernels = []
+    for (rays, flags, sign), counts in sorted(by_cone.items()):
+        items = [(key, v) for key, v in sorted(counts.items()) if v]
+        if not items:
+            continue
+        _check_width(max(abs(v) for _, v in items))
+        A = np.array([apex for (apex, _), _ in items],
+                     dtype=np.int64).reshape(len(items), g.n)
+        cls = np.array([c for (_, c), _ in items], dtype=np.int64)
+        vals = np.array([v for _, v in items], dtype=np.int64)
+        kernels.append((rays, flags, sign, A, cls, vals))
+    return kernels, vars_, list(class_index), den
+
+
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
@@ -502,34 +548,9 @@ def support(g, direction=None):
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
-    class_index = {}
-    class_polys = []
-
-    def cls_of(poly):
-        key = (poly.vars, frozenset(poly.terms.items()))
-        idx = class_index.get(key)
-        if idx is None:
-            idx = len(class_polys)
-            class_index[key] = idx
-            class_polys.append(poly)
-        return idx
-
-    by_cone = {}
-    for t in g.terms:
-        fc = _flip(t.cone, direction)
-        counts = by_cone.setdefault((fc.rays, fc.open_flags, fc.sign), {})
-        key = (fc.apex, cls_of(t.coeff))
-        counts[key] = counts.get(key, 0) + 1
-
-    kernels = []
-    for (rays, flags, sign), counts in sorted(by_cone.items()):
-        items = sorted(counts.items())
-        A = np.array([apex for (apex, _), _ in items],
-                     dtype=np.int64).reshape(len(items), n)
-        cls = np.array([c for (_, c), _ in items], dtype=np.int64)
-        vals = np.array([v for _, v in items], dtype=np.int64)
-        kernels.append((rays, flags, sign, A, cls, vals))
-
+    kernels, vars_, classes, den = _genfun_kernels(g, direction)
+    class_polys = [AuxPolynomial.monomial(vars_, e, Fraction(1, den))
+                   for e in classes]
     support_dict = _support_core(n, los, his, kernels, class_polys, direction)
     if support_dict is None:
         return support_pure(g, direction)
@@ -586,9 +607,11 @@ def slice_genfun(g, zeta, b):
 # ---------------------------------------------------------------- evaluate_t1
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _weight_candidates(n, seed):
     yield tuple(range(1, n + 1))
-    yield tuple((n + 1) ** i for i in range(n))
     primes = []
     p = 2
     while len(primes) < n:
@@ -599,108 +622,132 @@ def _weight_candidates(n, seed):
     rng = random.Random(seed)
     for _ in range(20):
         yield tuple(rng.randrange(1, 10 * n * n + 2) for _ in range(n))
+    # last, because the dense z-arrays of _specialize_t1 span c . apex
+    yield tuple((n + 1) ** i for i in range(n))
+
+
+def _check_width(bound):
+    if bound > _INT64_MAX:
+        raise GroundSetTooLarge(
+            "kernel arithmetic needs integers beyond int64 (bound %d)" % bound)
+
+
+def _divide_exact(num, d):
+    """Quotient of dense rows num (ascending z-powers) by (1 - z^d).
+
+    The quotient is the cumulative sum over each residue class mod d; it
+    exists iff every residue class sums to zero.
+    """
+    rows = len(num)
+    _check_width(int(np.abs(num).max()) * rows)
+    padded = np.zeros((-(-rows // d) * d, num.shape[1]), dtype=np.int64)
+    padded[:rows] = num
+    blocks = padded.reshape(-1, d, num.shape[1])
+    if blocks.sum(axis=0).any():
+        raise NonCancellingPole(
+            "denominator factor (1 - z^%d) does not divide the numerator" % d)
+    return blocks.cumsum(axis=0).reshape(padded.shape)[:rows - d]
+
+
+def _specialize_t1(n, kernels, n_cls, seed=0):
+    """The t -> 1 value of a signed sum of cone kernels, one integer per class.
+
+    kernels: (rays, open_flags, sign, A, cls, vals) as for _support_core
+    (cones at the origin, apexes as the rows of A).  Substitutes t_i = z^(c_i)
+    for a generic integer weight c (no ray pairs to zero), so each cell
+    contributes sign * z^(c . apex + shift) / prod (1 - z^d) with every d > 0
+    (a ray pairing to -m reverses: 1 / (1 - z^-m) = -z^m / (1 - z^m)).
+    Cells are grouped by their denominator multiset; numerators are dense
+    int64 arrays over z with one column per class, raised to the common
+    denominator by shifted subtraction, summed, and divided exactly by each
+    (1 - z^d); the value at z = 1 is then the column sum.  Every class's sum
+    must be a Laurent polynomial on its own.  Raises GroundSetTooLarge
+    before any step whose numbers could leave int64.
+    """
+    all_rays = {v for kernel in kernels for v in kernel[0]}
+    for weights in _weight_candidates(n, seed):
+        dots = {v: vec_dot(weights, v) for v in all_rays}
+        if all(dots.values()):
+            break
+    else:
+        raise DegenerateWeights("no generic weight vector found")
+    w = np.array(weights, dtype=np.int64)
+
+    blocks = {}
+    groups = {}
+    bound = 0
+    for rays, flags, sign, A, cls, vals in kernels:
+        shift = 0
+        dens = []
+        for v, is_open in zip(rays, flags):
+            d = dots[v]
+            if d < 0:
+                d, sign, is_open = -d, -sign, not is_open
+            dens.append(d)
+            if is_open:
+                shift += d
+        key = (id(A), id(cls), id(vals))
+        block = blocks.get(key)
+        if block is None:
+            z = A @ w
+            lo = int(z.min())
+            dense = np.zeros((int(z.max()) - lo + 1, n_cls), dtype=np.int64)
+            np.add.at(dense, (z - lo, cls), vals)
+            block = blocks[key] = (lo, dense, sum(map(abs, vals.tolist())))
+        bound += block[2]
+        groups.setdefault(tuple(sorted(dens)), []).append(
+            (block[0] + shift, sign, block[1]))
+    if not groups:
+        return [0] * n_cls
+
+    target = {}
+    for key in groups:
+        for d in set(key):
+            target[d] = max(target.get(d, 0), key.count(d))
+    missing = {key: [d for d, want in sorted(target.items())
+                     for _ in range(want - key.count(d))]
+               for key in groups}
+    _check_width(bound << max(len(m) for m in missing.values()))
+
+    cells = [cell for group in groups.values() for cell in group]
+    lo = min(start for start, _, _ in cells)
+    hi = max(start + len(dense) for start, _, dense in cells)
+    rows = hi - lo + sum(d * want for d, want in target.items())
+    total = np.zeros((rows, n_cls), dtype=np.int64)
+    for key, group in groups.items():
+        num = np.zeros_like(total)
+        for start, sign, dense in group:
+            part = num[start - lo:start - lo + len(dense)]
+            if sign > 0:
+                part += dense
+            else:
+                part -= dense
+        for d in missing[key]:
+            num[d:] -= num[:-d]
+        total += num
+
+    for d, want in sorted(target.items()):
+        for _ in range(want):
+            nz = np.nonzero(total.any(axis=1))[0]
+            if len(nz) == 0:
+                return [0] * n_cls
+            total = _divide_exact(total[nz[0]:nz[-1] + 1], d)
+    _check_width(int(np.abs(total).max(initial=0)) * len(total))
+    return [int(x) for x in total.sum(axis=0)]
 
 
 def evaluate_t1(g, seed=0):
     """The specialization t_i -> 1 of a Laurent-polynomial GenFun.
 
     Substitutes t_i = z^(c_i) for a deterministic generic integer weight
-    vector (no ray may pair to zero), combines the per-term rational
-    functions over a common denominator of (1 - z^d) factors, divides the
-    numerator exactly and reads off the value at z = 1.
+    vector, combines the per-term rational functions over a common
+    denominator of (1 - z^d) factors, divides the numerator exactly and
+    reads off the value at z = 1 (see _specialize_t1).
     """
-    if not g.terms:
-        return AuxPolynomial.zero()
-    rays = sorted({v for t in g.terms for v in t.cone.rays})
-    weights = None
-    for cand in _weight_candidates(g.n, seed):
-        if all(vec_dot(cand, v) != 0 for v in rays):
-            weights = cand
-            break
-    if weights is None:
-        raise DegenerateWeights("no generic weight vector found")
-
-    groups = {}
-    for t in g.terms:
-        cone = t.cone
-        offset = vec_dot(weights, cone.apex)
-        sign = cone.sign
-        dens = []
-        for v, is_open in zip(cone.rays, cone.open_flags):
-            d = vec_dot(weights, v)
-            if d > 0:
-                dens.append(d)
-                if is_open:
-                    offset += d
-            else:
-                m = -d
-                dens.append(m)
-                sign = -sign
-                if not is_open:
-                    offset += m
-        key = tuple(sorted(dens))
-        num = groups.setdefault(key, {})
-        add = t.coeff * sign
-        cur = num.get(offset)
-        num[offset] = add if cur is None else cur + add
-
-    target = {}
-    for key in groups:
-        counts = {}
-        for d in key:
-            counts[d] = counts.get(d, 0) + 1
-        for d, c in counts.items():
-            if target.get(d, 0) < c:
-                target[d] = c
-
-    combined = {}
-    for key, num in groups.items():
-        counts = {}
-        for d in key:
-            counts[d] = counts.get(d, 0) + 1
-        cur = dict(num)
-        for d, want in sorted(target.items()):
-            for _ in range(want - counts.get(d, 0)):
-                nxt = {}
-                for e, poly in cur.items():
-                    c0 = nxt.get(e)
-                    nxt[e] = poly if c0 is None else c0 + poly
-                    c1 = nxt.get(e + d)
-                    neg = -poly
-                    nxt[e + d] = neg if c1 is None else c1 + neg
-                cur = {e: p for e, p in nxt.items() if p}
-        for e, poly in cur.items():
-            c0 = combined.get(e)
-            combined[e] = poly if c0 is None else c0 + poly
-    combined = {e: p for e, p in combined.items() if p}
-    if not combined:
-        return AuxPolynomial.zero()
-
-    for d, mult in sorted(target.items()):
-        for _ in range(mult):
-            if not combined:
-                break
-            emin = min(combined)
-            emax = max(combined)
-            q = {}
-            for e in range(emin, emax + 1):
-                val = combined.get(e)
-                prev = q.get(e - d)
-                if prev is not None:
-                    val = prev if val is None else val + prev
-                if val:
-                    q[e] = val
-            for e in range(emax - d + 1, emax + 1):
-                if q.get(e):
-                    raise NonCancellingPole(
-                        "denominator factor (1 - z^%d) does not divide the "
-                        "numerator" % d)
-                q.pop(e, None)
-            combined = q
-    total = AuxPolynomial.zero()
-    for e in sorted(combined):
-        total = total + combined[e]
-    return total
+    kernels, vars_, classes, den = _genfun_kernels(g)
+    values = _specialize_t1(g.n, kernels, len(classes), seed)
+    return AuxPolynomial(vars_, {e: Fraction(v, den)
+                                 for e, v in zip(classes, values) if v})
 
 
 # -------------------------------------------------------------------- brion

@@ -1,12 +1,14 @@
 """Polynomial invariants of matroids, matroid quotients, and flag matroids.
 
 The corank-nullity family (Tutte, characteristic, Las Vergnas Tutte) is
-computed by direct subset sums.  The flag-geometric family (KT, its
-equivariant refinement, the h-polynomial) is computed from the localization
-sum over flag bases: one half-open triangulation of the tangent cone per
-flag basis, with all numerator monomials carried as a kernel, evaluated
-either at t = 1 through a one-variable specialization or in full through
-the engine's support extraction.
+computed by direct subset sums, counted per (corank, nullity) and expanded
+at (x - 1, y - 1) binomially in integers.  The flag-geometric family (KT,
+its equivariant refinement, the h-polynomial) is computed from the
+localization sum over flag bases: one half-open triangulation of the
+tangent cone per flag basis, with all numerator monomials carried as one
+integer kernel (_basis_kernel, the same for every mode), evaluated either
+at t = 1 through genfun's specialization core or in full through its
+support core.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
+from functools import lru_cache
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -24,15 +28,12 @@ from .cones import (
 )
 from .errors import (
     GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
-    NonCancellingPole, NotAQuotient, NotDivisible, NotInUV, RankGapZero,
-    RankZeroConstituent,
+    NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _flip, _support_core,
-    _weight_candidates, support_pure,
+    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _flip,
+    _specialize_t1, _support_core, support_pure,
 )
-from .errors import DegenerateWeights
-from .linalg import vec_dot
 from .matroid import (
     FlagMatroid, Matroid, _bits, flag, flag_dual, higgs_factorization,
     is_quotient, pseudo_basis_masks,
@@ -43,6 +44,25 @@ from .polynomial import AuxPolynomial
 # ------------------------------------------------------ corank-nullity family
 
 
+def _expand_shifted(vars, counts, shifted):
+    """Expand sum c * prod (v_i - 1)^(e_i) over the first `shifted` variables.
+
+    counts maps exponent tuples over vars to exact coefficients; the
+    variables past the first `shifted` keep their plain powers.  Each
+    (v - 1)^e opens binomially, so integer counts stay integers.
+    """
+    for i in range(shifted):
+        out = {}
+        for exps, c in counts.items():
+            e = exps[i]
+            for j in range(e + 1):
+                key = exps[:i] + (j,) + exps[i + 1:]
+                term = c * comb(e, j)
+                out[key] = out.get(key, 0) + (-term if (e - j) & 1 else term)
+        counts = out
+    return AuxPolynomial(vars, counts)
+
+
 def tutte(m):
     """The Tutte polynomial by the corank-nullity sum, in x and y."""
     r = m.rank_value
@@ -50,12 +70,7 @@ def tutte(m):
     for s in range(1 << m.n):
         key = (r - m.rank(s), s.bit_count() - m.rank(s))
         counts[key] = counts.get(key, 0) + 1
-    x1 = AuxPolynomial.variable("x") - 1
-    y1 = AuxPolynomial.variable("y") - 1
-    total = AuxPolynomial.zero(("x", "y"))
-    for (cr, nl), cnt in sorted(counts.items()):
-        total = total + (x1 ** cr) * (y1 ** nl) * cnt
-    return total
+    return _expand_shifted(("x", "y"), counts, 2)
 
 
 def characteristic(m):
@@ -78,13 +93,7 @@ def lv_tutte(m1, m2):
         gap = (r2 - m2.rank(s)) - cr
         key = (cr, nl, gap)
         counts[key] = counts.get(key, 0) + 1
-    x1 = AuxPolynomial.variable("x") - 1
-    y1 = AuxPolynomial.variable("y") - 1
-    z = AuxPolynomial.variable("z")
-    total = AuxPolynomial.zero(("x", "y", "z"))
-    for (cr, nl, gap), cnt in sorted(counts.items()):
-        total = total + (x1 ** cr) * (y1 ** nl) * (z ** gap) * cnt
-    return total
+    return _expand_shifted(("x", "y", "z"), counts, 2)
 
 
 def lv_tutte_equivariant(m1, m2):
@@ -155,37 +164,33 @@ def _basis_kernel(fm, fb, mode="kt"):
     multiplicities after deduplication.
     """
     n = fm.n
-    base = [0] * n
+    full = (1 << n) - 1
+    base = np.zeros(n, dtype=np.int64)
     if mode == "kt":
         for bmask in fb[:-1]:
-            for i in _bits(bmask):
-                base[i] += 1
-        pmask, pshift, ubump = fb[-1], 1, (1, 0)
-        qmask = ~fb[0] & ((1 << n) - 1)
+            base[list(_bits(bmask))] += 1
+        pmask, pshift, qmask = fb[-1], 1, ~fb[0] & full
     elif mode == "h":
-        pmask, pshift, ubump = fb[-1], -1, (0, 1)
-        qmask = ~fb[0] & ((1 << n) - 1)
+        pmask, pshift, qmask = fb[-1], -1, ~fb[0] & full
     else:
-        for i in _bits(fb[-1] & ~fb[0]):
-            base[i] += 1
-        pmask, pshift, ubump = fb[0], -1, (0, 1)
-        qmask = ~fb[-1] & ((1 << n) - 1)
-    A = np.array([base], dtype=np.int64)
-    U = np.array([0], dtype=np.int64)
-    V = np.array([0], dtype=np.int64)
-    for i in _bits(pmask):
-        shift = np.zeros(n, dtype=np.int64)
-        shift[i] = pshift
-        A = np.concatenate([A, A + shift])
-        U = np.concatenate([U + ubump[0], U + ubump[1]])
-        V = np.concatenate([V, V])
-    for j in _bits(qmask):
-        shift = np.zeros(n, dtype=np.int64)
-        shift[j] = 1
-        A = np.concatenate([A, A + shift])
-        U = np.concatenate([U, U])
-        V = np.concatenate([V, V + 1])
-    return _dedup_kernel(A, U, V)
+        base[list(_bits(fb[-1] & ~fb[0]))] += 1
+        pmask, pshift, qmask = fb[0], -1, ~fb[-1] & full
+    ps, qs = list(_bits(pmask)), list(_bits(qmask))
+    m = len(ps) + len(qs)
+    steps = np.zeros((m, n), dtype=np.int64)
+    steps[np.arange(len(ps)), ps] = pshift
+    steps[np.arange(len(ps), m), qs] = 1
+    chosen = _subset_rows(m)
+    n_p = chosen[:, :len(ps)].sum(axis=1)
+    U = len(ps) - n_p if mode == "kt" else n_p
+    return _dedup_kernel(base + chosen @ steps, U,
+                         chosen[:, len(ps):].sum(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _subset_rows(m):
+    """The 2^m x m 0/1 matrix whose rows are all subsets of range(m)."""
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
 
 
 def _dedup_kernel(A, U, V):
@@ -205,10 +210,34 @@ def _dedup_kernel(A, U, V):
     code += U * stride
     stride *= int(U.max()) + 1
     code += V * stride
-    uniq, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    vals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(vals, inv, 1)
+    _, first, vals = np.unique(code, return_index=True, return_counts=True)
     return A[first], U[first], V[first], vals
+
+
+def _flag_kernels(fm, mode, direction=None):
+    """The localization sum of a flag as kernels, one per triangulated cell.
+
+    Each cell of a flag basis carries that basis's numerator (_basis_kernel);
+    the classes are the (u, v)-exponent pairs, returned sorted.  With a
+    direction every cell is flipped first, as _support_core needs.
+    """
+    vstr = fm.n + 1
+    staged = []
+    codes = []
+    for fb, cells in _flag_cells(fm):
+        A, U, V, vals = _basis_kernel(fm, fb, mode)
+        staged.append((cells, A, vals))
+        codes.append(U * vstr + V)
+    used, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    splits = np.cumsum([len(c) for c in codes[:-1]], dtype=np.int64)
+    kernels = []
+    for (cells, A, vals), cls in zip(staged, np.split(inverse, splits)):
+        for cell in cells:
+            if direction is not None:
+                cell = _flip(cell, direction)
+            kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
+                            vals))
+    return kernels, [divmod(int(c), vstr) for c in used]
 
 
 def _ktt_support(fm, direction=None, mode="kt"):
@@ -225,30 +254,12 @@ def _ktt_support(fm, direction=None, mode="kt"):
     if hit is not None:
         return hit
     n = fm.n
-    vstr = n + 1
-    staged = []
-    used = set()
-    los = None
-    his = None
-    for fb, cells in _flag_cells(fm):
-        A, U, V, vals = _basis_kernel(fm, fb, mode)
-        codes = U * vstr + V
-        used.update(int(c) for c in np.unique(codes))
-        lo, hi = A.min(axis=0), A.max(axis=0)
-        los = lo if los is None else np.minimum(los, lo)
-        his = hi if his is None else np.maximum(his, hi)
-        staged.append((cells, A, codes, vals))
-    used_sorted = np.array(sorted(used), dtype=np.int64)
-    class_polys = [AuxPolynomial.monomial(("u", "v"), divmod(int(c), vstr))
-                   for c in used_sorted]
-    kernels = []
-    for cells, A, codes, vals in staged:
-        cls = np.searchsorted(used_sorted, codes)
-        for cell in cells:
-            fc = _flip(cell, direction)
-            kernels.append((fc.rays, fc.open_flags, fc.sign, A, cls, vals))
-    los = tuple(int(x) for x in los)
-    his = tuple(int(x) for x in his)
+    kernels, classes = _flag_kernels(fm, mode, direction)
+    class_polys = [AuxPolynomial.monomial(("u", "v"), c) for c in classes]
+    blocks = {id(A): A for _, _, _, A, _, _ in kernels}
+    apexes = np.concatenate(list(blocks.values()))
+    los = tuple(int(x) for x in apexes.min(axis=0))
+    his = tuple(int(x) for x in apexes.max(axis=0))
     support_dict = _support_core(n, los, his, kernels, class_polys, direction)
     if support_dict is None:
         terms = []
@@ -277,179 +288,15 @@ def kt_equivariant(fm):
     return _ktt_support(fm)
 
 
-def _basis_zkernel(fm, fb, weights, mode):
-    """The one-variable specialization t_i = z^(c_i) of a basis kernel.
-
-    Returns dict (z-exponent, u-exponent, v-exponent) -> integer count.
-    mode "kt": apex e_{B_1}+..+e_{B_{k-1}}+e_p+e_q, u-exponent r_k - |p|;
-    mode "h": apex -e_p+e_q with p in B_k, q outside B_1, u-exponent |p|;
-    mode "h_lv": same exponents but p in B_1, q outside B_k.
-    """
-    n = fm.n
-    if mode == "kt":
-        z0 = 0
-        for bmask in fb[:-1]:
-            for i in _bits(bmask):
-                z0 += weights[i]
-        cur = {(z0, 0, 0): 1}
-        for i in _bits(fb[-1]):
-            c = weights[i]
-            nxt = {}
-            for (z, a, b), cnt in cur.items():
-                k1 = (z, a + 1, b)
-                nxt[k1] = nxt.get(k1, 0) + cnt
-                k2 = (z + c, a, b)
-                nxt[k2] = nxt.get(k2, 0) + cnt
-            cur = nxt
-        qmask = ~fb[0] & ((1 << n) - 1)
-    else:
-        z0 = 0
-        if mode == "h_lv":
-            pmask = fb[0]
-            qmask = ~fb[-1] & ((1 << n) - 1)
-            # line-bundle twist of the Las Vergnas diagram, trivial for k = 1
-            for i in _bits(fb[-1] & ~fb[0]):
-                z0 += weights[i]
-        else:
-            pmask = fb[-1]
-            qmask = ~fb[0] & ((1 << n) - 1)
-        cur = {(z0, 0, 0): 1}
-        for i in _bits(pmask):
-            c = weights[i]
-            nxt = {}
-            for (z, a, b), cnt in cur.items():
-                k1 = (z, a, b)
-                nxt[k1] = nxt.get(k1, 0) + cnt
-                k2 = (z - c, a + 1, b)
-                nxt[k2] = nxt.get(k2, 0) + cnt
-            cur = nxt
-    for j in _bits(qmask):
-        c = weights[j]
-        nxt = {}
-        for (z, a, b), cnt in cur.items():
-            k1 = (z, a, b)
-            nxt[k1] = nxt.get(k1, 0) + cnt
-            k2 = (z + c, a, b + 1)
-            nxt[k2] = nxt.get(k2, 0) + cnt
-        cur = nxt
-    return cur
-
-
-def _divide_once(sl, d):
-    """Exact ascending division of a sparse z-polynomial by (1 - z^d)."""
-    if not sl:
-        return sl
-    emin = min(sl)
-    emax = max(sl)
-    q = {}
-    for e in range(emin, emax + 1):
-        val = sl.get(e, 0) + q.get(e - d, 0)
-        if val:
-            q[e] = val
-    for e in range(emax - d + 1, emax + 1):
-        if q.get(e):
-            raise NonCancellingPole(
-                "factor (1 - z^%d) does not divide the numerator" % d)
-        q.pop(e, None)
-    return q
-
-
 def _localization_value(fm, mode, seed=0):
     """The t -> 1 value of a localization sum, as a polynomial in u and v."""
     key = (fm.key(), mode, seed)
     hit = _cache_get(_VALUE_CACHE, key)
     if hit is not None:
         return hit
-    n = fm.n
-    data = _flag_cells(fm)
-    rays = sorted({v for _, cells in data for cell in cells for v in cell.rays})
-    weights = None
-    for cand in _weight_candidates(n, seed):
-        if all(vec_dot(cand, v) != 0 for v in rays):
-            weights = cand
-            break
-    if weights is None:
-        raise DegenerateWeights("no generic weight vector found")
-
-    groups = {}
-    for fb, cells in data:
-        zker = _basis_zkernel(fm, fb, weights, mode)
-        for cell in cells:
-            sign = cell.sign
-            shift = 0
-            dens = []
-            for v, is_open in zip(cell.rays, cell.open_flags):
-                d = vec_dot(weights, v)
-                if d > 0:
-                    dens.append(d)
-                    if is_open:
-                        shift += d
-                else:
-                    dens.append(-d)
-                    sign = -sign
-                    if not is_open:
-                        shift += -d
-            gkey = tuple(sorted(dens))
-            tgt = groups.setdefault(gkey, {})
-            for (z, a, b), cnt in zker.items():
-                kk = (z + shift, a, b)
-                val = tgt.get(kk, 0) + sign * cnt
-                if val:
-                    tgt[kk] = val
-                else:
-                    tgt.pop(kk, None)
-
-    target = {}
-    for gkey in groups:
-        counts = {}
-        for d in gkey:
-            counts[d] = counts.get(d, 0) + 1
-        for d, c in counts.items():
-            if target.get(d, 0) < c:
-                target[d] = c
-
-    combined = {}
-    for gkey, num in groups.items():
-        counts = {}
-        for d in gkey:
-            counts[d] = counts.get(d, 0) + 1
-        cur = num
-        for d, want in sorted(target.items()):
-            for _ in range(want - counts.get(d, 0)):
-                nxt = {}
-                for (z, a, b), cnt in cur.items():
-                    k1 = (z, a, b)
-                    v1 = nxt.get(k1, 0) + cnt
-                    if v1:
-                        nxt[k1] = v1
-                    else:
-                        nxt.pop(k1, None)
-                    k2 = (z + d, a, b)
-                    v2 = nxt.get(k2, 0) - cnt
-                    if v2:
-                        nxt[k2] = v2
-                    else:
-                        nxt.pop(k2, None)
-                cur = nxt
-        for kk, cnt in cur.items():
-            val = combined.get(kk, 0) + cnt
-            if val:
-                combined[kk] = val
-            else:
-                combined.pop(kk, None)
-
-    slices = {}
-    for (z, a, b), cnt in combined.items():
-        slices.setdefault((a, b), {})[z] = cnt
-    terms = {}
-    for (a, b), sl in sorted(slices.items()):
-        for d, mult in sorted(target.items()):
-            for _ in range(mult):
-                sl = _divide_once(sl, d)
-        total = sum(sl.values())
-        if total:
-            terms[(a, b)] = Fraction(total)
-    result = AuxPolynomial(("u", "v"), terms)
+    kernels, classes = _flag_kernels(fm, mode)
+    values = _specialize_t1(fm.n, kernels, len(classes), seed)
+    result = AuxPolynomial(("u", "v"), dict(zip(classes, values)))
     _cache_put(_VALUE_CACHE, key, result, _VALUE_CAP)
     return result
 
@@ -461,9 +308,9 @@ def kt(fm):
     a rank-0 first constituent) followed by u = x-1, v = y-1.
     """
     phi = _localization_value(fm, "kt")
-    x = AuxPolynomial.variable("x")
-    y = AuxPolynomial.variable("y")
-    return phi.substitute({"u": x - 1, "v": y - 1})
+    # the coefficients are integers: expand them as such
+    return _expand_shifted(("x", "y"),
+                           {e: int(c) for e, c in phi.terms.items()}, 2)
 
 
 # ----------------------------------------------------------------- h family
@@ -504,12 +351,10 @@ def h_polynomial(fm):
     if not _is_diagonal(phi):
         raise NotInUV("untwisted localization value has a term off the "
                       "uv-diagonal")
-    s = AuxPolynomial.variable("s")
-    total = AuxPolynomial.zero(("s",))
-    for exps, coeff in sorted(phi.terms.items()):
-        m_exp = exps[phi.vars.index("u")]
-        total = total + ((1 - s) ** m_exp) * coeff
-    return total
+    ui = phi.vars.index("u")
+    counts = {(exps[ui],): -coeff if exps[ui] & 1 else coeff
+              for exps, coeff in phi.terms.items()}
+    return _expand_shifted(("s",), counts, 1)
 
 
 def h_candidate_lv(fm):
@@ -834,24 +679,7 @@ def check_lvt_delcont(m1, m2, e=None):
 
 def count_lattice_points(fm):
     """Lattice points of the base polytope by direct membership testing."""
-    n, k = fm.n, fm.k
-    total_rank = sum(fm.ranks)
-    count = 0
-
-    def rec(prefix, remaining):
-        nonlocal count
-        if len(prefix) == n:
-            if remaining == 0 and fm.polytope_membership(prefix):
-                count += 1
-            return
-        left = n - len(prefix) - 1
-        for v in range(0, min(k, remaining) + 1):
-            if remaining - v > k * left:
-                continue
-            rec(prefix + [v], remaining - v)
-
-    rec([], total_rank)
-    return count
+    return len(_enumerate_polytope(fm))
 
 
 def check_duality(fm):
@@ -916,23 +744,9 @@ def check_latticepoints(fm):
 
 
 def _enumerate_polytope(fm):
-    n, k = fm.n, fm.k
-    total = sum(fm.ranks)
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            if remaining == 0 and fm.polytope_membership(prefix):
-                out.append(tuple(prefix))
-            return
-        left = n - len(prefix) - 1
-        for v in range(0, min(k, remaining) + 1):
-            if remaining - v > k * left:
-                continue
-            rec(prefix + [v], remaining - v)
-
-    rec([], total)
-    return out
+    """Lattice points of the base polytope, from its box [0, k]^n."""
+    box = _box_candidates([0] * fm.n, [fm.k] * fm.n, sum(fm.ranks))
+    return [w for w in box if fm.polytope_membership(w)]
 
 
 def check_loop_coloop_divisibility(fm):
@@ -1068,7 +882,7 @@ def _input_hash(obj):
 def _as_flag(obj):
     if isinstance(obj, FlagMatroid):
         return obj
-    return FlagMatroid((obj,))
+    return flag(obj)
 
 
 def _as_matroid(obj):

@@ -5,6 +5,10 @@ rational function via an injective integer weight and compares against the
 claimed polynomial support with sympy's exact rational arithmetic.
 """
 
+from fractions import Fraction
+
+import numpy as np
+import pytest
 import sympy
 
 from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
@@ -12,7 +16,9 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        brion_series, coefficient_at, default_direction,
                        evaluate_t1, flag, flip_cone, slice_genfun, support,
                        tangent_cone_generators, triangulate_half_open)
-from flagtutte.errors import HypothesisViolated
+from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
+                              NonCancellingPole)
+from flagtutte.genfun import _specialize_t1
 
 U = Matroid.uniform
 
@@ -155,6 +161,39 @@ def test_evaluate_t1_flip_cancellation():
                    GenFunTerm(AuxPolynomial.constant(-1), flipped)))
     assert evaluate_t1(g).is_zero()
     assert support(g) == EquivariantPolynomial(2)
+    # the cancellation holds per coefficient monomial, not per coefficient
+    u = AuxPolynomial.variable("u")
+    v = AuxPolynomial.variable("v")
+    g = GenFun(2, (GenFunTerm(u + v, cone), GenFunTerm(-u, flipped),
+                   GenFunTerm(-v, flipped)))
+    assert evaluate_t1(g).is_zero()
+    assert support(g) == EquivariantPolynomial(2)
+    half = AuxPolynomial.constant(Fraction(1, 2))
+    for terms in [(GenFunTerm(ONE, cone), GenFunTerm(-half, flipped),
+                   GenFunTerm(-half, flipped)),
+                  (GenFunTerm(half, cone), GenFunTerm(-half, flipped),
+                   GenFunTerm(u, cone), GenFunTerm(-u, flipped))]:
+        g = GenFun(2, terms)
+        assert evaluate_t1(g).is_zero()
+        assert support(g) == EquivariantPolynomial(2)
+
+
+def test_evaluate_t1_half_coefficients():
+    ray = ((1,),)
+    g = GenFun(1, (
+        GenFunTerm(AuxPolynomial.constant(Fraction(1, 2)),
+                   HalfOpenSimplicialCone((0,), ray, (False,))),
+        GenFunTerm(AuxPolynomial.constant(Fraction(-1, 2)),
+                   HalfOpenSimplicialCone((3,), ray, (False,))),
+    ))
+    assert evaluate_t1(g) == AuxPolynomial.constant(Fraction(3, 2))
+
+
+def test_evaluate_t1_open_ray_is_a_pole():
+    # a lone ray is a series, not a Laurent polynomial
+    cone = HalfOpenSimplicialCone((0, 0), ((1, -1),), (True,))
+    with pytest.raises(NonCancellingPole):
+        evaluate_t1(GenFun(2, (GenFunTerm(ONE, cone),)))
 
 
 def test_newton_polytope_bound():
@@ -163,6 +202,31 @@ def test_newton_polytope_bound():
     for w, _ in support(_vertex_cone_genfun()).items():
         assert sum(w) == 2
         assert 0 <= w[0] <= 1 and w[1] >= 0 and w[2] >= 0
+
+
+def _kernel(apex, ray, is_open, val):
+    return (((ray,),), (is_open,), 1, np.array([[apex]], dtype=np.int64),
+            np.zeros(1, dtype=np.int64), np.array([val], dtype=np.int64))
+
+
+def test_specialize_t1_rejects_numbers_beyond_int64():
+    # [x >= 0] - [x in 2N] - [x in 1 + 2N] = 0, over the common denominator
+    # (1 - z)(1 - z^2), where raising each group doubles its bound
+    def parity_split(m):
+        return [_kernel(0, 1, False, m), _kernel(0, 2, False, -m),
+                _kernel(1, 2, False, -m)]
+
+    assert _specialize_t1(1, parity_split(1), 1) == [0]
+    with pytest.raises(GroundSetTooLarge):
+        _specialize_t1(1, parity_split(2 ** 62), 1)
+    # [x >= 0] - [x >= 1] = [x = 0]: one group, but the running sums of the
+    # division are bounded only by rows * 2^62
+    def point(m):
+        return [_kernel(0, 1, False, m), _kernel(0, 1, True, -m)]
+
+    assert _specialize_t1(1, point(3), 1) == [3]
+    with pytest.raises(GroundSetTooLarge):
+        _specialize_t1(1, point(2 ** 62), 1)
 
 
 # ----------------------------------------------------------- Brion series

@@ -16,7 +16,8 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
                        flag_corpus,
                        h_candidate_lv, h_polynomial, h_value_uv, k_char, kt,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
-                       poincare, reduced_beta_via_higgs, tutte)
+                       poincare, quotient_corpus, reduced_beta_via_higgs,
+                       tutte)
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               InputError, NotAQuotient, RankGapZero,
                               RankZeroConstituent, UnknownInvariant)
@@ -382,6 +383,38 @@ def test_kt_equivariant_golden_digest_over_corpus():
     assert len(flags) == 77
     assert _digest(kt_equivariant(fm) for fm in flags) == (
         "7690e34985e67eb72ee8d97f762c0802b1e334c3c2859786d68e9e1cc620d00a")
+
+
+def _loopless_coloopless_flags():
+    flags = [fm for fm in flag_corpus()
+             if not fm.constituents[0].loops()
+             and not fm.constituents[-1].coloops()]
+    return flags[::2]
+
+
+def test_h_value_uv_golden_digest_over_corpus():
+    flags = _loopless_coloopless_flags()
+    assert len(flags) == 102
+    assert _digest(h_value_uv(fm) for fm in flags) == (
+        "74d3d659f037e0556fe914b6cc9e4038ad34616c0a60c9f4c0f46a3b6a6a3d92")
+
+
+def test_h_candidate_lv_golden_digest_over_corpus():
+    flags = _loopless_coloopless_flags()
+    assert _digest(h_candidate_lv(fm)[0] for fm in flags) == (
+        "87459a257383e71893a006c8084abc22d85407a9636696d7234d75bc94d0479f")
+
+
+def test_tutte_golden_digest_over_quotient_corpus():
+    pairs = quotient_corpus()
+    assert len(pairs) == 920
+    assert _digest(tutte(m) for pair in pairs for m in pair) == (
+        "ba90a0e45329dde318a07708d8680c5b135fd5872962ae312d8e9f9644b197cd")
+
+
+def test_lv_tutte_golden_digest_over_quotient_corpus():
+    assert _digest(lv_tutte(m1, m2) for m1, m2 in quotient_corpus()) == (
+        "e5bbb1511179168b549199357e11fbcef97f658704f77d3c6791083210b7998a")
 
 
 # ------------------------------------------------------- kernel code width
