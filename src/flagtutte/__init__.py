@@ -42,23 +42,29 @@ from .polynomial import AuxPolynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxPolynomial", "Direction", "EquivariantPolynomial", "FlagMatroid",
-    "FlagTutteError", "GenFun", "GenFunTerm", "HalfOpenSimplicialCone",
-    "Matroid", "beta_invariant", "beta_polynomial", "brion_example_report",
-    "brion_series", "characteristic", "check_beta_higgs",
-    "check_coefficient_theorem", "check_direct_sum", "check_duality",
-    "check_kchi_conjecture", "check_latticepoints",
+    "AuxPolynomial", "DegenerateWeights", "Direction",
+    "EquivariantPolynomial", "FlagMatroid", "FlagTutteError", "GenFun",
+    "GenFunTerm", "GeometryError", "GroundSetTooLarge",
+    "HalfOpenSimplicialCone", "HasLoopOrColoop", "InputError",
+    "InternalAssertion", "InvalidRank", "LoopOrColoop", "Matroid",
+    "NonCancellingPole", "NotAMatroid", "NotAQuotient", "NotAQuotientChain",
+    "NotDivisible", "NotInUV", "NotPointed", "NotUnimodular", "ParseError",
+    "RankGapZero", "RankZeroConstituent", "UnknownIdentity",
+    "UnknownInvariant", "beta_invariant", "beta_polynomial",
+    "brion_example_report", "brion_series", "characteristic",
+    "check_beta_higgs", "check_coefficient_theorem", "check_direct_sum",
+    "check_duality", "check_kchi_conjecture", "check_latticepoints",
     "check_loop_coloop_divisibility", "check_lvt_delcont",
     "check_lvt_special", "coefficient_at", "compute_invariant",
     "cone_membership", "corpus_summary", "count_lattice_points",
-    "default_direction",
-    "evaluate_t1", "face_basis", "flag", "flag_corpus", "flag_direct_sum",
-    "flag_dual", "flip_cone", "h_candidate_lv", "h_polynomial", "h_value_uv",
-    "higgs_factorization", "is_quotient", "k_char", "kt", "kt_equivariant",
-    "load_input", "lv_tutte", "lv_tutte_equivariant", "matroid_corpus",
-    "matroid_from_dict", "object_from_dict", "object_to_dict", "poincare",
-    "pseudo_bases", "pseudo_basis_masks", "quotient_corpus",
-    "reduced_beta_via_higgs", "slice_cone", "slice_genfun", "support",
-    "tangent_cone_generators", "triangulate_half_open", "tutte",
-    "verify_delcont", "verify_h_uv", "verify_kt22",
+    "default_direction", "evaluate_t1", "face_basis", "flag", "flag_corpus",
+    "flag_direct_sum", "flag_dual", "flip_cone", "h_candidate_lv",
+    "h_polynomial", "h_value_uv", "higgs_factorization", "is_quotient",
+    "k_char", "kt", "kt_equivariant", "load_input", "lv_tutte",
+    "lv_tutte_equivariant", "matroid_corpus", "matroid_from_dict",
+    "object_from_dict", "object_to_dict", "poincare", "pseudo_bases",
+    "pseudo_basis_masks", "quotient_corpus", "reduced_beta_via_higgs",
+    "slice_cone", "slice_genfun", "support", "tangent_cone_generators",
+    "triangulate_half_open", "tutte", "verify_delcont", "verify_h_uv",
+    "verify_kt22",
 ]

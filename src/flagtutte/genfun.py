@@ -10,14 +10,18 @@ Two integer cores serve both the GenFun API and the localization sums of
 invariants.py.  They take the same kernel list: per half-open cone at the
 origin its rays, open flags and sign, plus int64 arrays of numerator apexes,
 coefficient classes and multiplicities.  _support_core extracts the full
-support by signed membership counts in a bounded box; _specialize_t1 sets
-t -> 1 through the one-variable substitution t_i = z^(c_i) with exact
-division by the (1 - z^d) factors, one integer per class.
+support of sums whose rays all sum to zero, scattering signed cone
+incidences into one dense accumulator over the apex box (support_pure, a
+per-point crawl, remains for other rays and as the test reference);
+_specialize_t1 sets t -> 1 through the one-variable substitution
+t_i = z^(c_i) with exact division by the (1 - z^d) factors, one integer
+per class.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -261,35 +265,24 @@ def _box_candidates(los, his, fixed_sum=None):
 def support_pure(g, direction=None):
     """Reference support extraction: per-point coefficient_at over the box.
 
-    Terms are grouped by apex coordinate sum (each group's box is cut by the
-    sum hyperplane when every ray is a sum-zero vector, which all engine
-    pipelines guarantee); the Newton polytope of each group lies in the
-    convex hull of its apexes, so the box is a sound superset.
+    The Newton polytope of a Laurent-polynomial GenFun lies in the convex
+    hull of its apexes, so their bounding box is a sound superset.  support()
+    takes this path only when some ray does not sum to zero; tests use it
+    as the reference for the dense support core.
     """
     if direction is None:
         direction = default_direction(g.n)
     if not g.terms:
         return EquivariantPolynomial(g.n)
-    sum_zero = all(sum(v) == 0
-                   for t in g.terms for v in t.cone.rays)
-    groups = {}
-    if sum_zero:
-        for t in g.terms:
-            groups.setdefault(sum(t.cone.apex), []).append(t)
-    else:
-        groups[None] = list(g.terms)
-    support = {}
-    for s, terms in sorted(groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
-        sub = GenFun(g.n, terms)
-        apexes = [t.cone.apex for t in terms]
-        los = [min(a[c] for a in apexes) for c in range(g.n)]
-        his = [max(a[c] for a in apexes) for c in range(g.n)]
-        for w in _box_candidates(los, his, s):
-            poly = coefficient_at(sub, w, direction)
-            if poly:
-                cur = support.get(w)
-                support[w] = poly if cur is None else cur + poly
-    return EquivariantPolynomial(g.n, support)
+    apexes = [t.cone.apex for t in g.terms]
+    los = [min(a[c] for a in apexes) for c in range(g.n)]
+    his = [max(a[c] for a in apexes) for c in range(g.n)]
+    out = {}
+    for w in _box_candidates(los, his):
+        poly = coefficient_at(g, w, direction)
+        if poly:
+            out[w] = poly
+    return EquivariantPolynomial(g.n, out)
 
 
 def _pivot_structure(rays, n):
@@ -381,19 +374,39 @@ def _int_det(m):
     return sign * a[-1][-1]
 
 
-_box_cache = {}
-_member_cache = {}
+_MEMBER_CAP = 16384
+_BOX_CAP = 256
+_SUPPORT_CELLS = 40_000_000
+_member_cache = OrderedDict()
+_box_cache = OrderedDict()
 
 
-def _members_in_box(cone_key, rays, flags, n, X, dkey):
-    """Row indices of the D-box array X lying in cone(rays) at the origin."""
-    key = (cone_key, dkey)
-    hit = _member_cache.get(key)
+def _cache_get(cache, key):
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+    return hit
+
+
+def _cache_put(cache, key, value, cap):
+    cache[key] = value
+    if len(cache) > cap:
+        cache.popitem(last=False)
+
+
+def _members_in_box(rays, flags, n, X, dkey):
+    """Row indices of the D-box array X lying in cone(rays) at the origin.
+
+    The indices stay valid when _box_cache evicts X: _box_candidates
+    rebuilds the box for dkey in the same order.
+    """
+    key = (rays, flags, dkey)
+    hit = _cache_get(_member_cache, key)
     if hit is not None:
         return hit
     if not rays:
         sel = np.nonzero((X == 0).all(axis=1))[0]
-        _member_cache[key] = sel
+        _cache_put(_member_cache, key, sel, _MEMBER_CAP)
         return sel
     H, chosen, adj, det = _pivot_structure(rays, n)
     mask = np.ones(len(X), dtype=bool)
@@ -407,85 +420,65 @@ def _members_in_box(cone_key, rays, flags, n, X, dkey):
     thr = np.array([1 if f else 0 for f in flags], dtype=np.int64)
     mask &= (coords >= thr).all(axis=1)
     sel = np.nonzero(mask)[0]
-    _member_cache[key] = sel
+    _cache_put(_member_cache, key, sel, _MEMBER_CAP)
     return sel
 
 
-def _support_core(n, los, his, cone_kernels, class_polys, direction=None):
-    """Shared fast support extractor over sum-zero-ray cones.
+def _support_core(n, los, his, cone_kernels, class_polys):
+    """The support extractor for cones whose rays all sum to zero.
 
     cone_kernels: list of (rays, open_flags, sign, A, cls, vals) where
     (rays, open_flags, sign) describe an already-flipped half-open cone at
     the origin and the kernel arrays give, per numerator monomial, its apex
     row in A (int64, kappa x n), its coefficient-class index and its integer
-    multiplicity.  Incidences w = apex + x with x a cone point are scattered
-    into a code box enlarged so that no bounds check is needed; entries
-    outside the true apex box are incomplete and discarded, which is sound
-    because the result's Newton polytope lies in the convex hull of the
-    apexes.  Returns the support dict, or None when the box is too large.
+    multiplicity.  Cone points x come from the sum-zero difference box
+    [los - his, his - los]; the incidences w = apex + x inside the apex box
+    [los, his] are scattered into one dense int64 accumulator over that box
+    and the classes, and its nonzero entries are decoded in one pass.
+    Dropping the incidences outside is sound because the result's Newton
+    polytope lies in the convex hull of the apexes.  Raises
+    GroundSetTooLarge, before allocating, when the accumulator would exceed
+    _SUPPORT_CELLS entries.
     """
-    dlos = tuple(lo - hi for lo, hi in zip(los, his))
-    dhis = tuple(hi - lo for lo, hi in zip(los, his))
-    elos = tuple(lo + dlo for lo, dlo in zip(los, dlos))
-    eranges = tuple((hi - lo + 1) + (dhi - dlo)
-                    for lo, hi, dlo, dhi in zip(los, his, dlos, dhis))
-    espace = 1
-    for r in eranges:
-        espace *= r
+    ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
+    space = 1
+    for r in ranges:
+        space *= r
     n_cls = max(len(class_polys), 1)
-    if espace > 4_000_000 or espace * n_cls > 40_000_000:
-        return None
+    if space * n_cls > _SUPPORT_CELLS:
+        raise GroundSetTooLarge(
+            "support box of %d points and %d classes exceeds %d cells"
+            % (space, n_cls, _SUPPORT_CELLS))
 
-    dkey = (n, dlos, dhis)
-    cached = _box_cache.get(dkey)
-    if cached is None:
-        pts = _box_candidates(list(dlos), list(dhis), 0)
+    dkey = tuple(lo - hi for lo, hi in zip(los, his))
+    X = _cache_get(_box_cache, dkey)
+    if X is None:
+        pts = _box_candidates(list(dkey), [-d for d in dkey], 0)
         X = np.array(pts, dtype=np.int64).reshape(len(pts), n)
-        _box_cache[dkey] = X
-        cached = X
-    X = cached
-    estrides = []
-    s = 1
-    for r in eranges:
-        estrides.append(s)
-        s *= r
-    Ev = np.array(estrides, dtype=np.int64)
-    Xe = X @ Ev
-    eoffset = -int(np.dot(np.array(elos, dtype=np.int64), Ev))
+        _cache_put(_box_cache, dkey, X, _BOX_CAP)
+    lo = np.array(los, dtype=np.int64)
+    hi = np.array(his, dtype=np.int64)
+    strides = np.cumprod([1] + ranges[:-1]).astype(np.int64)
 
-    acc = np.zeros((espace, n_cls), dtype=np.int64)
+    acc = np.zeros((space, n_cls), dtype=np.int64)
     for rays, flags, sign, A, cls, vals in cone_kernels:
-        sel = _members_in_box((rays, flags), rays, flags, n, X, dkey)
+        sel = _members_in_box(rays, flags, n, X, dkey)
         if len(sel) == 0:
             continue
-        codes = Xe[sel][:, None] + (A @ Ev)[None, :] + eoffset
-        cls2 = np.broadcast_to(cls[None, :], codes.shape)
-        vals2 = np.broadcast_to(sign * vals[None, :], codes.shape)
-        np.add.at(acc, (codes.ravel(), cls2.ravel()), vals2.ravel())
+        W = X[sel][:, None, :] + A[None, :, :]
+        at, mons = np.nonzero(((W >= lo) & (W <= hi)).all(axis=2))
+        codes = (W[at, mons] - lo) @ strides
+        np.add.at(acc, (codes, cls[mons]), sign * vals[mons])
 
-    support_dict = {}
-    nz_codes, nz_cls = np.nonzero(acc)
-    for pos in range(len(nz_codes)):
-        code = int(nz_codes[pos])
-        cidx = int(nz_cls[pos])
-        count = int(acc[code, cidx])
-        rem = code
-        w = []
-        inside = True
-        for c in range(n):
-            x = rem % eranges[c] + elos[c]
-            if x < los[c] or x > his[c]:
-                inside = False
-                break
-            w.append(x)
-            rem //= eranges[c]
-        if not inside:
-            continue
-        w = tuple(w)
-        add = class_polys[cidx] * count
-        cur = support_dict.get(w)
-        support_dict[w] = add if cur is None else cur + add
-    return support_dict
+    codes, cidx = np.nonzero(acc)
+    ws = codes[:, None] // strides % np.array(ranges, dtype=np.int64) + lo
+    out = {}
+    for w, c, count in zip(map(tuple, ws.tolist()), cidx.tolist(),
+                           acc[codes, cidx].tolist()):
+        add = class_polys[c] * count
+        cur = out.get(w)
+        out[w] = add if cur is None else cur + add
+    return out
 
 
 def _genfun_kernels(g, direction=None):
@@ -530,11 +523,11 @@ def _genfun_kernels(g, direction=None):
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
-    Fast path: flip every distinct cone once, intersect it with the bounded
-    difference box (all integer arithmetic, int64 is exact at these sizes)
-    and accumulate signed incidences per candidate exponent and coefficient
-    class.  Falls back to the per-point reference path when rays are not
-    sum-zero vectors or the box is too large to enumerate.
+    When every ray sums to zero (all engine pipelines), each distinct cone
+    is flipped once and the signed incidences go through _support_core, in
+    integers (int64 is exact at these sizes); it raises GroundSetTooLarge
+    when the apex box is too large.  Other rays take the per-point
+    reference path, support_pure.
     """
     if direction is None:
         direction = default_direction(g.n)
@@ -551,10 +544,8 @@ def support(g, direction=None):
     kernels, vars_, classes, den = _genfun_kernels(g, direction)
     class_polys = [AuxPolynomial.monomial(vars_, e, Fraction(1, den))
                    for e in classes]
-    support_dict = _support_core(n, los, his, kernels, class_polys, direction)
-    if support_dict is None:
-        return support_pure(g, direction)
-    return EquivariantPolynomial(n, support_dict)
+    return EquivariantPolynomial(
+        n, _support_core(n, los, his, kernels, class_polys))
 
 
 # ---------------------------------------------------------------------- slice

@@ -23,16 +23,15 @@ from math import comb
 import numpy as np
 
 from .cones import (
-    HalfOpenSimplicialCone, default_direction, tangent_cone_generators,
-    triangulate_half_open,
+    default_direction, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
     GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
     NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _flip,
-    _specialize_t1, _support_core, support_pure,
+    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _cache_get,
+    _cache_put, _flip, _specialize_t1, _support_core,
 )
 from .matroid import (
     FlagMatroid, Matroid, _bits, flag, flag_dual, higgs_factorization,
@@ -122,19 +121,6 @@ _VALUE_CACHE = OrderedDict()
 _VALUE_CAP = 8192
 _SUPPORT_CACHE = OrderedDict()
 _SUPPORT_CAP = 2048
-
-
-def _cache_get(cache, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache, key, value, cap):
-    cache[key] = value
-    if len(cache) > cap:
-        cache.popitem(last=False)
 
 
 def _flag_cells(fm):
@@ -260,18 +246,8 @@ def _ktt_support(fm, direction=None, mode="kt"):
     apexes = np.concatenate(list(blocks.values()))
     los = tuple(int(x) for x in apexes.min(axis=0))
     his = tuple(int(x) for x in apexes.max(axis=0))
-    support_dict = _support_core(n, los, his, kernels, class_polys, direction)
-    if support_dict is None:
-        terms = []
-        for rays, flags, sign, A, cls, vals in kernels:
-            for row, c, v in zip(A, cls, vals):
-                cone = HalfOpenSimplicialCone(
-                    tuple(int(x) for x in row), rays, flags, sign,
-                    _trusted=True)
-                terms.append(GenFunTerm(class_polys[int(c)] * int(v), cone))
-        result = support_pure(GenFun(n, terms), direction)
-    else:
-        result = EquivariantPolynomial(n, support_dict)
+    result = EquivariantPolynomial(
+        n, _support_core(n, los, his, kernels, class_polys))
     _cache_put(_SUPPORT_CACHE, key, result, _SUPPORT_CAP)
     return result
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import (
     EmptyBases, EmptyMatrix, GroundSetExhausted, GroundSetMismatch,
-    GroundSetTooLarge, InputError, InvalidRank, NotABasis, NotAMatroid,
+    GroundSetTooLarge, InputError, InvalidRank, NotAMatroid,
     NotAQuotientChain, NotNested,
 )
 from .linalg import matrix_rank

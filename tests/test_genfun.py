@@ -18,7 +18,7 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        tangent_cone_generators, triangulate_half_open)
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.genfun import _specialize_t1
+from flagtutte.genfun import _specialize_t1, support_pure
 
 U = Matroid.uniform
 
@@ -92,6 +92,7 @@ FIVE_TERMS = EquivariantPolynomial(3, {
 def test_vertex_cone_sum_support():
     g = _vertex_cone_genfun()
     assert support(g) == FIVE_TERMS
+    assert support_pure(g) == FIVE_TERMS
 
 
 def test_vertex_cone_sum_against_sympy():
@@ -288,6 +289,17 @@ def test_support_with_aux_coefficients():
     assert phi == EquivariantPolynomial(1, {(0,): u, (1,): u, (2,): u})
     sympy_support_check(g, phi, (1,), aux_syms=("u",))
     assert evaluate_t1(g) == 3 * u
+
+
+def test_support_rejects_box_beyond_cell_cap():
+    # two point cones span a 101^4 ~ 1.04e8-point apex box: over the
+    # 4e7-cell accumulator cap, so the core refuses before allocating
+    g = GenFun(4, (
+        GenFunTerm(ONE, HalfOpenSimplicialCone((0,) * 4, (), ())),
+        GenFunTerm(ONE, HalfOpenSimplicialCone((100,) * 4, (), ())),
+    ))
+    with pytest.raises(GroundSetTooLarge):
+        support(g)
 
 
 def test_support_empty_genfun():

@@ -18,6 +18,7 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
                        poincare, quotient_corpus, reduced_beta_via_higgs,
                        tutte)
+from flagtutte import genfun
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               InputError, NotAQuotient, RankGapZero,
                               RankZeroConstituent, UnknownInvariant)
@@ -203,6 +204,19 @@ def test_kt_equivariant_singleton():
     assert phi.specialize_t1().substitute({"u": X - 1, "v": Y - 1}) == \
         tutte(U(1, 1))
     assert phi == EquivariantPolynomial(1, {(0,): u, (1,): 1})
+
+
+def test_kt_equivariant_scales_to_eight_elements(monkeypatch):
+    # apex boxes too large for a per-point crawl: the support core must
+    # handle them alone, and the t = 1 value must still be kt
+    def crawl(*args, **kwargs):
+        raise AssertionError("per-point support path reached")
+
+    monkeypatch.setattr(genfun, "support_pure", crawl)
+    for fm in [flag(U(1, 8), U(2, 8)), flag(U(2, 7), U(3, 7))]:
+        phi = kt_equivariant(fm)
+        assert phi.specialize_t1().substitute(
+            {"u": X - 1, "v": Y - 1}) == kt(fm)
 
 
 def test_kt_equivariant_rejects_rank_zero():

@@ -4,8 +4,6 @@ Oracle helpers recompute ranks, exchange validity, and quotient relations by
 brute force, independently of the library code paths under test.
 """
 
-from itertools import combinations
-
 import pytest
 
 from flagtutte import (FlagMatroid, GroundSetTooLarge, InvalidRank, Matroid,
