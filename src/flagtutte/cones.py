@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     InternalAssertion, NotABasis, NotPointed, NotUnimodular, ZeroPairing,
@@ -129,13 +130,18 @@ class Direction:
 
     Realized as zeta + eps*e_{s(1)} + eps^2*e_{s(2)} + ... with eps
     infinitesimal; pairings compare lexicographically, so no ray with integer
-    entries can ever pair to zero.  zeta entries are exact rationals.
+    entries can ever pair to zero.  zeta entries are exact rationals; sign()
+    pairs with zeta scaled by its common denominator, in integers (a
+    positive scale keeps every sign).
     """
 
-    __slots__ = ("zeta", "lex_tiebreak")
+    __slots__ = ("zeta", "lex_tiebreak", "_zeta_int")
 
     def __init__(self, zeta, lex_tiebreak=None):
         self.zeta = tuple(Fraction(z) for z in zeta)
+        den = lcm(*(z.denominator for z in self.zeta))
+        self._zeta_int = tuple(z.numerator * (den // z.denominator)
+                               for z in self.zeta)
         n = len(self.zeta)
         if lex_tiebreak is None:
             lex_tiebreak = tuple(range(1, n + 1))
@@ -152,11 +158,12 @@ class Direction:
             v[i - 1] for i in self.lex_tiebreak)
 
     def sign(self, v):
-        for x in self.pairing(v):
-            if x > 0:
-                return 1
-            if x < 0:
-                return -1
+        d = sum(z * x for z, x in zip(self._zeta_int, v))
+        if d:
+            return 1 if d > 0 else -1
+        for i in self.lex_tiebreak:
+            if v[i - 1]:
+                return 1 if v[i - 1] > 0 else -1
         raise ZeroPairing("zero vector has no sign under any direction")
 
 

@@ -10,12 +10,15 @@ Two integer cores serve both the GenFun API and the localization sums of
 invariants.py.  They take the same kernel list: per half-open cone at the
 origin its rays, open flags and sign, plus int64 arrays of numerator apexes,
 coefficient classes and multiplicities.  _support_core extracts the full
-support of sums whose rays all sum to zero, scattering signed cone
-incidences into one dense accumulator over the apex box (support_pure, a
-per-point crawl, remains for other rays and as the test reference);
-_specialize_t1 sets t -> 1 through the one-variable substitution
-t_i = z^(c_i) with exact division by the (1 - z^d) factors, one integer
-per class.
+support of sums whose rays all sum to zero: cells sharing a kernel merge
+into one signed multiplicity per cone point, points that cannot reach the
+apex box are dropped, the rest are tested against it in the narrowest
+integer dtype, and the incidences that land are scattered into one dense
+int64 accumulator whose nonzero cells decode straight into integer
+coefficients over the common denominator (support_pure, a per-point crawl,
+remains for other rays and as the test reference); _specialize_t1 sets
+t -> 1 through the one-variable substitution t_i = z^(c_i) with exact
+division by the (1 - z^d) factors, one integer per class.
 """
 
 from __future__ import annotations
@@ -86,6 +89,20 @@ class EquivariantPolynomial:
                     clean[w] = poly
         self.aux_vars = vars_
         self.support = {w: p.align(vars_) for w, p in clean.items()}
+
+    @classmethod
+    def _trusted(cls, n, support, aux_vars):
+        """Wrap a support built by _support_core without re-validating it.
+
+        support maps int tuples of length n to nonzero AuxPolynomials already
+        on aux_vars; an empty support carries no aux variables, as from the
+        public constructor.
+        """
+        out = cls.__new__(cls)
+        out.n = n
+        out.aux_vars = tuple(aux_vars) if support else ()
+        out.support = support
+        return out
 
     def items(self):
         """Support sorted graded-lex descending on the t-exponents."""
@@ -205,8 +222,12 @@ def _flipped_cached(cone, dir_key):
     return flip_cone(cone, Direction(dir_key[0], dir_key[1]))
 
 
-def _flip(cone, direction):
-    return _flipped_cached(cone, direction.key())
+def _flip(cone, dir_key):
+    """The cone flipped along the direction whose key() is dir_key.
+
+    Callers take the key once per sweep, not once per cell.
+    """
+    return _flipped_cached(cone, dir_key)
 
 
 # ------------------------------------------------------------- coefficient_at
@@ -222,9 +243,10 @@ def coefficient_at(g, w, direction=None):
     if direction is None:
         direction = default_direction(g.n)
     w = tuple(int(x) for x in w)
+    dir_key = direction.key()
     total = AuxPolynomial.zero()
     for term in g.terms:
-        fc = _flip(term.cone, direction)
+        fc = _flip(term.cone, dir_key)
         if cone_membership(fc, w):
             total = total + term.coeff * fc.sign
     return total
@@ -424,19 +446,25 @@ def _members_in_box(rays, flags, n, X, dkey):
     return sel
 
 
-def _support_core(n, los, his, cone_kernels, class_polys):
+def _support_core(n, los, his, kernels, classes, aux_vars, den):
     """The support extractor for cones whose rays all sum to zero.
 
-    cone_kernels: list of (rays, open_flags, sign, A, cls, vals) where
+    kernels: list of (rays, open_flags, sign, A, cls, vals) where
     (rays, open_flags, sign) describe an already-flipped half-open cone at
     the origin and the kernel arrays give, per numerator monomial, its apex
     row in A (int64, kappa x n), its coefficient-class index and its integer
     multiplicity.  Cone points x come from the sum-zero difference box
-    [los - his, his - los]; the incidences w = apex + x inside the apex box
-    [los, his] are scattered into one dense int64 accumulator over that box
-    and the classes, and its nonzero entries are decoded in one pass.
-    Dropping the incidences outside is sound because the result's Newton
-    polytope lies in the convex hull of the apexes.  Raises
+    [los - his, his - los].  Cells sharing one kernel (the same arrays) are
+    merged first: their signed memberships add up to one multiplicity per
+    box point, and flipped cells cancel there.  Only points with nonzero
+    multiplicity that can reach the apex box [los, his] for some monomial
+    are broadcast against the kernel, in the narrowest unsigned dtype that
+    holds the shifted sums; the incidences w = apex + x inside the box are
+    scattered into one dense int64 accumulator over the box and the
+    classes.  Dropping the incidences outside is sound because the result's
+    Newton polytope lies in the convex hull of the apexes.  The nonzero
+    cells decode straight into coefficient dicts: class c with count k is
+    the monomial classes[c] in aux_vars with coefficient k / den.  Raises
     GroundSetTooLarge, before allocating, when the accumulator would exceed
     _SUPPORT_CELLS entries.
     """
@@ -444,7 +472,7 @@ def _support_core(n, los, his, cone_kernels, class_polys):
     space = 1
     for r in ranges:
         space *= r
-    n_cls = max(len(class_polys), 1)
+    n_cls = max(len(classes), 1)
     if space * n_cls > _SUPPORT_CELLS:
         raise GroundSetTooLarge(
             "support box of %d points and %d classes exceeds %d cells"
@@ -457,39 +485,67 @@ def _support_core(n, los, his, cone_kernels, class_polys):
         X = np.array(pts, dtype=np.int64).reshape(len(pts), n)
         _cache_put(_box_cache, dkey, X, _BOX_CAP)
     lo = np.array(los, dtype=np.int64)
-    hi = np.array(his, dtype=np.int64)
-    strides = np.cumprod([1] + ranges[:-1]).astype(np.int64)
+    rng = np.array(ranges, dtype=np.int64)
+    strides = np.cumprod([1] + ranges)[:-1].astype(np.int64)
+    # shifted sums x + (apex - lo) lie in [-(r - 1), 2 (r - 1)]; in an
+    # unsigned dtype holding 2 (r - 1) a negative sum wraps to >= r, so one
+    # compare against the range tests both ends of the box
+    narrow = np.min_scalar_type(2 * (max(ranges, default=1) - 1))
+    rng_narrow = rng.astype(narrow)
 
-    acc = np.zeros((space, n_cls), dtype=np.int64)
-    for rays, flags, sign, A, cls, vals in cone_kernels:
-        sel = _members_in_box(rays, flags, n, X, dkey)
-        if len(sel) == 0:
+    merged = {}
+    for rays, flags, sign, A, cls, vals in kernels:
+        key = (id(A), id(cls), id(vals))
+        entry = merged.get(key)
+        if entry is None:
+            entry = merged[key] = (np.zeros(len(X), dtype=np.int64), A, cls,
+                                   vals)
+        entry[0][_members_in_box(rays, flags, n, X, dkey)] += sign
+
+    acc = np.zeros(space * n_cls, dtype=np.int64)
+    for mult, A, cls, vals in merged.values():
+        B = A - lo
+        rows = np.nonzero(mult)[0]
+        Xr = X[rows]
+        # x can land only inside [-max(B), range - 1 - min(B)]
+        fit = ((Xr >= -B.max(axis=0)) & (Xr < rng - B.min(axis=0))).all(axis=1)
+        rows, Xr = rows[fit], Xr[fit]
+        if len(rows) == 0:
             continue
-        W = X[sel][:, None, :] + A[None, :, :]
-        at, mons = np.nonzero(((W >= lo) & (W <= hi)).all(axis=2))
-        codes = (W[at, mons] - lo) @ strides
-        np.add.at(acc, (codes, cls[mons]), sign * vals[mons])
+        Xn, Bn = Xr.astype(narrow), B.astype(narrow)
+        inside = np.ones((len(Xn), len(Bn)), dtype=bool)
+        for i in range(n):
+            inside &= np.add.outer(Xn[:, i], Bn[:, i]) < rng_narrow[i]
+        at, mons = np.nonzero(inside)
+        codes = (Xr @ strides)[at] + (B @ strides)[mons]
+        np.add.at(acc, codes * n_cls + cls[mons], mult[rows[at]] * vals[mons])
 
-    codes, cidx = np.nonzero(acc)
-    ws = codes[:, None] // strides % np.array(ranges, dtype=np.int64) + lo
+    cells = np.nonzero(acc)[0]
+    codes, cidx = np.divmod(cells, n_cls)
+    counts, which = np.unique(acc[cells], return_inverse=True)
+    coeffs = [Fraction(k, den) for k in counts.tolist()]
+    exps = [classes[c] for c in cidx.tolist()]
+    values = [coeffs[i] for i in which.tolist()]
+    # cells come sorted by code: one run of classes per support point
+    starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+    ws = codes[starts, None] // strides % rng + lo
     out = {}
-    for w, c, count in zip(map(tuple, ws.tolist()), cidx.tolist(),
-                           acc[codes, cidx].tolist()):
-        add = class_polys[c] * count
-        cur = out.get(w)
-        out[w] = add if cur is None else cur + add
-    return out
+    for w, a, b in zip(map(tuple, ws.tolist()), starts,
+                       starts[1:] + [len(cells)]):
+        poly = out[w] = AuxPolynomial.zero(aux_vars)
+        poly.terms = dict(zip(exps[a:b], values[a:b]))
+    return EquivariantPolynomial._trusted(n, out, aux_vars)
 
 
-def _genfun_kernels(g, direction=None):
+def _genfun_kernels(g, dir_key=None):
     """A GenFun as kernels for _specialize_t1 and _support_core.
 
     One kernel per distinct (rays, open_flags, sign), flipped along the
-    direction when one is given.  Classes are the coefficient monomials,
-    with multiplicities scaled by the common denominator of all
-    coefficients: only the whole sum is a Laurent polynomial, but then so is
-    its coefficient of each monomial.  Returns (kernels, aux variables,
-    class exponent tuples, common denominator).
+    direction with key dir_key when one is given.  Classes are the
+    coefficient monomials, with multiplicities scaled by the common
+    denominator of all coefficients: only the whole sum is a Laurent
+    polynomial, but then so is its coefficient of each monomial.  Returns
+    (kernels, aux variables, class exponent tuples, common denominator).
     """
     vars_ = ()
     den = 1
@@ -500,7 +556,7 @@ def _genfun_kernels(g, direction=None):
     class_index = {}
     by_cone = {}
     for t in g.terms:
-        cone = t.cone if direction is None else _flip(t.cone, direction)
+        cone = t.cone if dir_key is None else _flip(t.cone, dir_key)
         counts = by_cone.setdefault((cone.rays, cone.open_flags, cone.sign),
                                     {})
         for exps, c in t.coeff.align(vars_).terms.items():
@@ -541,11 +597,8 @@ def support(g, direction=None):
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
-    kernels, vars_, classes, den = _genfun_kernels(g, direction)
-    class_polys = [AuxPolynomial.monomial(vars_, e, Fraction(1, den))
-                   for e in classes]
-    return EquivariantPolynomial(
-        n, _support_core(n, los, his, kernels, class_polys))
+    kernels, vars_, classes, den = _genfun_kernels(g, direction.key())
+    return _support_core(n, los, his, kernels, classes, vars_, den)
 
 
 # ---------------------------------------------------------------------- slice

@@ -208,6 +208,7 @@ def _flag_kernels(fm, mode, direction=None):
     direction every cell is flipped first, as _support_core needs.
     """
     vstr = fm.n + 1
+    dir_key = None if direction is None else direction.key()
     staged = []
     codes = []
     for fb, cells in _flag_cells(fm):
@@ -219,8 +220,8 @@ def _flag_kernels(fm, mode, direction=None):
     kernels = []
     for (cells, A, vals), cls in zip(staged, np.split(inverse, splits)):
         for cell in cells:
-            if direction is not None:
-                cell = _flip(cell, direction)
+            if dir_key is not None:
+                cell = _flip(cell, dir_key)
             kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
                             vals))
     return kernels, [divmod(int(c), vstr) for c in used]
@@ -241,13 +242,11 @@ def _ktt_support(fm, direction=None, mode="kt"):
         return hit
     n = fm.n
     kernels, classes = _flag_kernels(fm, mode, direction)
-    class_polys = [AuxPolynomial.monomial(("u", "v"), c) for c in classes]
     blocks = {id(A): A for _, _, _, A, _, _ in kernels}
     apexes = np.concatenate(list(blocks.values()))
     los = tuple(int(x) for x in apexes.min(axis=0))
     his = tuple(int(x) for x in apexes.max(axis=0))
-    result = EquivariantPolynomial(
-        n, _support_core(n, los, his, kernels, class_polys))
+    result = _support_core(n, los, his, kernels, classes, ("u", "v"), 1)
     _cache_put(_SUPPORT_CACHE, key, result, _SUPPORT_CAP)
     return result
 

@@ -5,6 +5,8 @@ were verified by hand, so the partition tests do not rely on any library
 feasibility code.
 """
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -215,6 +217,67 @@ def test_direction_symbolic_tiebreak():
     with pytest.raises(ZeroPairing):
         d.sign((0, 0))
     assert default_direction(3).zeta == (3, 2, 1)
+
+
+def _fraction_sign(zeta, tiebreak, v):
+    """Reference sign: exact rational pairing, then the lex perturbation."""
+    for x in (sum(Fraction(z) * x for z, x in zip(zeta, v)),) + tuple(
+            v[i - 1] for i in tiebreak):
+        if x:
+            return 1 if x > 0 else -1
+    raise ZeroPairing("zero vector")
+
+
+def test_direction_rational_zeta_matches_fraction_pairing():
+    zeta = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 0)
+    tiebreak = (3, 1, 4, 2)
+    d = Direction(zeta, tiebreak)
+    assert d.zeta == (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+                      Fraction(0))
+    assert all(type(z) is Fraction for z in d.zeta)
+    assert d.key() == (d.zeta, tiebreak)
+    rng = random.Random(5)
+    vectors = []
+    for _ in range(300):
+        # difference vectors e_j - e_i
+        i, j = rng.sample(range(4), 2)
+        v = [0] * 4
+        v[i], v[j] = -1, 1
+        vectors.append(tuple(v))
+        vectors.append(tuple(rng.randint(-3, 3) for _ in range(4)))
+        # on the zeta hyperplane, where each tie-break coordinate decides
+        k = rng.choice((1, -1, 2))
+        vectors.append((5 * k, 0, -2 * k, rng.randint(-2, 2)))
+        vectors.append((4 * k, 3 * k, 0, rng.randint(-2, 2)))
+        vectors.append((0, 0, 0, k))
+    for v in vectors:
+        if not any(v):
+            with pytest.raises(ZeroPairing):
+                d.sign(v)
+            continue
+        ref = _fraction_sign(zeta, tiebreak, v)
+        assert d.sign(v) == ref, v
+        assert d.pairing(v)[0] == sum(Fraction(z) * x
+                                      for z, x in zip(zeta, v))
+    assert d.sign((5, 0, -2, 0)) == -1
+    assert d.sign((-4, -3, 0, 1)) == -1
+    assert d.sign((0, 0, 0, 1)) == 1
+    for _ in range(200):
+        rays = [v for v in (rng.choice(vectors) for _ in range(3)) if any(v)]
+        flags = [rng.random() < 0.5 for _ in rays]
+        cone = HalfOpenSimplicialCone((0, 0, 0, 0), rays, flags,
+                                      rng.choice((1, -1)), _trusted=True)
+        flipped = flip_cone(cone, d)
+        sign = cone.sign
+        want_rays, want_flags = [], []
+        for v, is_open in zip(rays, flags):
+            if _fraction_sign(zeta, tiebreak, v) < 0:
+                v, is_open, sign = tuple(-x for x in v), not is_open, -sign
+            want_rays.append(tuple(v))
+            want_flags.append(is_open)
+        assert flipped.rays == tuple(want_rays)
+        assert flipped.open_flags == tuple(want_flags)
+        assert flipped.sign == sign
 
 
 def test_flip_preserves_series_on_a_line():

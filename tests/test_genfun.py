@@ -5,6 +5,7 @@ rational function via an injective integer weight and compares against the
 claimed polynomial support with sympy's exact rational arithmetic.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,13 @@ import sympy
 from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        GenFun, GenFunTerm, HalfOpenSimplicialCone, Matroid,
                        brion_series, coefficient_at, default_direction,
-                       evaluate_t1, flag, flip_cone, slice_genfun, support,
-                       tangent_cone_generators, triangulate_half_open)
+                       evaluate_t1, flag, flip_cone, kt_equivariant,
+                       slice_genfun, support, tangent_cone_generators,
+                       triangulate_half_open)
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.genfun import _specialize_t1, support_pure
+from flagtutte.genfun import _specialize_t1, _support_core, support_pure
+from flagtutte.invariants import _flag_kernels
 
 U = Matroid.uniform
 
@@ -302,10 +305,83 @@ def test_support_rejects_box_beyond_cell_cap():
         support(g)
 
 
+def _kernel_genfun(n, kernels, classes, aux_vars, den):
+    """The GenFun a kernel list stands for: one term per cell and monomial."""
+    terms = []
+    for rays, flags, sign, A, cls, vals in kernels:
+        cone = HalfOpenSimplicialCone((0,) * n, rays, flags, sign)
+        for apex, c, k in zip(A.tolist(), cls.tolist(), vals.tolist()):
+            coeff = AuxPolynomial.monomial(aux_vars, classes[c],
+                                           Fraction(k, den))
+            terms.append(GenFunTerm(coeff, cone.translate(apex)))
+    return GenFun(n, terms)
+
+
+def test_support_core_merges_cells_sharing_a_kernel():
+    fm = flag(U(2, 4))
+    kernels, classes = _flag_kernels(fm, "kt", default_direction(4))
+    assert max(Counter(id(k[3]) for k in kernels).values()) > 1
+    # a cell and its negative on one kernel: their memberships cancel
+    rays, flags, _, A, cls, vals = kernels[0]
+    pair = [(rays, flags, 1, A, cls, vals), (rays, flags, -1, A, cls, vals)]
+    los, his = (0,) * 4, (2,) * 4
+    aux = ("u", "v")
+    got = _support_core(4, los, his, kernels + pair, classes, aux, 1)
+    assert got == support_pure(_kernel_genfun(4, kernels, classes, aux, 1))
+    assert got == kt_equivariant(fm)
+    empty = _support_core(4, los, his, pair, classes, aux, 1)
+    assert empty == EquivariantPolynomial(4) and empty.aux_vars == ()
+
+
+@pytest.mark.parametrize("length", [126, 127, 128, 300])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_support_core_wide_ranges(length, mirror):
+    # one kernel, closed rays along (1, -1): the segment from (0, L) to
+    # (L, 0) plus the point (0, 0), each as a ray minus its shift by one
+    # step.  The box [0, L + 1] x [-1, L] has ranges L + 2, so the shifted
+    # sums lie in [-(L + 1), 2 (L + 1)]: uint8 holds them up to L = 126 and
+    # the dtype widens from L = 127 on; kept in uint8, members far along the
+    # ray would wrap into the box at L = 128 and 300.
+    def pt(a, b):
+        return (b, a) if mirror else (a, b)
+
+    ray = pt(1, -1)
+    g = GenFun(2, [
+        GenFunTerm(c * ONE, HalfOpenSimplicialCone(pt(*apex), (ray,),
+                                                   (False,)))
+        for c, apex in [(1, (0, length)), (-1, (length + 1, -1)),
+                        (1, (0, 0)), (-1, (1, -1))]])
+    want = {pt(k, length - k): 1 for k in range(length + 1)}
+    want[0, 0] = 1
+    assert support(g) == EquivariantPolynomial(2, want)
+
+
+def test_support_core_common_denominator():
+    # 1/2 of the trapezoid sum minus u/3 of its shift by (1, -1, 0): the
+    # coefficients share denominator 6, and two support points carry both
+    u = AuxPolynomial.variable("u")
+    g = _vertex_cone_genfun()
+    shift = (1, -1, 0)
+    terms = [GenFunTerm(t.coeff * Fraction(1, 2), t.cone) for t in g.terms]
+    terms += [GenFunTerm(u * Fraction(-1, 3), t.cone.translate(
+        tuple(a + b for a, b in zip(t.cone.apex, shift)))) for t in g.terms]
+    h = GenFun(3, terms)
+    phi = support(h)
+    assert phi == FIVE_TERMS.scale(Fraction(1, 2)) + \
+        FIVE_TERMS.mul_monomial(shift, u * Fraction(-1, 3))
+    assert phi.support[(1, 1, 0)] == Fraction(1, 2) - u * Fraction(1, 3)
+    assert phi == support_pure(h)
+    sympy_support_check(h, phi, (1, 8, 64), aux_syms=("u",))
+
+
 def test_support_empty_genfun():
     g = GenFun(2, ())
     assert support(g) == EquivariantPolynomial(2)
     assert coefficient_at(g, (0, 0)).is_zero()
+    # zero dimensions: the one lattice point of Z^0
+    point = HalfOpenSimplicialCone((), (), ())
+    g = GenFun(0, (GenFunTerm(3 * ONE, point),))
+    assert support(g) == EquivariantPolynomial(0, {(): 3})
 
 
 # ------------------------------------------- equivariant polynomial algebra

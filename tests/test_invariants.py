@@ -399,6 +399,14 @@ def test_kt_equivariant_golden_digest_over_corpus():
         "7690e34985e67eb72ee8d97f762c0802b1e334c3c2859786d68e9e1cc620d00a")
 
 
+def test_kt_equivariant_golden_digest_over_every_third_flag():
+    # support-core scatter over 305 flags, one in three with ranks[0] >= 1
+    flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1][::3]
+    assert len(flags) == 305
+    assert _digest(kt_equivariant(fm) for fm in flags) == (
+        "f755f5ac9536b0c33399220d2354dd4075a2cab8728346afb9b37939d12bceec")
+
+
 def _loopless_coloopless_flags():
     flags = [fm for fm in flag_corpus()
              if not fm.constituents[0].loops()
