@@ -10,6 +10,13 @@ only the public API can build, fall back to exact `Fraction` elimination and
 the Smith-form lattice index.  Pointedness and extreme ray tests use digraph
 arguments in the difference-vector case and an exact phase-1 simplex
 otherwise.
+
+Relabelling coordinates carries a half-open triangulation to a half-open
+triangulation, so difference-vector cones are triangulated once per class:
+the key is the generator set relabelled by colour refinement of its digraph
+(McKay and Piperno, "Practical graph isomorphism, II", 2014).  Each class's
+cells are validated once, when they are built; their permuted copies for
+the cones of the class are built trusted.
 """
 
 from __future__ import annotations
@@ -245,13 +252,14 @@ def _in_cone_of(k, others, rays, edges, n):
 
 @lru_cache(maxsize=100000)
 def _triangulate_cells(generators):
-    """Placing triangulation of Cone(generators); cells as ray-index tuples.
+    """Placing triangulation of Cone(generators) as cells at the origin.
 
-    Returns (gens, cells, flags): the reduced generator tuple, the cells as
-    index tuples into it, and per-cell open flags implementing an exact
-    half-open cover of the cone (every lattice point in exactly one cell).
+    generators is a nonempty tuple of integer tuples.  The cells are built
+    and validated here, once per cached key, and their open flags implement
+    an exact half-open cover of the cone (every lattice point in exactly one
+    cell).
     """
-    n = len(generators[0]) if generators else 0
+    n = len(generators[0])
     gens = sorted({primitive(v) for v in generators})
     for v in gens:
         if all(x == 0 for x in v):
@@ -267,8 +275,6 @@ def _triangulate_cells(generators):
         if _in_cone_of(k, rest, gens, edges, n):
             keep = rest
     gens = tuple(gens[k] for k in keep)
-    if not gens:
-        return gens, ((),), ((),)
 
     if edges is None:
         def independent(idxs):
@@ -339,7 +345,8 @@ def _triangulate_cells(generators):
         rho = vec_add(rho, v)
     # the placing loop's greedy basis of the span
     perturb = [gens[i] for i in span]
-    flags = []
+    origin = (0,) * n
+    out = []
     for c in cells:
         seqs = [coords_in(c, rho)]
         for u in perturb:
@@ -357,8 +364,72 @@ def _triangulate_cells(generators):
                 raise InternalAssertion("perturbed reference point on a "
                                         "facet hyperplane")
             cell_flags.append(val < 0)
-        flags.append(tuple(cell_flags))
-    return gens, tuple(cells), tuple(flags)
+        out.append(HalfOpenSimplicialCone(
+            origin, tuple(gens[i] for i in c), cell_flags, 1))
+    return tuple(out)
+
+
+def _colour_order(edges, n):
+    """Vertex positions of a digraph ordered by colour refinement.
+
+    Colours start as (out-degree, in-degree) and are refined by the sorted
+    colours of out- and in-neighbours until the number of colour classes
+    stops growing; vertices are then ordered by (colour, index).  Relabelled
+    isomorphic digraphs usually, not always, get the same order.
+    """
+    outs = [[] for _ in range(n)]
+    ins = [[] for _ in range(n)]
+    for i, j in edges:
+        outs[i].append(j)
+        ins[j].append(i)
+    colour = [(len(outs[v]), len(ins[v])) for v in range(n)]
+    classes = 0
+    while True:
+        names = {c: k for k, c in enumerate(sorted(set(colour)))}
+        colour = [names[c] for c in colour]
+        if len(names) == classes:
+            break
+        classes = len(names)
+        colour = [(colour[v], tuple(sorted(colour[u] for u in outs[v])),
+                   tuple(sorted(colour[u] for u in ins[v])))
+                  for v in range(n)]
+    pos = [0] * n
+    for k, v in enumerate(sorted(range(n), key=lambda v: (colour[v], v))):
+        pos[v] = k
+    return pos
+
+
+@lru_cache(maxsize=16384)
+def _origin_cells(generators):
+    """The cells of triangulate_half_open at the origin, per generator tuple.
+
+    Difference-vector generators are relabelled by _colour_order and
+    triangulated once per relabelled set (the class key of
+    _triangulate_cells).  Equal keys always come from a coordinate
+    permutation, which keeps rays primitive and independent and carries a
+    half-open cover to a half-open cover, so the class cells are permuted
+    back into trusted copies.  Rays within a cell and the cells themselves
+    come out sorted.
+    """
+    n = len(generators[0])
+    edges = difference_vector_graph(generators, n)
+    if edges is None:
+        return _triangulate_cells(generators)
+    pos = _colour_order(set(edges), n)
+    back = {}
+    for (i, j), v in zip(edges, generators):
+        w = [0] * n
+        w[pos[i]] = -1
+        w[pos[j]] = 1
+        back[tuple(w)] = v
+    origin = (0,) * n
+    out = []
+    for cell in _triangulate_cells(tuple(sorted(back))):
+        rays, flags = zip(*sorted(
+            (back[r], f) for r, f in zip(cell.rays, cell.open_flags)))
+        out.append(HalfOpenSimplicialCone(origin, rays, flags, 1,
+                                          _trusted=True))
+    return tuple(sorted(out, key=HalfOpenSimplicialCone.key))
 
 
 def triangulate_half_open(apex, generators):
@@ -367,15 +438,22 @@ def triangulate_half_open(apex, generators):
     The cells partition the cone's lattice points: each cell is closed on the
     facets whose hyperplane does not separate it from a generic interior
     reference point and open on the others.  All cells carry sign +1.
+
+    Difference-vector generators (edges of an exchange digraph) are
+    triangulated once per class of digraphs equal up to a relabelling by
+    colour refinement, and each class's cells are validated once; results
+    are memoized per generator tuple at the origin and translated to apex.
     """
     apex = tuple(int(x) for x in apex)
-    gens, cells, flags = _triangulate_cells(
-        tuple(tuple(int(x) for x in v) for v in generators))
-    out = []
-    for c, f in zip(cells, flags):
-        out.append(HalfOpenSimplicialCone(
-            apex, tuple(gens[i] for i in c), f, 1))
-    return tuple(out)
+    gens = tuple(tuple(int(x) for x in v) for v in generators)
+    if not gens:
+        return (HalfOpenSimplicialCone(apex, (), (), 1),)
+    if any(len(v) != len(apex) for v in gens):
+        raise ValueError("ray dimension mismatch")
+    cells = _origin_cells(gens)
+    if any(apex):
+        return tuple(c.translate(apex) for c in cells)
+    return cells
 
 
 def slice_cone(cone, zeta, b):

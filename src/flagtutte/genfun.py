@@ -217,17 +217,24 @@ class EquivariantPolynomial:
 # ----------------------------------------------------------------- flip cache
 
 
+@lru_cache(maxsize=1024)
+def _interned(dir_key):
+    """The one Direction object per key() that flips are cached under."""
+    return Direction(*dir_key)
+
+
 @lru_cache(maxsize=262144)
-def _flipped_cached(cone, dir_key):
-    return flip_cone(cone, Direction(dir_key[0], dir_key[1]))
+def _flipped_cached(cone, direction):
+    return flip_cone(cone, direction)
 
 
-def _flip(cone, dir_key):
-    """The cone flipped along the direction whose key() is dir_key.
+def _flip(cone, direction):
+    """The cone flipped along a direction returned by _interned.
 
-    Callers take the key once per sweep, not once per cell.
+    A Direction hashes by identity, so the interned object is an O(1) cache
+    key; callers intern once per sweep, not once per cell.
     """
-    return _flipped_cached(cone, dir_key)
+    return _flipped_cached(cone, direction)
 
 
 # ------------------------------------------------------------- coefficient_at
@@ -243,10 +250,10 @@ def coefficient_at(g, w, direction=None):
     if direction is None:
         direction = default_direction(g.n)
     w = tuple(int(x) for x in w)
-    dir_key = direction.key()
+    direction = _interned(direction.key())
     total = AuxPolynomial.zero()
     for term in g.terms:
-        fc = _flip(term.cone, dir_key)
+        fc = _flip(term.cone, direction)
         if cone_membership(fc, w):
             total = total + term.coeff * fc.sign
     return total
@@ -537,11 +544,11 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
     return EquivariantPolynomial._trusted(n, out, aux_vars)
 
 
-def _genfun_kernels(g, dir_key=None):
+def _genfun_kernels(g, direction=None):
     """A GenFun as kernels for _specialize_t1 and _support_core.
 
     One kernel per distinct (rays, open_flags, sign), flipped along the
-    direction with key dir_key when one is given.  Classes are the
+    interned direction when one is given.  Classes are the
     coefficient monomials, with multiplicities scaled by the common
     denominator of all coefficients: only the whole sum is a Laurent
     polynomial, but then so is its coefficient of each monomial.  Returns
@@ -556,7 +563,7 @@ def _genfun_kernels(g, dir_key=None):
     class_index = {}
     by_cone = {}
     for t in g.terms:
-        cone = t.cone if dir_key is None else _flip(t.cone, dir_key)
+        cone = t.cone if direction is None else _flip(t.cone, direction)
         counts = by_cone.setdefault((cone.rays, cone.open_flags, cone.sign),
                                     {})
         for exps, c in t.coeff.align(vars_).terms.items():
@@ -597,7 +604,8 @@ def support(g, direction=None):
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
-    kernels, vars_, classes, den = _genfun_kernels(g, direction.key())
+    kernels, vars_, classes, den = _genfun_kernels(
+        g, _interned(direction.key()))
     return _support_core(n, los, his, kernels, classes, vars_, den)
 
 

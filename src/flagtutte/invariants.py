@@ -31,7 +31,7 @@ from .errors import (
 )
 from .genfun import (
     EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _cache_get,
-    _cache_put, _flip, _specialize_t1, _support_core,
+    _cache_put, _flip, _interned, _specialize_t1, _support_core,
 )
 from .matroid import (
     FlagMatroid, Matroid, _bits, flag, flag_dual, higgs_factorization,
@@ -84,6 +84,11 @@ def lv_tutte(m1, m2):
     if not is_quotient(m1, m2):
         raise NotAQuotient("second matroid is not a quotient target of the "
                            "first")
+    return _lv_tutte(m1, m2)
+
+
+def _lv_tutte(m1, m2):
+    """lv_tutte of a pair already known to be a quotient."""
     r1, r2 = m1.rank_value, m2.rank_value
     counts = {}
     for s in range(1 << m1.n):
@@ -208,7 +213,8 @@ def _flag_kernels(fm, mode, direction=None):
     direction every cell is flipped first, as _support_core needs.
     """
     vstr = fm.n + 1
-    dir_key = None if direction is None else direction.key()
+    if direction is not None:
+        direction = _interned(direction.key())
     staged = []
     codes = []
     for fb, cells in _flag_cells(fm):
@@ -220,8 +226,8 @@ def _flag_kernels(fm, mode, direction=None):
     kernels = []
     for (cells, A, vals), cls in zip(staged, np.split(inverse, splits)):
         for cell in cells:
-            if dir_key is not None:
-                cell = _flip(cell, dir_key)
+            if direction is not None:
+                cell = _flip(cell, direction)
             kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
                             vals))
     return kernels, [divmod(int(c), vstr) for c in used]
@@ -386,7 +392,7 @@ def beta_polynomial(m1, m2):
     if m1.rank_value == m2.rank_value:
         raise RankGapZero("beta polynomial reduction needs r2 > r1")
     q = AuxPolynomial.variable("q")
-    lvt = lv_tutte(m1, m2)
+    lvt = _lv_tutte(m1, m2)
     beta = lvt.substitute({"x": 0, "y": 0, "z": -q})
     beta = beta * ((-1) ** (m2.rank_value - m1.rank_value))
     beta = beta.align(_merge_q(beta))

@@ -11,11 +11,13 @@ from itertools import product
 
 import pytest
 
+from flagtutte import cones
 from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
                        cone_membership, default_direction, flag, flip_cone,
                        slice_cone, tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte.errors import NotABasis, ZeroPairing
+from flagtutte.linalg import nonneg_combination_exists
 
 U = Matroid.uniform
 
@@ -155,6 +157,95 @@ def test_exact_cover_seeded_octant_fans():
         gens += [g for g in extra if any(g)]
         _assert_exact_cover(tuple(gens),
                             lambda x: all(v >= 0 for v in x), 2, 3)
+
+
+# ------------------------------------------------------ relabelled classes
+
+
+def _random_dag(rng, n, path=False):
+    """Difference vectors e_j - e_i of random forward edges i -> j of a
+    random vertex order; with path, the order's Hamiltonian path too."""
+    order = rng.sample(range(n), n)
+    edges = {(order[a], order[b]) for a in range(n) for b in range(a + 1, n)
+             if (path and b == a + 1) or rng.random() < 0.4}
+    if not edges:
+        edges = {(order[0], order[1])}
+    gens = []
+    for i, j in sorted(edges):
+        v = [0] * n
+        v[i] = -1
+        v[j] = 1
+        gens.append(tuple(v))
+    return gens
+
+
+def _permuted(vectors, perm):
+    return [tuple(v[perm[k]] for k in range(len(v))) for v in vectors]
+
+
+def test_relabelled_triangulation_is_exact():
+    # every lattice point of the cone lies in exactly one cell, for a
+    # generator set and for a relabelled copy of it (whose cells come from
+    # the class triangulation mapped back through a permutation)
+    rng = random.Random(20261018)
+    for n in range(2, 8):
+        box = 2 if n <= 4 else 1
+        for _ in range(3):
+            gens = _random_dag(rng, n)
+            points = {x for x in product(range(-box, box + 1), repeat=n)
+                      if sum(x) == 0}
+            for _ in range(20):
+                x = [0] * n
+                for v in gens:
+                    c = rng.randint(0, 2)
+                    x = [a + c * b for a, b in zip(x, v)]
+                points.add(tuple(x))
+            # difference vectors are totally unimodular, so an integer
+            # point of the real cone is a lattice point of it
+            inside = {x: nonneg_combination_exists(gens, x) for x in points}
+            assert any(inside.values()) and not all(inside.values())
+            perm = rng.sample(range(n), n)
+            for copy, relabel in ((gens, list(range(n))),
+                                  (_permuted(gens, perm), perm)):
+                cells = triangulate_half_open((0,) * n, copy)
+                for x, want in inside.items():
+                    y = tuple(x[relabel[k]] for k in range(n))
+                    hits = sum(cone_membership(c, y) for c in cells)
+                    assert hits == (1 if want else 0), (gens, perm, x)
+
+
+def test_permuted_copies_make_no_triangulation_miss():
+    # a Hamiltonian path in a digraph's topological order makes colour
+    # refinement split every vertex apart, so every relabelling of it
+    # reaches the same class key
+    rng = random.Random(4242)
+    for n in range(2, 8):
+        for _ in range(4):
+            gens = _random_dag(rng, n, path=True)
+            triangulate_half_open((0,) * n, gens)
+            misses = cones._triangulate_cells.cache_info().misses
+            for _ in range(3):
+                perm = rng.sample(range(n), n)
+                triangulate_half_open((0,) * n, _permuted(gens, perm))
+            assert cones._triangulate_cells.cache_info().misses == misses
+    # the tangent cones at the 30 flag bases of a uniform flag are
+    # relabelled copies of one digraph: at most one new class
+    fm = flag(U(2, 5), U(3, 5))
+    misses = cones._triangulate_cells.cache_info().misses
+    for fb in fm.flag_bases():
+        triangulate_half_open((0,) * 5, tangent_cone_generators(fm, fb))
+    assert cones._triangulate_cells.cache_info().misses - misses <= 1
+
+
+def test_triangulate_translates_cached_cells():
+    gens = ((-1, 0, 1, 0), (-1, 0, 0, 1), (0, -1, 1, 0), (0, -1, 0, 1))
+    at_origin = triangulate_half_open((0, 0, 0, 0), gens)
+    moved = triangulate_half_open((1, 2, -3, 0), gens)
+    assert [c.translate((1, 2, -3, 0)) for c in at_origin] == list(moved)
+    with pytest.raises(ValueError, match="dimension"):
+        triangulate_half_open((0, 0, 0), gens)
+    empty = triangulate_half_open((5, 6), ())
+    assert len(empty) == 1 and empty[0].apex == (5, 6) and not empty[0].rays
 
 
 # -------------------------------------------------------------- membership

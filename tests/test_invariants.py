@@ -392,6 +392,13 @@ def test_kt_golden_digest_over_corpus():
         "320b5138b95e5e766666417ee9e472324557e35d1ead399c98b53f2723a43e3c")
 
 
+def test_kt_golden_digest_over_full_corpus():
+    flags = flag_corpus()
+    assert len(flags) == 1200
+    assert _digest(kt(fm) for fm in flags) == (
+        "e4a52fce4ade6cd9a494b53a426e9d3e0b26fef9c9677589bfc87ee9941ef6e9")
+
+
 def test_kt_equivariant_golden_digest_over_corpus():
     flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1][::12]
     assert len(flags) == 77

@@ -13,7 +13,8 @@ import pytest
 
 import flagtutte.linalg as linalg
 from flagtutte import (HalfOpenSimplicialCone, cone_membership, flag_corpus,
-                       kt, kt_equivariant, triangulate_half_open)
+                       kt, kt_equivariant, tangent_cone_generators,
+                       triangulate_half_open)
 from flagtutte import cones, genfun, invariants
 from flagtutte.errors import NotUnimodular
 from flagtutte.genfun import _pivot_structure
@@ -137,6 +138,7 @@ def test_dependent_rays_are_rejected_on_both_paths():
 
 
 def _clear_engine_caches():
+    cones._origin_cells.cache_clear()
     cones._triangulate_cells.cache_clear()
     genfun._flipped_cached.cache_clear()
     genfun._member_cache.clear()
@@ -170,6 +172,22 @@ def test_engine_routes_make_no_elimination_calls(monkeypatch):
     finally:
         _clear_engine_caches()
     assert calls == []
+
+
+def test_corpus_triangulates_once_per_relabelled_class():
+    # 4,158 distinct nonempty tangent-cone generator sets over the corpus
+    # fall into 151 colour-refinement classes, each triangulated once
+    _clear_engine_caches()
+    try:
+        for fm in flag_corpus():
+            origin = (0,) * fm.n
+            for fb in fm.flag_bases():
+                triangulate_half_open(origin,
+                                      tangent_cone_generators(fm, fb))
+        assert cones._triangulate_cells.cache_info().misses == 151
+        assert cones._origin_cells.cache_info().currsize == 4158
+    finally:
+        _clear_engine_caches()
 
 
 def test_forest_flow_isolated_vertices_and_empty_edge_set():
