@@ -50,17 +50,23 @@ class HalfOpenSimplicialCone:
     __slots__ = ("apex", "rays", "open_flags", "sign", "_hash")
 
     def __init__(self, apex, rays, open_flags, sign=1, _trusted=False):
+        self._hash = None
+        if _trusted:
+            # apex and rays are tuples of Python ints already
+            self.apex = apex
+            self.rays = tuple(rays)
+            self.open_flags = tuple(open_flags)
+            self.sign = sign
+            return
         self.apex = tuple(int(x) for x in apex)
         self.rays = tuple(tuple(int(x) for x in v) for v in rays)
         self.open_flags = tuple(bool(f) for f in open_flags)
         self.sign = int(sign)
-        self._hash = None
         if len(self.open_flags) != len(self.rays):
             raise ValueError("one open flag per ray")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not _trusted:
-            self._check_rays()
+        self._check_rays()
 
     def _check_rays(self):
         n = len(self.apex)
@@ -112,7 +118,8 @@ class HalfOpenSimplicialCone:
 
     def translate(self, apex):
         return HalfOpenSimplicialCone(
-            apex, self.rays, self.open_flags, self.sign, _trusted=True)
+            tuple(int(x) for x in apex), self.rays, self.open_flags,
+            self.sign, _trusted=True)
 
 
 def cone_membership(cone, point):

@@ -1,14 +1,15 @@
 """Polynomial invariants of matroids, matroid quotients, and flag matroids.
 
-The corank-nullity family (Tutte, characteristic, Las Vergnas Tutte) is
-computed by direct subset sums, counted per (corank, nullity) and expanded
-at (x - 1, y - 1) binomially in integers.  The flag-geometric family (KT,
-its equivariant refinement, the h-polynomial) is computed from the
-localization sum over flag bases: one half-open triangulation of the
-tangent cone per flag basis, with all numerator monomials carried as one
-integer kernel (_basis_kernel, the same for every mode), evaluated either
-at t = 1 through genfun's specialization core or in full through its
-support core.
+The corank-nullity family (Tutte, characteristic, Las Vergnas Tutte, beta,
+Poincare) is read off each matroid's rank table (matroid.rank_table): one
+vectorized count of the subsets per (corank, nullity, gap), then expanded
+at (x - 1, y - 1) binomially in integers or specialized term by term.  The
+flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
+computed from the localization sum over flag bases: one half-open
+triangulation of the tangent cone per flag basis, with all numerator
+monomials carried as one integer kernel (_basis_kernel, the same for every
+mode), evaluated either at t = 1 through genfun's specialization core or in
+full through its support core.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .genfun import (
     _cache_put, _flip, _interned, _specialize_t1, _support_core,
 )
 from .matroid import (
-    FlagMatroid, Matroid, _bits, flag, flag_dual, higgs_factorization,
-    is_quotient, pseudo_basis_masks,
+    FlagMatroid, Matroid, _bits, _subset_sizes, flag, flag_dual,
+    higgs_factorization, is_quotient, pseudo_basis_masks, rank_table,
 )
 from .polynomial import AuxPolynomial
 
@@ -62,58 +63,78 @@ def _expand_shifted(vars, counts, shifted):
     return AuxPolynomial(vars, counts)
 
 
+def _require_quotient(m1, m2):
+    if not is_quotient(m1, m2):
+        raise NotAQuotient("second matroid is not a quotient target of the "
+                           "first")
+
+
+def _corank_nullity_codes(m1, m2):
+    """Per subset mask S, the code (cr * b + nl) * b + gap, with b = n + 1.
+
+    cr = r1 - rk1(S), nl = |S| - rk2(S) and gap = (r2 - rk2(S)) - cr; all
+    three lie in [0, n] when m1 is a quotient of m2 or equals it, so the
+    code is a base-b number.  Returns (int16 codes, b).
+    """
+    n = m1.n
+    sizes = _subset_sizes(n)
+    cr = m1.rank_value - rank_table(m1).astype(np.int16)
+    rk2 = rank_table(m2).astype(np.int16)
+    b = n + 1
+    return (cr * b + (sizes - rk2)) * b + (m2.rank_value - rk2 - cr), b
+
+
+def _decode(code, b):
+    return code // (b * b), code // b % b, code % b
+
+
+def _corank_nullity_counts(m1, m2):
+    """{(cr, nl, gap): number of subsets} over all subsets of the pair."""
+    codes, b = _corank_nullity_codes(m1, m2)
+    values, counts = np.unique(codes, return_counts=True)
+    return {_decode(c, b): k
+            for c, k in zip(values.tolist(), counts.tolist())}
+
+
+def _signed_counts(vars, counts, keep, sign):
+    """sum c * (-1)^(sign + cr + nl + gap) * prod vars^(key[keep])."""
+    terms = {}
+    for key, c in counts.items():
+        exps = tuple(key[i] for i in keep)
+        c = -c if (sign + sum(key)) & 1 else c
+        terms[exps] = terms.get(exps, 0) + c
+    return AuxPolynomial(vars, terms)
+
+
 def tutte(m):
     """The Tutte polynomial by the corank-nullity sum, in x and y."""
-    r = m.rank_value
-    counts = {}
-    for s in range(1 << m.n):
-        key = (r - m.rank(s), s.bit_count() - m.rank(s))
-        counts[key] = counts.get(key, 0) + 1
+    counts = {(cr, nl): c
+              for (cr, nl, _), c in _corank_nullity_counts(m, m).items()}
     return _expand_shifted(("x", "y"), counts, 2)
 
 
 def characteristic(m):
     """The characteristic polynomial chi(q) = (-1)^r T(1-q, 0)."""
-    q = AuxPolynomial.variable("q")
-    t = tutte(m).substitute({"x": 1 - q, "y": 0})
-    return t * ((-1) ** m.rank_value)
+    return _signed_counts(("q",), _corank_nullity_counts(m, m), (0,),
+                          m.rank_value)
 
 
 def lv_tutte(m1, m2):
     """The three-variable corank-nullity polynomial of a quotient, in x,y,z."""
-    if not is_quotient(m1, m2):
-        raise NotAQuotient("second matroid is not a quotient target of the "
-                           "first")
-    return _lv_tutte(m1, m2)
-
-
-def _lv_tutte(m1, m2):
-    """lv_tutte of a pair already known to be a quotient."""
-    r1, r2 = m1.rank_value, m2.rank_value
-    counts = {}
-    for s in range(1 << m1.n):
-        cr = r1 - m1.rank(s)
-        nl = s.bit_count() - m2.rank(s)
-        gap = (r2 - m2.rank(s)) - cr
-        key = (cr, nl, gap)
-        counts[key] = counts.get(key, 0) + 1
-    return _expand_shifted(("x", "y", "z"), counts, 2)
+    _require_quotient(m1, m2)
+    return _expand_shifted(("x", "y", "z"), _corank_nullity_counts(m1, m2), 2)
 
 
 def lv_tutte_equivariant(m1, m2):
     """The subset-graded refinement: value u^cr v^nl w^gap at each t^{e_S}."""
-    if not is_quotient(m1, m2):
-        raise NotAQuotient("second matroid is not a quotient target of the "
-                           "first")
+    _require_quotient(m1, m2)
+    codes, b = _corank_nullity_codes(m1, m2)
+    values, inverse = np.unique(codes, return_inverse=True)
+    monos = [AuxPolynomial.monomial(("u", "v", "w"), _decode(c, b))
+             for c in values.tolist()]
     n = m1.n
-    r1, r2 = m1.rank_value, m2.rank_value
-    support = {}
-    for s in range(1 << n):
-        cr = r1 - m1.rank(s)
-        nl = s.bit_count() - m2.rank(s)
-        gap = (r2 - m2.rank(s)) - cr
-        w = tuple(1 if s >> i & 1 else 0 for i in range(n))
-        support[w] = AuxPolynomial.monomial(("u", "v", "w"), (cr, nl, gap))
+    support = {tuple(s >> i & 1 for i in range(n)): monos[k]
+               for s, k in enumerate(inverse.tolist())}
     return EquivariantPolynomial(n, support)
 
 
@@ -386,29 +407,17 @@ def _divide_by_q_minus_1(poly):
 
 def beta_polynomial(m1, m2):
     """The beta polynomial of a quotient and its (q-1)-reduced form."""
-    if not is_quotient(m1, m2):
-        raise NotAQuotient("second matroid is not a quotient target of the "
-                           "first")
+    _require_quotient(m1, m2)
     if m1.rank_value == m2.rank_value:
         raise RankGapZero("beta polynomial reduction needs r2 > r1")
-    q = AuxPolynomial.variable("q")
-    lvt = _lv_tutte(m1, m2)
-    beta = lvt.substitute({"x": 0, "y": 0, "z": -q})
-    beta = beta * ((-1) ** (m2.rank_value - m1.rank_value))
-    beta = beta.align(_merge_q(beta))
-    reduced = _divide_by_q_minus_1(beta)
-    return beta, reduced
-
-
-def _merge_q(poly):
-    return poly.vars if "q" in poly.vars else poly.vars + ("q",)
+    beta = _signed_counts(("q",), _corank_nullity_counts(m1, m2), (2,),
+                          m2.rank_value - m1.rank_value)
+    return beta, _divide_by_q_minus_1(beta)
 
 
 def reduced_beta_via_higgs(m1, m2):
     """The alternating Higgs-layer expression for the reduced beta."""
-    if not is_quotient(m1, m2):
-        raise NotAQuotient("second matroid is not a quotient target of the "
-                           "first")
+    _require_quotient(m1, m2)
     d = m2.rank_value - m1.rank_value
     if d == 0:
         raise RankGapZero("Higgs expression needs r2 > r1")
@@ -424,11 +433,9 @@ def reduced_beta_via_higgs(m1, m2):
 
 def poincare(m1, m2):
     """The two-variable specialization (-1)^{r2} LVT(1-q, 0, -s)."""
-    q = AuxPolynomial.variable("q")
-    s = AuxPolynomial.variable("s")
-    lvt = lv_tutte(m1, m2)
-    out = lvt.substitute({"x": 1 - q, "y": 0, "z": -s})
-    return out * ((-1) ** m2.rank_value)
+    _require_quotient(m1, m2)
+    return _signed_counts(("q", "s"), _corank_nullity_counts(m1, m2), (0, 2),
+                          m2.rank_value)
 
 
 def k_char(fm):
@@ -636,9 +643,7 @@ def check_lvt_delcont(m1, m2, e=None):
     polynomial of the pair is the sum of the polynomials of the deleted and
     contracted pairs.  With e omitted, every eligible element is checked.
     """
-    if not is_quotient(m1, m2):
-        raise NotAQuotient("second matroid is not a quotient target of the "
-                           "first")
+    _require_quotient(m1, m2)
     bad = m2.loops() | m2.coloops()
     if e is not None:
         if e in bad:

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from flagtutte import cones
@@ -246,6 +247,27 @@ def test_triangulate_translates_cached_cells():
         triangulate_half_open((0, 0, 0), gens)
     empty = triangulate_half_open((5, 6), ())
     assert len(empty) == 1 and empty[0].apex == (5, 6) and not empty[0].rays
+
+
+def _plain_python(cell):
+    return (all(type(x) is int for x in cell.apex)
+            and all(type(x) is int for v in cell.rays for x in v)
+            and all(type(f) is bool for f in cell.open_flags)
+            and type(cell.sign) is int)
+
+
+def test_trusted_cells_hold_python_ints():
+    # numpy scalars must not leak into cell keys and hashes
+    gens = np.array([(-1, 0, 1, 0), (-1, 0, 0, 1), (0, -1, 1, 0),
+                     (0, -1, 0, 1)], dtype=np.int64)
+    d = default_direction(4)
+    for apex in ((0, 0, 0, 0), (1, 2, -3, 0)):
+        cells = triangulate_half_open(np.array(apex, dtype=np.int64), gens)
+        for cell in cells:
+            moved = cell.translate(np.array((4, -1, 0, 2), dtype=np.int64))
+            for c in (cell, moved, flip_cone(cell, d), flip_cone(moved, d)):
+                assert _plain_python(c)
+            assert moved.apex == (4, -1, 0, 2)
 
 
 # -------------------------------------------------------------- membership

@@ -5,6 +5,7 @@ independently of the corank-nullity sum used by the library.
 """
 
 import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               InputError, NotAQuotient, RankGapZero,
                               RankZeroConstituent, UnknownInvariant)
 from flagtutte.invariants import _dedup_kernel
+from flagtutte.matroid import RANK_TABLE_MAX
 
 U = Matroid.uniform
 
@@ -444,6 +446,79 @@ def test_tutte_golden_digest_over_quotient_corpus():
 def test_lv_tutte_golden_digest_over_quotient_corpus():
     assert _digest(lv_tutte(m1, m2) for m1, m2 in quotient_corpus()) == (
         "e5bbb1511179168b549199357e11fbcef97f658704f77d3c6791083210b7998a")
+
+
+def test_poincare_golden_digest_over_quotient_corpus():
+    assert _digest(poincare(m1, m2) for m1, m2 in quotient_corpus()) == (
+        "6c651e3584ab98b2c5e38d1b8f476b1812419ceedc41e91cc4dd538b4a093202")
+
+
+def test_beta_polynomial_golden_digest_over_quotient_corpus():
+    pairs = [(m1, m2) for m1, m2 in quotient_corpus()
+             if m2.rank_value > m1.rank_value]
+    assert len(pairs) == 640
+    assert _digest(p for m1, m2 in pairs
+                   for p in beta_polynomial(m1, m2)) == (
+        "c5b147075262d8c1b8f44e1c2f4be2322501690c0cefc59a1b7150d5b44d217b")
+
+
+def test_lv_tutte_equivariant_golden_digest_over_quotient_corpus():
+    assert _digest(lv_tutte_equivariant(m1, m2)
+                   for m1, m2 in quotient_corpus()) == (
+        "d7d815264ed7867efff741c764a671d65363359cc7ad6a78c6fe111ca5dee763")
+
+
+def test_characteristic_golden_digest_over_quotient_corpus():
+    assert _digest(characteristic(m) for pair in quotient_corpus()
+                   for m in pair) == (
+        "82439db9e3e69d4a277a110a82d49e2827df53c670af4d9c86bd6992f9edead1")
+
+
+# ------------------------------------------------------ corank-nullity route
+
+
+def test_corank_nullity_route_reads_rank_tables(monkeypatch):
+    # cold copies, so no table exists before the calls under test
+    pairs = [(Matroid(m1.n, m1.bases_masks, _trusted=True),
+              Matroid(m2.n, m2.bases_masks, _trusted=True))
+             for m1, m2 in quotient_corpus()]
+    calls = {"rank": 0, "substitute": 0}
+    rank, substitute = Matroid.rank, AuxPolynomial.substitute
+
+    def counted_rank(self, subset):
+        calls["rank"] += 1
+        return rank(self, subset)
+
+    def counted_substitute(self, mapping):
+        calls["substitute"] += 1
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(Matroid, "rank", counted_rank)
+    monkeypatch.setattr(AuxPolynomial, "substitute", counted_substitute)
+    for m1, m2 in pairs:
+        lv_tutte(m1, m2)
+        tutte(m2)
+        if m2.rank_value > m1.rank_value:
+            beta_polynomial(m1, m2)
+        poincare(m1, m2)
+    assert calls == {"rank": 0, "substitute": 0}
+
+
+def test_tutte_of_uniform_matroid_on_sixteen_elements():
+    t0 = time.perf_counter()
+    poly = tutte(U(8, 16))
+    assert time.perf_counter() - t0 < 1.0
+    assert poly.evaluate({"x": 2, "y": 2}) == 2 ** 16
+
+
+def test_corank_nullity_admission_guard():
+    m = U(1, RANK_TABLE_MAX + 1)
+    t0 = time.perf_counter()
+    with pytest.raises(GroundSetTooLarge):
+        tutte(m)
+    with pytest.raises(GroundSetTooLarge):
+        lv_tutte(m, m)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ------------------------------------------------------- kernel code width

@@ -4,6 +4,9 @@ Oracle helpers recompute ranks, exchange validity, and quotient relations by
 brute force, independently of the library code paths under test.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from flagtutte import (FlagMatroid, GroundSetTooLarge, InvalidRank, Matroid,
@@ -12,7 +15,8 @@ from flagtutte import (FlagMatroid, GroundSetTooLarge, InvalidRank, Matroid,
                        is_quotient, pseudo_basis_masks, pseudo_bases)
 from flagtutte.errors import (EmptyBases, EmptyMatrix, GroundSetExhausted,
                               GroundSetMismatch)
-from flagtutte.matroid import _mask_of, _set_of
+from flagtutte.corpus import matroid_corpus
+from flagtutte.matroid import RANK_TABLE_MAX, _mask_of, _set_of, rank_table
 
 U = Matroid.uniform
 
@@ -49,15 +53,21 @@ def oracle_exchange_ok(bases):
 
 
 def oracle_is_quotient(m1, m2):
-    """Rank-difference monotonicity over every nested pair of subsets."""
+    """Rank-difference monotonicity over every nested pair of subsets.
+
+    Ranks come from oracle_rank's basis scan, not from Matroid.rank, which
+    reads the library's rank table once one is built.
+    """
     if m1.n != m2.n:
         return False
     n = m1.n
+    rk1 = [oracle_rank(m1.bases_masks, s) for s in range(1 << n)]
+    rk2 = [oracle_rank(m2.bases_masks, s) for s in range(1 << n)]
     for a in range(1 << n):
         b = a
         while True:
             # b runs over all subsets of a
-            if m1.rank(a) - m1.rank(b) > m2.rank(a) - m2.rank(b):
+            if rk1[a] - rk1[b] > rk2[a] - rk2[b]:
                 return False
             if b == 0:
                 break
@@ -145,6 +155,50 @@ def test_rank_function_against_oracle():
               U(1, 2).direct_sum(U(2, 3))]:
         for mask in range(1 << m.n):
             assert m.rank(mask) == oracle_rank(m.bases_masks, mask)
+
+
+def test_rank_table_against_basis_scan():
+    cases = list(matroid_corpus())
+    cases += [U(2, 5).direct_sum(U(3, 7)), U(0, 3).direct_sum(U(4, 4)),
+              Matroid.graphic([(1, 2), (2, 3), (1, 3), (3, 4)]).direct_sum(
+                  U(3, 8))]
+    assert max(m.n for m in cases) == 12
+    for m in cases:
+        table = rank_table(m)
+        assert table.dtype == np.int8 and len(table) == 1 << m.n
+        assert table.tolist() == [oracle_rank(m.bases_masks, s)
+                                  for s in range(1 << m.n)]
+
+
+def test_rank_table_of_uniform_matroids():
+    # rk(S) = min(r, |S|) in U(r, n)
+    for n in range(13):
+        sizes = [bin(s).count("1") for s in range(1 << n)]
+        for r in range(n + 1):
+            assert rank_table(U(r, n)).tolist() == [min(r, k) for k in sizes]
+
+
+def test_rank_reads_table_once_built():
+    m = Matroid.from_bases(4, [{1, 2}, {1, 3}, {1, 4}])
+    before = [m.rank(s) for s in range(16)]
+    rank_table(m)
+    assert [m.rank(s) for s in range(16)] == before
+    assert m.rank({2, 3, 4}) == 1
+
+
+def test_rank_table_admission_guard():
+    m = U(1, RANK_TABLE_MAX + 1)
+    fm = FlagMatroid((m,), _trusted=True)
+    point = (1,) + (0,) * RANK_TABLE_MAX
+    t0 = time.perf_counter()
+    for call in (lambda: rank_table(m), lambda: is_quotient(m, m),
+                 lambda: pseudo_basis_masks(m, m),
+                 lambda: fm.polytope_membership(point)):
+        with pytest.raises(GroundSetTooLarge):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+    # point queries never need the table
+    assert m.rank(range(1, RANK_TABLE_MAX + 2)) == 1
 
 
 def test_loops_coloops():
@@ -240,6 +294,18 @@ def test_flag_bases_enumeration():
     assert len(fm.flag_bases()) == 3
 
 
+def test_is_quotient_against_oracle_on_corpus():
+    by_n = {}
+    for m in matroid_corpus():
+        if m.n <= 4:
+            by_n.setdefault(m.n, []).append(m)
+    pairs = [(m1, m2) for ms in by_n.values() for m1 in ms for m2 in ms]
+    assert len(pairs) == 1073
+    verdicts = [is_quotient(m1, m2) for m1, m2 in pairs]
+    assert sum(verdicts) == 259
+    assert verdicts == [oracle_is_quotient(m1, m2) for m1, m2 in pairs]
+
+
 def test_polytope_membership():
     # points of the Minkowski sum have coordinate sum r1 + ... + rk
     fm = flag(U(1, 3), U(2, 3))
@@ -266,7 +332,8 @@ def test_pseudo_bases_sizes():
     m1, m2 = U(1, 4), U(3, 4)
     expect = set()
     for s in range(1, 1 << 4):
-        if m1.rank(s) == 1 and m2.rank(s) == bin(s).count("1"):
+        if (oracle_rank(m1.bases_masks, s) == 1
+                and oracle_rank(m2.bases_masks, s) == bin(s).count("1")):
             expect.add(s)
     assert set(pseudo_basis_masks(m1, m2)) == expect
     assert {frozenset(b) for b in pseudo_bases(m1, m2)} == {
