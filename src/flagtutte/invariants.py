@@ -6,10 +6,11 @@ vectorized count of the subsets per (corank, nullity, gap), then expanded
 at (x - 1, y - 1) binomially in integers or specialized term by term.  The
 flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
 computed from the localization sum over flag bases: one half-open
-triangulation of the tangent cone per flag basis, with all numerator
-monomials carried as one integer kernel (_basis_kernel, the same for every
-mode), evaluated either at t = 1 through genfun's specialization core or in
-full through its support core.
+triangulation of the tangent cone per flag basis, and one closed-form
+numerator per flag (_flag_kernels): each coordinate's factor depends only on
+its slot type (inside B_1, inside B_k but not B_1, outside B_k), so all flag
+bases share one integer kernel, evaluated either at t = 1 through genfun's
+specialization core or in full through its support core.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from functools import lru_cache
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +27,7 @@ from .cones import (
     default_direction, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
-    GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
+    HasLoopOrColoop, InputError, InternalAssertion, LoopOrColoop,
     NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
@@ -165,87 +165,81 @@ def _flag_cells(fm):
     return out
 
 
-def _basis_kernel(fm, fb, mode="kt"):
-    """Numerator monomials of one flag basis as integer arrays.
+# The numerator of a flag basis B_1 < ... < B_k has one factor per coordinate
+# t_i, fixed by the mode and by the slot type of i: inside B_1, inside B_k but
+# not B_1, or outside B_k.  "kt": (u + t_i), (u + t_i)(1 + v t_i), (1 + v t_i),
+# times t^(e_{B_1} + ... + e_{B_{k-1}}); "h": (1 + u/t_i),
+# (1 + u/t_i)(1 + v t_i), (1 + v t_i); "h_lv": (1 + u/t_i), t_i, (1 + v t_i).
+# Each factor is listed as its terms (t_i-exponent, u-exponent, v-exponent,
+# m), where m = 1 marks the term t_i^e (1 + uv).
+_SLOT_TERMS = {
+    "kt": (((0, 1, 0, 0), (1, 0, 0, 0)),
+           ((0, 1, 0, 0), (1, 0, 0, 1), (2, 0, 1, 0)),
+           ((0, 0, 0, 0), (1, 0, 1, 0))),
+    "h": (((0, 0, 0, 0), (-1, 1, 0, 0)),
+          ((-1, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)),
+          ((0, 0, 0, 0), (1, 0, 1, 0))),
+    "h_lv": (((0, 0, 0, 0), (-1, 1, 0, 0)),
+             ((1, 0, 0, 0),),
+             ((0, 0, 0, 0), (1, 0, 1, 0))),
+}
 
-    Mode "kt": rows are apex vectors e_{B_1}+...+e_{B_{k-1}}+e_p+e_q over
-    all p inside B_k and q outside B_1; U holds the u-exponent r_k - |p|,
-    V the v-exponent |q|.  Mode "h": rows are -e_p+e_q with the same index
-    ranges and U = |p|.  Mode "h_lv": p runs inside B_1 and q outside B_k,
-    with the apex shifted by the indicator of B_k minus B_1.  vals holds
-    multiplicities after deduplication.
+
+def _numerator(mode, counts):
+    """The closed-form numerator of a flag with counts slots of each type.
+
+    One term per slot gives one row per mixed-radix digit vector; a row that
+    picked (1 + uv) m times splits by Pascal's triangle into m + 1 distinct
+    rows.  Returns (steps, U, V, vals): per row, its t-exponent on each slot
+    (slots ordered by type), its u- and v-exponents and its multiplicity.
     """
-    n = fm.n
-    full = (1 << n) - 1
-    base = np.zeros(n, dtype=np.int64)
-    if mode == "kt":
-        for bmask in fb[:-1]:
-            base[list(_bits(bmask))] += 1
-        pmask, pshift, qmask = fb[-1], 1, ~fb[0] & full
-    elif mode == "h":
-        pmask, pshift, qmask = fb[-1], -1, ~fb[0] & full
-    else:
-        base[list(_bits(fb[-1] & ~fb[0]))] += 1
-        pmask, pshift, qmask = fb[0], -1, ~fb[-1] & full
-    ps, qs = list(_bits(pmask)), list(_bits(qmask))
-    m = len(ps) + len(qs)
-    steps = np.zeros((m, n), dtype=np.int64)
-    steps[np.arange(len(ps)), ps] = pshift
-    steps[np.arange(len(ps), m), qs] = 1
-    chosen = _subset_rows(m)
-    n_p = chosen[:, :len(ps)].sum(axis=1)
-    U = len(ps) - n_p if mode == "kt" else n_p
-    return _dedup_kernel(base + chosen @ steps, U,
-                         chosen[:, len(ps):].sum(axis=1))
-
-
-@lru_cache(maxsize=None)
-def _subset_rows(m):
-    """The 2^m x m 0/1 matrix whose rows are all subsets of range(m)."""
-    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.int8)
-
-
-def _dedup_kernel(A, U, V):
-    """Merge repeated (apex, U, V) rows through one mixed-radix int64 code."""
-    amin = int(A.min()) if A.size else 0
-    span = int(A.max()) - amin + 1 if A.size else 1
-    radix = span ** A.shape[1] * (int(U.max()) + 1) * (int(V.max()) + 1)
-    if radix > np.iinfo(np.int64).max:
-        raise GroundSetTooLarge(
-            "numerator kernel on %d elements does not fit an int64 code"
-            % A.shape[1])
-    code = np.zeros(len(A), dtype=np.int64)
-    stride = 1
-    for c in range(A.shape[1]):
-        code += (A[:, c] - amin) * stride
-        stride *= span
-    code += U * stride
-    stride *= int(U.max()) + 1
-    code += V * stride
-    _, first, vals = np.unique(code, return_index=True, return_counts=True)
-    return A[first], U[first], V[first], vals
+    terms = _SLOT_TERMS[mode]
+    width = max(len(t) for t in terms)
+    table = np.array([t + ((0, 0, 0, 0),) * (width - len(t)) for t in terms],
+                     dtype=np.int64)
+    types = np.repeat(np.arange(3), counts)
+    radix = np.repeat([len(t) for t in terms], counts)
+    place = np.cumprod(np.concatenate(([1], radix)))
+    digits = np.arange(place[-1])[:, None] // place[:-1] % radix
+    chosen = table[types, digits]
+    U, V, M = chosen[:, :, 1:].sum(axis=1).T
+    reps = M + 1
+    rows = np.repeat(np.arange(len(M)), reps)
+    j = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+    top = int(M.max())
+    pascal = np.array([[comb(a, b) for b in range(top + 1)]
+                       for a in range(top + 1)], dtype=np.int64)
+    return (chosen[rows, :, 0].astype(np.int8), U[rows] + j, V[rows] + j,
+            pascal[M[rows], j])
 
 
 def _flag_kernels(fm, mode, direction=None):
     """The localization sum of a flag as kernels, one per triangulated cell.
 
-    Each cell of a flag basis carries that basis's numerator (_basis_kernel);
-    the classes are the (u, v)-exponent pairs, returned sorted.  With a
+    How many coordinates each slot type of _SLOT_TERMS holds depends only on
+    the ranks, so one closed-form numerator (_numerator) serves every basis
+    of the flag: all share its cls and vals arrays, and each gets its apex
+    rows as its shift plus the slot steps gathered onto its own coordinates.
+    The classes are the (u, v)-exponent pairs, returned sorted.  With a
     direction every cell is flipped first, as _support_core needs.
     """
-    vstr = fm.n + 1
+    n = fm.n
+    r1, rk = fm.ranks[0], fm.ranks[-1]
+    steps, U, V, vals = _numerator(mode, (r1, rk - r1, n - rk))
+    vstr = n + 1
+    used, cls = np.unique(U * vstr + V, return_inverse=True)
     if direction is not None:
         direction = _interned(direction.key())
-    staged = []
-    codes = []
-    for fb, cells in _flag_cells(fm):
-        A, U, V, vals = _basis_kernel(fm, fb, mode)
-        staged.append((cells, A, vals))
-        codes.append(U * vstr + V)
-    used, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-    splits = np.cumsum([len(c) for c in codes[:-1]], dtype=np.int64)
+    full = (1 << n) - 1
     kernels = []
-    for (cells, A, vals), cls in zip(staged, np.split(inverse, splits)):
+    for fb, cells in _flag_cells(fm):
+        slots = (list(_bits(fb[0])) + list(_bits(fb[-1] & ~fb[0]))
+                 + list(_bits(full & ~fb[-1])))
+        base = np.zeros(n, dtype=np.int64)
+        if mode == "kt":
+            for bmask in fb[:-1]:
+                base[list(_bits(bmask))] += 1
+        A = base + steps[:, np.argsort(slots)]
         for cell in cells:
             if direction is not None:
                 cell = _flip(cell, direction)
@@ -259,7 +253,7 @@ def _ktt_support(fm, direction=None, mode="kt"):
 
     Valid for any quotient chain, including a rank-0 first constituent
     (the sum itself makes sense verbatim there).  The mode selects the
-    numerator kernel; see _basis_kernel.
+    numerator; see _flag_kernels.
     """
     if direction is None:
         direction = default_direction(fm.n)
@@ -311,8 +305,10 @@ def kt(fm):
     """
     phi = _localization_value(fm, "kt")
     # the coefficients are integers: expand them as such
+    if any(c.denominator != 1 for c in phi.terms.values()):
+        raise InternalAssertion("kt value has a non-integral coefficient")
     return _expand_shifted(("x", "y"),
-                           {e: int(c) for e, c in phi.terms.items()}, 2)
+                           {e: c.numerator for e, c in phi.terms.items()}, 2)
 
 
 # ----------------------------------------------------------------- h family

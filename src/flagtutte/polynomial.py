@@ -45,10 +45,15 @@ class AuxPolynomial:
                     raise ValueError("exponent width %d != %d variables"
                                      % (len(exps), width))
                 coeff = _as_fraction(coeff)
-                if coeff != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if clean[exps] == 0:
+                if not coeff:
+                    continue
+                prev = clean.get(exps)
+                if prev is not None:
+                    coeff += prev
+                    if not coeff:
                         del clean[exps]
+                        continue
+                clean[exps] = coeff
         self.terms = clean
 
     # ------------------------------------------------------------ constructors

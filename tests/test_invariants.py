@@ -6,9 +6,9 @@ independently of the corank-nullity sum used by the library.
 
 import hashlib
 import time
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
@@ -19,11 +19,12 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
                        poincare, quotient_corpus, reduced_beta_via_higgs,
                        tutte)
-from flagtutte import genfun
+from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
-                              InputError, NotAQuotient, RankGapZero,
-                              RankZeroConstituent, UnknownInvariant)
-from flagtutte.invariants import _dedup_kernel
+                              InputError, InternalAssertion, NotAQuotient,
+                              RankGapZero, RankZeroConstituent,
+                              UnknownInvariant)
+from flagtutte.invariants import _flag_kernels, _ktt_support
 from flagtutte.matroid import RANK_TABLE_MAX
 
 U = Matroid.uniform
@@ -436,6 +437,18 @@ def test_h_candidate_lv_golden_digest_over_corpus():
         "87459a257383e71893a006c8084abc22d85407a9636696d7234d75bc94d0479f")
 
 
+def test_h_support_golden_digest_over_corpus():
+    flags = _loopless_coloopless_flags()
+    assert _digest(_ktt_support(fm, mode="h") for fm in flags) == (
+        "e436b5154401aba8fc10e6a46c3608fef00265b8336b0c71f1b47220037c7c3b")
+
+
+def test_h_lv_support_golden_digest_over_corpus():
+    flags = _loopless_coloopless_flags()
+    assert _digest(_ktt_support(fm, mode="h_lv") for fm in flags) == (
+        "1f3333e62637c9afa5d4e92b374ac07c695b09a9c58b295afd2bfd8399511e16")
+
+
 def test_tutte_golden_digest_over_quotient_corpus():
     pairs = quotient_corpus()
     assert len(pairs) == 920
@@ -521,26 +534,100 @@ def test_corank_nullity_admission_guard():
     assert time.perf_counter() - t0 < 1.0
 
 
-# ------------------------------------------------------- kernel code width
+# ------------------------------------------------------ numerator kernels
 
 
-def test_dedup_kernel_merges_rows():
-    A = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.int64)
-    U = np.array([1, 1, 0], dtype=np.int64)
-    V = np.array([0, 0, 2], dtype=np.int64)
-    A2, U2, V2, vals = _dedup_kernel(A, U, V)
-    rows = sorted(zip(map(tuple, A2.tolist()), U2.tolist(), V2.tolist(),
-                      vals.tolist()))
-    assert rows == [((0, 1), 1, 0, 2), ((1, 0), 0, 2, 1)]
+def _numerator_oracle(fm, fb, mode):
+    """Numerator monomials of one flag basis from all 2^m (P, Q) subsets.
+
+    Mode "kt": apex e_{B_1}+...+e_{B_{k-1}}+e_P+e_Q over all P inside B_k
+    and Q outside B_1, u-exponent r_k - |P|, v-exponent |Q|.  Mode "h":
+    apex -e_P+e_Q over the same ranges, u-exponent |P|.  Mode "h_lv": P
+    inside B_1 and Q outside B_k, apex -e_P+e_Q shifted by the indicator of
+    B_k minus B_1, u-exponent |P|.  Returns a Counter of (apex, u, v).
+    """
+    n = fm.n
+    full = (1 << n) - 1
+    base = [0] * n
+    if mode == "kt":
+        shifts = fb[:-1]
+        pmask, sign, qmask = fb[-1], 1, full & ~fb[0]
+    elif mode == "h":
+        shifts = ()
+        pmask, sign, qmask = fb[-1], -1, full & ~fb[0]
+    else:
+        shifts = (fb[-1] & ~fb[0],)
+        pmask, sign, qmask = fb[0], -1, full & ~fb[-1]
+    for bmask in shifts:
+        for i in range(n):
+            base[i] += bmask >> i & 1
+    ps = [i for i in range(n) if pmask >> i & 1]
+    qs = [i for i in range(n) if qmask >> i & 1]
+    out = Counter()
+    for p in range(1 << len(ps)):
+        for q in range(1 << len(qs)):
+            apex = list(base)
+            for j, i in enumerate(ps):
+                apex[i] += sign * (p >> j & 1)
+            for j, i in enumerate(qs):
+                apex[i] += q >> j & 1
+            size = p.bit_count()
+            u = len(ps) - size if mode == "kt" else size
+            out[(tuple(apex), u, q.bit_count())] += 1
+    return out
 
 
-def test_dedup_kernel_rejects_codes_beyond_int64():
-    # span 3 over 39 columns (3^39 < 2^63) still encodes exactly
-    A = np.array([[0] * 39, [2] * 39, [0] * 39], dtype=np.int64)
-    zeros = np.zeros(3, dtype=np.int64)
-    assert _dedup_kernel(A, zeros, zeros)[3].tolist() == [2, 1]
-    # 3^41 > 2^63 - 1 would wrap silently
-    A = np.array([[0] * 41, [2] * 41], dtype=np.int64)
-    zeros = np.zeros(2, dtype=np.int64)
-    with pytest.raises(GroundSetTooLarge):
-        _dedup_kernel(A, zeros, zeros)
+def test_flag_numerator_matches_subset_oracle():
+    flags = flag_corpus()[::10] + [flag(U(4, 9)), flag(U(2, 7), U(4, 7)),
+                                   flag(U(1, 5), U(2, 5), U(3, 5))]
+    for fm in flags:
+        bases = fm.flag_bases()
+        for mode in ("kt", "h", "h_lv"):
+            kernels, classes = _flag_kernels(fm, mode)
+            blocks = {id(k[3]): k[3:] for k in kernels}
+            # one apex block per basis, in flag-basis order
+            assert len(blocks) == len(bases), (fm, mode)
+            for fb, (A, cls, vals) in zip(bases, blocks.values()):
+                rows = Counter()
+                for apex, c, k in zip(A.tolist(), cls.tolist(),
+                                      vals.tolist()):
+                    key = (tuple(apex),) + tuple(classes[c])
+                    assert key not in rows, (fm, mode, fb)
+                    rows[key] = k
+                assert rows == _numerator_oracle(fm, fb, mode), (fm, mode, fb)
+
+
+def test_numerator_is_built_once_per_flag(monkeypatch):
+    calls = []
+    numerator = invariants._numerator
+
+    def counted(mode, counts):
+        calls.append(mode)
+        return numerator(mode, counts)
+
+    monkeypatch.setattr(invariants, "_numerator", counted)
+    flags = flag_corpus()
+    equivariant = [fm for fm in flags if fm.ranks[0] >= 1]
+    assert len(flags) == 1200 and len(equivariant) == 914
+    caches = (invariants._VALUE_CACHE, invariants._SUPPORT_CACHE)
+    for cache in caches:
+        cache.clear()
+    try:
+        for fm in flags:
+            kt(fm)
+        assert len(calls) == 1200
+        calls.clear()
+        for fm in equivariant:
+            kt_equivariant(fm)
+        assert len(calls) == 914
+    finally:
+        for cache in caches:
+            cache.clear()
+
+
+def test_kt_rejects_a_non_integral_coefficient(monkeypatch):
+    half = AuxPolynomial(("u", "v"), {(0, 0): Fraction(1, 2)})
+    monkeypatch.setattr(invariants, "_localization_value",
+                        lambda fm, mode: half)
+    with pytest.raises(InternalAssertion, match="non-integral"):
+        kt(flag(U(1, 2)))
