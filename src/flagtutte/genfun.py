@@ -10,15 +10,19 @@ Two integer cores serve both the GenFun API and the localization sums of
 invariants.py.  They take the same kernel list: per half-open cone at the
 origin its rays, open flags and sign, plus int64 arrays of numerator apexes,
 coefficient classes and multiplicities.  _support_core extracts the full
-support of sums whose rays all sum to zero: cells sharing a kernel merge
-into one signed multiplicity per cone point, points that cannot reach the
-apex box are dropped, the rest are tested against it in the narrowest
-integer dtype, and the incidences that land are scattered into one dense
-int64 accumulator whose nonzero cells decode straight into integer
-coefficients over the common denominator (support_pure, a per-point crawl,
-remains for other rays and as the test reference); _specialize_t1 sets
-t -> 1 through the one-variable substitution t_i = z^(c_i) with exact
-division by the (1 - z^d) factors, one integer per class.
+support of sums whose rays are all difference vectors e_j - e_i: every cell
+is then a forest cone, its membership a few integer rows over x each with a
+threshold (_cell_rows), so one batched pass per chunk of kernels tests all
+their cells against the sum-zero difference box with one float product and
+adds the signed memberships up to one multiplicity per kernel and box point;
+points that cannot reach the apex box are dropped, the rest are tested
+against it in the narrowest integer dtype, and the incidences that land are
+scattered into one dense int64 accumulator whose nonzero cells decode
+straight into integer coefficients over the common denominator
+(support_pure, a per-point crawl, remains for other rays and as the test
+reference); _specialize_t1 sets t -> 1 through the one-variable
+substitution t_i = z^(c_i) with exact division by the (1 - z^d) factors,
+one integer per class.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from .errors import (
     InternalAssertion, NonCancellingPole,
 )
 from .linalg import (
-    difference_vector_graph, forest_flow, kernel_basis_int, matrix_rank,
-    vec_dot,
+    difference_vector_graph, forest_flow, vec_dot,
 )
 from .polynomial import AuxPolynomial, _merge_vars
 
@@ -296,8 +299,8 @@ def support_pure(g, direction=None):
 
     The Newton polytope of a Laurent-polynomial GenFun lies in the convex
     hull of its apexes, so their bounding box is a sound superset.  support()
-    takes this path only when some ray does not sum to zero; tests use it
-    as the reference for the dense support core.
+    takes this path only when some ray is not a difference vector; tests
+    use it as the reference for the dense support core.
     """
     if direction is None:
         direction = default_direction(g.n)
@@ -315,97 +318,29 @@ def support_pure(g, direction=None):
 
 
 def _pivot_structure(rays, n):
-    """Integer data deciding membership of x in cone(rays) at the origin.
+    """Integer rows deciding membership of x in cone(rays) at the origin.
 
-    Returns (H, R, adj, det) with H the integer orthogonal complement rows
-    (x in span iff H x = 0), R the pivot coordinate rows, and adj/det giving
-    the unique rational coordinates a = adj . x_R / det (integer exactly when
-    x is a lattice point of the span, since the rays are unimodular).  For
-    difference-vector rays these are read off the spanning forest: H holds
-    the component indicators, R the non-root vertices, adj the signed
-    subtree matrix and det = 1.
+    The rays must be independent difference vectors e_j - e_i, as every ray
+    of the engine's cells is.  Returns (H, S), both lists of n-tuples read
+    off the spanning forest: H holds the component indicators and S the
+    signed subtree rows.  x lies in the span exactly when H x = 0, and its
+    ray coordinates are then S x, integers because the rays are unimodular.
     """
     edges = difference_vector_graph(rays, n)
-    if edges is not None:
-        flow = forest_flow(edges, n)
-        if flow is None:
-            raise InternalAssertion("rays lost rank unexpectedly")
-        components, subtrees = flow
-        H = [tuple(int(v in comp) for v in range(n)) for comp in components]
-        roots = {comp[0] for comp in components}
-        chosen = [v for v in range(n) if v not in roots]
-        adj = [[sign if v in verts else 0 for v in chosen]
-               for sign, verts in subtrees]
-        return H, chosen, adj, 1
-    d = len(rays)
-    H = kernel_basis_int(list(rays))
-    # choose pivot rows by Fraction elimination on the n x d ray-column matrix
-    cols = [[Fraction(rays[j][i]) for j in range(d)] for i in range(n)]
-    chosen = []
-    basis = []
-    for i in range(n):
-        if len(chosen) == d:
-            break
-        cand = basis + [cols[i]]
-        if matrix_rank(cand) > len(basis):
-            basis = cand
-            chosen.append(i)
-    if len(chosen) != d:
-        raise InternalAssertion("rays lost rank unexpectedly")
-    # adjugate of the d x d matrix M with M[r][j] = rays[j][chosen[r]]
-    m = [[rays[j][chosen[r]] for j in range(d)] for r in range(d)]
-    det, adj = _int_adjugate(m)
-    if det < 0:
-        det = -det
-        adj = [[-x for x in row] for row in adj]
-    return H, chosen, adj, det
-
-
-def _int_adjugate(m):
-    """Determinant and adjugate of a small integer matrix, exactly."""
-    d = len(m)
-    if d == 0:
-        return 1, []
-    det = _int_det(m)
-    adj = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [[m[r][c] for c in range(d) if c != j]
-                     for r in range(d) if r != i]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    return det, adj
-
-
-def _int_det(m):
-    d = len(m)
-    if d == 0:
-        return 1
-    if d == 1:
-        return m[0][0]
-    if d == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    # fraction-free Gaussian elimination (Bareiss)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, d) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    flow = None if edges is None else forest_flow(edges, n)
+    if flow is None:
+        raise InternalAssertion("rays are not independent difference vectors")
+    components, subtrees = flow
+    H = [tuple(int(v in comp) for v in range(n)) for comp in components]
+    S = [tuple(sign if v in verts else 0 for v in range(n))
+         for sign, verts in subtrees]
+    return H, S
 
 
 _MEMBER_CAP = 16384
 _BOX_CAP = 256
 _SUPPORT_CELLS = 40_000_000
+_PASS_ENTRIES = 1 << 18
 _member_cache = OrderedDict()
 _box_cache = OrderedDict()
 
@@ -423,57 +358,106 @@ def _cache_put(cache, key, value, cap):
         cache.popitem(last=False)
 
 
-def _members_in_box(rays, flags, n, X, dkey):
-    """Row indices of the D-box array X lying in cone(rays) at the origin.
+def _cell_rows(rays, n):
+    """The membership rows of the forest cone on rays, cached per ray tuple.
 
-    The indices stay valid when _box_cache evicts X: _box_candidates
-    rebuilds the box for dkey in the same order.
+    Returns (M, h) with M an int8 matrix: a point x of the sum-zero box lies
+    in cone(rays) at the origin with open flags f exactly when M x >= thr
+    row by row, thr being h zeros followed by f.  The first h rows are +H
+    and -H of _pivot_structure without the first component, whose row is
+    implied on the sum-zero box; the rest are the subtree rows.
     """
-    key = (rays, flags, dkey)
-    hit = _cache_get(_member_cache, key)
-    if hit is not None:
-        return hit
-    if not rays:
-        sel = np.nonzero((X == 0).all(axis=1))[0]
-        _cache_put(_member_cache, key, sel, _MEMBER_CAP)
-        return sel
-    H, chosen, adj, det = _pivot_structure(rays, n)
-    mask = np.ones(len(X), dtype=bool)
-    if H:
-        Hm = np.array(H, dtype=np.int64)
-        mask &= (Hm @ X.T == 0).all(axis=0)
-    Xr = X[:, chosen]
-    A = Xr @ np.array(adj, dtype=np.int64).T
-    mask &= (A % det == 0).all(axis=1)
-    coords = A // det
-    thr = np.array([1 if f else 0 for f in flags], dtype=np.int64)
-    mask &= (coords >= thr).all(axis=1)
-    sel = np.nonzero(mask)[0]
-    _cache_put(_member_cache, key, sel, _MEMBER_CAP)
-    return sel
+    hit = _cache_get(_member_cache, (n, rays))
+    if hit is None:
+        H, S = _pivot_structure(rays, n)
+        H = H[1:]
+        rows = H + [tuple(-x for x in r) for r in H] + S
+        M = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+        hit = (M, 2 * len(H))
+        _cache_put(_member_cache, (n, rays), hit, _MEMBER_CAP)
+    return hit
+
+
+def _membership_passes(n, kernels, XT):
+    """Signed membership multiplicities of the kernels' cells, pass by pass.
+
+    Cells sharing one kernel (the same A, cls and vals arrays: the cells of
+    one flag basis) merge into one basis.  Yields (bases, p0, mult): bases
+    a list of (A, cls, vals), and mult the int64 (len(bases) x block) sums
+    of sign * [x in cell] over the cells of each basis for the box points
+    p0, p0 + 1, ...  XT is the transposed sum-zero box in a float dtype
+    holding every |M x| exactly.  Each pass stacks the rows of all cells of
+    a chunk of bases, padded with zero rows to one height per cell, takes
+    one product with a block of points, one comparison against the
+    thresholds, one all() over each cell's rows and one signed sum per
+    basis.  The product has at most _PASS_ENTRIES entries unless one basis
+    alone has more rows than that.
+    """
+    grouped = {}
+    for rays, flags, sign, A, cls, vals in kernels:
+        key = (id(A), id(cls), id(vals))
+        entry = grouped.get(key)
+        if entry is None:
+            entry = grouped[key] = ((A, cls, vals), [])
+        M, h = _cell_rows(rays, n)
+        entry[1].append((M, [0] * h + [int(f) for f in flags], sign))
+    bases = list(grouped.values())
+    sizes = [(len(cells), max(len(M) for M, _, _ in cells))
+             for _, cells in bases]
+    points = XT.shape[1]
+    block = max(1, min(points, _PASS_ENTRIES // max(
+        [c * k for c, k in sizes] + [1])))
+    chunks = []
+    for b, (c, k) in enumerate(sizes):
+        if chunks:
+            members, cells, height = chunks[-1]
+            if (cells + c) * max(height, k) * block <= _PASS_ENTRIES:
+                chunks[-1] = (members + [b], cells + c, max(height, k))
+                continue
+        chunks.append(([b], c, k))
+    for members, n_cells, height in chunks:
+        R = np.zeros((n_cells, height, n), dtype=XT.dtype)
+        thr = np.zeros((n_cells, height, 1), dtype=XT.dtype)
+        signs = np.zeros((len(members), n_cells), dtype=XT.dtype)
+        col = 0
+        for row, b in enumerate(members):
+            for M, t, sign in bases[b][1]:
+                R[col, :len(M)] = M
+                thr[col, :len(t), 0] = t
+                signs[row, col] = sign
+                col += 1
+        R = R.reshape(n_cells * height, n)
+        for p0 in range(0, points, block):
+            Xb = XT[:, p0:p0 + block]
+            prod = (R @ Xb).reshape(n_cells, height, Xb.shape[1])
+            hits = (prod >= thr).all(axis=1)
+            mult = (signs @ hits).astype(np.int64)
+            yield [bases[b][0] for b in members], p0, mult
 
 
 def _support_core(n, los, his, kernels, classes, aux_vars, den):
-    """The support extractor for cones whose rays all sum to zero.
+    """The support extractor for cones on difference-vector rays.
 
     kernels: list of (rays, open_flags, sign, A, cls, vals) where
     (rays, open_flags, sign) describe an already-flipped half-open cone at
-    the origin and the kernel arrays give, per numerator monomial, its apex
-    row in A (int64, kappa x n), its coefficient-class index and its integer
-    multiplicity.  Cone points x come from the sum-zero difference box
-    [los - his, his - los].  Cells sharing one kernel (the same arrays) are
-    merged first: their signed memberships add up to one multiplicity per
-    box point, and flipped cells cancel there.  Only points with nonzero
-    multiplicity that can reach the apex box [los, his] for some monomial
-    are broadcast against the kernel, in the narrowest unsigned dtype that
-    holds the shifted sums; the incidences w = apex + x inside the box are
-    scattered into one dense int64 accumulator over the box and the
-    classes.  Dropping the incidences outside is sound because the result's
-    Newton polytope lies in the convex hull of the apexes.  The nonzero
-    cells decode straight into coefficient dicts: class c with count k is
-    the monomial classes[c] in aux_vars with coefficient k / den.  Raises
-    GroundSetTooLarge, before allocating, when the accumulator would exceed
-    _SUPPORT_CELLS entries.
+    the origin whose rays are independent difference vectors, and the
+    kernel arrays give, per numerator monomial, its apex row in A (int64,
+    kappa x n), its coefficient-class index and its integer multiplicity.
+    Cone points x come from the sum-zero difference box [los - his,
+    his - los].  Cells sharing one kernel (the same arrays) are merged:
+    _membership_passes tests every cell of a chunk of kernels against a
+    block of box points in one batched pass and sums the signed memberships
+    to one multiplicity per kernel and point, where flipped cells cancel.
+    Only points with nonzero multiplicity that can reach the apex box
+    [los, his] for some monomial are broadcast against the kernel, in the
+    narrowest unsigned dtype that holds the shifted sums; the incidences
+    w = apex + x inside the box are scattered, one pass at a time, into one
+    dense int64 accumulator over the box and the classes.  Dropping the
+    incidences outside is sound because the result's Newton polytope lies
+    in the convex hull of the apexes.  The nonzero cells decode straight
+    into coefficient dicts: class c with count k is the monomial classes[c]
+    in aux_vars with coefficient k / den.  Raises GroundSetTooLarge, before
+    allocating, when the accumulator would exceed _SUPPORT_CELLS entries.
     """
     ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
     space = 1
@@ -489,8 +473,12 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
     X = _cache_get(_box_cache, dkey)
     if X is None:
         pts = _box_candidates(list(dkey), [-d for d in dkey], 0)
-        X = np.array(pts, dtype=np.int64).reshape(len(pts), n)
+        # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
+        X = np.array(pts, dtype=np.min_scalar_type(min(dkey, default=0) - 1))
+        X = X.reshape(len(pts), n)
         _cache_put(_box_cache, dkey, X, _BOX_CAP)
+    # |M x| <= sum(range - 1): float32 is exact below 2^24
+    XT = X.T.astype(np.float32 if -sum(dkey) < 1 << 24 else np.float64)
     lo = np.array(los, dtype=np.int64)
     rng = np.array(ranges, dtype=np.int64)
     strides = np.cumprod([1] + ranges)[:-1].astype(np.int64)
@@ -500,47 +488,42 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
     narrow = np.min_scalar_type(2 * (max(ranges, default=1) - 1))
     rng_narrow = rng.astype(narrow)
 
-    merged = {}
-    for rays, flags, sign, A, cls, vals in kernels:
-        key = (id(A), id(cls), id(vals))
-        entry = merged.get(key)
-        if entry is None:
-            entry = merged[key] = (np.zeros(len(X), dtype=np.int64), A, cls,
-                                   vals)
-        entry[0][_members_in_box(rays, flags, n, X, dkey)] += sign
-
     acc = np.zeros(space * n_cls, dtype=np.int64)
-    for mult, A, cls, vals in merged.values():
-        B = A - lo
-        rows = np.nonzero(mult)[0]
-        Xr = X[rows]
-        # x can land only inside [-max(B), range - 1 - min(B)]
-        fit = ((Xr >= -B.max(axis=0)) & (Xr < rng - B.min(axis=0))).all(axis=1)
-        rows, Xr = rows[fit], Xr[fit]
-        if len(rows) == 0:
-            continue
-        Xn, Bn = Xr.astype(narrow), B.astype(narrow)
-        inside = np.ones((len(Xn), len(Bn)), dtype=bool)
-        for i in range(n):
-            inside &= np.add.outer(Xn[:, i], Bn[:, i]) < rng_narrow[i]
-        at, mons = np.nonzero(inside)
-        codes = (Xr @ strides)[at] + (B @ strides)[mons]
-        np.add.at(acc, codes * n_cls + cls[mons], mult[rows[at]] * vals[mons])
+    for bases, p0, mult in _membership_passes(n, kernels, XT):
+        codes, weights = [], []
+        for (A, cls, vals), m in zip(bases, mult):
+            B = A - lo
+            rows = np.nonzero(m)[0] + p0
+            Xr = X[rows]
+            # x can land only inside [-max(B), range - 1 - min(B)]
+            fit = ((Xr >= -B.max(axis=0))
+                   & (Xr < rng - B.min(axis=0))).all(axis=1)
+            rows, Xr = rows[fit], Xr[fit]
+            if len(rows) == 0:
+                continue
+            Xn, Bn = Xr.astype(narrow), B.astype(narrow)
+            inside = np.ones((len(Xn), len(Bn)), dtype=bool)
+            for i in range(n):
+                inside &= np.add.outer(Xn[:, i], Bn[:, i]) < rng_narrow[i]
+            at, mons = np.nonzero(inside)
+            codes.append(((Xr @ strides)[at] + (B @ strides)[mons]) * n_cls
+                         + cls[mons])
+            weights.append(m[rows[at] - p0] * vals[mons])
+        if codes:
+            np.add.at(acc, np.concatenate(codes), np.concatenate(weights))
 
     cells = np.nonzero(acc)[0]
     codes, cidx = np.divmod(cells, n_cls)
     counts, which = np.unique(acc[cells], return_inverse=True)
     coeffs = [Fraction(k, den) for k in counts.tolist()]
     exps = [classes[c] for c in cidx.tolist()]
-    values = [coeffs[i] for i in which.tolist()]
+    terms = list(zip(exps, (coeffs[i] for i in which.tolist())))
     # cells come sorted by code: one run of classes per support point
     starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
     ws = codes[starts, None] // strides % rng + lo
-    out = {}
-    for w, a, b in zip(map(tuple, ws.tolist()), starts,
-                       starts[1:] + [len(cells)]):
-        poly = out[w] = AuxPolynomial.zero(aux_vars)
-        poly.terms = dict(zip(exps[a:b], values[a:b]))
+    out = {w: AuxPolynomial._trusted(aux_vars, dict(terms[a:b]))
+           for w, a, b in zip(map(tuple, ws.tolist()), starts,
+                              starts[1:] + [len(cells)])}
     return EquivariantPolynomial._trusted(n, out, aux_vars)
 
 
@@ -586,19 +569,18 @@ def _genfun_kernels(g, direction=None):
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
-    When every ray sums to zero (all engine pipelines), each distinct cone
-    is flipped once and the signed incidences go through _support_core, in
-    integers (int64 is exact at these sizes); it raises GroundSetTooLarge
-    when the apex box is too large.  Other rays take the per-point
-    reference path, support_pure.
+    When every ray is a difference vector e_j - e_i (all engine
+    pipelines), each distinct cone is flipped once and the signed
+    incidences go through _support_core, in integers (int64 is exact at
+    these sizes); it raises GroundSetTooLarge when the apex box is too
+    large.  Other rays take the per-point reference path, support_pure.
     """
     if direction is None:
         direction = default_direction(g.n)
     if not g.terms:
         return EquivariantPolynomial(g.n)
     n = g.n
-    sum_zero = all(sum(v) == 0 for t in g.terms for v in t.cone.rays)
-    if not sum_zero:
+    if any(difference_vector_graph(t.cone.rays, n) is None for t in g.terms):
         return support_pure(g, direction)
     apexes = [t.cone.apex for t in g.terms]
     los = tuple(min(a[c] for a in apexes) for c in range(n))

@@ -10,8 +10,8 @@ when it closes no (undirected) cycle, and the coordinates of a vector
 against a forest are its tree flow, i.e. signed subtree sums
 (`difference_vector_graph`, `forest_rank`, `forest_flow`,
 `flow_coordinates`).  General rays (public-API cones, matrix matroids) go
-through exact `Fraction` Gaussian elimination (`matrix_rank`, `solve_exact`,
-`kernel_basis_int`), the Smith form and a phase-1 simplex.  Sizes are tiny
+through exact `Fraction` Gaussian elimination (`matrix_rank`,
+`solve_exact`), the Smith form and a phase-1 simplex.  Sizes are tiny
 (dimensions up to the ground-set size, so <= 64 and in the invariant
 pipeline <= 8), so cubic algorithms are fine.
 """
@@ -124,31 +124,6 @@ def integer_coordinates(cols, target):
             return None
         out.append(x.numerator)
     return tuple(out)
-
-
-def kernel_basis_int(cols):
-    """Integer row vectors h spanning {h : h . c = 0 for every column c}.
-
-    `cols` is a list of integer n-vectors; the result is a list of primitive
-    integer n-vectors forming a Q-basis of the left annihilator.
-    """
-    if not cols:
-        return []
-    n = len(cols[0])
-    rows = [tuple(Fraction(x) for x in c) for c in cols]
-    m, pivots = _echelon(rows)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        h = [Fraction(0)] * n
-        h[j] = Fraction(1)
-        for r, col in enumerate(pivots):
-            h[col] = -m[r][j]
-        lcm = 1
-        for x in h:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        basis.append(primitive(tuple(int(x * lcm) for x in h)))
-    return basis
 
 
 def smith_diagonal(rows):

@@ -59,6 +59,15 @@ class AuxPolynomial:
     # ------------------------------------------------------------ constructors
 
     @classmethod
+    def _trusted(cls, vars, terms):
+        """Wrap a dict of nonzero Fraction terms over the tuple vars without
+        re-validating it."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, vars=()):
         return cls(vars, {})
 
@@ -117,16 +126,13 @@ class AuxPolynomial:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        out = AuxPolynomial.zero(a.vars)
-        out.terms = terms
-        return out
+        return AuxPolynomial._trusted(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = AuxPolynomial.zero(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return AuxPolynomial._trusted(
+            self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -140,9 +146,8 @@ class AuxPolynomial:
             c = _as_fraction(other)
             if c == 0:
                 return AuxPolynomial.zero(self.vars)
-            out = AuxPolynomial.zero(self.vars)
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return AuxPolynomial._trusted(
+                self.vars, {e: k * c for e, k in self.terms.items()})
         a, b = self._pair(other)
         terms = {}
         for e1, c1 in a.terms.items():
@@ -153,9 +158,7 @@ class AuxPolynomial:
                     terms.pop(key, None)
                 else:
                     terms[key] = s
-        out = AuxPolynomial.zero(a.vars)
-        out.terms = terms
-        return out
+        return AuxPolynomial._trusted(a.vars, terms)
 
     __rmul__ = __mul__
 

@@ -5,6 +5,7 @@ rational function via an injective integer weight and compares against the
 claimed polynomial support with sympy's exact rational arithmetic.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -14,13 +15,15 @@ import sympy
 
 from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        GenFun, GenFunTerm, HalfOpenSimplicialCone, Matroid,
-                       brion_series, coefficient_at, default_direction,
-                       evaluate_t1, flag, flip_cone, kt_equivariant,
-                       slice_genfun, support, tangent_cone_generators,
-                       triangulate_half_open)
+                       brion_series, coefficient_at, cone_membership,
+                       default_direction, evaluate_t1, flag, flag_corpus,
+                       flip_cone, kt_equivariant, slice_genfun, support,
+                       tangent_cone_generators, triangulate_half_open)
+from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.genfun import _specialize_t1, _support_core, support_pure
+from flagtutte.genfun import (_box_candidates, _specialize_t1, _support_core,
+                              support_pure)
 from flagtutte.invariants import _flag_kernels
 
 U = Matroid.uniform
@@ -294,6 +297,29 @@ def test_support_with_aux_coefficients():
     assert evaluate_t1(g) == 3 * u
 
 
+def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
+    # rays that sum to zero but are not difference vectors: u times the
+    # ray-wise differences of one closed cone leave the 3 x 2 parallelogram
+    # {i r1 + j r2}, extracted by the reference path, not the core
+    def refuse(*args):
+        raise AssertionError("the support core takes difference rays only")
+
+    monkeypatch.setattr(genfun, "_support_core", refuse)
+    u = AuxPolynomial.variable("u")
+    r1, r2 = (1, 1, -2), (0, 1, -1)
+    cone = HalfOpenSimplicialCone((0, 0, 0), (r1, r2), (False, False))
+    terms = []
+    for a, b in [(0, 0), (3, 0), (0, 2), (3, 2)]:
+        apex = tuple(a * x + b * y for x, y in zip(r1, r2))
+        sign = -1 if (a > 0) != (b > 0) else 1
+        terms.append(GenFunTerm(u * sign, cone.translate(apex)))
+    g = GenFun(3, terms)
+    phi = support(g)
+    assert phi == EquivariantPolynomial(3, {
+        (i, i + j, -2 * i - j): u for i in range(3) for j in range(2)})
+    sympy_support_check(g, phi, (1, 16, 256), aux_syms=("u",))
+
+
 def test_support_rejects_box_beyond_cell_cap():
     # two point cones span a 101^4 ~ 1.04e8-point apex box: over the
     # 4e7-cell accumulator cap, so the core refuses before allocating
@@ -382,6 +408,82 @@ def test_support_empty_genfun():
     point = HalfOpenSimplicialCone((), (), ())
     g = GenFun(0, (GenFunTerm(3 * ONE, point),))
     assert support(g) == EquivariantPolynomial(0, {(): 3})
+
+
+# --------------------------------------------- batched membership passes
+
+
+def _random_forest_cell(rng, n, seen):
+    """A random half-open cone at the origin on a forest of difference
+    vectors (possibly no edge, isolated vertices, several components),
+    flipped along the default direction."""
+    comp = list(range(n))
+    rays = []
+    for _ in range(rng.randint(0, n - 1)):
+        i, j = rng.sample(range(n), 2)
+        if comp[i] != comp[j]:
+            old = comp[i]
+            comp = [comp[j] if c == old else c for c in comp]
+            rays.append(tuple((v == j) - (v == i) for v in range(n)))
+    flags = tuple(rng.random() < 0.5 for _ in rays)
+    touched = {v for ray in rays for v, x in enumerate(ray) if x}
+    seen["rayless"] += not rays
+    seen["open"] += any(flags)
+    seen["isolated"] += bool(rays) and len(touched) < n
+    seen["components"] += len(touched) > len(rays) + 1
+    cone = HalfOpenSimplicialCone((0,) * n, tuple(rays), flags,
+                                  rng.choice((1, -1)))
+    return flip_cone(cone, default_direction(n))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 300])
+def test_membership_passes_match_cone_membership(monkeypatch, cap):
+    # per kernel and box point, the batched multiplicity is the signed sum
+    # of cone_membership over the kernel's cells, for every chunking
+    if cap is not None:
+        monkeypatch.setattr(genfun, "_PASS_ENTRIES", cap)
+    rng = random.Random(20261018)
+    seen = Counter()
+    for n in list(range(1, 8)) * 3:
+        reach = 2 if n <= 5 else 1
+        X = np.array(_box_candidates([-reach] * n, [reach] * n, 0),
+                     dtype=np.int64).reshape(-1, n)
+        kernels = []
+        for _ in range(4):
+            A = np.zeros((1, n), dtype=np.int64)
+            cls, vals = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+            for _ in range(rng.randint(1, 4)):
+                cell = _random_forest_cell(rng, n, seen)
+                kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
+                                vals))
+        rng.shuffle(kernels)
+        want = {}
+        for rays, flags, sign, A, _, _ in kernels:
+            cone = HalfOpenSimplicialCone((0,) * n, rays, flags)
+            row = want.setdefault(id(A), np.zeros(len(X), dtype=np.int64))
+            row += [sign * cone_membership(cone, x) for x in X.tolist()]
+        got = {key: np.zeros(len(X), dtype=np.int64) for key in want}
+        for bases, p0, mult in genfun._membership_passes(
+                n, kernels, X.T.astype(np.float32)):
+            for (A, _, _), row in zip(bases, mult):
+                got[id(A)][p0:p0 + len(row)] = row
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+        seen["members"] += sum(int(np.abs(row).sum()) for row in want.values())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_one_basis_per_pass_is_byte_identical(monkeypatch):
+    flags = [flag(U(2, 5), U(3, 5))] + [
+        fm for fm in flag_corpus() if fm.ranks[0] >= 1][::150]
+    invariants._SUPPORT_CACHE.clear()
+    want = [kt_equivariant(fm).canonical_str() for fm in flags]
+    invariants._SUPPORT_CACHE.clear()
+    monkeypatch.setattr(genfun, "_PASS_ENTRIES", 1)
+    try:
+        assert [kt_equivariant(fm).canonical_str() for fm in flags] == want
+    finally:
+        invariants._SUPPORT_CACHE.clear()
 
 
 # ------------------------------------------- equivariant polynomial algebra

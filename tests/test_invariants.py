@@ -417,6 +417,13 @@ def test_kt_equivariant_golden_digest_over_every_third_flag():
         "f755f5ac9536b0c33399220d2354dd4075a2cab8728346afb9b37939d12bceec")
 
 
+def test_kt_equivariant_golden_digest_over_full_corpus():
+    flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1]
+    assert len(flags) == 914
+    assert _digest(kt_equivariant(fm) for fm in flags) == (
+        "eb01973dc40e385ef9082e2e3680ac7f50abbee3802c384f64de18e3410b3c9d")
+
+
 def _loopless_coloopless_flags():
     flags = [fm for fm in flag_corpus()
              if not fm.constituents[0].loops()

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import flagtutte.linalg as linalg
-from flagtutte import (HalfOpenSimplicialCone, cone_membership, flag_corpus,
-                       kt, kt_equivariant, tangent_cone_generators,
-                       triangulate_half_open)
+from flagtutte import (AuxPolynomial, EquivariantPolynomial, GenFun,
+                       GenFunTerm, HalfOpenSimplicialCone, cone_membership,
+                       flag_corpus, kt, kt_equivariant, support,
+                       tangent_cone_generators, triangulate_half_open)
 from flagtutte import cones, genfun, invariants
-from flagtutte.errors import NotUnimodular
+from flagtutte.errors import InternalAssertion, NotUnimodular
 from flagtutte.genfun import _pivot_structure
 from flagtutte.linalg import (difference_vector_graph, flow_coordinates,
                               forest_flow, forest_rank, integer_coordinates,
@@ -54,19 +55,11 @@ def _random_system(rng):
 
 
 def _pivot_coordinates(structure, x):
-    """Coordinates of x from _pivot_structure data, or None off the lattice
-    of the span."""
-    H, chosen, adj, det = structure
+    """Coordinates of x from _pivot_structure data, or None off the span."""
+    H, S = structure
     if any(sum(h * c for h, c in zip(row, x)) for row in H):
         return None
-    xr = [x[c] for c in chosen]
-    out = []
-    for row in adj:
-        num = sum(a * b for a, b in zip(row, xr))
-        if num % det:
-            return None
-        out.append(num // det)
-    return tuple(out)
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in S)
 
 
 def test_forest_helpers_match_fraction_elimination():
@@ -91,7 +84,7 @@ def test_forest_helpers_match_fraction_elimination():
             assert got == want
             assert integer_coordinates(cols, t) == want
             if structure is not None:
-                assert structure[3] == 1
+                assert len(structure[1]) == len(cols)
                 assert _pivot_coordinates(structure, t) == want
     assert min(seen.values()) > 500
 
@@ -114,9 +107,19 @@ def test_mixed_rays_take_the_fraction_fallback(monkeypatch):
     cone = HalfOpenSimplicialCone((0, 0, 0), rays, (False, False))
     assert cone_membership(cone, (1, 2, -3))
     assert not cone_membership(cone, (1, 0, -1))
-    H, chosen, adj, det = _pivot_structure(rays, 3)
-    assert _pivot_coordinates((H, chosen, adj, det), (1, 2, -3)) == (1, 1)
     assert calls
+    calls.clear()
+    # the same rays in a GenFun: support() takes the reference path, whose
+    # memberships eliminate; the ray-wise differences leave {0, (0, 1, -1)}
+    one = AuxPolynomial.constant(1)
+    g = GenFun(3, [GenFunTerm(c * one, cone.translate(apex))
+                   for c, apex in [(1, (0, 0, 0)), (-1, (0, 2, -2)),
+                                   (-1, (1, 1, -2)), (1, (1, 3, -4))]])
+    assert support(g) == EquivariantPolynomial(3, {(0, 0, 0): 1,
+                                                   (0, 1, -1): 1})
+    assert calls
+    with pytest.raises(InternalAssertion):
+        _pivot_structure(rays, 3)
     calls.clear()
     cells = triangulate_half_open((0, 0, 0), [(0, 1, -1), (1, 1, -2),
                                               (1, 0, -1)])
@@ -199,6 +202,6 @@ def test_forest_flow_isolated_vertices_and_empty_edge_set():
     assert flow_coordinates(flow, (-2, 0, 2, 1)) is None
     assert flow_coordinates(flow, (-2, 1, 1, 0)) is None
     assert forest_flow([(0, 1), (1, 0)], 2) is None
-    H, chosen, adj, det = _pivot_structure([(-1, 0, 1, 0)], 4)
-    assert det == 1 and len(chosen) == 1
+    H, S = _pivot_structure([(-1, 0, 1, 0)], 4)
+    assert S == [(0, 0, 1, 0)]
     assert np.array(H).sum(axis=0).tolist() == [1, 1, 1, 1]
