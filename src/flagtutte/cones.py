@@ -15,15 +15,27 @@ Relabelling coordinates carries a half-open triangulation to a half-open
 triangulation, so difference-vector cones are triangulated once per class:
 the key is the generator set relabelled by colour refinement of its digraph
 (McKay and Piperno, "Practical graph isomorphism, II", 2014).  Each class's
-cells are validated once, when they are built; their permuted copies for
-the cones of the class are built trusted.
+cells are validated once, when they are built, and kept as int arrays.  The
+localization sums work on a whole flag at a time: _tangent_generators
+builds the exchange digraphs of all its flag bases as one adjacency stack,
+_triangulate relabels them (colour refinement of the digraphs not seen
+before, in one batch, memoized per labelled digraph) and carries each
+class's cells back to every cone of the class by one index gather, as
+arrays of ray tails, ray heads, open flags and owning cone.
+triangulate_half_open builds trusted cone objects from the same arrays for
+the public API.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
+from operator import mul
+
+import numpy as np
 
 from .errors import (
     InternalAssertion, NotABasis, NotPointed, NotUnimodular, ZeroPairing,
@@ -34,7 +46,6 @@ from .linalg import (
     lattice_index, matrix_rank, nonneg_combination_exists, primitive,
     solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
 )
-from .matroid import _bits
 
 
 class HalfOpenSimplicialCone:
@@ -218,21 +229,35 @@ def tangent_cone_generators(fm, flag_basis):
     """
     if not fm.is_flag_basis(flag_basis):
         raise NotABasis("chain is not a flag basis of this flag matroid")
+    adj = _tangent_generators(fm, np.array([flag_basis], dtype=np.uint64))
+    vectors = _edge_vectors(fm.n)
+    return tuple(sorted(map(vectors.__getitem__,
+                            np.flatnonzero(adj).tolist())))
+
+
+def _tangent_generators(fm, chains):
+    """The exchange digraphs of many flag bases at once, as adjacency arrays.
+
+    chains is a (B x k) uint64 array of flag bases, one basis mask per
+    constituent.  Returns a (B x n x n) bool array whose entry [b, i, j]
+    marks the generator e_j - e_i of tangent_cone_generators(fm, chains[b]):
+    i in some level's basis, j outside it, and the exchange a basis of that
+    constituent, tested for all (i, j) of all chains by one sorted lookup
+    per constituent.  The chains must be flag bases; they are not checked.
+    """
     n = fm.n
-    out = set()
-    for m, b in zip(fm.constituents, flag_basis):
-        bases = m.bases_masks
-        for i in _bits(b):
-            stripped = b & ~(1 << i)
-            for j in range(n):
-                if b >> j & 1:
-                    continue
-                if stripped | (1 << j) in bases:
-                    v = [0] * n
-                    v[i] = -1
-                    v[j] = 1
-                    out.add(tuple(v))
-    return tuple(sorted(out))
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    swap = bit[:, None] ^ bit[None, :]
+    adj = np.zeros((len(chains), n, n), dtype=bool)
+    for level, m in enumerate(fm.constituents):
+        masks = chains[:, level]
+        inside = (masks[:, None] & bit) != 0
+        bases = np.array(sorted(m.bases_masks), dtype=np.uint64)
+        swapped = masks[:, None, None] ^ swap
+        at = np.minimum(np.searchsorted(bases, swapped), len(bases) - 1)
+        adj |= ((bases[at] == swapped)
+                & inside[:, :, None] & ~inside[:, None, :])
+    return adj
 
 
 # ------------------------------------------------------------- triangulation
@@ -257,14 +282,12 @@ def _in_cone_of(k, others, rays, edges, n):
     return nonneg_combination_exists([rays[o] for o in others], rays[k])
 
 
-@lru_cache(maxsize=100000)
-def _triangulate_cells(generators):
+def _placing_cells(generators):
     """Placing triangulation of Cone(generators) as cells at the origin.
 
     generators is a nonempty tuple of integer tuples.  The cells are built
-    and validated here, once per cached key, and their open flags implement
-    an exact half-open cover of the cone (every lattice point in exactly one
-    cell).
+    and validated here, and their open flags implement an exact half-open
+    cover of the cone (every lattice point in exactly one cell).
     """
     n = len(generators[0])
     gens = sorted({primitive(v) for v in generators})
@@ -376,66 +399,232 @@ def _triangulate_cells(generators):
     return tuple(out)
 
 
-def _colour_order(edges, n):
-    """Vertex positions of a digraph ordered by colour refinement.
+@lru_cache(maxsize=100000)
+def _triangulate_cells(generators):
+    """The placing triangulation of one class of exchange digraphs.
 
-    Colours start as (out-degree, in-degree) and are refined by the sorted
-    colours of out- and in-neighbours until the number of colour classes
-    stops growing; vertices are then ordered by (colour, index).  Relabelled
-    isomorphic digraphs usually, not always, get the same order.
+    generators is the class key: a nonempty sorted tuple of difference
+    vectors e_j - e_i.  The cells are built and validated once per key by
+    _placing_cells and kept as read-only arrays (tails, heads, opens): per
+    cell and ray, its i, its j and its open flag.
     """
-    outs = [[] for _ in range(n)]
-    ins = [[] for _ in range(n)]
-    for i, j in edges:
-        outs[i].append(j)
-        ins[j].append(i)
-    colour = [(len(outs[v]), len(ins[v])) for v in range(n)]
-    classes = 0
+    cells = _placing_cells(generators)
+    n = len(generators[0])
+    rays = np.array([c.rays for c in cells], dtype=np.int64)
+    rays = rays.reshape(len(cells), -1, n)
+    out = (rays.argmin(axis=2).astype(np.int8),
+           rays.argmax(axis=2).astype(np.int8),
+           np.array([c.open_flags for c in cells], dtype=bool).reshape(
+               rays.shape[:2]))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _packed_keys(digits, bases):
+    """The columns of a 2-D int array packed into int64 key columns.
+
+    Column j holds digits in [0, bases[j]).  Consecutive columns are packed
+    big-endian in mixed radix while their radix product stays within 2^62,
+    so rows compare lexicographically as their tuples of keys do.
+    """
+    keys = []
+    start, span = 0, 1
+    for col, base in enumerate(list(bases) + [1 << 62]):
+        if span * base > 1 << 62 and col > start:
+            weights = list(accumulate(bases[col - 1:start:-1], mul,
+                                      initial=1))[::-1]
+            keys.append(digits[:, start:col].astype(np.int64)
+                        @ np.array(weights, dtype=np.int64))
+            start, span = col, 1
+        span *= base
+    return keys or [np.zeros(len(digits), dtype=np.int64)]
+
+
+def _lex_ranks(keys):
+    """Per row given by int64 key columns (a list, the leading key first),
+    the rank of its key tuple among the distinct ones in lexicographic
+    order; and per distinct tuple, in that order, one row holding it."""
+    order = np.lexsort(keys[::-1])
+    new = np.ones(len(order), dtype=bool)
+    if len(keys) == 1:
+        ordered = keys[0][order]
+        new[1:] = ordered[1:] != ordered[:-1]
+    else:
+        ordered = np.stack(keys, axis=1)[order]
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(order), dtype=np.intp)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
+
+
+def _colour_order(adj):
+    """Per digraph of a stack, its vertices ordered by colour refinement.
+
+    adj is a (B x n x n) bool adjacency stack.  Colours start as (out-degree,
+    in-degree) and are refined by the sorted colours of out- and
+    in-neighbours until no digraph's number of colour classes grows; each
+    round names the colours of a digraph by rank, in the order of these
+    tuples (a shorter neighbour list compares as a prefix: its digits are
+    colour + 1, padded with 0).  A digraph whose classes stopped growing
+    keeps its names, so refining the stack together orders each digraph as
+    refining it alone does.  Returns the (B x n) vertex order by (colour,
+    index).  Relabelled isomorphic digraphs usually, not always, get the
+    same order.
+    """
+    count, n, _ = adj.shape
+    both = np.stack([adj, adj.transpose(0, 2, 1)], axis=1)
+    # the digraph index leads every row: each digraph's names are one range
+    which = np.repeat(np.arange(count), n).reshape(count, n, 1)
+    rows = np.concatenate([which, both.sum(axis=3).transpose(0, 2, 1)],
+                          axis=2)
+    bases = [count, n + 1, n + 1]
+    classes = None
     while True:
-        names = {c: k for k, c in enumerate(sorted(set(colour)))}
-        colour = [names[c] for c in colour]
-        if len(names) == classes:
+        names = _lex_ranks(_packed_keys(rows.reshape(count * n, -1), bases))
+        names = names[0].reshape(count, n)
+        colour = names - names.min(axis=1, keepdims=True)
+        grown = colour.max(axis=1)
+        # a discrete partition, or one that stopped growing, is stable
+        if ((grown == n - 1).all()
+                or classes is not None and (grown == classes).all()):
             break
-        classes = len(names)
-        colour = [(colour[v], tuple(sorted(colour[u] for u in outs[v])),
-                   tuple(sorted(colour[u] for u in ins[v])))
-                  for v in range(n)]
-    pos = [0] * n
-    for k, v in enumerate(sorted(range(n), key=lambda v: (colour[v], v))):
-        pos[v] = k
-    return pos
+        classes = grown
+        near = np.sort(np.where(both, colour[:, None, None, :], n), axis=3)
+        near = ((near + 1) % (n + 1)).transpose(0, 2, 1, 3)
+        rows = np.concatenate([which, colour[:, :, None],
+                               near.reshape(count, n, 2 * n)], axis=2)
+        bases = [count, n] + [n + 1] * (2 * n)
+    return np.argsort(colour * n + np.arange(n), axis=1)
+
+
+@lru_cache(maxsize=64)
+def _edge_vectors(n):
+    """The vector e_j - e_i at index i * n + j, as a tuple of ints."""
+    return tuple(tuple(int(k == j) - int(k == i) for k in range(n))
+                 for i in range(n) for j in range(n))
+
+
+@lru_cache(maxsize=64)
+def _edge_ranks(n):
+    """(n x n) int array: at [i, j], the lexicographic rank of e_j - e_i
+    among all n * n such vectors."""
+    vectors = _edge_vectors(n)
+    ranks = np.empty(n * n, dtype=np.int64)
+    ranks[sorted(range(n * n), key=vectors.__getitem__)] = np.arange(n * n)
+    ranks = ranks.reshape(n, n)
+    ranks.setflags(write=False)
+    return ranks
+
+
+_RELABEL_CACHE = OrderedDict()
+_RELABEL_CAP = 16384
+
+
+def _relabelled(adj):
+    """Per digraph of a stack, its colour-refinement order and class key.
+
+    The class key is the digraph relabelled by the order, as the sorted
+    generator tuple _triangulate_cells takes.  Both are memoized per
+    labelled digraph in _RELABEL_CACHE, an LRU of _RELABEL_CAP entries; the
+    digraphs not found there are refined together by _colour_order.
+    """
+    count, n, _ = adj.shape
+    codes = [(n,) + code for code in zip(*(
+        k.tolist() for k in _packed_keys(adj.reshape(count, n * n),
+                                         [2] * (n * n))))]
+    found = []
+    for code in codes:
+        hit = _RELABEL_CACHE.get(code)
+        if hit is not None:
+            _RELABEL_CACHE.move_to_end(code)
+        found.append(hit)
+    missing = [b for b, hit in enumerate(found) if hit is None]
+    if missing:
+        sub = adj[missing]
+        order = _colour_order(sub)
+        relabelled = sub[np.arange(len(missing))[:, None, None],
+                         order[:, :, None], order[:, None, :]]
+        vectors = _edge_vectors(n)
+        for b, row, edges in zip(missing, order.tolist(),
+                                 relabelled.reshape(len(missing), n * n)):
+            found[b] = _RELABEL_CACHE[codes[b]] = (row, tuple(sorted(
+                map(vectors.__getitem__, np.flatnonzero(edges).tolist()))))
+            if len(_RELABEL_CACHE) > _RELABEL_CAP:
+                _RELABEL_CACHE.popitem(last=False)
+    return found
+
+
+def _triangulate(adj):
+    """Half-open triangulations of a stack of exchange digraphs, as arrays.
+
+    adj is a (B x n x n) bool stack; adj[b, i, j] marks the ray e_j - e_i of
+    cone b.  Each digraph is relabelled by colour refinement (_relabelled),
+    and each distinct class is looked up once in the class cache
+    _triangulate_cells.  Relabelling coordinates carries a half-open cover
+    to a half-open cover, so the class cells are carried back by one index
+    gather.  Returns (tails, heads, opens, owner): per cell, the i and j of
+    its rays (int8, C x d), their open flags and the index of its cone,
+    cells grouped by cone in stack order.  A stack without edges (the
+    tangent cones at the one vertex of a point) has one cell without rays
+    per cone.  Every cone must have the same dimension d, as the tangent
+    cones of one polytope have.
+    """
+    count, n, _ = adj.shape
+    if not adj.any():
+        none = np.zeros((count, 0), dtype=np.int8)
+        return none, none, none.astype(bool), np.arange(count)
+    found = _relabelled(adj)
+    index = {}
+    kind = np.array([index.setdefault(key, len(index)) for _, key in found])
+    order = np.array([row for row, _ in found]).reshape(count, n)
+    classes = [_triangulate_cells(key) for key in index if key]
+    if len(classes) < len(index) or len({c[0].shape[1] for c in classes}) > 1:
+        raise InternalAssertion("cones of one stack differ in dimension")
+    tails, heads, opens = (np.concatenate([c[i] for c in classes])
+                           for i in range(3))
+    sizes = np.array([len(c[0]) for c in classes])
+    per_cone = sizes[kind]
+    owner = np.repeat(np.arange(count), per_cone)
+    # each cone's cells: its class's run of the stacked class cells
+    cell = (np.arange(len(owner))
+            + np.repeat((np.cumsum(sizes) - sizes)[kind]
+                        - (np.cumsum(per_cone) - per_cone), per_cone))
+    return (order[owner[:, None], tails[cell]].astype(np.int8),
+            order[owner[:, None], heads[cell]].astype(np.int8),
+            opens[cell], owner)
+
+
+def _sort_rays(n, tails, heads, opens):
+    """Cell arrays as _triangulate returns them, rays within each cell
+    sorted as vectors e_j - e_i."""
+    by_vector = np.argsort(_edge_ranks(n)[tails, heads], axis=1)
+    cell = np.arange(len(tails))[:, None]
+    return (tails[cell, by_vector], heads[cell, by_vector],
+            opens[cell, by_vector])
 
 
 @lru_cache(maxsize=16384)
 def _origin_cells(generators):
     """The cells of triangulate_half_open at the origin, per generator tuple.
 
-    Difference-vector generators are relabelled by _colour_order and
-    triangulated once per relabelled set (the class key of
-    _triangulate_cells).  Equal keys always come from a coordinate
-    permutation, which keeps rays primitive and independent and carries a
-    half-open cover to a half-open cover, so the class cells are permuted
-    back into trusted copies.  Rays within a cell and the cells themselves
-    come out sorted.
+    Difference-vector generators go through _triangulate, one digraph;
+    other generators are triangulated directly by _placing_cells.  Rays
+    within a cell and the cells themselves come out sorted.
     """
     n = len(generators[0])
     edges = difference_vector_graph(generators, n)
     if edges is None:
-        return _triangulate_cells(generators)
-    pos = _colour_order(set(edges), n)
-    back = {}
-    for (i, j), v in zip(edges, generators):
-        w = [0] * n
-        w[pos[i]] = -1
-        w[pos[j]] = 1
-        back[tuple(w)] = v
+        return _placing_cells(generators)
+    adj = np.zeros((1, n, n), dtype=bool)
+    adj[0, [i for i, _ in edges], [j for _, j in edges]] = True
+    tails, heads, opens = _sort_rays(n, *_triangulate(adj)[:3])
     origin = (0,) * n
-    out = []
-    for cell in _triangulate_cells(tuple(sorted(back))):
-        rays, flags = zip(*sorted(
-            (back[r], f) for r, f in zip(cell.rays, cell.open_flags)))
-        out.append(HalfOpenSimplicialCone(origin, rays, flags, 1,
-                                          _trusted=True))
+    vectors = _edge_vectors(n)
+    codes = tails.astype(np.intp) * n + heads
+    out = [HalfOpenSimplicialCone(origin, tuple(map(vectors.__getitem__, c)),
+                                  tuple(flags), 1, _trusted=True)
+           for c, flags in zip(codes.tolist(), opens.tolist())]
     return tuple(sorted(out, key=HalfOpenSimplicialCone.key))
 
 

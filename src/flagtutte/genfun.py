@@ -7,22 +7,24 @@ extracted exactly by Lawrence-Varchenko flips along a symbolically irrational
 direction and hyperplane slices are taken cell by cell.
 
 Two integer cores serve both the GenFun API and the localization sums of
-invariants.py.  They take the same kernel list: per half-open cone at the
-origin its rays, open flags and sign, plus int64 arrays of numerator apexes,
-coefficient classes and multiplicities.  _support_core extracts the full
-support of sums whose rays are all difference vectors e_j - e_i: every cell
-is then a forest cone, its membership a few integer rows over x each with a
-threshold (_cell_rows), so one batched pass per chunk of kernels tests all
-their cells against the sum-zero difference box with one float product and
-adds the signed memberships up to one multiplicity per kernel and box point;
-points that cannot reach the apex box are dropped, the rest are tested
-against it in the narrowest integer dtype, and the incidences that land are
-scattered into one dense int64 accumulator whose nonzero cells decode
-straight into integer coefficients over the common denominator
-(support_pure, a per-point crawl, remains for other rays and as the test
-reference); _specialize_t1 sets t -> 1 through the one-variable
-substitution t_i = z^(c_i) with exact division by the (1 - z^d) factors,
-one integer per class.
+invariants.py.  _support_core extracts the full support of sums whose rays
+are all difference vectors e_j - e_i.  It takes a kernel list: per
+half-open cone at the origin its rays, open flags and sign, plus int64
+arrays of numerator apexes, coefficient classes and multiplicities.  Every
+cell is then a forest cone, its membership a few integer rows over x each
+with a threshold (_cell_rows), so one batched pass per chunk of kernels
+tests all their cells against the sum-zero difference box with one float
+product and adds the signed memberships up to one multiplicity per kernel
+and box point; points that cannot reach the apex box are dropped, the rest
+are tested against it in the narrowest integer dtype, and the incidences
+that land are scattered into one dense int64 accumulator whose nonzero
+cells decode straight into integer coefficients over the common
+denominator (support_pure, a per-point crawl, remains for other rays and as
+the test reference).  _specialize_t1 sets t -> 1 in one array pass over
+all cells: it takes per-cell arrays (open flags, sign, numerator index)
+and a callback pairing every ray and numerator apex with a weight, and
+substitutes t_i = z^(c_i) with exact division by the (1 - z^d) factors,
+one integer per class; evaluate_t1 feeds it the distinct cones of a GenFun.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, cone_membership, default_direction,
-    flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _lex_ranks, _packed_keys,
+    cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
@@ -229,6 +231,25 @@ def _interned(dir_key):
 @lru_cache(maxsize=262144)
 def _flipped_cached(cone, direction):
     return flip_cone(cone, direction)
+
+
+@lru_cache(maxsize=1024)
+def _reversed_edges(direction):
+    """(n x n) bool: whether e_j - e_i pairs negatively at [i, j].
+
+    direction is one returned by _interned; the diagonal is False.
+    """
+    n = len(direction.zeta)
+    out = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                v = [0] * n
+                v[i] = -1
+                v[j] = 1
+                out[i, j] = direction.sign(v) < 0
+    out.setflags(write=False)
+    return out
 
 
 def _flip(cone, direction):
@@ -666,107 +687,149 @@ def _check_width(bound):
             "kernel arithmetic needs integers beyond int64 (bound %d)" % bound)
 
 
-def _divide_exact(num, d):
-    """Quotient of dense rows num (ascending z-powers) by (1 - z^d).
+def _divide_series(num, d, times, bound):
+    """The power series num / (1 - z^d)^times on at least the rows of num.
 
-    The quotient is the cumulative sum over each residue class mod d; it
-    exists iff every residue class sums to zero.
+    num holds dense rows over ascending z-powers; each division is one
+    running sum over each residue class mod d, exact on every row kept.
+    bound is at least max |num|; returns the series rows and a bound on
+    them, and raises GroundSetTooLarge before a running sum could leave
+    int64.
     """
-    rows = len(num)
-    _check_width(int(np.abs(num).max()) * rows)
-    padded = np.zeros((-(-rows // d) * d, num.shape[1]), dtype=np.int64)
-    padded[:rows] = num
-    blocks = padded.reshape(-1, d, num.shape[1])
-    if blocks.sum(axis=0).any():
-        raise NonCancellingPole(
-            "denominator factor (1 - z^%d) does not divide the numerator" % d)
-    return blocks.cumsum(axis=0).reshape(padded.shape)[:rows - d]
+    cols = num.shape[1]
+    blocks = np.zeros((-(-len(num) // d), d, cols), dtype=np.int64)
+    blocks.reshape(-1, cols)[:len(num)] = num
+    for _ in range(times):
+        if bound * len(blocks) > _INT64_MAX:
+            bound = int(np.abs(blocks).max(initial=0))
+        bound *= len(blocks)
+        _check_width(bound)
+        np.cumsum(blocks, axis=0, out=blocks)
+    return blocks.reshape(-1, cols), bound
 
 
-def _specialize_t1(n, kernels, n_cls, seed=0):
+_T1_ENTRIES = 1 << 16
+
+
+def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
+                   seed=0):
     """The t -> 1 value of a signed sum of cone kernels, one integer per class.
 
-    kernels: (rays, open_flags, sign, A, cls, vals) as for _support_core
-    (cones at the origin, apexes as the rows of A).  Substitutes t_i = z^(c_i)
-    for a generic integer weight c (no ray pairs to zero), so each cell
-    contributes sign * z^(c . apex + shift) / prod (1 - z^d) with every d > 0
-    (a ray pairing to -m reverses: 1 / (1 - z^-m) = -z^m / (1 - z^m)).
-    Cells are grouped by their denominator multiset; numerators are dense
-    int64 arrays over z with one column per class, raised to the common
-    denominator by shifted subtraction, summed, and divided exactly by each
-    (1 - z^d); the value at z = 1 is then the column sum.  Every class's sum
-    must be a Laurent polynomial on its own.  Raises GroundSetTooLarge
-    before any step whose numbers could leave int64.
+    The sum has C half-open cells at the origin, each of d rays (fewer when
+    padded), and K numerators.  Cell c has open flags opens[c], sign
+    signs[c] (+-1, broadcast) and numerator owner[c]; numerator k is
+    sum_r vals[k, r] * t^(a_kr) in class cls[k, r], where cls and vals are
+    K x R, or of length R when every numerator shares them.  at_weight(w),
+    for an int64 weight w, returns None when some ray pairs to zero, else
+    the (C x d) pairings w . ray (0 in a padding slot) and the (K x R)
+    exponents w . a_kr.  The first weight candidate that at_weight accepts
+    substitutes t_i = z^(w_i), so cell c contributes
+    signs[c] * z^(shift_c) * N_owner[c](z) / prod_j (1 - z^(d_cj)) with every
+    d_cj = |w . ray| > 0 and shift_c the sum of its open d_cj (a ray pairing
+    to -m reverses: 1 / (1 - z^-m) = -z^m / (1 - z^m)).
+
+    Cells are grouped by their denominator multiset; over the common
+    denominator D, group g lacks the factors M_g = D / prod_g, built for all
+    groups at once one factor at a time.  Per numerator k the signed, shifted
+    M_g of its cells add up to one polynomial Q_k in z (scattered at most
+    _T1_ENTRIES entries at a time).  The numerator over D is sum_k N_k Q_k:
+    one product per block of z-powers of N, in float64 when every partial
+    sum stays below 2^53 (so exactly) and in int64 otherwise.  Dividing it
+    by each (1 - z^d) as a power series is exact, and the quotient must end
+    where the numerator's degree minus deg D says (else NonCancellingPole);
+    the value at z = 1 is then the column sum.  Every class's sum must be a
+    Laurent polynomial on its own.  Raises GroundSetTooLarge before any
+    step whose numbers could leave int64.
     """
-    all_rays = {v for kernel in kernels for v in kernel[0]}
+    if len(opens) == 0:
+        return [0] * n_cls
     for weights in _weight_candidates(n, seed):
-        dots = {v: vec_dot(weights, v) for v in all_rays}
-        if all(dots.values()):
+        found = at_weight(np.array(weights, dtype=np.int64))
+        if found is not None:
             break
     else:
         raise DegenerateWeights("no generic weight vector found")
-    w = np.array(weights, dtype=np.int64)
+    dots, z = found
+    K, C = len(z), len(dots)
+    flipped = dots < 0
+    dens = np.abs(dots)
+    shift = (dens * (opens ^ flipped)).sum(axis=1)
+    signs = np.where(flipped.sum(axis=1) & 1, -signs, signs)
 
-    blocks = {}
-    groups = {}
-    bound = 0
-    for rays, flags, sign, A, cls, vals in kernels:
-        shift = 0
-        dens = []
-        for v, is_open in zip(rays, flags):
-            d = dots[v]
-            if d < 0:
-                d, sign, is_open = -d, -sign, not is_open
-            dens.append(d)
-            if is_open:
-                shift += d
-        key = (id(A), id(cls), id(vals))
-        block = blocks.get(key)
-        if block is None:
-            z = A @ w
-            lo = int(z.min())
-            dense = np.zeros((int(z.max()) - lo + 1, n_cls), dtype=np.int64)
-            np.add.at(dense, (z - lo, cls), vals)
-            block = blocks[key] = (lo, dense, sum(map(abs, vals.tolist())))
-        bound += block[2]
-        groups.setdefault(tuple(sorted(dens)), []).append(
-            (block[0] + shift, sign, block[1]))
-    if not groups:
+    dens.sort(axis=1)
+    group, first = _lex_ranks(_packed_keys(
+        dens, [int(dens.max(initial=0)) + 1] * dens.shape[1]))
+    keys = dens[first]
+    factors = np.flatnonzero(np.bincount(keys.ravel()))
+    factors = factors[factors > 0]
+    have = (keys[:, :, None] == factors).sum(axis=1)
+    target = have.max(axis=0)
+    lacking = target - have
+    # int64 sums of |vals| are exact below this
+    _check_width(int(np.abs(vals).max(initial=0)) * vals.shape[-1])
+    mass = np.abs(vals).sum(axis=-1)
+    if vals.ndim == 1:
+        bound = C * int(mass)
+    else:
+        bound = sum(c * m for c, m in zip(
+            np.bincount(owner, minlength=K).tolist(), mass.tolist()))
+    bound <<= int(lacking.sum(axis=1).max())
+    _check_width(bound)
+
+    # M_g, one dense row per group: at most 2^(lacking factors) in 1-norm
+    deg = int(factors @ target)
+    M = np.zeros((len(keys), deg + 1), dtype=np.int64)
+    M[:, 0] = 1
+    for d, want, lack in zip(factors.tolist(), target.tolist(), lacking.T):
+        for m in range(want):
+            rows = lack > m
+            M[rows, d:] -= M[rows, :-d]
+
+    width = int(shift.max()) + deg + 1
+    Q = np.zeros(K * width, dtype=np.int64)
+    step = max(1, _T1_ENTRIES // (deg + 1))
+    for a in range(0, C, step):
+        part = slice(a, a + step)
+        at = (owner[part] * width + shift[part])[:, None] + np.arange(deg + 1)
+        np.add.at(Q, at.ravel(), (signs[part, None] * M[group[part]]).ravel())
+    Q = Q.reshape(K, width)
+
+    low = int(z.min())
+    length = int(z.max()) - low + 1
+    N = np.zeros(K * length * n_cls, dtype=np.int64)
+    at = (np.arange(K)[:, None] * length + z - low) * n_cls + cls
+    np.add.at(N, at.ravel(), np.tile(vals, K) if vals.ndim == 1
+              else vals.ravel())
+    N = N.reshape(K, length, n_cls)
+    dtype = np.float64 if bound < 1 << 53 else np.int64
+    QT = Q.T.astype(dtype)
+    total = np.zeros((length + width - 1) * n_cls, dtype=np.int64)
+    block = max(1, _T1_ENTRIES // (width * n_cls))
+    for t0 in range(0, length, block):
+        Nb = N[:, t0:t0 + block]
+        prod = (QT @ Nb.reshape(K, -1).astype(dtype)).astype(np.int64)
+        # power q of Q_k times power t of N_k lands on power q + t
+        at = np.arange(width)[:, None] + np.arange(t0, t0 + Nb.shape[1])
+        np.add.at(total, (at[:, :, None] * n_cls + np.arange(n_cls)).ravel(),
+                  prod.ravel())
+    total = total.reshape(-1, n_cls)
+
+    # the series total / D is computed exactly on at least len(total) rows,
+    # so it is a polynomial iff it vanishes from power len(total) - deg D on
+    nz = np.flatnonzero(total.any(axis=1))
+    if len(nz) == 0:
         return [0] * n_cls
-
-    target = {}
-    for key in groups:
-        for d in set(key):
-            target[d] = max(target.get(d, 0), key.count(d))
-    missing = {key: [d for d, want in sorted(target.items())
-                     for _ in range(want - key.count(d))]
-               for key in groups}
-    _check_width(bound << max(len(m) for m in missing.values()))
-
-    cells = [cell for group in groups.values() for cell in group]
-    lo = min(start for start, _, _ in cells)
-    hi = max(start + len(dense) for start, _, dense in cells)
-    rows = hi - lo + sum(d * want for d, want in target.items())
-    total = np.zeros((rows, n_cls), dtype=np.int64)
-    for key, group in groups.items():
-        num = np.zeros_like(total)
-        for start, sign, dense in group:
-            part = num[start - lo:start - lo + len(dense)]
-            if sign > 0:
-                part += dense
-            else:
-                part -= dense
-        for d in missing[key]:
-            num[d:] -= num[:-d]
-        total += num
-
-    for d, want in sorted(target.items()):
-        for _ in range(want):
-            nz = np.nonzero(total.any(axis=1))[0]
-            if len(nz) == 0:
-                return [0] * n_cls
-            total = _divide_exact(total[nz[0]:nz[-1] + 1], d)
-    _check_width(int(np.abs(total).max(initial=0)) * len(total))
+    total = total[nz[0]:nz[-1] + 1]
+    top = len(total) - deg
+    for d, want in zip(factors.tolist(), target.tolist()):
+        total, bound = _divide_series(total, d, want, bound)
+    if top <= 0 or total[top:].any():
+        raise NonCancellingPole("the denominator factors (1 - z^d) do not "
+                                "divide the numerator")
+    total = total[:top]
+    if bound * top > _INT64_MAX:
+        bound = int(np.abs(total).max())
+    _check_width(bound * top)
     return [int(x) for x in total.sum(axis=0)]
 
 
@@ -776,10 +839,41 @@ def evaluate_t1(g, seed=0):
     Substitutes t_i = z^(c_i) for a deterministic generic integer weight
     vector, combines the per-term rational functions over a common
     denominator of (1 - z^d) factors, divides the numerator exactly and
-    reads off the value at z = 1 (see _specialize_t1).
+    reads off the value at z = 1 (see _specialize_t1).  Each distinct cone
+    is one cell with its own numerator; cells of fewer rays are padded with
+    slots that pair to 0.
     """
     kernels, vars_, classes, den = _genfun_kernels(g)
-    values = _specialize_t1(g.n, kernels, len(classes), seed)
+    ids = {}
+    slots = [[ids.setdefault(v, len(ids)) for v in k[0]] for k in kernels]
+    dim = max(map(len, slots), default=0)
+    rows = max((len(k[3]) for k in kernels), default=0)
+    K = len(kernels)
+    slots = np.array([s + [len(ids)] * (dim - len(s)) for s in slots],
+                     dtype=np.intp).reshape(K, dim)
+    opens = np.zeros((K, dim), dtype=bool)
+    cls = np.zeros((K, rows), dtype=np.int64)
+    vals = np.zeros((K, rows), dtype=np.int64)
+    for c, (_, flags, _, A, kcls, kvals) in enumerate(kernels):
+        opens[c, :len(flags)] = flags
+        cls[c, :len(A)] = kcls
+        vals[c, :len(A)] = kvals
+    rays = np.array(list(ids), dtype=np.int64).reshape(len(ids), g.n)
+
+    def at_weight(w):
+        dots = rays @ w
+        if not dots.all():
+            return None
+        z = np.zeros((K, rows), dtype=np.int64)
+        for c, kernel in enumerate(kernels):
+            zc = kernel[3] @ w
+            z[c] = zc[0]
+            z[c, :len(zc)] = zc
+        return np.append(dots, 0)[slots], z
+
+    values = _specialize_t1(g.n, at_weight, opens,
+                            np.array([k[2] for k in kernels], dtype=np.int64),
+                            np.arange(K), cls, vals, len(classes), seed)
     return AuxPolynomial(vars_, {e: Fraction(v, den)
                                  for e, v in zip(classes, values) if v})
 

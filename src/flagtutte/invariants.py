@@ -5,12 +5,16 @@ Poincare) is read off each matroid's rank table (matroid.rank_table): one
 vectorized count of the subsets per (corank, nullity, gap), then expanded
 at (x - 1, y - 1) binomially in integers or specialized term by term.  The
 flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
-computed from the localization sum over flag bases: one half-open
-triangulation of the tangent cone per flag basis, and one closed-form
-numerator per flag (_flag_kernels): each coordinate's factor depends only on
-its slot type (inside B_1, inside B_k but not B_1, outside B_k), so all flag
-bases share one integer kernel, evaluated either at t = 1 through genfun's
-specialization core or in full through its support core.
+computed from the localization sum over flag bases, with the flag as the
+unit of work.  _flag_cells holds, per flag, the half-open triangulations of
+the tangent cones at all its flag bases as int arrays (ray tails, heads,
+open flags and basis per cell), plus each basis's slot order and level
+counts.  One closed-form numerator serves every flag basis (_numerator,
+memoized per mode and slot counts): each coordinate's factor depends only
+on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  The
+t = 1 value is one pass of genfun's specialization core over the arrays;
+the full equivariant sum flips the same arrays along a direction and goes
+through the support core (_flag_kernels).
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import hashlib
 import time
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .cones import (
+    _edge_vectors, _sort_rays, _tangent_generators, _triangulate,
     default_direction, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
@@ -32,10 +39,10 @@ from .errors import (
 )
 from .genfun import (
     EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _cache_get,
-    _cache_put, _flip, _interned, _specialize_t1, _support_core,
+    _cache_put, _interned, _reversed_edges, _specialize_t1, _support_core,
 )
 from .matroid import (
-    FlagMatroid, Matroid, _bits, _subset_sizes, flag, flag_dual,
+    FlagMatroid, Matroid, _subset_sizes, flag, flag_dual,
     higgs_factorization, is_quotient, pseudo_basis_masks, rank_table,
 )
 from .polynomial import AuxPolynomial
@@ -149,18 +156,46 @@ _SUPPORT_CACHE = OrderedDict()
 _SUPPORT_CAP = 2048
 
 
+class _FlagCells(NamedTuple):
+    """The triangulated tangent cones of all flag bases of one flag.
+
+    Per cell (C x d, d the dimension of the base polytope): tails and heads
+    of its rays (the ray e_j - e_i has tail i and head j), open flags, and
+    owner, the index of its flag basis.  Per flag basis (B x n): slots, its
+    coordinates ordered by slot type (inside B_1, inside B_k but not B_1,
+    outside B_k; ascending within a type), and levels, how many of
+    B_1, ..., B_{k-1} hold each coordinate.  Every array is read-only.
+    """
+    tails: np.ndarray
+    heads: np.ndarray
+    opens: np.ndarray
+    owner: np.ndarray
+    slots: np.ndarray
+    levels: np.ndarray
+
+
 def _flag_cells(fm):
-    """Per flag basis, the half-open triangulation of its tangent cone."""
+    """The _FlagCells of a flag, cached per flag in _CELLS_CACHE.
+
+    The exchange digraphs of all flag bases are one adjacency stack
+    (cones._tangent_generators), triangulated per relabelled class and
+    carried back to each basis by cones._triangulate.
+    """
     key = fm.key()
     hit = _cache_get(_CELLS_CACHE, key)
     if hit is not None:
         return hit
-    origin = (0,) * fm.n
-    out = []
-    for fb in fm.flag_bases():
-        gens = tangent_cone_generators(fm, fb)
-        out.append((fb, triangulate_half_open(origin, gens)))
-    out = tuple(out)
+    n = fm.n
+    chains = np.array(fm.flag_bases(), dtype=np.uint64).reshape(-1, fm.k)
+    tails, heads, opens, owner = _triangulate(_tangent_generators(fm, chains))
+    member = ((chains[:, :, None] >> np.arange(n, dtype=np.uint64))
+              & 1).astype(np.int64)
+    kind = 2 - member[:, -1] - member[:, 0]
+    out = _FlagCells(tails, heads, opens, owner,
+                     np.argsort(kind * n + np.arange(n), axis=1),
+                     member[:, :-1].sum(axis=1))
+    for a in out:
+        a.setflags(write=False)
     _cache_put(_CELLS_CACHE, key, out, _CELLS_CAP)
     return out
 
@@ -185,13 +220,16 @@ _SLOT_TERMS = {
 }
 
 
+@lru_cache(maxsize=256)
 def _numerator(mode, counts):
     """The closed-form numerator of a flag with counts slots of each type.
 
     One term per slot gives one row per mixed-radix digit vector; a row that
     picked (1 + uv) m times splits by Pascal's triangle into m + 1 distinct
-    rows.  Returns (steps, U, V, vals): per row, its t-exponent on each slot
-    (slots ordered by type), its u- and v-exponents and its multiplicity.
+    rows.  Returns read-only (steps, cls, vals) and classes: per row, its
+    t-exponent on each slot (int8, slots ordered by type), its class index
+    and its multiplicity; classes lists the (u, v)-exponent pairs, sorted.
+    Memoized per (mode, counts).
     """
     terms = _SLOT_TERMS[mode]
     width = max(len(t) for t in terms)
@@ -209,43 +247,59 @@ def _numerator(mode, counts):
     top = int(M.max())
     pascal = np.array([[comb(a, b) for b in range(top + 1)]
                        for a in range(top + 1)], dtype=np.int64)
-    return (chosen[rows, :, 0].astype(np.int8), U[rows] + j, V[rows] + j,
-            pascal[M[rows], j])
+    vstr = sum(counts) + 1
+    used, cls = np.unique((U[rows] + j) * vstr + V[rows] + j,
+                          return_inverse=True)
+    out = (chosen[rows, :, 0].astype(np.int8), cls.reshape(-1),
+           pascal[M[rows], j])
+    for a in out:
+        a.setflags(write=False)
+    return out + (tuple(divmod(int(c), vstr) for c in used),)
+
+
+def _slot_counts(fm):
+    r1, rk = fm.ranks[0], fm.ranks[-1]
+    return (r1, rk - r1, fm.n - rk)
 
 
 def _flag_kernels(fm, mode, direction=None):
-    """The localization sum of a flag as kernels, one per triangulated cell.
+    """The localization sum of a flag as kernels for _support_core.
 
-    How many coordinates each slot type of _SLOT_TERMS holds depends only on
-    the ranks, so one closed-form numerator (_numerator) serves every basis
-    of the flag: all share its cls and vals arrays, and each gets its apex
-    rows as its shift plus the slot steps gathered onto its own coordinates.
-    The classes are the (u, v)-exponent pairs, returned sorted.  With a
-    direction every cell is flipped first, as _support_core needs.
+    One kernel (rays, open_flags, sign, A, cls, vals) per cell of
+    _flag_cells.  How many coordinates each slot type of _SLOT_TERMS holds
+    depends only on the ranks, so one closed-form numerator (_numerator)
+    serves every basis of the flag: all share its cls and vals arrays, and
+    each basis gets one apex block A, its levels (mode "kt") plus the slot
+    steps gathered onto its own coordinates.  Rays are sorted as vectors
+    within each cell, so equal cones make equal _member_cache keys.  With
+    a direction every cell is flipped first, as _support_core needs: the
+    rays pairing negatively (one table lookup per ray) reverse, toggle
+    their open flags and flip the sign.  Returns the kernels and the
+    classes, the sorted (u, v) exponent pairs.
     """
     n = fm.n
-    r1, rk = fm.ranks[0], fm.ranks[-1]
-    steps, U, V, vals = _numerator(mode, (r1, rk - r1, n - rk))
-    vstr = n + 1
-    used, cls = np.unique(U * vstr + V, return_inverse=True)
+    cells = _flag_cells(fm)
+    steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
+    A = steps[:, np.argsort(cells.slots, axis=1)].transpose(1, 0, 2)
+    A = A.astype(np.int64)
+    if mode == "kt":
+        A += cells.levels[:, None, :]
+    blocks = list(A)
+    tails, heads, opens = _sort_rays(n, cells.tails, cells.heads, cells.opens)
+    signs = np.ones(len(tails), dtype=np.int64)
     if direction is not None:
-        direction = _interned(direction.key())
-    full = (1 << n) - 1
-    kernels = []
-    for fb, cells in _flag_cells(fm):
-        slots = (list(_bits(fb[0])) + list(_bits(fb[-1] & ~fb[0]))
-                 + list(_bits(full & ~fb[-1])))
-        base = np.zeros(n, dtype=np.int64)
-        if mode == "kt":
-            for bmask in fb[:-1]:
-                base[list(_bits(bmask))] += 1
-        A = base + steps[:, np.argsort(slots)]
-        for cell in cells:
-            if direction is not None:
-                cell = _flip(cell, direction)
-            kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
-                            vals))
-    return kernels, [divmod(int(c), vstr) for c in used]
+        flip = _reversed_edges(_interned(direction.key()))[tails, heads]
+        tails, heads = (np.where(flip, heads, tails),
+                        np.where(flip, tails, heads))
+        opens = opens ^ flip
+        signs = 1 - 2 * (flip.sum(axis=1) & 1)
+    vectors = _edge_vectors(n)
+    codes = (tails.astype(np.intp) * n + heads).tolist()
+    kernels = [(tuple(map(vectors.__getitem__, c)), tuple(f), s, blocks[b],
+                cls, vals)
+               for c, f, s, b in zip(codes, opens.tolist(), signs.tolist(),
+                                     cells.owner.tolist())]
+    return kernels, list(classes)
 
 
 def _ktt_support(fm, direction=None, mode="kt"):
@@ -285,13 +339,31 @@ def kt_equivariant(fm):
 
 
 def _localization_value(fm, mode, seed=0):
-    """The t -> 1 value of a localization sum, as a polynomial in u and v."""
+    """The t -> 1 value of a localization sum, as a polynomial in u and v.
+
+    One pass of _specialize_t1 over the arrays of _flag_cells: the pairings
+    of all rays with the weight are w[head] - w[tail], and the z-exponents
+    of all flag bases' numerator rows are one product of the shared slot
+    steps with the weight gathered in each basis's slot order.
+    """
     key = (fm.key(), mode, seed)
     hit = _cache_get(_VALUE_CACHE, key)
     if hit is not None:
         return hit
-    kernels, classes = _flag_kernels(fm, mode)
-    values = _specialize_t1(fm.n, kernels, len(classes), seed)
+    cells = _flag_cells(fm)
+    steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
+
+    def at_weight(w):
+        dots = w[cells.heads] - w[cells.tails]
+        if not dots.all():
+            return None
+        z = w[cells.slots] @ steps.T
+        if mode == "kt":
+            z += (cells.levels @ w)[:, None]
+        return dots, z
+
+    values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
+                            cls, vals, len(classes), seed)
     result = AuxPolynomial(("u", "v"), dict(zip(classes, values)))
     _cache_put(_VALUE_CACHE, key, result, _VALUE_CAP)
     return result

@@ -211,29 +211,36 @@ def test_newton_polytope_bound():
         assert 0 <= w[0] <= 1 and w[1] >= 0 and w[2] >= 0
 
 
-def _kernel(apex, ray, is_open, val):
-    return (((ray,),), (is_open,), 1, np.array([[apex]], dtype=np.int64),
-            np.zeros(1, dtype=np.int64), np.array([val], dtype=np.int64))
+def _one_ray_cells(cells):
+    """_specialize_t1 of one-dimensional cells, each given as (apex, ray,
+    open, val): one single-ray cell with its own one-row numerator each."""
+    apex, ray, is_open, val = (np.array(c, dtype=np.int64)
+                               for c in zip(*cells))
+
+    def at_weight(w):
+        return ray[:, None] * w, apex[:, None] * w
+
+    return _specialize_t1(1, at_weight, is_open[:, None].astype(bool), 1,
+                          np.arange(len(cells)), 0, val[:, None], 1)
 
 
 def test_specialize_t1_rejects_numbers_beyond_int64():
     # [x >= 0] - [x in 2N] - [x in 1 + 2N] = 0, over the common denominator
     # (1 - z)(1 - z^2), where raising each group doubles its bound
     def parity_split(m):
-        return [_kernel(0, 1, False, m), _kernel(0, 2, False, -m),
-                _kernel(1, 2, False, -m)]
+        return [(0, 1, False, m), (0, 2, False, -m), (1, 2, False, -m)]
 
-    assert _specialize_t1(1, parity_split(1), 1) == [0]
+    assert _one_ray_cells(parity_split(1)) == [0]
     with pytest.raises(GroundSetTooLarge):
-        _specialize_t1(1, parity_split(2 ** 62), 1)
+        _one_ray_cells(parity_split(2 ** 62))
     # [x >= 0] - [x >= 1] = [x = 0]: one group, but the running sums of the
     # division are bounded only by rows * 2^62
     def point(m):
-        return [_kernel(0, 1, False, m), _kernel(0, 1, True, -m)]
+        return [(0, 1, False, m), (0, 1, True, -m)]
 
-    assert _specialize_t1(1, point(3), 1) == [3]
+    assert _one_ray_cells(point(3)) == [3]
     with pytest.raises(GroundSetTooLarge):
-        _specialize_t1(1, point(2 ** 62), 1)
+        _one_ray_cells(point(2 ** 62))
 
 
 # ----------------------------------------------------------- Brion series

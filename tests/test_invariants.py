@@ -19,7 +19,7 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
                        poincare, quotient_corpus, reduced_beta_via_higgs,
                        tutte)
-from flagtutte import genfun, invariants
+from flagtutte import cones, genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               InputError, InternalAssertion, NotAQuotient,
                               RankGapZero, RankZeroConstituent,
@@ -424,6 +424,71 @@ def test_kt_equivariant_golden_digest_over_full_corpus():
         "eb01973dc40e385ef9082e2e3680ac7f50abbee3802c384f64de18e3410b3c9d")
 
 
+def test_kt_golden_digests_of_larger_flags():
+    cases = [
+        (flag(U(4, 9)),
+         "296fe0f8be31ad2b595499e7614951733fa33491bb84a243cb65349de83a9da6"),
+        (flag(U(2, 7), U(4, 7)),
+         "f604e858e26b601408d0f6a37c77d60d4045e2d1488ed65b85de29a3abb165cc"),
+        (flag(U(1, 5), U(2, 5), U(3, 5)),
+         "a34089c19794f699d6a92a8515c09846b95fe6d087e717dff8e281c8fd60dcf8"),
+    ]
+    for fm, want in cases:
+        got = hashlib.sha256(kt(fm).canonical_str().encode()).hexdigest()
+        assert got == want, fm
+
+
+def test_t1_values_match_the_support_route():
+    # the specialization core against the full equivariant support summed
+    # over t, an independent route, in all three numerator modes
+    flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1][::10]
+    assert len(flags) == 92
+    for fm in flags:
+        for mode in ("kt", "h", "h_lv"):
+            want = _ktt_support(fm, mode=mode).specialize_t1()
+            assert invariants._localization_value(fm, mode) == want, (fm, mode)
+
+
+def test_flags_whose_cells_have_no_rays():
+    assert kt(flag(U(0, 0))).canonical_str() == "1"
+    assert kt(flag(U(0, 1))).canonical_str() == "y"
+    assert kt(flag(U(1, 1))).canonical_str() == "x"
+    assert kt(flag(U(0, 2), U(1, 2))).canonical_str() == "x*y^2 + y^2"
+    phi, in_uv = h_candidate_lv(flag(U(1, 2)))
+    assert phi.canonical_str() == "-u*v + 1" and in_uv
+    eq = kt_equivariant(flag(U(1, 1)))
+    assert eq.canonical_str() == "t^[1]: 1\nt^[0]: u"
+    assert eq.aux_vars == ("u", "v")
+
+
+def test_flag_routes_build_no_per_basis_cones(monkeypatch):
+    calls = Counter()
+    for module, name in ((cones, "tangent_cone_generators"),
+                         (cones, "triangulate_half_open"),
+                         (invariants, "tangent_cone_generators"),
+                         (invariants, "triangulate_half_open"),
+                         (genfun, "_flip")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    flags = flag_corpus()
+    caches = (invariants._CELLS_CACHE, invariants._VALUE_CACHE,
+              invariants._SUPPORT_CACHE)
+    for cache in caches:
+        cache.clear()
+    try:
+        for fm in flags:
+            kt(fm)
+        for fm in [fm for fm in flags if fm.ranks[0] >= 1][::10]:
+            kt_equivariant(fm)
+    finally:
+        for cache in caches:
+            cache.clear()
+    assert calls == Counter()
+
+
 def _loopless_coloopless_flags():
     flags = [fm for fm in flag_corpus()
              if not fm.constituents[0].loops()
@@ -604,29 +669,28 @@ def test_flag_numerator_matches_subset_oracle():
                 assert rows == _numerator_oracle(fm, fb, mode), (fm, mode, fb)
 
 
-def test_numerator_is_built_once_per_flag(monkeypatch):
-    calls = []
-    numerator = invariants._numerator
-
-    def counted(mode, counts):
-        calls.append(mode)
-        return numerator(mode, counts)
-
-    monkeypatch.setattr(invariants, "_numerator", counted)
+def test_numerator_is_built_once_per_flag():
+    # the numerator depends only on (mode, r1, rk - r1, n - rk): the 1,200
+    # corpus flags need 83 builds for kt, and the 914 equivariant ones reuse
+    # them
     flags = flag_corpus()
     equivariant = [fm for fm in flags if fm.ranks[0] >= 1]
     assert len(flags) == 1200 and len(equivariant) == 914
     caches = (invariants._VALUE_CACHE, invariants._SUPPORT_CACHE)
     for cache in caches:
         cache.clear()
+    invariants._numerator.cache_clear()
     try:
         for fm in flags:
             kt(fm)
-        assert len(calls) == 1200
-        calls.clear()
+        info = invariants._numerator.cache_info()
+        assert info.misses == info.currsize == 83
         for fm in equivariant:
             kt_equivariant(fm)
-        assert len(calls) == 914
+        assert invariants._numerator.cache_info().misses == 83
+        steps, cls, vals, _ = invariants._numerator("kt", (2, 1, 3))
+        assert not (steps.flags.writeable or cls.flags.writeable
+                    or vals.flags.writeable)
     finally:
         for cache in caches:
             cache.clear()

@@ -142,6 +142,7 @@ def test_dependent_rays_are_rejected_on_both_paths():
 
 def _clear_engine_caches():
     cones._origin_cells.cache_clear()
+    cones._RELABEL_CACHE.clear()
     cones._triangulate_cells.cache_clear()
     genfun._flipped_cached.cache_clear()
     genfun._member_cache.clear()
