@@ -859,8 +859,12 @@ def evaluate_t1(g, seed=0):
         cls[c, :len(A)] = kcls
         vals[c, :len(A)] = kvals
     rays = np.array(list(ids), dtype=np.int64).reshape(len(ids), g.n)
+    top = max([int(np.abs(rays).max(initial=0))]
+              + [int(np.abs(k[3]).max()) for k in kernels])
 
     def at_weight(w):
+        # every pairing w . v below stays within int64
+        _check_width(top * int(w.sum()))
         dots = rays @ w
         if not dots.all():
             return None
