@@ -28,12 +28,9 @@ the public API.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import lcm
-from operator import mul
 
 import numpy as np
 
@@ -46,6 +43,7 @@ from .linalg import (
     lattice_index, matrix_rank, nonneg_combination_exists, primitive,
     solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
 )
+from .lru import LRUCache
 
 
 class HalfOpenSimplicialCone:
@@ -421,41 +419,20 @@ def _triangulate_cells(generators):
     return out
 
 
-def _packed_keys(digits, bases):
-    """The columns of a 2-D int array packed into int64 key columns.
-
-    Column j holds digits in [0, bases[j]).  Consecutive columns are packed
-    big-endian in mixed radix while their radix product stays within 2^62,
-    so rows compare lexicographically as their tuples of keys do.
-    """
-    keys = []
-    start, span = 0, 1
-    for col, base in enumerate(list(bases) + [1 << 62]):
-        if span * base > 1 << 62 and col > start:
-            weights = list(accumulate(bases[col - 1:start:-1], mul,
-                                      initial=1))[::-1]
-            keys.append(digits[:, start:col].astype(np.int64)
-                        @ np.array(weights, dtype=np.int64))
-            start, span = col, 1
-        span *= base
-    return keys or [np.zeros(len(digits), dtype=np.int64)]
-
-
-def _lex_ranks(keys):
-    """Per row given by int64 key columns (a list, the leading key first),
-    the rank of its key tuple among the distinct ones in lexicographic
-    order; and per distinct tuple, in that order, one row holding it."""
-    order = np.lexsort(keys[::-1])
-    new = np.ones(len(order), dtype=bool)
-    if len(keys) == 1:
-        ordered = keys[0][order]
-        new[1:] = ordered[1:] != ordered[:-1]
-    else:
-        ordered = np.stack(keys, axis=1)[order]
-        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ranks = np.empty(len(order), dtype=np.intp)
-    ranks[order] = np.cumsum(new) - 1
-    return ranks, order[new]
+def _row_ranks(rows):
+    """Per row of a 2-D array of nonnegative ints, the rank of the row among
+    the distinct rows in lexicographic order; and per distinct row, in that
+    order, the index of one row holding it."""
+    if rows.shape[1] == 0:
+        return (np.zeros(len(rows), dtype=np.intp),
+                np.zeros(min(len(rows), 1), dtype=np.intp))
+    # rows of big-endian unsigned digits compare bytewise as they do
+    big = rows.astype(np.min_scalar_type(rows.max(initial=0)).newbyteorder(
+        ">"), order="C")
+    keys = big.view(np.dtype((np.void, big.itemsize * rows.shape[1])))
+    _, first, ranks = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    return ranks, first
 
 
 def _colour_order(adj):
@@ -478,11 +455,9 @@ def _colour_order(adj):
     which = np.repeat(np.arange(count), n).reshape(count, n, 1)
     rows = np.concatenate([which, both.sum(axis=3).transpose(0, 2, 1)],
                           axis=2)
-    bases = [count, n + 1, n + 1]
     classes = None
     while True:
-        names = _lex_ranks(_packed_keys(rows.reshape(count * n, -1), bases))
-        names = names[0].reshape(count, n)
+        names = _row_ranks(rows.reshape(count * n, -1))[0].reshape(count, n)
         colour = names - names.min(axis=1, keepdims=True)
         grown = colour.max(axis=1)
         # a discrete partition, or one that stopped growing, is stable
@@ -494,7 +469,6 @@ def _colour_order(adj):
         near = ((near + 1) % (n + 1)).transpose(0, 2, 1, 3)
         rows = np.concatenate([which, colour[:, :, None],
                                near.reshape(count, n, 2 * n)], axis=2)
-        bases = [count, n] + [n + 1] * (2 * n)
     return np.argsort(colour * n + np.arange(n), axis=1)
 
 
@@ -517,8 +491,7 @@ def _edge_ranks(n):
     return ranks
 
 
-_RELABEL_CACHE = OrderedDict()
-_RELABEL_CAP = 16384
+_RELABEL_CACHE = LRUCache(16384)
 
 
 def _relabelled(adj):
@@ -526,19 +499,14 @@ def _relabelled(adj):
 
     The class key is the digraph relabelled by the order, as the sorted
     generator tuple _triangulate_cells takes.  Both are memoized per
-    labelled digraph in _RELABEL_CACHE, an LRU of _RELABEL_CAP entries; the
-    digraphs not found there are refined together by _colour_order.
+    labelled digraph in _RELABEL_CACHE (about half of the exchange digraphs
+    of a corpus sweep repeat one of an earlier flag); the digraphs not found
+    there are refined together by _colour_order.
     """
     count, n, _ = adj.shape
-    codes = [(n,) + code for code in zip(*(
-        k.tolist() for k in _packed_keys(adj.reshape(count, n * n),
-                                         [2] * (n * n))))]
-    found = []
-    for code in codes:
-        hit = _RELABEL_CACHE.get(code)
-        if hit is not None:
-            _RELABEL_CACHE.move_to_end(code)
-        found.append(hit)
+    codes = [(n, row.tobytes())
+             for row in np.packbits(adj.reshape(count, n * n), axis=1)]
+    found = [_RELABEL_CACHE.lookup(code) for code in codes]
     missing = [b for b, hit in enumerate(found) if hit is None]
     if missing:
         sub = adj[missing]
@@ -548,10 +516,9 @@ def _relabelled(adj):
         vectors = _edge_vectors(n)
         for b, row, edges in zip(missing, order.tolist(),
                                  relabelled.reshape(len(missing), n * n)):
-            found[b] = _RELABEL_CACHE[codes[b]] = (row, tuple(sorted(
+            found[b] = (row, tuple(sorted(
                 map(vectors.__getitem__, np.flatnonzero(edges).tolist()))))
-            if len(_RELABEL_CACHE) > _RELABEL_CAP:
-                _RELABEL_CACHE.popitem(last=False)
+            _RELABEL_CACHE.store(codes[b], found[b])
     return found
 
 

@@ -30,7 +30,6 @@ one integer per class; evaluate_t1 feeds it the distinct cones of a GenFun.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _lex_ranks, _packed_keys,
+    Direction, HalfOpenSimplicialCone, _row_ranks,
     cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
@@ -49,6 +48,7 @@ from .errors import (
 from .linalg import (
     difference_vector_graph, forest_flow, vec_dot,
 )
+from .lru import LRUCache
 from .polynomial import AuxPolynomial, _merge_vars
 
 
@@ -358,25 +358,10 @@ def _pivot_structure(rays, n):
     return H, S
 
 
-_MEMBER_CAP = 16384
-_BOX_CAP = 256
 _SUPPORT_CELLS = 40_000_000
 _PASS_ENTRIES = 1 << 18
-_member_cache = OrderedDict()
-_box_cache = OrderedDict()
-
-
-def _cache_get(cache, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache, key, value, cap):
-    cache[key] = value
-    if len(cache) > cap:
-        cache.popitem(last=False)
+_member_cache = LRUCache(16384)
+_box_cache = LRUCache(256)
 
 
 def _cell_rows(rays, n):
@@ -388,14 +373,14 @@ def _cell_rows(rays, n):
     and -H of _pivot_structure without the first component, whose row is
     implied on the sum-zero box; the rest are the subtree rows.
     """
-    hit = _cache_get(_member_cache, (n, rays))
+    hit = _member_cache.lookup((n, rays))
     if hit is None:
         H, S = _pivot_structure(rays, n)
         H = H[1:]
         rows = H + [tuple(-x for x in r) for r in H] + S
         M = np.array(rows, dtype=np.int8).reshape(len(rows), n)
         hit = (M, 2 * len(H))
-        _cache_put(_member_cache, (n, rays), hit, _MEMBER_CAP)
+        _member_cache.store((n, rays), hit)
     return hit
 
 
@@ -491,13 +476,13 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
             % (space, n_cls, _SUPPORT_CELLS))
 
     dkey = tuple(lo - hi for lo, hi in zip(los, his))
-    X = _cache_get(_box_cache, dkey)
+    X = _box_cache.lookup(dkey)
     if X is None:
         pts = _box_candidates(list(dkey), [-d for d in dkey], 0)
         # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
         X = np.array(pts, dtype=np.min_scalar_type(min(dkey, default=0) - 1))
         X = X.reshape(len(pts), n)
-        _cache_put(_box_cache, dkey, X, _BOX_CAP)
+        _box_cache.store(dkey, X)
     # |M x| <= sum(range - 1): float32 is exact below 2^24
     XT = X.T.astype(np.float32 if -sum(dkey) < 1 << 24 else np.float64)
     lo = np.array(los, dtype=np.int64)
@@ -757,8 +742,7 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     signs = np.where(flipped.sum(axis=1) & 1, -signs, signs)
 
     dens.sort(axis=1)
-    group, first = _lex_ranks(_packed_keys(
-        dens, [int(dens.max(initial=0)) + 1] * dens.shape[1]))
+    group, first = _row_ranks(dens)
     keys = dens[first]
     factors = np.flatnonzero(np.bincount(keys.ravel()))
     factors = factors[factors > 0]
@@ -801,6 +785,7 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     np.add.at(N, at.ravel(), np.tile(vals, K) if vals.ndim == 1
               else vals.ravel())
     N = N.reshape(K, length, n_cls)
+    # float64 products go through BLAS; integer matmul does not
     dtype = np.float64 if bound < 1 << 53 else np.int64
     QT = Q.T.astype(dtype)
     total = np.zeros((length + width - 1) * n_cls, dtype=np.int64)

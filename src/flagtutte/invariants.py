@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -38,9 +37,10 @@ from .errors import (
     NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _cache_get,
-    _cache_put, _interned, _reversed_edges, _specialize_t1, _support_core,
+    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _interned,
+    _reversed_edges, _specialize_t1, _support_core,
 )
+from .lru import LRUCache
 from .matroid import (
     FlagMatroid, Matroid, _subset_sizes, flag, flag_dual,
     higgs_factorization, is_quotient, pseudo_basis_masks, rank_table,
@@ -148,12 +148,9 @@ def lv_tutte_equivariant(m1, m2):
 # ------------------------------------------------- localization sum machinery
 
 
-_CELLS_CACHE = OrderedDict()
-_CELLS_CAP = 1024
-_VALUE_CACHE = OrderedDict()
-_VALUE_CAP = 8192
-_SUPPORT_CACHE = OrderedDict()
-_SUPPORT_CAP = 2048
+_CELLS_CACHE = LRUCache(1024)
+_VALUE_CACHE = LRUCache(8192)
+_SUPPORT_CACHE = LRUCache(2048)
 
 
 class _FlagCells(NamedTuple):
@@ -182,7 +179,7 @@ def _flag_cells(fm):
     carried back to each basis by cones._triangulate.
     """
     key = fm.key()
-    hit = _cache_get(_CELLS_CACHE, key)
+    hit = _CELLS_CACHE.lookup(key)
     if hit is not None:
         return hit
     n = fm.n
@@ -196,7 +193,7 @@ def _flag_cells(fm):
                      member[:, :-1].sum(axis=1))
     for a in out:
         a.setflags(write=False)
-    _cache_put(_CELLS_CACHE, key, out, _CELLS_CAP)
+    _CELLS_CACHE.store(key, out)
     return out
 
 
@@ -312,7 +309,7 @@ def _ktt_support(fm, direction=None, mode="kt"):
     if direction is None:
         direction = default_direction(fm.n)
     key = (fm.key(), direction.key(), mode)
-    hit = _cache_get(_SUPPORT_CACHE, key)
+    hit = _SUPPORT_CACHE.lookup(key)
     if hit is not None:
         return hit
     n = fm.n
@@ -322,7 +319,7 @@ def _ktt_support(fm, direction=None, mode="kt"):
     los = tuple(int(x) for x in apexes.min(axis=0))
     his = tuple(int(x) for x in apexes.max(axis=0))
     result = _support_core(n, los, his, kernels, classes, ("u", "v"), 1)
-    _cache_put(_SUPPORT_CACHE, key, result, _SUPPORT_CAP)
+    _SUPPORT_CACHE.store(key, result)
     return result
 
 
@@ -347,7 +344,7 @@ def _localization_value(fm, mode, seed=0):
     steps with the weight gathered in each basis's slot order.
     """
     key = (fm.key(), mode, seed)
-    hit = _cache_get(_VALUE_CACHE, key)
+    hit = _VALUE_CACHE.lookup(key)
     if hit is not None:
         return hit
     cells = _flag_cells(fm)
@@ -365,7 +362,7 @@ def _localization_value(fm, mode, seed=0):
     values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
                             cls, vals, len(classes), seed)
     result = AuxPolynomial(("u", "v"), dict(zip(classes, values)))
-    _cache_put(_VALUE_CACHE, key, result, _VALUE_CAP)
+    _VALUE_CACHE.store(key, result)
     return result
 
 

@@ -17,7 +17,7 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        GenFun, GenFunTerm, HalfOpenSimplicialCone, Matroid,
                        brion_series, coefficient_at, cone_membership,
                        default_direction, evaluate_t1, flag, flag_corpus,
-                       flip_cone, kt_equivariant, slice_genfun, support,
+                       flip_cone, kt, kt_equivariant, slice_genfun, support,
                        tangent_cone_generators, triangulate_half_open)
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
@@ -239,6 +239,10 @@ def test_specialize_t1_rejects_numbers_beyond_int64():
         return [(0, 1, False, m), (0, 1, True, -m)]
 
     assert _one_ray_cells(point(3)) == [3]
+    # bounds of 2^53 and more take the int64 product: float64 would round
+    # 2^53 + 1
+    assert _one_ray_cells(point(2 ** 52)) == [2 ** 52]
+    assert _one_ray_cells(point(2 ** 53 + 1)) == [2 ** 53 + 1]
     with pytest.raises(GroundSetTooLarge):
         _one_ray_cells(point(2 ** 62))
 
@@ -491,6 +495,20 @@ def test_one_basis_per_pass_is_byte_identical(monkeypatch):
         assert [kt_equivariant(fm).canonical_str() for fm in flags] == want
     finally:
         invariants._SUPPORT_CACHE.clear()
+
+
+def test_smallest_t1_chunks_are_byte_identical(monkeypatch):
+    # one cell per scatter chunk and one z-power per product block
+    flags = [flag(U(4, 9)), flag(U(2, 7), U(4, 7)),
+             flag(U(1, 5), U(2, 5), U(3, 5))] + flag_corpus()[::10]
+    invariants._VALUE_CACHE.clear()
+    want = [kt(fm).canonical_str() for fm in flags]
+    invariants._VALUE_CACHE.clear()
+    monkeypatch.setattr(genfun, "_T1_ENTRIES", 1)
+    try:
+        assert [kt(fm).canonical_str() for fm in flags] == want
+    finally:
+        invariants._VALUE_CACHE.clear()
 
 
 # ------------------------------------------- equivariant polynomial algebra
