@@ -12,6 +12,7 @@ from flagtutte import (Matroid, brion_example_report, check_beta_higgs,
                        check_latticepoints, check_loop_coloop_divisibility,
                        check_lvt_delcont, check_lvt_special, flag,
                        verify_delcont, verify_h_uv, verify_kt22)
+from flagtutte import invariants
 from flagtutte.errors import InputError, LoopOrColoop
 
 U = Matroid.uniform
@@ -96,6 +97,29 @@ def test_check_direct_sum_spots():
     ]
     for a, b in pairs:
         assert check_direct_sum(a, b).passed, (a, b)
+
+
+def test_check_direct_sum_catches_a_wrong_block_product(monkeypatch):
+    # kt multiplies the values of a flag's blocks; the plain check reads the
+    # whole sum by another route, so a wrong product must fail it
+    def corrupted(a, b):
+        out = multiply(a, b)
+        out[(0, 0)] = out.get((0, 0), 0) + 1
+        return out
+
+    multiply = invariants._multiply_terms
+    a = flag(U(1, 2).direct_sum(U(1, 2)))
+    b = flag(U(1, 3))
+    invariants._VALUE_CACHE.clear()
+    try:
+        monkeypatch.setattr(invariants, "_multiply_terms", corrupted)
+        report = check_direct_sum(a, b)
+    finally:
+        invariants._VALUE_CACHE.clear()
+    assert not report.passed
+    assert report.details == [("equivariant direct-sum multiplicativity",
+                               True),
+                              ("plain direct-sum multiplicativity", False)]
 
 
 def test_check_divisibility_spots():

@@ -25,7 +25,7 @@ from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               RankGapZero, RankZeroConstituent,
                               UnknownInvariant)
 from flagtutte.invariants import _flag_kernels, _ktt_support
-from flagtutte.matroid import RANK_TABLE_MAX
+from flagtutte.matroid import RANK_TABLE_MAX, pseudo_basis_masks
 
 U = Matroid.uniform
 
@@ -449,6 +449,81 @@ def test_t1_values_match_the_support_route():
             assert invariants._localization_value(fm, mode) == want, (fm, mode)
 
 
+# ------------------------------------------------------------- flag blocks
+
+
+def _exchange_partition(fm):
+    """The blocks of a flag from every exchange edge of every basis."""
+    n = fm.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for m in fm.constituents:
+        for b in m.bases_masks:
+            for i in range(n):
+                for j in range(n):
+                    if (b >> i & 1 and not b >> j & 1
+                            and b ^ 1 << i | 1 << j in m.bases_masks):
+                        parent[find(i)] = find(j)
+    blocks = Counter()
+    for e in range(n):
+        blocks[find(e)] |= 1 << e
+    return sorted(blocks.values())
+
+
+def test_fundamental_graph_blocks_match_all_exchange_edges():
+    flags = flag_corpus()
+    split = 0
+    for fm in flags:
+        blocks = invariants._flag_blocks(fm)
+        assert sorted(blocks) == _exchange_partition(fm), fm
+        split += len(blocks) > 1
+    assert split == 825
+
+
+def test_split_values_equal_whole_values(monkeypatch):
+    # every disconnected corpus flag, in all three numerator modes, against
+    # the same flag computed whole by a split that never splits
+    flags = [fm for fm in flag_corpus()
+             if len(invariants._flag_blocks(fm)) > 1]
+    assert len(flags) == 825
+    modes = ("kt", "h", "h_lv")
+    invariants._VALUE_CACHE.clear()
+    try:
+        split = [invariants._localization_value(fm, mode)
+                 for fm in flags for mode in modes]
+        invariants._VALUE_CACHE.clear()
+        monkeypatch.setattr(invariants, "_flag_blocks",
+                            lambda fm: [(1 << fm.n) - 1])
+        whole = [invariants._localization_value(fm, mode)
+                 for fm in flags for mode in modes]
+    finally:
+        invariants._VALUE_CACHE.clear()
+    labels = [(fm, mode) for fm in flags for mode in modes]
+    for label, a, b in zip(labels, split, whole):
+        assert a == b, label
+
+
+def test_kt_of_larger_direct_sums():
+    invariants._VALUE_CACHE.clear()
+    m = U(2, 5).direct_sum(U(2, 5)).direct_sum(U(2, 5))
+    t0 = time.perf_counter()
+    got = kt(flag(m))
+    assert time.perf_counter() - t0 < 1.0
+    assert got == tutte(m)
+    m1 = U(1, 5).direct_sum(U(1, 5))
+    m2 = U(3, 5).direct_sum(U(3, 5))
+    t0 = time.perf_counter()
+    got = kt(flag(m1, m2))
+    assert time.perf_counter() - t0 < 1.0
+    assert got.evaluate({"x": 2, "y": 2}) == 2 ** 10 * len(
+        pseudo_basis_masks(m1, m2))
+
+
 def test_flags_whose_cells_have_no_rays():
     assert kt(flag(U(0, 0))).canonical_str() == "1"
     assert kt(flag(U(0, 1))).canonical_str() == "y"
@@ -670,9 +745,11 @@ def test_flag_numerator_matches_subset_oracle():
 
 
 def test_numerator_is_built_once_per_flag():
-    # the numerator depends only on (mode, r1, rk - r1, n - rk): the 1,200
-    # corpus flags need 83 builds for kt, and the 914 equivariant ones reuse
-    # them
+    # the numerator depends only on (mode, r1, rk - r1, n - rk): kt builds
+    # it only for connected flags and the blocks of disconnected ones, 68
+    # builds over the 1,200 corpus flags, and the 914 equivariant ones, which
+    # are not split, add the 5 slot counts of whole flags that kt no longer
+    # needs
     flags = flag_corpus()
     equivariant = [fm for fm in flags if fm.ranks[0] >= 1]
     assert len(flags) == 1200 and len(equivariant) == 914
@@ -684,10 +761,11 @@ def test_numerator_is_built_once_per_flag():
         for fm in flags:
             kt(fm)
         info = invariants._numerator.cache_info()
-        assert info.misses == info.currsize == 83
+        assert info.misses == info.currsize == 68
         for fm in equivariant:
             kt_equivariant(fm)
-        assert invariants._numerator.cache_info().misses == 83
+        info = invariants._numerator.cache_info()
+        assert info.misses == info.currsize == 73
         steps, cls, vals, _ = invariants._numerator("kt", (2, 1, 3))
         assert not (steps.flags.writeable or cls.flags.writeable
                     or vals.flags.writeable)
