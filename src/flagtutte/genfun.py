@@ -22,9 +22,10 @@ cells decode straight into integer coefficients over the common
 denominator (support_pure, a per-point crawl, remains for other rays and as
 the test reference).  _specialize_t1 sets t -> 1 in one array pass over
 all cells: it takes per-cell arrays (open flags, sign, numerator index)
-and a callback pairing every ray and numerator apex with a weight, and
-substitutes t_i = z^(c_i) with exact division by the (1 - z^d) factors,
-one integer per class; evaluate_t1 feeds it the distinct cones of a GenFun.
+and a callback pairing every ray and numerator apex with a weight,
+substitutes t_i = z^(c_i) and reads the value at z = 1 off the Laurent
+expansion at z = e^s modulo primes, one integer per class by CRT;
+evaluate_t1 feeds it the distinct cones of a GenFun.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate
+from math import comb, factorial, gcd, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -672,59 +675,95 @@ def _check_width(bound):
             "kernel arithmetic needs integers beyond int64 (bound %d)" % bound)
 
 
-def _divide_series(num, d, times, bound):
-    """The power series num / (1 - z^d)^times on at least the rows of num.
+_PRIMES = []
 
-    num holds dense rows over ascending z-powers; each division is one
-    running sum over each residue class mod d, exact on every row kept.
-    bound is at least max |num|; returns the series rows and a bound on
-    them, and raises GroundSetTooLarge before a running sum could leave
-    int64.
+
+def _prime(i):
+    """The i-th largest prime below 2^21, counting from 0."""
+    while len(_PRIMES) <= i:
+        p = (_PRIMES[-1] if _PRIMES else 1 << 21) - 1
+        while any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            p -= 1
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
+@lru_cache(maxsize=1024)
+def _prime_tables(p, order):
+    """Mod p: lambda_1..lambda_order, then 1/m and 1/m! for m = 0..order.
+
+    lambda_m is the coefficient of x^m in log(x / (e^x - 1)): lambda_1 =
+    -1/2 and lambda_m = -B_m / (m m!) beyond, B_m the Bernoulli numbers.
     """
-    cols = num.shape[1]
-    blocks = np.zeros((-(-len(num) // d), d, cols), dtype=np.int64)
-    blocks.reshape(-1, cols)[:len(num)] = num
-    for _ in range(times):
-        if bound * len(blocks) > _INT64_MAX:
-            bound = int(np.abs(blocks).max(initial=0))
-        bound *= len(blocks)
-        _check_width(bound)
-        np.cumsum(blocks, axis=0, out=blocks)
-    return blocks.reshape(-1, cols), bound
+    bern = [Fraction(1)]
+    for m in range(1, order + 1):
+        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    lam = [Fraction(-1, 2)] + [-bern[m] / (m * factorial(m))
+                               for m in range(2, order + 1)]
+    inv = [1] + [pow(m, -1, p) for m in range(1, order + 1)]
+    return ([f.numerator * pow(f.denominator, -1, p) % p
+             for f in lam[:order]], inv,
+            list(accumulate(inv, lambda a, b: a * b % p)))
 
 
-_T1_ENTRIES = 1 << 16
+@lru_cache(maxsize=4096)
+def _slot_series(p, order, d):
+    """1 / d, then lambda_m d^m for m = 1..order, mod p (1, 0, ... at d = 0)."""
+    if not d:
+        return (1,) + (0,) * order
+    return (pow(d, -1, p),) + tuple(
+        lam * pow(d, m, p) % p
+        for m, lam in enumerate(_prime_tables(p, order)[0], 1))
+
+
+@lru_cache(maxsize=64)
+def _power_table(p, length, order):
+    """e^m / m! mod p, e = 0..length-1 by rows, m = 0..order by columns."""
+    e = np.arange(length, dtype=np.int64) % p
+    out = np.ones((length, order + 1), dtype=np.int64)
+    for m in range(1, order + 1):
+        out[:, m] = out[:, m - 1] * e % p
+    out = out * _prime_tables(p, order)[2] % p
+    out.setflags(write=False)
+    return out
 
 
 def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
                    seed=0):
     """The t -> 1 value of a signed sum of cone kernels, one integer per class.
 
-    The sum has C half-open cells at the origin, each of d rays (fewer when
-    padded), and K numerators.  Cell c has open flags opens[c], sign
-    signs[c] (+-1, broadcast) and numerator owner[c]; numerator k is
-    sum_r vals[k, r] * t^(a_kr) in class cls[k, r], where cls and vals are
-    K x R, or of length R when every numerator shares them.  at_weight(w),
-    for an int64 weight w, returns None when some ray pairs to zero, else
-    the (C x d) pairings w . ray (0 in a padding slot) and the (K x R)
-    exponents w . a_kr.  The first weight candidate that at_weight accepts
-    substitutes t_i = z^(w_i), so cell c contributes
-    signs[c] * z^(shift_c) * N_owner[c](z) / prod_j (1 - z^(d_cj)) with every
-    d_cj = |w . ray| > 0 and shift_c the sum of its open d_cj (a ray pairing
-    to -m reverses: 1 / (1 - z^-m) = -z^m / (1 - z^m)).
+    C cells at the origin of D ray slots each share K numerators: cell c has
+    open flags opens[c], sign signs[c] (+-1, broadcast) and numerator
+    owner[c] (ascending, each numerator owning a cell), and numerator k is
+    sum_r vals[k, r] t^(a_kr) in class cls[k, r] (K x R, or length R when
+    shared).  at_weight(w), for an int64 weight w, returns None when a ray
+    pairs to zero, else the (C x D) pairings w . ray (0 in a padding slot),
+    the (K x R) exponents w . a_kr (fresh arrays, overwritten here) and the
+    number of lattice points in the box of all apexes a_kr.  The first
+    weight accepted substitutes t_i = z^(w_i): cell c is signs[c] z^shift
+    N_k(z) / prod_j (1 - z^d_j) with d_j = |w . ray| > 0 and shift the sum
+    of its open d_j (1 / (1 - z^-d) = -z^d / (1 - z^d) reverses a ray).
 
-    Cells are grouped by their denominator multiset; over the common
-    denominator D, group g lacks the factors M_g = D / prod_g, built for all
-    groups at once one factor at a time.  Per numerator k the signed, shifted
-    M_g of its cells add up to one polynomial Q_k in z (scattered at most
-    _T1_ENTRIES entries at a time).  The numerator over D is sum_k N_k Q_k:
-    one product per block of z-powers of N, in float64 when every partial
-    sum stays below 2^53 (so exactly) and in int64 otherwise.  Dividing it
-    by each (1 - z^d) as a power series is exact, and the quotient must end
-    where the numerator's degree minus deg D says (else NonCancellingPole);
-    the value at z = 1 is then the column sum.  Every class's sum must be a
-    Laurent polynomial on its own.  Raises GroundSetTooLarge before any
-    step whose numbers could leave int64.
+    At z = e^s, 1 / (1 - e^x) = -B(x) / x with B(x) = x / (e^x - 1), as in
+    Barvinok (1994) and LattE (De Loera et al. 2004), so a cell of dim rays
+    is signs[c] (-1)^dim / prod_j d_j s^-dim F(s) N_k(e^s), F = exp(shift s
+    + sum_m lambda_m p_m s^m) with lambda_m the coefficients of log B and
+    p_m = sum_j d_j^m, by m F_m = sum_k k L_k F_(m-k) once per denominator
+    multiset and shift.  One np.add.reduceat sums each numerator's cells to
+    a series G_k from s^-D, and N_k(e^s) = sum_m s^m sum_e N_k[e] e^m / m!
+    over the dense N on the z-range.  Per class, sum_k G_k N_k(e^s) has no
+    s^-j term (else NonCancellingPole) and its s^0 term is the value.
+
+    All runs modulo primes below 2^21 dividing no d_j (lambda_m and m! have
+    none above D + 1); CRT recovers the values.  The primes' product exceeds
+    twice a proven bound: each class is a Laurent polynomial supported in
+    the apexes' convex hull (flip every cell along any linear functional),
+    so in their box, with coefficients of at most sum_k cells_k mass_k,
+    mass_k = sum_r |vals[k, r]|.  A value past box points times that sum is
+    no Laurent polynomial's (NonCancellingPole).  int64 needs no running
+    bound: factors are residues below 2^21, and each sum of products runs
+    over at most D + 1 orders, the cells of a numerator or its rows, fewer
+    than 2^21 of them (else GroundSetTooLarge).
     """
     if len(opens) == 0:
         return [0] * n_cls
@@ -734,99 +773,96 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
             break
     else:
         raise DegenerateWeights("no generic weight vector found")
-    dots, z = found
-    K, C = len(z), len(dots)
+    dots, z, points = found
+    K, (C, D) = len(z), dots.shape
+    if z.shape[1] >> 21:
+        raise GroundSetTooLarge("numerators of %d rows" % z.shape[1])
     flipped = dots < 0
     dens = np.abs(dots)
     shift = (dens * (opens ^ flipped)).sum(axis=1)
-    signs = np.where(flipped.sum(axis=1) & 1, -signs, signs)
-
+    signs = np.where((flipped.sum(axis=1) + (dens > 0).sum(axis=1)) & 1,
+                     -signs, signs)
+    # per group of cells sharing F, slot j has the di[g, j]-th distinct d
     dens.sort(axis=1)
-    group, first = _row_ranks(dens)
-    keys = dens[first]
-    factors = np.flatnonzero(np.bincount(keys.ravel()))
-    factors = factors[factors > 0]
-    have = (keys[:, :, None] == factors).sum(axis=1)
-    target = have.max(axis=0)
-    lacking = target - have
-    # int64 sums of |vals| are exact below this
-    _check_width(int(np.abs(vals).max(initial=0)) * vals.shape[-1])
-    mass = np.abs(vals).sum(axis=-1)
-    if vals.ndim == 1:
-        bound = C * int(mass)
-    else:
-        bound = sum(c * m for c, m in zip(
-            np.bincount(owner, minlength=K).tolist(), mass.tolist()))
-    bound <<= int(lacking.sum(axis=1).max())
-    _check_width(bound)
+    group, first = _row_ranks(np.column_stack([dens, shift]))
+    dens, shift = dens[first], shift[first]
+    ds = np.unique(dens)
+    di = np.searchsorted(ds, dens)
 
-    # M_g, one dense row per group: at most 2^(lacking factors) in 1-norm
-    deg = int(factors @ target)
-    M = np.zeros((len(keys), deg + 1), dtype=np.int64)
-    M[:, 0] = 1
-    for d, want, lack in zip(factors.tolist(), target.tolist(), lacking.T):
-        for m in range(want):
-            rows = lack > m
-            M[rows, d:] -= M[rows, :-d]
+    rows = np.abs(np.atleast_2d(vals)).tolist()
+    counts = [C] if vals.ndim == 1 else np.bincount(owner).tolist()
+    bound = int(points) * sum(c * sum(r) for c, r in zip(counts, rows))
+    primes, modulus, i = [], 1, 0
+    while not primes or modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        if all(d % p for d in ds.tolist() if d):
+            primes.append(p)
+            modulus *= p
+    P = len(primes)
+    pr = np.array(primes, dtype=np.int64)
 
-    width = int(shift.max()) + deg + 1
-    Q = np.zeros(K * width, dtype=np.int64)
-    step = max(1, _T1_ENTRIES // (deg + 1))
-    for a in range(0, C, step):
-        part = slice(a, a + step)
-        at = (owner[part] * width + shift[part])[:, None] + np.arange(deg + 1)
-        np.add.at(Q, at.ravel(), (signs[part, None] * M[group[part]]).ravel())
-    Q = Q.reshape(K, width)
+    # per group, slot and prime: 1 / d and the lambda_m d^m of the slot
+    slot = np.array([[_slot_series(p, D, d) for p in primes]
+                     for d in ds.tolist()], dtype=np.int64)
+    F = np.ones((len(dens), P, D + 1), dtype=np.int64)
+    L = np.zeros((len(dens), P, D), dtype=np.int64)
+    for j in range(D):
+        L += slot[di[:, j], :, 1:]
+        F[..., 0] = F[..., 0] * slot[di[:, j], :, 0] % pr
+    L[..., :1] += shift[:, None, None]
+    L = L % pr[:, None] * np.arange(1, D + 1) % pr[:, None]
+    inv = np.array([_prime_tables(p, D)[1] for p in primes], dtype=np.int64)
+    for m in range(1, D + 1):
+        F[..., m] = ((L[..., :m] * F[..., m - 1::-1]).sum(axis=-1) % pr
+                     * inv[:, m] % pr)
+    if D and not dens[:, 0].all():
+        # a padded group of dim < D rays starts D - dim orders late
+        at = np.arange(D + 1) - D + (dens > 0).sum(axis=1)[:, None]
+        F = np.where(at[:, None] >= 0, np.take_along_axis(
+            F, np.maximum(at, 0)[:, None], axis=2), 0)
+    F = F.reshape(len(F), -1)[group]
+    F *= signs[:, None]
+    G = np.add.reduceat(F, np.searchsorted(owner, np.arange(K)))
+    del F
+    # G_k as Toeplitz matrices: order j of N_k(e^s) lands on order i
+    gap = np.arange(D + 1) - np.arange(D + 1)[:, None]
+    G = np.where(gap >= 0, (G.reshape(K, P, D + 1) % pr[:, None])[
+        ..., np.maximum(gap, 0)], 0)
 
-    low = int(z.min())
-    length = int(z.max()) - low + 1
-    N = np.zeros(K * length * n_cls, dtype=np.int64)
-    at = (np.arange(K)[:, None] * length + z - low) * n_cls + cls
-    np.add.at(N, at.ravel(), np.tile(vals, K) if vals.ndim == 1
-              else vals.ravel())
-    N = N.reshape(K, length, n_cls)
-    # float64 products go through BLAS; integer matmul does not
-    dtype = np.float64 if bound < 1 << 53 else np.int64
-    QT = Q.T.astype(dtype)
-    total = np.zeros((length + width - 1) * n_cls, dtype=np.int64)
-    block = max(1, _T1_ENTRIES // (width * n_cls))
-    for t0 in range(0, length, block):
-        Nb = N[:, t0:t0 + block]
-        prod = (QT @ Nb.reshape(K, -1).astype(dtype)).astype(np.int64)
-        # power q of Q_k times power t of N_k lands on power q + t
-        at = np.arange(width)[:, None] + np.arange(t0, t0 + Nb.shape[1])
-        np.add.at(total, (at[:, :, None] * n_cls + np.arange(n_cls)).ravel(),
-                  prod.ravel())
-    total = total.reshape(-1, n_cls)
-
-    # the series total / D is computed exactly on at least len(total) rows,
-    # so it is a polynomial iff it vanishes from power len(total) - deg D on
-    nz = np.flatnonzero(total.any(axis=1))
-    if len(nz) == 0:
-        return [0] * n_cls
-    total = total[nz[0]:nz[-1] + 1]
-    top = len(total) - deg
-    for d, want in zip(factors.tolist(), target.tolist()):
-        total, bound = _divide_series(total, d, want, bound)
-    if top <= 0 or total[top:].any():
+    # z becomes the flat index of each numerator row in N, K x z-range x
+    # classes; the common factor z^low is 1 at z = 1 and moves no pole
+    low, length = int(z.min()), int(np.ptp(z)) + 1
+    z += (np.arange(K) * length - low)[:, None]
+    z *= n_cls
+    z += cls
+    N = np.empty(K * length * n_cls, dtype=np.int64)
+    total = np.empty((P, n_cls, D + 1), dtype=np.int64)
+    for q, p in enumerate(primes):
+        N.fill(0)
+        np.add.at(N, z.ravel(), np.broadcast_to(vals % p, z.shape).ravel())
+        S = (N.reshape(K, length, n_cls).transpose(0, 2, 1)
+             @ _power_table(p, length, D) % p)
+        total[q] = (S @ G[:, q] % p).sum(axis=0) % p
+    if total[..., :D].any():
         raise NonCancellingPole("the denominator factors (1 - z^d) do not "
                                 "divide the numerator")
-    total = total[:top]
-    if bound * top > _INT64_MAX:
-        bound = int(np.abs(total).max())
-    _check_width(bound * top)
-    return [int(x) for x in total.sum(axis=0)]
+    crt = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    out = [(sum(map(mul, res, crt)) + modulus // 2) % modulus - modulus // 2
+           for res in total[..., D].T.tolist()]
+    if any(abs(x) > bound for x in out):
+        raise NonCancellingPole("the t -> 1 value exceeds its bound")
+    return out
 
 
 def evaluate_t1(g, seed=0):
     """The specialization t_i -> 1 of a Laurent-polynomial GenFun.
 
     Substitutes t_i = z^(c_i) for a deterministic generic integer weight
-    vector, combines the per-term rational functions over a common
-    denominator of (1 - z^d) factors, divides the numerator exactly and
-    reads off the value at z = 1 (see _specialize_t1).  Each distinct cone
-    is one cell with its own numerator; cells of fewer rays are padded with
-    slots that pair to 0.
+    vector and reads off the value at z = 1 from the Laurent expansion of
+    the per-term rational functions at z = e^s (see _specialize_t1).  Each
+    distinct cone is one cell with its own numerator; cells of fewer rays
+    are padded with slots that pair to 0.
     """
     kernels, vars_, classes, den = _genfun_kernels(g)
     ids = {}
@@ -837,15 +873,17 @@ def evaluate_t1(g, seed=0):
     slots = np.array([s + [len(ids)] * (dim - len(s)) for s in slots],
                      dtype=np.intp).reshape(K, dim)
     opens = np.zeros((K, dim), dtype=bool)
+    # padding rows repeat a kernel's first apex with multiplicity 0
+    A = np.zeros((K, rows, g.n), dtype=np.int64)
     cls = np.zeros((K, rows), dtype=np.int64)
     vals = np.zeros((K, rows), dtype=np.int64)
-    for c, (_, flags, _, A, kcls, kvals) in enumerate(kernels):
+    for c, (_, flags, _, kA, kcls, kvals) in enumerate(kernels):
         opens[c, :len(flags)] = flags
-        cls[c, :len(A)] = kcls
-        vals[c, :len(A)] = kvals
+        A[c], A[c, :len(kA)] = kA[0], kA
+        cls[c, :len(kA)] = kcls
+        vals[c, :len(kA)] = kvals
     rays = np.array(list(ids), dtype=np.int64).reshape(len(ids), g.n)
-    top = max([int(np.abs(rays).max(initial=0))]
-              + [int(np.abs(k[3]).max()) for k in kernels])
+    top = int(max(np.abs(rays).max(initial=0), np.abs(A).max(initial=0)))
 
     def at_weight(w):
         # every pairing w . v below stays within int64
@@ -853,12 +891,8 @@ def evaluate_t1(g, seed=0):
         dots = rays @ w
         if not dots.all():
             return None
-        z = np.zeros((K, rows), dtype=np.int64)
-        for c, kernel in enumerate(kernels):
-            zc = kernel[3] @ w
-            z[c] = zc[0]
-            z[c, :len(zc)] = zc
-        return np.append(dots, 0)[slots], z
+        points = prod((np.ptp(A, axis=(0, 1)) + 1).tolist())
+        return np.append(dots, 0)[slots], A @ w, points
 
     values = _specialize_t1(g.n, at_weight, opens,
                             np.array([k[2] for k in kernels], dtype=np.int64),

@@ -25,7 +25,7 @@ import hashlib
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -349,44 +349,37 @@ def _flag_blocks(fm):
     B - i + j is a basis; a loop or a coloop is a block of its own.
     """
     n = fm.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    block = [1 << e for e in range(n)]
     for m in fm.constituents:
         bases = m.bases_masks
         b = next(iter(bases))
-        inside = [i for i in range(n) if b >> i & 1]
-        outside = [j for j in range(n) if not b >> j & 1]
-        for i in inside:
-            rest = b ^ 1 << i
-            for j in outside:
-                if rest | 1 << j in bases:
-                    parent[find(i)] = find(j)
-    blocks = {}
-    for e in range(n):
-        root = find(e)
-        blocks[root] = blocks.get(root, 0) | 1 << e
-    return list(blocks.values())
+        for i in [i for i in range(n) if b >> i & 1]:
+            for j in range(n):
+                # i's own block holds i, and B - i + j is no basis for j in B
+                if not block[i] >> j & 1 and b ^ 1 << i | 1 << j in bases:
+                    merged = block[i] | block[j]
+                    for e in range(n):
+                        if merged >> e & 1:
+                            block[e] = merged
+    return list(dict.fromkeys(block))
 
 
 def _restrict(fm, s):
-    """The flag of the restrictions to a block s of _flag_blocks.
+    """FlagMatroid.key() of the flag of the restrictions to a block s.
 
     The bases of a restriction to a separator are the sets B & s, relabelled
     by bit position, and restricted to a separator a quotient chain stays
-    one, so nothing is re-validated.
+    one, so _flag_of_key builds the flag without re-validating it.
     """
     pos = [i for i in range(fm.n) if s >> i & 1]
-    return FlagMatroid(tuple(
-        Matroid(len(pos), [sum((b >> p & 1) << i for i, p in enumerate(pos))
-                           for b in {b & s for b in m.bases_masks}],
-                _trusted=True)
-        for m in fm.constituents), _trusted=True)
+    return tuple((len(pos), tuple(sorted(
+        sum((b >> p & 1) << i for i, p in enumerate(pos))
+        for b in {b & s for b in m.bases_masks}))) for m in fm.constituents)
+
+
+def _flag_of_key(key):
+    return FlagMatroid(tuple(Matroid(n, bases, _trusted=True)
+                             for n, bases in key), _trusted=True)
 
 
 def _multiply_terms(a, b):
@@ -403,44 +396,60 @@ def _localization_value(fm, mode, seed=0):
     """The t -> 1 value of a localization sum, as a polynomial in u and v.
 
     The sum is multiplicative over a direct sum, so a flag of several blocks
-    (_flag_blocks) is the integer product of its blocks' values, each
-    computed and memoized as a flag of its own.  A flag of one block is
-    one pass of _specialize_t1 over the arrays of _flag_cells: the pairings
-    of all rays with the weight are w[head] - w[tail], and the z-exponents
-    of all flag bases' numerator rows are one product of the shared slot
-    steps with the weight gathered in each basis's slot order.
+    (_flag_blocks) is the integer product of its blocks' values.  Flags and
+    blocks share _VALUE_CACHE; a block is keyed by _restrict and built as a
+    flag of its own only on a miss.
     """
     key = (fm.key(), mode, seed)
     hit = _VALUE_CACHE.lookup(key)
     if hit is not None:
         return hit
     blocks = _flag_blocks(fm)
-    if len(blocks) > 1:
+    if len(blocks) == 1:
+        result = _connected_value(fm, mode, seed)
+    else:
         terms = {(0, 0): 1}
         for s in blocks:
-            part = _localization_value(_restrict(fm, s), mode, seed).terms
+            block = (_restrict(fm, s), mode, seed)
+            part = _VALUE_CACHE.lookup(block)
+            if part is None:
+                part = _connected_value(_flag_of_key(block[0]), mode, seed)
+                _VALUE_CACHE.store(block, part)
             terms = _multiply_terms(
-                terms, {e: c.numerator for e, c in part.items()})
-    else:
-        cells = _flag_cells(fm)
-        steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
-
-        def at_weight(w):
-            dots = w[cells.heads] - w[cells.tails]
-            if not dots.all():
-                return None
-            z = w[cells.slots] @ steps.T
-            if mode == "kt":
-                z += (cells.levels @ w)[:, None]
-            return dots, z
-
-        values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
-                                cls, vals, len(classes), seed)
-        terms = dict(zip(classes, values))
-    result = AuxPolynomial._trusted(
-        ("u", "v"), {e: Fraction(c) for e, c in terms.items() if c})
+                terms, {e: c.numerator for e, c in part.terms.items()})
+        result = AuxPolynomial._trusted(
+            ("u", "v"), {e: Fraction(c) for e, c in terms.items() if c})
     _VALUE_CACHE.store(key, result)
     return result
+
+
+def _connected_value(fm, mode, seed):
+    """The t -> 1 value of a flag of one block.
+
+    One pass of _specialize_t1 over the arrays of _flag_cells: the pairings
+    of all rays with the weight are w[head] - w[tail], and the z-exponents
+    of all flag bases' numerator rows are one product of the shared slot
+    steps with the weight gathered in each basis's slot order.
+    """
+    cells = _flag_cells(fm)
+    steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
+    levels = (mode == "kt") * cells.levels
+    # the apex box: coordinate i of a basis takes the steps of its slot
+    rank = np.argsort(cells.slots, axis=1)
+    los = steps.min(axis=0)[rank] + levels
+    his = steps.max(axis=0)[rank] + levels
+    points = prod((his.max(axis=0) - los.min(axis=0) + 1).tolist())
+
+    def at_weight(w):
+        dots = w[cells.heads] - w[cells.tails]
+        if not dots.all():
+            return None
+        return dots, w[cells.slots] @ steps.T + (levels @ w)[:, None], points
+
+    values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
+                            cls, vals, len(classes), seed)
+    return AuxPolynomial._trusted(
+        ("u", "v"), {e: Fraction(c) for e, c in zip(classes, values) if c})
 
 
 def kt(fm):

@@ -25,7 +25,7 @@ from .errors import (
     GroundSetTooLarge, InputError, InvalidRank, NotAMatroid,
     NotAQuotientChain, NotNested,
 )
-from .linalg import matrix_rank
+from .linalg import forest_rank, matrix_rank
 
 MAX_GROUND = 64
 RANK_TABLE_MAX = 24
@@ -93,13 +93,8 @@ class Matroid:
             raise InvalidRank("need 0 <= r <= n, got r=%d n=%d" % (r, n))
         if n > MAX_GROUND:
             raise GroundSetTooLarge("ground set larger than %d" % MAX_GROUND)
-        masks = []
-        for combo in combinations(range(n), r):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
-        return cls(n, masks, _trusted=True)
+        return cls(n, [sum(1 << i for i in combo)
+                       for combo in combinations(range(n), r)], _trusted=True)
 
     @classmethod
     def from_matrix(cls, rows):
@@ -113,14 +108,10 @@ class Matroid:
             raise GroundSetTooLarge("ground set larger than %d" % MAX_GROUND)
         cols = [tuple(row[j] for row in rows) for j in range(n)]
         r = matrix_rank(rows)
-        masks = []
-        for combo in combinations(range(n), r):
-            if matrix_rank([cols[j] for j in combo]) == r:
-                m = 0
-                for j in combo:
-                    m |= 1 << j
-                masks.append(m)
-        return cls(n, masks, _trusted=True)
+        return cls(n, [sum(1 << j for j in combo)
+                       for combo in combinations(range(n), r)
+                       if matrix_rank([cols[j] for j in combo]) == r],
+                   _trusted=True)
 
     @classmethod
     def graphic(cls, edges, n_vertices=None):
@@ -133,48 +124,11 @@ class Matroid:
         if n_vertices is not None:
             nv = max(nv, int(n_vertices))
         n = len(edges)
-
-        def forest_size(mask):
-            parent = list(range(nv + 1))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            size = 0
-            for i in _bits(mask):
-                u, v = edges[i]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return -1
-                parent[ru] = rv
-                size += 1
-            return size
-
-        r = 0
-        parent = list(range(nv + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        masks = []
-        for combo in combinations(range(n), r):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            if forest_size(m) == r:
-                masks.append(m)
-        return cls(n, masks, _trusted=True)
+        r = forest_rank(edges, nv + 1)
+        return cls(n, [sum(1 << i for i in combo)
+                       for combo in combinations(range(n), r)
+                       if forest_rank([edges[i] for i in combo], nv + 1) == r],
+                   _trusted=True)
 
     # -------------------------------------------------------------- validation
 

@@ -17,7 +17,7 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        GenFun, GenFunTerm, HalfOpenSimplicialCone, Matroid,
                        brion_series, coefficient_at, cone_membership,
                        default_direction, evaluate_t1, flag, flag_corpus,
-                       flip_cone, kt, kt_equivariant, slice_genfun, support,
+                       flip_cone, kt_equivariant, slice_genfun, support,
                        tangent_cone_generators, triangulate_half_open)
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
@@ -218,33 +218,41 @@ def _one_ray_cells(cells):
                                for c in zip(*cells))
 
     def at_weight(w):
-        return ray[:, None] * w, apex[:, None] * w
+        return ray[:, None] * w, apex[:, None] * w, int(np.ptp(apex)) + 1
 
     return _specialize_t1(1, at_weight, is_open[:, None].astype(bool), 1,
                           np.arange(len(cells)), 0, val[:, None], 1)
 
 
-def test_specialize_t1_rejects_numbers_beyond_int64():
-    # [x >= 0] - [x in 2N] - [x in 1 + 2N] = 0, over the common denominator
-    # (1 - z)(1 - z^2), where raising each group doubles its bound
+def test_specialize_t1_is_exact_beyond_int64():
+    # [x >= 0] - [x in 2N] - [x in 1 + 2N] = 0 at every scale
     def parity_split(m):
         return [(0, 1, False, m), (0, 2, False, -m), (1, 2, False, -m)]
 
     assert _one_ray_cells(parity_split(1)) == [0]
-    with pytest.raises(GroundSetTooLarge):
-        _one_ray_cells(parity_split(2 ** 62))
-    # [x >= 0] - [x >= 1] = [x = 0]: one group, but the running sums of the
-    # division are bounded only by rows * 2^62
+    assert _one_ray_cells(parity_split(2 ** 62)) == [0]
+    # [x >= 0] - [x >= 1] = [x = 0]
     def point(m):
         return [(0, 1, False, m), (0, 1, True, -m)]
 
+    assert _one_ray_cells(point(0)) == [0]
     assert _one_ray_cells(point(3)) == [3]
-    # bounds of 2^53 and more take the int64 product: float64 would round
-    # 2^53 + 1
     assert _one_ray_cells(point(2 ** 52)) == [2 ** 52]
     assert _one_ray_cells(point(2 ** 53 + 1)) == [2 ** 53 + 1]
-    with pytest.raises(GroundSetTooLarge):
-        _one_ray_cells(point(2 ** 62))
+    assert _one_ray_cells(point(2 ** 62)) == [2 ** 62]
+    # cells whose values sum past int64, both ways
+    assert _one_ray_cells(point(2 ** 62) * 2) == [2 ** 63]
+    assert _one_ray_cells(point(-(2 ** 63 - 1)) * 3) == [-3 * (2 ** 63 - 1)]
+
+
+def test_specialize_t1_rejects_poles():
+    # m [x >= 0] is a series, not a Laurent polynomial
+    with pytest.raises(NonCancellingPole):
+        _one_ray_cells([(0, 1, False, 5)])
+    # 2 / (1 - z^2) - 1 / (1 - z) = 1 / (1 + z): no pole at z = 1, but its
+    # "value" 1/2 lands far beyond the bound of 3
+    with pytest.raises(NonCancellingPole):
+        _one_ray_cells([(0, 2, False, 2), (0, 1, False, -1)])
 
 
 # ----------------------------------------------------------- Brion series
@@ -495,20 +503,6 @@ def test_one_basis_per_pass_is_byte_identical(monkeypatch):
         assert [kt_equivariant(fm).canonical_str() for fm in flags] == want
     finally:
         invariants._SUPPORT_CACHE.clear()
-
-
-def test_smallest_t1_chunks_are_byte_identical(monkeypatch):
-    # one cell per scatter chunk and one z-power per product block
-    flags = [flag(U(4, 9)), flag(U(2, 7), U(4, 7)),
-             flag(U(1, 5), U(2, 5), U(3, 5))] + flag_corpus()[::10]
-    invariants._VALUE_CACHE.clear()
-    want = [kt(fm).canonical_str() for fm in flags]
-    invariants._VALUE_CACHE.clear()
-    monkeypatch.setattr(genfun, "_T1_ENTRIES", 1)
-    try:
-        assert [kt(fm).canonical_str() for fm in flags] == want
-    finally:
-        invariants._VALUE_CACHE.clear()
 
 
 # ------------------------------------------- equivariant polynomial algebra

@@ -438,6 +438,13 @@ def test_kt_golden_digests_of_larger_flags():
         assert got == want, fm
 
 
+def test_kt_of_a_flag_past_the_former_int64_ceiling():
+    # the z-domain core needed integers past int64 here and raised
+    # GroundSetTooLarge; the expansion at z = e^s modulo primes does not
+    m = U(5, 12)
+    assert kt(flag(m)) == tutte(m)
+
+
 def test_t1_values_match_the_support_route():
     # the specialization core against the full equivariant support summed
     # over t, an independent route, in all three numerator modes

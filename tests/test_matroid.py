@@ -4,6 +4,7 @@ Oracle helpers recompute ranks, exchange validity, and quotient relations by
 brute force, independently of the library code paths under test.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from flagtutte import (FlagMatroid, GroundSetTooLarge, InvalidRank, Matroid,
                        is_quotient, pseudo_basis_masks, pseudo_bases)
 from flagtutte.errors import (EmptyBases, EmptyMatrix, GroundSetExhausted,
                               GroundSetMismatch)
-from flagtutte.corpus import matroid_corpus
+from flagtutte.corpus import _K4_EDGES, _cycle_edges, matroid_corpus
 from flagtutte.matroid import RANK_TABLE_MAX, _mask_of, _set_of, rank_table
 
 U = Matroid.uniform
@@ -133,6 +134,24 @@ def test_graphic_examples():
     assert len(k4.bases_masks) == 16  # spanning trees of K4
     path = Matroid.graphic([(1, 2), (1, 3)])
     assert path == U(2, 2)
+
+
+def test_graphic_keys_of_the_corpus_graphs():
+    # every edge subset of K4 and the 5- and 6-cycles: the keys match the
+    # signed incidence matrix's matroid and a digest of the keys of the
+    # former constructor, which ran its own union-finds
+    graphs = [([e for i, e in enumerate(_K4_EDGES) if mask >> i & 1], 4)
+              for mask in range(1, 1 << len(_K4_EDGES))]
+    graphs += [(_cycle_edges(5), None), (_cycle_edges(6), None)]
+    h = hashlib.sha256()
+    for edges, nv in graphs:
+        m = Matroid.graphic(edges, n_vertices=nv)
+        rows = [[(v == b) - (v == a) for a, b in edges]
+                for v in range(1, (nv or len(edges)) + 1)]
+        assert m.key() == Matroid.from_matrix(rows).key(), edges
+        h.update(repr(m.key()).encode())
+    assert h.hexdigest() == (
+        "f076fca75a977f4334617bb6dfbdbcfb8bddddd53d74ec886b1ecb7f72c86478")
 
 
 def test_ground_set_limits():
