@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
@@ -688,12 +688,14 @@ def _prime(i):
     return _PRIMES[i]
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _prime_tables(p, order):
     """Mod p: lambda_1..lambda_order, then 1/m and 1/m! for m = 0..order.
 
     lambda_m is the coefficient of x^m in log(x / (e^x - 1)): lambda_1 =
     -1/2 and lambda_m = -B_m / (m m!) beyond, B_m the Bernoulli numbers.
+    The keys are the few primes in use times the orders up to a flag's ray
+    count, so the memo needs no bound.
     """
     bern = [Fraction(1)]
     for m in range(1, order + 1):
@@ -704,28 +706,6 @@ def _prime_tables(p, order):
     return ([f.numerator * pow(f.denominator, -1, p) % p
              for f in lam[:order]], inv,
             list(accumulate(inv, lambda a, b: a * b % p)))
-
-
-@lru_cache(maxsize=4096)
-def _slot_series(p, order, d):
-    """1 / d, then lambda_m d^m for m = 1..order, mod p (1, 0, ... at d = 0)."""
-    if not d:
-        return (1,) + (0,) * order
-    return (pow(d, -1, p),) + tuple(
-        lam * pow(d, m, p) % p
-        for m, lam in enumerate(_prime_tables(p, order)[0], 1))
-
-
-@lru_cache(maxsize=64)
-def _power_table(p, length, order):
-    """e^m / m! mod p, e = 0..length-1 by rows, m = 0..order by columns."""
-    e = np.arange(length, dtype=np.int64) % p
-    out = np.ones((length, order + 1), dtype=np.int64)
-    for m in range(1, order + 1):
-        out[:, m] = out[:, m - 1] * e % p
-    out = out * _prime_tables(p, order)[2] % p
-    out.setflags(write=False)
-    return out
 
 
 def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
@@ -760,7 +740,10 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     the apexes' convex hull (flip every cell along any linear functional),
     so in their box, with coefficients of at most sum_k cells_k mass_k,
     mass_k = sum_r |vals[k, r]|.  A value past box points times that sum is
-    no Laurent polynomial's (NonCancellingPole).  int64 needs no running
+    no Laurent polynomial's (NonCancellingPole).  Poles are found modulo the
+    primes only: a nonzero s^-j coefficient that all of them divide (about
+    one chance in 2^21 per coefficient at one prime) passes, and the value
+    is then caught only if it lands past the bound.  int64 needs no running
     bound: factors are residues below 2^21, and each sum of products runs
     over at most D + 1 orders, the cells of a numerator or its rows, fewer
     than 2^21 of them (else GroundSetTooLarge).
@@ -802,9 +785,13 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     P = len(primes)
     pr = np.array(primes, dtype=np.int64)
 
-    # per group, slot and prime: 1 / d and the lambda_m d^m of the slot
-    slot = np.array([[_slot_series(p, D, d) for p in primes]
-                     for d in ds.tolist()], dtype=np.int64)
+    # per distinct d and prime: 1 / d, then lambda_m d^m (1, 0, ... at d = 0)
+    tables = [_prime_tables(p, D) for p in primes]
+    slot = np.empty((len(ds), P, D + 1), dtype=np.int64)
+    for i, d in enumerate(ds.tolist()):
+        for q, (p, t) in enumerate(zip(primes, tables)):
+            slot[i, q] = [pow(d, -1, p) if d else 1] + [
+                lam * pow(d, m, p) % p for m, lam in enumerate(t[0], 1)]
     F = np.ones((len(dens), P, D + 1), dtype=np.int64)
     L = np.zeros((len(dens), P, D), dtype=np.int64)
     for j in range(D):
@@ -812,7 +799,7 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
         F[..., 0] = F[..., 0] * slot[di[:, j], :, 0] % pr
     L[..., :1] += shift[:, None, None]
     L = L % pr[:, None] * np.arange(1, D + 1) % pr[:, None]
-    inv = np.array([_prime_tables(p, D)[1] for p in primes], dtype=np.int64)
+    inv = np.array([t[1] for t in tables], dtype=np.int64)
     for m in range(1, D + 1):
         F[..., m] = ((L[..., :m] * F[..., m - 1::-1]).sum(axis=-1) % pr
                      * inv[:, m] % pr)
@@ -837,12 +824,18 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     z *= n_cls
     z += cls
     N = np.empty(K * length * n_cls, dtype=np.int64)
+    E = np.empty((length, D + 1), dtype=np.int64)
     total = np.empty((P, n_cls, D + 1), dtype=np.int64)
     for q, p in enumerate(primes):
         N.fill(0)
         np.add.at(N, z.ravel(), np.broadcast_to(vals % p, z.shape).ravel())
-        S = (N.reshape(K, length, n_cls).transpose(0, 2, 1)
-             @ _power_table(p, length, D) % p)
+        # S_k[m] = sum_e N_k[e] e^m / m!
+        e = np.arange(length) % p
+        E[:, 0] = 1
+        for m in range(1, D + 1):
+            E[:, m] = E[:, m - 1] * e % p
+        S = (N.reshape(K, length, n_cls).transpose(0, 2, 1) @ E % p
+             * tables[q][2] % p)
         total[q] = (S @ G[:, q] % p).sum(axis=0) % p
     if total[..., :D].any():
         raise NonCancellingPole("the denominator factors (1 - z^d) do not "
@@ -862,7 +855,9 @@ def evaluate_t1(g, seed=0):
     vector and reads off the value at z = 1 from the Laurent expansion of
     the per-term rational functions at z = e^s (see _specialize_t1).  Each
     distinct cone is one cell with its own numerator; cells of fewer rays
-    are padded with slots that pair to 0.
+    are padded with slots that pair to 0.  A GenFun that is no Laurent
+    polynomial raises NonCancellingPole, save for the small chance, stated
+    in _specialize_t1, that its pole vanishes modulo every prime in use.
     """
     kernels, vars_, classes, den = _genfun_kernels(g)
     ids = {}

@@ -349,19 +349,29 @@ def _flag_blocks(fm):
     B - i + j is a basis; a loop or a coloop is a block of its own.
     """
     n = fm.n
-    block = [1 << e for e in range(n)]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for m in fm.constituents:
         bases = m.bases_masks
         b = next(iter(bases))
-        for i in [i for i in range(n) if b >> i & 1]:
-            for j in range(n):
-                # i's own block holds i, and B - i + j is no basis for j in B
-                if not block[i] >> j & 1 and b ^ 1 << i | 1 << j in bases:
-                    merged = block[i] | block[j]
-                    for e in range(n):
-                        if merged >> e & 1:
-                            block[e] = merged
-    return list(dict.fromkeys(block))
+        inside = [i for i in range(n) if b >> i & 1]
+        outside = [j for j in range(n) if not b >> j & 1]
+        for i in inside:
+            rest = b ^ 1 << i
+            for j in outside:
+                if rest | 1 << j in bases:
+                    parent[find(i)] = find(j)
+    blocks = {}
+    for e in range(n):
+        root = find(e)
+        blocks[root] = blocks.get(root, 0) | 1 << e
+    return list(blocks.values())
 
 
 def _restrict(fm, s):

@@ -93,8 +93,13 @@ class Matroid:
             raise InvalidRank("need 0 <= r <= n, got r=%d n=%d" % (r, n))
         if n > MAX_GROUND:
             raise GroundSetTooLarge("ground set larger than %d" % MAX_GROUND)
-        return cls(n, [sum(1 << i for i in combo)
-                       for combo in combinations(range(n), r)], _trusted=True)
+        masks = []
+        for combo in combinations(range(n), r):
+            m = 0
+            for i in combo:
+                m |= 1 << i
+            masks.append(m)
+        return cls(n, masks, _trusted=True)
 
     @classmethod
     def from_matrix(cls, rows):
@@ -108,10 +113,14 @@ class Matroid:
             raise GroundSetTooLarge("ground set larger than %d" % MAX_GROUND)
         cols = [tuple(row[j] for row in rows) for j in range(n)]
         r = matrix_rank(rows)
-        return cls(n, [sum(1 << j for j in combo)
-                       for combo in combinations(range(n), r)
-                       if matrix_rank([cols[j] for j in combo]) == r],
-                   _trusted=True)
+        masks = []
+        for combo in combinations(range(n), r):
+            if matrix_rank([cols[j] for j in combo]) == r:
+                m = 0
+                for j in combo:
+                    m |= 1 << j
+                masks.append(m)
+        return cls(n, masks, _trusted=True)
 
     @classmethod
     def graphic(cls, edges, n_vertices=None):
