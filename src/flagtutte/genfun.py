@@ -17,10 +17,13 @@ tests all their cells against the sum-zero difference box with one float
 product and adds the signed memberships up to one multiplicity per kernel
 and box point; points that cannot reach the apex box are dropped, the rest
 are tested against it in the narrowest integer dtype, and the incidences
-that land are scattered into one dense int64 accumulator whose nonzero
-cells decode straight into integer coefficients over the common
-denominator (support_pure, a per-point crawl, remains for other rays and as
-the test reference).  _specialize_t1 sets t -> 1 in one array pass over
+that land are scattered into one dense int64 accumulator.  Its nonzero
+rows are the support in array form (_Support: points, a dense count matrix
+over the classes and a common denominator), which a direct sum multiplies
+block by block (_support_product) and one decode turns into an
+EquivariantPolynomial, one shared coefficient per distinct row of counts
+(support_pure, a per-point crawl, remains for other rays and as the test
+reference).  _specialize_t1 sets t -> 1 in one array pass over
 all cells: it takes per-cell arrays (open flags, sign, numerator index)
 and a callback pairing every ray and numerator apex with a weight,
 substitutes t_i = z^(c_i) and reads the value at z = 1 off the Laurent
@@ -100,7 +103,7 @@ class EquivariantPolynomial:
 
     @classmethod
     def _trusted(cls, n, support, aux_vars):
-        """Wrap a support built by _support_core without re-validating it.
+        """Wrap a support built by _decode_support without re-validating it.
 
         support maps int tuples of length n to nonzero AuxPolynomials already
         on aux_vars; an empty support carries no aux variables, as from the
@@ -126,9 +129,15 @@ class EquivariantPolynomial:
         return total
 
     def substitute_aux(self, mapping):
+        """Substitute into every coefficient, once per coefficient object
+        (points of an extracted support share them)."""
+        done = {}
         out = {}
         for w, poly in self.support.items():
-            out[w] = poly.substitute(mapping)
+            key = id(poly)
+            if key not in done:
+                done[key] = poly.substitute(mapping)
+            out[w] = done[key]
         return EquivariantPolynomial(self.n, out)
 
     def map_support(self, fn):
@@ -361,6 +370,20 @@ def _pivot_structure(rays, n):
     return H, S
 
 
+class _Support(NamedTuple):
+    """A support in array form: the coefficient of t^points[p] is
+    sum_c counts[p, c] / den times the monomial classes[c] in aux_vars.
+
+    points is (P x n) int64 and counts the dense (P x len(classes)) int64
+    count matrix; every point holds a nonzero count.
+    """
+    points: np.ndarray
+    counts: np.ndarray
+    classes: tuple
+    aux_vars: tuple
+    den: int
+
+
 _SUPPORT_CELLS = 40_000_000
 _PASS_ENTRIES = 1 << 18
 _member_cache = LRUCache(16384)
@@ -463,10 +486,11 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
     w = apex + x inside the box are scattered, one pass at a time, into one
     dense int64 accumulator over the box and the classes.  Dropping the
     incidences outside is sound because the result's Newton polytope lies
-    in the convex hull of the apexes.  The nonzero cells decode straight
-    into coefficient dicts: class c with count k is the monomial classes[c]
-    in aux_vars with coefficient k / den.  Raises GroundSetTooLarge, before
-    allocating, when the accumulator would exceed _SUPPORT_CELLS entries.
+    in the convex hull of the apexes.  Returns the accumulator's nonzero
+    rows as a _Support over the classes that occur (class c with count k
+    is the monomial classes[c] in aux_vars with coefficient k / den), for
+    _decode_support.  Raises GroundSetTooLarge, before allocating, when the
+    accumulator would exceed _SUPPORT_CELLS entries.
     """
     ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
     space = 1
@@ -521,19 +545,91 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
         if codes:
             np.add.at(acc, np.concatenate(codes), np.concatenate(weights))
 
-    cells = np.nonzero(acc)[0]
-    codes, cidx = np.divmod(cells, n_cls)
-    counts, which = np.unique(acc[cells], return_inverse=True)
-    coeffs = [Fraction(k, den) for k in counts.tolist()]
-    exps = [classes[c] for c in cidx.tolist()]
-    terms = list(zip(exps, (coeffs[i] for i in which.tolist())))
-    # cells come sorted by code: one run of classes per support point
-    starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
-    ws = codes[starts, None] // strides % rng + lo
-    out = {w: AuxPolynomial._trusted(aux_vars, dict(terms[a:b]))
-           for w, a, b in zip(map(tuple, ws.tolist()), starts,
-                              starts[1:] + [len(cells)])}
-    return EquivariantPolynomial._trusted(n, out, aux_vars)
+    acc = acc.reshape(space, n_cls)
+    at = np.flatnonzero(acc.any(axis=1))
+    counts = acc[at]
+    keep = np.flatnonzero(counts.any(axis=0))
+    return _Support(at[:, None] // strides % rng + lo, counts[:, keep],
+                    tuple(classes[c] for c in keep.tolist()), aux_vars, den)
+
+
+def _decode_support(s):
+    """The EquivariantPolynomial of a support in array form.
+
+    The points holding one row of counts share one AuxPolynomial: the
+    distinct rows come from cones._row_ranks (a void view and np.unique),
+    each is built once by AuxPolynomial._trusted, and each distinct count
+    is one Fraction over the denominator.  Shared coefficients are never
+    mutated in place.
+    """
+    n = s.points.shape[1]
+    if not len(s.points):
+        return EquivariantPolynomial._trusted(n, {}, s.aux_vars)
+    inverse, first = _row_ranks(s.counts - s.counts.min())
+    rows = s.counts[first]
+    at, cidx = np.nonzero(rows)
+    values, which = np.unique(rows[at, cidx], return_inverse=True)
+    coeffs = [Fraction(k, s.den) for k in values.tolist()]
+    terms = list(zip(map(s.classes.__getitem__, cidx.tolist()),
+                     map(coeffs.__getitem__, which.tolist())))
+    bounds = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
+    polys = [AuxPolynomial._trusted(s.aux_vars, dict(terms[a:b]))
+             for a, b in zip(bounds, bounds[1:])]
+    support = dict(zip(map(tuple, s.points.tolist()),
+                       map(polys.__getitem__, inverse.tolist())))
+    return EquivariantPolynomial._trusted(n, support, s.aux_vars)
+
+
+def _support_product(n, parts):
+    """The support of a direct sum, in array form, from its blocks' supports.
+
+    parts lists (mask, support) per block, each support on its block's own
+    coordinates in increasing order, all on one aux_vars and with
+    nonnegative class exponents, as on the flag route.  The points
+    pair up by np.repeat and np.tile, each block's columns placed at its
+    mask positions, so no two pairs meet; class exponents add and counts
+    multiply, and the class pairs that land on one class merge in one
+    integer product with a 0/1 merge matrix.  Raises GroundSetTooLarge,
+    before allocating, when the product would exceed _SUPPORT_CELLS cells.
+    """
+    def exponents(s):
+        return np.array(s.classes, dtype=np.int64).reshape(
+            len(s.classes), len(s.aux_vars))
+
+    merges = []
+    classes = exponents(parts[0][1])
+    for _, s in parts[1:]:
+        sums = (classes[:, None] + exponents(s)).reshape(
+            -1, classes.shape[1])
+        rank, first = _row_ranks(sums)
+        merges.append((rank, len(first)))
+        classes = sums[first]
+    cells = prod(len(s.points) for _, s in parts) * len(classes)
+    if cells > _SUPPORT_CELLS:
+        raise GroundSetTooLarge("support product of %d cells exceeds %d"
+                                % (cells, _SUPPORT_CELLS))
+
+    def placed(mask, points):
+        out = np.zeros((len(points), n), dtype=np.int64)
+        out[:, [i for i in range(n) if mask >> i & 1]] = points
+        return out
+
+    mask, s = parts[0]
+    W, D, den = placed(mask, s.points), s.counts, s.den
+    for (mask, s), (rank, C) in zip(parts[1:], merges):
+        (P1, C1), (P2, C2) = D.shape, s.counts.shape
+        _check_width(int(np.abs(D).max(initial=0))
+                     * int(np.abs(s.counts).max(initial=0)) * min(C1, C2))
+        merge = np.zeros((C1 * C2, C), dtype=np.int64)
+        merge[np.arange(C1 * C2), rank] = 1
+        # X[i, b, c] = sum_a D[i, a] [a + b -> c]; then sum_b counts[j, b]
+        X = (D @ merge.reshape(C1, C2 * C)).reshape(P1, C2, C)
+        D = np.matmul(s.counts, X).reshape(P1 * P2, C)
+        W = (np.repeat(W, P2, axis=0)
+             + np.tile(placed(mask, s.points), (P1, 1)))
+        den *= s.den
+    return _Support(W, D, tuple(map(tuple, classes.tolist())),
+                    parts[0][1].aux_vars, den)
 
 
 def _genfun_kernels(g, direction=None):
@@ -597,7 +693,8 @@ def support(g, direction=None):
 
     kernels, vars_, classes, den = _genfun_kernels(
         g, _interned(direction.key()))
-    return _support_core(n, los, his, kernels, classes, vars_, den)
+    return _decode_support(
+        _support_core(n, los, his, kernels, classes, vars_, den))
 
 
 # ---------------------------------------------------------------------- slice

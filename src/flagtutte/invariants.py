@@ -14,9 +14,10 @@ memoized per mode and slot counts): each coordinate's factor depends only
 on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  The
 t = 1 value is multiplicative over a direct sum: a flag splits into its
 blocks (_flag_blocks), each connected block is one pass of genfun's
-specialization core over the arrays, and the values multiply in integers;
-the full equivariant sum flips the same arrays along a direction and goes
-through the support core (_flag_kernels).
+specialization core over the arrays, and the values multiply in integers.
+The full equivariant sum splits the same way: each connected block flips
+the same arrays along a direction and goes through the support core
+(_flag_kernels), and the blocks' supports multiply as arrays.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .errors import (
     NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates, _interned,
-    _reversed_edges, _specialize_t1, _support_core,
+    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates,
+    _decode_support, _interned, _reversed_edges, _specialize_t1,
+    _support_core, _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
@@ -302,28 +304,43 @@ def _flag_kernels(fm, mode, direction=None):
     return kernels, list(classes)
 
 
-def _ktt_support(fm, direction=None, mode="kt"):
-    """The full equivariant localization sum as a Laurent polynomial.
-
-    Valid for any quotient chain, including a rank-0 first constituent
-    (the sum itself makes sense verbatim there).  The mode selects the
-    numerator; see _flag_kernels.
-    """
-    if direction is None:
-        direction = default_direction(fm.n)
-    key = (fm.key(), direction.key(), mode)
-    hit = _SUPPORT_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    n = fm.n
-    kernels, classes = _flag_kernels(fm, mode, direction)
+def _whole_support(fm, mode):
+    """The support of a flag's localization sum in array form, from one
+    pass of the support core over the whole flag, never split."""
+    kernels, classes = _flag_kernels(fm, mode, default_direction(fm.n))
     blocks = {id(A): A for _, _, _, A, _, _ in kernels}
     apexes = np.concatenate(list(blocks.values()))
     los = tuple(int(x) for x in apexes.min(axis=0))
     his = tuple(int(x) for x in apexes.max(axis=0))
-    result = _support_core(n, los, his, kernels, classes, ("u", "v"), 1)
-    _SUPPORT_CACHE.store(key, result)
-    return result
+    return _support_core(fm.n, los, his, kernels, classes, ("u", "v"), 1)
+
+
+def _ktt_support(fm, mode="kt"):
+    """The full equivariant localization sum as a Laurent polynomial.
+
+    Valid for any quotient chain, including a rank-0 first constituent
+    (the sum itself makes sense verbatim there).  The mode selects the
+    numerator; see _flag_kernels.  Each numerator factor depends on one
+    coordinate, so the sum is multiplicative over a direct sum: each block
+    of the flag (_flag_blocks) goes through the support core once, along
+    its own default direction (the support does not depend on it), and its
+    arrays are cached in _SUPPORT_CACHE under its _restrict key; a
+    disconnected flag is their _support_product.  The decoded polynomial is
+    not cached.
+    """
+    blocks = _flag_blocks(fm)
+    parts = []
+    for s in blocks:
+        key = (fm.key() if len(blocks) == 1 else _restrict(fm, s), mode)
+        part = _SUPPORT_CACHE.lookup(key)
+        if part is None:
+            part = _whole_support(
+                fm if len(blocks) == 1 else _flag_of_key(key[0]), mode)
+            _SUPPORT_CACHE.store(key, part)
+        parts.append((s, part))
+    if len(parts) == 1:
+        return _decode_support(parts[0][1])
+    return _decode_support(_support_product(fm.n, parts))
 
 
 def kt_equivariant(fm):
@@ -671,9 +688,15 @@ def verify_kt22(fm):
     phi_t = _ktt_support(fm)
     qinv = AuxPolynomial.monomial(("q",), (-1,))
     q = AuxPolynomial.variable("q")
+    scale = q ** rsum
+    # support points share coefficient objects: map each one once
+    done = {}
     lhs_support = {}
     for w, coeff in phi_t.support.items():
-        val = coeff.substitute({"u": qinv, "v": q}) * (q ** rsum)
+        val = done.get(id(coeff))
+        if val is None:
+            val = done[id(coeff)] = coeff.substitute(
+                {"u": qinv, "v": q}) * scale
         if val:
             lhs_support[w] = val
     lhs = EquivariantPolynomial(n, lhs_support)
@@ -837,15 +860,12 @@ def check_duality(fm):
     """
     dual = flag_dual(fm)
     report = VerifyReport("duality")
-    a = _ktt_support(fm)
     b = _ktt_support(dual)
     n, k = fm.n, fm.k
     u = AuxPolynomial.variable("u")
     v = AuxPolynomial.variable("v")
-    mapped = {}
-    for w, coeff in a.support.items():
-        w2 = tuple(k - x for x in w)
-        mapped[w2] = coeff.substitute({"u": v, "v": u})
+    a = _ktt_support(fm).substitute_aux({"u": v, "v": u})
+    mapped = {tuple(k - x for x in w): c for w, c in a.support.items()}
     report.check("equivariant duality", EquivariantPolynomial(n, mapped) == b)
     x = AuxPolynomial.variable("x")
     y = AuxPolynomial.variable("y")
@@ -857,16 +877,17 @@ def check_duality(fm):
 def check_direct_sum(fm1, fm2):
     """Multiplicativity over a split ground set, equivariantly.
 
-    kt itself multiplies the values of a flag's blocks, so the plain check
-    compares kt(fm1) * kt(fm2) with the whole sum's support summed over t,
-    a route that never splits the flag.
+    kt and kt_equivariant themselves multiply the values and supports of a
+    flag's blocks, so both checks compare against the whole sum's support
+    from one pass of the support core over the direct sum, a route that
+    never splits the flag; the plain check sums it over t.
     """
     from .matroid import flag_direct_sum
     report = VerifyReport("direct-sum")
     fm = flag_direct_sum(fm1, fm2)
     a = _ktt_support(fm1)
     b = _ktt_support(fm2)
-    whole = _ktt_support(fm)
+    whole = _decode_support(_whole_support(fm, "kt"))
     prod_support = {}
     for w1, c1 in a.support.items():
         for w2, c2 in b.support.items():

@@ -22,8 +22,8 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.genfun import (_box_candidates, _specialize_t1, _support_core,
-                              support_pure)
+from flagtutte.genfun import (_box_candidates, _decode_support,
+                              _specialize_t1, _support_core, support_pure)
 from flagtutte.invariants import _flag_kernels
 
 U = Matroid.uniform
@@ -371,10 +371,11 @@ def test_support_core_merges_cells_sharing_a_kernel():
     pair = [(rays, flags, 1, A, cls, vals), (rays, flags, -1, A, cls, vals)]
     los, his = (0,) * 4, (2,) * 4
     aux = ("u", "v")
-    got = _support_core(4, los, his, kernels + pair, classes, aux, 1)
+    got = _decode_support(
+        _support_core(4, los, his, kernels + pair, classes, aux, 1))
     assert got == support_pure(_kernel_genfun(4, kernels, classes, aux, 1))
     assert got == kt_equivariant(fm)
-    empty = _support_core(4, los, his, pair, classes, aux, 1)
+    empty = _decode_support(_support_core(4, los, his, pair, classes, aux, 1))
     assert empty == EquivariantPolynomial(4) and empty.aux_vars == ()
 
 
@@ -529,6 +530,59 @@ def test_equivariant_polynomial_ops():
     assert shifted == EquivariantPolynomial(2, {(3, 2): 1, (2, 3): u})
     assert phi + phi == phi.scale(AuxPolynomial.constant(2))
     assert phi.specialize_t1() == 1 + u
+
+
+def test_decode_shares_one_coefficient_per_distinct_row():
+    # points with equal rows of counts share one AuxPolynomial, and each
+    # distinct count is one Fraction object
+    fm = flag(U(2, 4), U(3, 4))
+    kernels, classes = _flag_kernels(fm, "kt", default_direction(4))
+    arrays = _support_core(4, (0,) * 4, (2,) * 4, kernels, classes,
+                           ("u", "v"), 1)
+    phi = _decode_support(arrays)
+    assert phi == kt_equivariant(fm)
+    rows = {tuple(r) for r in arrays.counts.tolist()}
+    coeffs = list(phi.support.values())
+    assert len({id(c) for c in coeffs}) == len(rows) < len(coeffs)
+    values = [c for poly in coeffs for c in poly.terms.values()]
+    assert len({id(c) for c in values}) == len(set(values))
+
+
+def _operations(a, b):
+    yield a + b
+    yield b + a
+    yield a + 3
+    yield 3 + a
+    yield a - a
+    yield a - b
+    yield 2 - a
+    yield -a
+    yield a * b
+    yield b * a
+    yield a * 1
+    yield a * 0
+    yield a ** 0
+    yield a ** 1
+    yield a ** 3
+    yield a.align(("w", "u", "v"))
+    yield a.align(a.vars)
+    yield a.substitute({"u": b, "v": 1})
+    yield a.substitute({"u": AuxPolynomial.monomial(("q",), (-1,))})
+    yield a.substitute({})
+
+
+def test_aux_polynomial_operations_never_mutate_an_operand():
+    # extracted supports share coefficient objects between points, so no
+    # arithmetic may write into an operand's terms
+    u = AuxPolynomial.variable("u", ("u", "v"))
+    v = AuxPolynomial.variable("v", ("u", "v"))
+    a = u * u * v + 2 * u - Fraction(1, 3)
+    b = AuxPolynomial.variable("w") + 1
+    snapshot = [(p.vars, p.terms, dict(p.terms)) for p in (a, b)]
+    for out in _operations(a, b):
+        assert out.terms is not a.terms or out is a
+        for p, (vars_, terms, copy) in zip((a, b), snapshot):
+            assert p.vars == vars_ and p.terms is terms and p.terms == copy
 
 
 def test_equivariant_polynomial_drops_zeros():

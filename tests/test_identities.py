@@ -122,6 +122,25 @@ def test_check_direct_sum_catches_a_wrong_block_product(monkeypatch):
                               ("plain direct-sum multiplicativity", False)]
 
 
+def test_check_direct_sum_catches_a_wrong_support_product(monkeypatch):
+    # kt_equivariant multiplies the supports of a flag's blocks; the
+    # equivariant check reads the whole sum by one unsplit pass of the
+    # support core, so a wrong product must fail it
+    def corrupted(n, parts):
+        out = product(n, parts)
+        return out._replace(counts=out.counts * 2)
+
+    product = invariants._support_product
+    a = flag(U(1, 2).direct_sum(U(1, 2)))
+    b = flag(U(1, 3))
+    monkeypatch.setattr(invariants, "_support_product", corrupted)
+    report = check_direct_sum(a, b)
+    assert not report.passed
+    assert report.details == [("equivariant direct-sum multiplicativity",
+                               False),
+                              ("plain direct-sum multiplicativity", True)]
+
+
 def test_check_divisibility_spots():
     report = check_loop_coloop_divisibility(flag(LOOPY))
     assert report.passed

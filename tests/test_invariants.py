@@ -515,6 +515,67 @@ def test_split_values_equal_whole_values(monkeypatch):
         assert a == b, label
 
 
+def test_split_supports_equal_whole_supports(monkeypatch):
+    # every disconnected rank >= 1 corpus flag, in all three numerator
+    # modes: the product of its blocks' supports against one pass of the
+    # support core over the whole flag, by a split that never splits
+    flags = [fm for fm in flag_corpus()
+             if fm.ranks[0] >= 1 and len(invariants._flag_blocks(fm)) > 1]
+    assert len(flags) == 577
+    modes = ("kt", "h", "h_lv")
+    invariants._SUPPORT_CACHE.clear()
+    try:
+        split = [_ktt_support(fm, mode) for fm in flags for mode in modes]
+        invariants._SUPPORT_CACHE.clear()
+        monkeypatch.setattr(invariants, "_flag_blocks",
+                            lambda fm: [(1 << fm.n) - 1])
+        whole = [_ktt_support(fm, mode) for fm in flags for mode in modes]
+    finally:
+        invariants._SUPPORT_CACHE.clear()
+    labels = [(fm, mode) for fm in flags for mode in modes]
+    for label, a, b in zip(labels, split, whole):
+        assert a == b, label
+
+
+@pytest.mark.parametrize("summands", [
+    (U(3, 6),),
+    (U(1, 5), U(3, 5)),
+])
+def test_kt_equivariant_of_larger_direct_sums(summands):
+    # triangulated whole, these took 26 s and over 140 s on a 2-vCPU VM;
+    # by blocks, each has one distinct block
+    fm = flag(*(m.direct_sum(m) for m in summands))
+    invariants._SUPPORT_CACHE.clear()
+    try:
+        t0 = time.perf_counter()
+        phi = kt_equivariant(fm)
+        assert time.perf_counter() - t0 < 2.0
+    finally:
+        invariants._SUPPORT_CACHE.clear()
+    at_t1 = phi.specialize_t1()
+    assert at_t1 == invariants._localization_value(fm, "kt")
+    if fm.k == 1:
+        # one step: kt is the Tutte polynomial, and T(2, 2) = 2^n
+        assert kt(fm) == tutte(fm.constituents[0])
+        want = 2 ** fm.n
+    else:
+        want = 2 ** fm.n * len(pseudo_basis_masks(*fm.constituents))
+    assert at_t1.evaluate({"u": 1, "v": 1}) == want
+
+
+def test_support_product_guard():
+    # six blocks of 16 points each: 16^6 points times 85 classes is past
+    # the 4e7-cell budget, refused before the product is allocated
+    m = U(2, 4)
+    for _ in range(5):
+        m = m.direct_sum(U(2, 4))
+    fm = flag(m)
+    t0 = time.perf_counter()
+    with pytest.raises(GroundSetTooLarge, match="support product"):
+        kt_equivariant(fm)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_kt_of_larger_direct_sums():
     invariants._VALUE_CACHE.clear()
     m = U(2, 5).direct_sum(U(2, 5)).direct_sum(U(2, 5))
@@ -754,9 +815,8 @@ def test_flag_numerator_matches_subset_oracle():
 def test_numerator_is_built_once_per_flag():
     # the numerator depends only on (mode, r1, rk - r1, n - rk): kt builds
     # it only for connected flags and the blocks of disconnected ones, 68
-    # builds over the 1,200 corpus flags, and the 914 equivariant ones, which
-    # are not split, add the 5 slot counts of whole flags that kt no longer
-    # needs
+    # builds over the 1,200 corpus flags, and the 914 equivariant ones split
+    # into the same blocks, so they add none
     flags = flag_corpus()
     equivariant = [fm for fm in flags if fm.ranks[0] >= 1]
     assert len(flags) == 1200 and len(equivariant) == 914
@@ -772,7 +832,7 @@ def test_numerator_is_built_once_per_flag():
         for fm in equivariant:
             kt_equivariant(fm)
         info = invariants._numerator.cache_info()
-        assert info.misses == info.currsize == 73
+        assert info.misses == info.currsize == 68
         steps, cls, vals, _ = invariants._numerator("kt", (2, 1, 3))
         assert not (steps.flags.writeable or cls.flags.writeable
                     or vals.flags.writeable)
