@@ -8,6 +8,7 @@ returned as an :class:`AuxPolynomial` or, for torus-equivariant refinements,
 an :class:`EquivariantPolynomial`.
 """
 
+from .caches import cache_stats, clear_caches
 from .cones import (Direction, HalfOpenSimplicialCone, cone_membership,
                     default_direction, flip_cone, slice_cone,
                     tangent_cone_generators, triangulate_half_open)
@@ -51,12 +52,13 @@ __all__ = [
     "NotDivisible", "NotInUV", "NotPointed", "NotUnimodular", "ParseError",
     "RankGapZero", "RankZeroConstituent", "UnknownIdentity",
     "UnknownInvariant", "beta_invariant", "beta_polynomial",
-    "brion_example_report", "brion_series", "characteristic",
+    "brion_example_report", "brion_series", "cache_stats", "characteristic",
     "check_beta_higgs", "check_coefficient_theorem", "check_direct_sum",
     "check_duality", "check_kchi_conjecture", "check_latticepoints",
     "check_loop_coloop_divisibility", "check_lvt_delcont",
-    "check_lvt_special", "coefficient_at", "compute_invariant",
-    "cone_membership", "corpus_summary", "count_lattice_points",
+    "check_lvt_special", "clear_caches", "coefficient_at",
+    "compute_invariant", "cone_membership", "corpus_summary",
+    "count_lattice_points",
     "default_direction", "evaluate_t1", "face_basis", "flag", "flag_corpus",
     "flag_direct_sum", "flag_dual", "flip_cone", "h_candidate_lv",
     "h_polynomial", "h_value_uv", "higgs_factorization", "is_quotient",

@@ -34,6 +34,7 @@ evaluate_t1 feeds it the distinct cones of a GenFun.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
@@ -122,10 +123,14 @@ class EquivariantPolynomial:
         return [(w, self.support[w]) for w in keys]
 
     def specialize_t1(self):
-        """Set every t_i = 1: the plain auxiliary polynomial."""
+        """Set every t_i = 1: the plain auxiliary polynomial.  Points of an
+        extracted support share coefficient objects: each is added once,
+        times the number of points holding it."""
+        polys = {id(poly): poly for poly in self.support.values()}
+        times = Counter(map(id, self.support.values()))
         total = AuxPolynomial.zero(self.aux_vars)
-        for _, poly in self.items():
-            total = total + poly
+        for key, poly in polys.items():
+            total = total + poly * times[key]
         return total
 
     def substitute_aux(self, mapping):

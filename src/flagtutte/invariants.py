@@ -17,7 +17,9 @@ blocks (_flag_blocks), each connected block is one pass of genfun's
 specialization core over the arrays, and the values multiply in integers.
 The full equivariant sum splits the same way: each connected block flips
 the same arrays along a direction and goes through the support core
-(_flag_kernels), and the blocks' supports multiply as arrays.
+(_flag_kernels), and the blocks' supports multiply as arrays.  Relabelled
+blocks share that pass: it runs once per canonical block key (_canonical),
+and each labelled block permutes the columns of the canonical points.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import hashlib
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from itertools import permutations
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .cones import (
-    _edge_vectors, _sort_rays, _tangent_generators, _triangulate,
+    _edge_vectors, _row_ranks, _sort_rays, _tangent_generators, _triangulate,
     default_direction, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
@@ -156,6 +159,7 @@ def lv_tutte_equivariant(m1, m2):
 _CELLS_CACHE = LRUCache(1024)
 _VALUE_CACHE = LRUCache(8192)
 _SUPPORT_CACHE = LRUCache(2048)
+_CANON_ENTRIES = 1 << 18
 
 
 class _FlagCells(NamedTuple):
@@ -322,21 +326,28 @@ def _ktt_support(fm, mode="kt"):
     (the sum itself makes sense verbatim there).  The mode selects the
     numerator; see _flag_kernels.  Each numerator factor depends on one
     coordinate, so the sum is multiplicative over a direct sum: each block
-    of the flag (_flag_blocks) goes through the support core once, along
-    its own default direction (the support does not depend on it), and its
-    arrays are cached in _SUPPORT_CACHE under its _restrict key; a
-    disconnected flag is their _support_product.  The decoded polynomial is
-    not cached.
+    of the flag (_flag_blocks) has its arrays cached in _SUPPORT_CACHE under
+    its _restrict key, and a disconnected flag is their _support_product.
+    Relabelling a block permutes the coordinates of its support, so a block
+    missing there goes through the support core (along its own default
+    direction; the support does not depend on it) only if its canonical key
+    (_canonical) misses too; the support stored under the canonical key
+    comes back by one gather of its point columns.  The decoded polynomial
+    is not cached.
     """
     blocks = _flag_blocks(fm)
     parts = []
     for s in blocks:
-        key = (fm.key() if len(blocks) == 1 else _restrict(fm, s), mode)
-        part = _SUPPORT_CACHE.lookup(key)
+        key = fm.key() if len(blocks) == 1 else _restrict(fm, s)
+        part = _SUPPORT_CACHE.lookup((key, mode))
         if part is None:
-            part = _whole_support(
-                fm if len(blocks) == 1 else _flag_of_key(key[0]), mode)
-            _SUPPORT_CACHE.store(key, part)
+            ckey, sigma = _canonical(key)
+            whole = _SUPPORT_CACHE.lookup((ckey, mode))
+            if whole is None:
+                whole = _whole_support(_flag_of_key(ckey), mode)
+                _SUPPORT_CACHE.store((ckey, mode), whole)
+            part = whole._replace(points=whole.points[:, sigma])
+            _SUPPORT_CACHE.store((key, mode), part)
         parts.append((s, part))
     if len(parts) == 1:
         return _decode_support(parts[0][1])
@@ -407,6 +418,64 @@ def _restrict(fm, s):
 def _flag_of_key(key):
     return FlagMatroid(tuple(Matroid(n, bases, _trusted=True)
                              for n, bases in key), _trusted=True)
+
+
+def _canonical(key):
+    """A canonical form of a flag key under relabelling, and its position map.
+
+    Returns (ckey, sigma): ckey is key relabelled by sigma, element i going
+    to position sigma[i], and relabelled keys give the same ckey.  The
+    elements are coloured by refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 2014): first by how many bases of
+    each constituent hold them, then, until the classes stop splitting, by
+    the sorted (colour, pair counts) over all elements, pair counts being
+    how many bases of each constituent hold both.  The colours are ranks of
+    these invariants, so the classes take consecutive positions in an order
+    that relabelling keeps.  ckey is the least key, comparing the sorted
+    basis tuples constituent by constituent, over every relabelling that
+    respects the classes, found in one pass: each candidate's image masks,
+    sorted per constituent, then lexsort.  When candidates times bases pass
+    _CANON_ENTRIES, ckey is key itself with the identity map: correct, only
+    not shared with its relabellings.
+    """
+    n = key[0][0]
+    total = sum(len(bases) for _, bases in key)
+    if n < 2 or total > _CANON_ENTRIES:
+        return key, np.arange(n)
+    shifts = np.arange(n, dtype=np.uint64)
+    bits = [(np.array(bases, dtype=np.uint64)[:, None] >> shifts) & 1
+            for _, bases in key]
+    pairs = np.stack([b.T @ b for b in bits], axis=2)
+    code = _row_ranks(pairs.reshape(n * n, -1))[0].reshape(n, n)
+    colour = np.unique(code.diagonal(), return_inverse=True)[1]
+    while True:
+        near = np.sort(colour * (int(code.max()) + 1) + code, axis=1)
+        refined = _row_ranks(np.concatenate([colour[:, None], near],
+                                            axis=1))[0]
+        if refined.max() == colour.max():
+            break
+        colour = refined
+    sizes = np.bincount(colour).tolist()
+    arrangements = [factorial(size) for size in sizes]
+    count = prod(arrangements)
+    if count * total > _CANON_ENTRIES:
+        return key, np.arange(n)
+    order = np.argsort(colour, kind="stable")
+    pick = np.unravel_index(np.arange(count), arrangements)
+    sigma = np.empty((count, n), dtype=np.uint64)
+    start = 0
+    for size, p in zip(sizes, pick):
+        perms = np.array(list(permutations(range(start, start + size))),
+                         dtype=np.uint64)
+        sigma[:, order[start:start + size]] = perms[p]
+        start += size
+    images = np.concatenate([np.sort((np.uint64(1) << sigma) @ b.T, axis=1)
+                             for b in bits], axis=1)
+    best = np.lexsort(images.T[::-1])[0]
+    row = images[best].tolist()
+    cuts = np.cumsum([0] + [len(bases) for _, bases in key]).tolist()
+    return (tuple((n, tuple(row[a:b])) for a, b in zip(cuts, cuts[1:])),
+            sigma[best].astype(np.intp))
 
 
 def _multiply_terms(a, b):

@@ -5,16 +5,19 @@ independently of the corank-nullity sum used by the library.
 """
 
 import hashlib
+import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from flagtutte import (AuxPolynomial, EquivariantPolynomial, Matroid,
-                       beta_invariant, beta_polynomial, characteristic,
-                       compute_invariant, count_lattice_points, flag,
-                       flag_corpus,
+from flagtutte import (AuxPolynomial, EquivariantPolynomial, FlagMatroid,
+                       Matroid, beta_invariant, beta_polynomial,
+                       characteristic, clear_caches, compute_invariant,
+                       count_lattice_points, flag, flag_corpus,
                        h_candidate_lv, h_polynomial, h_value_uv, k_char, kt,
                        kt_equivariant, lv_tutte, lv_tutte_equivariant,
                        poincare, quotient_corpus, reduced_beta_via_higgs,
@@ -590,6 +593,127 @@ def test_kt_of_larger_direct_sums():
     assert time.perf_counter() - t0 < 1.0
     assert got.evaluate({"x": 2, "y": 2}) == 2 ** 10 * len(
         pseudo_basis_masks(m1, m2))
+
+
+# ------------------------------------------------- relabelling and canonical keys
+
+
+def _relabel_mask(b, sigma):
+    return sum(1 << p for i, p in enumerate(sigma) if b >> i & 1)
+
+
+def _relabel_key(key, sigma):
+    """A flag key with element i renamed sigma[i]."""
+    return tuple((n, tuple(sorted(_relabel_mask(b, sigma) for b in bases)))
+                 for n, bases in key)
+
+
+def _block_keys(flags):
+    """Every distinct block key of the flags, as _ktt_support forms them."""
+    keys = set()
+    for fm in flags:
+        blocks = invariants._flag_blocks(fm)
+        for s in blocks:
+            keys.add(fm.key() if len(blocks) == 1
+                     else invariants._restrict(fm, s))
+    return keys
+
+
+def test_kt_equivariant_is_relabelling_equivariant():
+    # sigma F against sigma applied to the support of F, each computed
+    # with every cache cleared, so neither run reads the other's entries
+    rng = random.Random(19)
+    flags = rng.sample([fm for fm in flag_corpus() if fm.ranks[0] >= 1], 48)
+    split = sum(len(invariants._flag_blocks(fm)) > 1 for fm in flags)
+    assert split == 32
+    try:
+        for fm in flags:
+            sigma = list(range(fm.n))
+            rng.shuffle(sigma)
+            clear_caches()
+            want = kt_equivariant(fm)
+            clear_caches()
+            moved = FlagMatroid(
+                [Matroid(fm.n, [_relabel_mask(b, sigma) for b in m.bases_masks])
+                 for m in fm.constituents])
+            got = kt_equivariant(moved)
+            permuted = {}
+            for w, c in want.support.items():
+                image = [0] * fm.n
+                for i, p in enumerate(sigma):
+                    image[p] = w[i]
+                permuted[tuple(image)] = c
+            assert got == EquivariantPolynomial(fm.n, permuted), (fm, sigma)
+    finally:
+        clear_caches()
+
+
+def test_relabelled_blocks_share_one_support_pass(monkeypatch):
+    calls = []
+    whole = invariants._whole_support
+
+    def counted(fm, mode):
+        calls.append(fm.key())
+        return whole(fm, mode)
+
+    monkeypatch.setattr(invariants, "_whole_support", counted)
+    m = Matroid.from_bases(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}])
+    moved = Matroid(4, [_relabel_mask(b, (2, 0, 3, 1)) for b in m.bases_masks])
+    assert moved.key() != m.key()
+    clear_caches()
+    try:
+        a = kt_equivariant(flag(m))
+        b = kt_equivariant(flag(moved))
+        assert len(calls) == 1
+        # the direct sum's two blocks are both met already
+        kt_equivariant(flag(m.direct_sum(moved)))
+        assert len(calls) == 1
+    finally:
+        clear_caches()
+    assert len(a.support) == len(b.support)
+
+
+def test_canonical_keys_match_a_brute_force_minimum():
+    # every block key met on the equivariant corpus: _canonical must
+    # classify them as the least key over all n! relabellings does, and
+    # return the input relabelled by its map
+    keys = _block_keys(fm for fm in flag_corpus() if fm.ranks[0] >= 1)
+    assert len(keys) == 339
+    tables = {}
+
+    def brute(key):
+        n = key[0][0]
+        if n not in tables:
+            tables[n] = [[_relabel_mask(b, p) for b in range(1 << n)]
+                         for p in permutations(range(n))]
+        return min(tuple((n, tuple(sorted(t[b] for b in bases)))
+                         for n, bases in key) for t in tables[n])
+
+    classes = {}
+    for key in keys:
+        ckey, sigma = invariants._canonical(key)
+        assert ckey == _relabel_key(key, sigma.tolist()), key
+        classes.setdefault(ckey, set()).add(brute(key))
+    assert all(len(v) == 1 for v in classes.values())
+    assert len({b for v in classes.values() for b in v}) == len(classes)
+    assert len(classes) == 161
+
+
+def test_canonical_falls_back_past_its_budget():
+    # all ten elements of U(5, 10) share one colour: 10! candidates times
+    # 252 bases is past the budget, so the labelled key comes back as is
+    key = flag(U(5, 10)).key()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        ckey, sigma = invariants._canonical(key)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ckey == key and sigma.tolist() == list(range(10))
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 def test_flags_whose_cells_have_no_rays():

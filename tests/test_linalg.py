@@ -13,10 +13,11 @@ import pytest
 
 import flagtutte.linalg as linalg
 from flagtutte import (AuxPolynomial, EquivariantPolynomial, GenFun,
-                       GenFunTerm, HalfOpenSimplicialCone, cone_membership,
-                       flag_corpus, kt, kt_equivariant, support,
-                       tangent_cone_generators, triangulate_half_open)
-from flagtutte import cones, genfun, invariants
+                       GenFunTerm, HalfOpenSimplicialCone, clear_caches,
+                       cone_membership, flag_corpus, kt, kt_equivariant,
+                       support, tangent_cone_generators,
+                       triangulate_half_open)
+from flagtutte import cones
 from flagtutte.errors import InternalAssertion, NotUnimodular
 from flagtutte.genfun import _pivot_structure
 from flagtutte.linalg import (difference_vector_graph, flow_coordinates,
@@ -140,18 +141,6 @@ def test_dependent_rays_are_rejected_on_both_paths():
     assert lattice_index(((1, -1, 0), (1, 1, -2))) == 2
 
 
-def _clear_engine_caches():
-    cones._origin_cells.cache_clear()
-    cones._RELABEL_CACHE.clear()
-    cones._triangulate_cells.cache_clear()
-    genfun._flipped_cached.cache_clear()
-    genfun._member_cache.clear()
-    genfun._box_cache.clear()
-    invariants._CELLS_CACHE.clear()
-    invariants._VALUE_CACHE.clear()
-    invariants._SUPPORT_CACHE.clear()
-
-
 def test_engine_routes_make_no_elimination_calls(monkeypatch):
     flags = flag_corpus()[5::97]
     equivariant = [fm for fm in flags if fm.ranks[0] >= 1]
@@ -167,21 +156,21 @@ def test_engine_routes_make_no_elimination_calls(monkeypatch):
     matrix_rank([(1, 2), (3, 4)])
     assert len(calls) == 1
     calls.clear()
-    _clear_engine_caches()
+    clear_caches()
     try:
         for fm in flags:
             kt(fm)
         for fm in equivariant:
             kt_equivariant(fm)
     finally:
-        _clear_engine_caches()
+        clear_caches()
     assert calls == []
 
 
 def test_corpus_triangulates_once_per_relabelled_class():
     # 4,158 distinct nonempty tangent-cone generator sets over the corpus
     # fall into 151 colour-refinement classes, each triangulated once
-    _clear_engine_caches()
+    clear_caches()
     try:
         for fm in flag_corpus():
             origin = (0,) * fm.n
@@ -191,7 +180,7 @@ def test_corpus_triangulates_once_per_relabelled_class():
         assert cones._triangulate_cells.cache_info().misses == 151
         assert cones._origin_cells.cache_info().currsize == 4158
     finally:
-        _clear_engine_caches()
+        clear_caches()
 
 
 def test_forest_flow_isolated_vertices_and_empty_edge_set():
