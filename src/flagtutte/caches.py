@@ -1,13 +1,12 @@
 """One report of the library's result caches, and one switch to empty them.
 
-Six caches are lru.LRUCache objects, which count their own hits, misses and
+Five caches are lru.LRUCache objects, which count their own hits, misses and
 evictions; the rest are functools memos, which report cache_info().
 """
 
 from . import cones, genfun, invariants
 
 _LRU_CACHES = {
-    "cones.relabel_cache": cones._RELABEL_CACHE,
     "genfun.member_cache": genfun._member_cache,
     "genfun.box_cache": genfun._box_cache,
     "invariants.cells_cache": invariants._CELLS_CACHE,

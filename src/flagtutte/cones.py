@@ -18,10 +18,10 @@ the key is the generator set relabelled by colour refinement of its digraph
 cells are validated once, when they are built, and kept as int arrays.  The
 localization sums work on a whole flag at a time: _tangent_generators
 builds the exchange digraphs of all its flag bases as one adjacency stack,
-_triangulate relabels them (colour refinement of the digraphs not seen
-before, in one batch, memoized per labelled digraph) and carries each
-class's cells back to every cone of the class by one index gather, as
-arrays of ray tails, ray heads, open flags and owning cone.
+_triangulate relabels them (colour refinement of the whole stack in one
+batch) and carries each class's cells back to every cone of the class by
+one index gather, as arrays of ray tails, ray heads, open flags and owning
+cone.
 triangulate_half_open builds trusted cone objects from the same arrays for
 the public API.
 """
@@ -43,7 +43,6 @@ from .linalg import (
     lattice_index, matrix_rank, nonneg_combination_exists, primitive,
     solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
 )
-from .lru import LRUCache
 
 
 class HalfOpenSimplicialCone:
@@ -491,43 +490,14 @@ def _edge_ranks(n):
     return ranks
 
 
-_RELABEL_CACHE = LRUCache(16384)
-
-
-def _relabelled(adj):
-    """Per digraph of a stack, its colour-refinement order and class key.
-
-    The class key is the digraph relabelled by the order, as the sorted
-    generator tuple _triangulate_cells takes.  Both are memoized per
-    labelled digraph in _RELABEL_CACHE (about half of the exchange digraphs
-    of a corpus sweep repeat one of an earlier flag); the digraphs not found
-    there are refined together by _colour_order.
-    """
-    count, n, _ = adj.shape
-    codes = [(n, row.tobytes())
-             for row in np.packbits(adj.reshape(count, n * n), axis=1)]
-    found = [_RELABEL_CACHE.lookup(code) for code in codes]
-    missing = [b for b, hit in enumerate(found) if hit is None]
-    if missing:
-        sub = adj[missing]
-        order = _colour_order(sub)
-        relabelled = sub[np.arange(len(missing))[:, None, None],
-                         order[:, :, None], order[:, None, :]]
-        vectors = _edge_vectors(n)
-        for b, row, edges in zip(missing, order.tolist(),
-                                 relabelled.reshape(len(missing), n * n)):
-            found[b] = (row, tuple(sorted(
-                map(vectors.__getitem__, np.flatnonzero(edges).tolist()))))
-            _RELABEL_CACHE.store(codes[b], found[b])
-    return found
-
-
 def _triangulate(adj):
     """Half-open triangulations of a stack of exchange digraphs, as arrays.
 
     adj is a (B x n x n) bool stack; adj[b, i, j] marks the ray e_j - e_i of
-    cone b.  Each digraph is relabelled by colour refinement (_relabelled),
-    and each distinct class is looked up once in the class cache
+    cone b.  The whole stack is relabelled by one colour refinement
+    (_colour_order, which orders each digraph as it orders that digraph
+    alone), and each distinct class key, the relabelled digraph as the
+    sorted generator tuple, is looked up once in the class cache
     _triangulate_cells.  Relabelling coordinates carries a half-open cover
     to a half-open cover, so the class cells are carried back by one index
     gather.  Returns (tails, heads, opens, owner): per cell, the i and j of
@@ -541,10 +511,15 @@ def _triangulate(adj):
     if not adj.any():
         none = np.zeros((count, 0), dtype=np.int8)
         return none, none, none.astype(bool), np.arange(count)
-    found = _relabelled(adj)
+    order = _colour_order(adj)
+    relabelled = adj[np.arange(count)[:, None, None], order[:, :, None],
+                     order[:, None, :]]
+    vectors = _edge_vectors(n)
+    keys = [tuple(sorted(map(vectors.__getitem__,
+                             np.flatnonzero(edges).tolist())))
+            for edges in relabelled.reshape(count, n * n)]
     index = {}
-    kind = np.array([index.setdefault(key, len(index)) for _, key in found])
-    order = np.array([row for row, _ in found]).reshape(count, n)
+    kind = np.array([index.setdefault(key, len(index)) for key in keys])
     classes = [_triangulate_cells(key) for key in index if key]
     if len(classes) < len(index) or len({c[0].shape[1] for c in classes}) > 1:
         raise InternalAssertion("cones of one stack differ in dimension")

@@ -247,6 +247,11 @@ def _interned(dir_key):
 
 @lru_cache(maxsize=262144)
 def _flipped_cached(cone, direction):
+    """The cone flipped along a direction returned by _interned.
+
+    A Direction hashes by identity, so the interned object is an O(1) cache
+    key; callers intern once per sweep, not once per cell.
+    """
     return flip_cone(cone, direction)
 
 
@@ -269,15 +274,6 @@ def _reversed_edges(direction):
     return out
 
 
-def _flip(cone, direction):
-    """The cone flipped along a direction returned by _interned.
-
-    A Direction hashes by identity, so the interned object is an O(1) cache
-    key; callers intern once per sweep, not once per cell.
-    """
-    return _flipped_cached(cone, direction)
-
-
 # ------------------------------------------------------------- coefficient_at
 
 
@@ -294,7 +290,7 @@ def coefficient_at(g, w, direction=None):
     direction = _interned(direction.key())
     total = AuxPolynomial.zero()
     for term in g.terms:
-        fc = _flip(term.cone, direction)
+        fc = _flipped_cached(term.cone, direction)
         if cone_membership(fc, w):
             total = total + term.coeff * fc.sign
     return total
@@ -594,9 +590,19 @@ def _support_product(n, parts):
     pair up by np.repeat and np.tile, each block's columns placed at its
     mask positions, so no two pairs meet; class exponents add and counts
     multiply, and the class pairs that land on one class merge in one
-    integer product with a 0/1 merge matrix.  Raises GroundSetTooLarge,
-    before allocating, when the product would exceed _SUPPORT_CELLS cells.
+    integer product with a 0/1 merge matrix.  One block covers every
+    coordinate and is its own product; the product over no blocks (n = 0)
+    is the unit, one point of length 0 with count 1 in class (0, 0).
+    Raises GroundSetTooLarge, before allocating, when the product would
+    exceed _SUPPORT_CELLS cells.
     """
+    if len(parts) == 1:
+        return parts[0][1]
+    if not parts:
+        return _Support(np.zeros((1, n), dtype=np.int64),
+                        np.ones((1, 1), dtype=np.int64), ((0, 0),),
+                        ("u", "v"), 1)
+
     def exponents(s):
         return np.array(s.classes, dtype=np.int64).reshape(
             len(s.classes), len(s.aux_vars))
@@ -656,7 +662,8 @@ def _genfun_kernels(g, direction=None):
     class_index = {}
     by_cone = {}
     for t in g.terms:
-        cone = t.cone if direction is None else _flip(t.cone, direction)
+        cone = (t.cone if direction is None
+                else _flipped_cached(t.cone, direction))
         counts = by_cone.setdefault((cone.rays, cone.open_flags, cone.sign),
                                     {})
         for exps, c in t.coeff.align(vars_).terms.items():

@@ -11,15 +11,17 @@ the tangent cones at all its flag bases as int arrays (ray tails, heads,
 open flags and basis per cell), plus each basis's slot order and level
 counts.  One closed-form numerator serves every flag basis (_numerator,
 memoized per mode and slot counts): each coordinate's factor depends only
-on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  The
-t = 1 value is multiplicative over a direct sum: a flag splits into its
-blocks (_flag_blocks), each connected block is one pass of genfun's
-specialization core over the arrays, and the values multiply in integers.
-The full equivariant sum splits the same way: each connected block flips
-the same arrays along a direction and goes through the support core
-(_flag_kernels), and the blocks' supports multiply as arrays.  Relabelled
-blocks share that pass: it runs once per canonical block key (_canonical),
-and each labelled block permutes the columns of the canonical points.
+on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  Both the
+t = 1 value and the full equivariant sum are multiplicative over a direct
+sum, so one block loop (_block_parts) serves both: it splits a flag into
+its blocks (_flag_blocks), looks each up in the route's cache and computes
+it on a miss.  A t = 1 block value is one pass of genfun's specialization
+core over the arrays, and the values multiply in integers.  A block
+support flips the same arrays along a direction and goes through the
+support core (_flag_kernels), and the supports multiply as arrays.
+Relabelled blocks share that pass: it runs once per canonical block key
+(_canonical), and each labelled block permutes the columns of the
+canonical points.
 """
 
 from __future__ import annotations
@@ -319,39 +321,36 @@ def _whole_support(fm, mode):
     return _support_core(fm.n, los, his, kernels, classes, ("u", "v"), 1)
 
 
+def _class_support(block, mode):
+    """The support of a connected block in array form, one support core
+    pass per isomorphism class.
+
+    Relabelling a block permutes the coordinates of its support, so the
+    pass runs (along the class's own default direction; the support does
+    not depend on it) only when the canonical key (_canonical) misses
+    _SUPPORT_CACHE, and the block's support is one gather of the point
+    columns stored under that key.
+    """
+    ckey, sigma = _canonical(block.key())
+    whole = _SUPPORT_CACHE.lookup((ckey, mode))
+    if whole is None:
+        whole = _whole_support(_flag_of_key(ckey), mode)
+        _SUPPORT_CACHE.store((ckey, mode), whole)
+    return whole._replace(points=whole.points[:, sigma])
+
+
 def _ktt_support(fm, mode="kt"):
     """The full equivariant localization sum as a Laurent polynomial.
 
     Valid for any quotient chain, including a rank-0 first constituent
     (the sum itself makes sense verbatim there).  The mode selects the
     numerator; see _flag_kernels.  Each numerator factor depends on one
-    coordinate, so the sum is multiplicative over a direct sum: each block
-    of the flag (_flag_blocks) has its arrays cached in _SUPPORT_CACHE under
-    its _restrict key, and a disconnected flag is their _support_product.
-    Relabelling a block permutes the coordinates of its support, so a block
-    missing there goes through the support core (along its own default
-    direction; the support does not depend on it) only if its canonical key
-    (_canonical) misses too; the support stored under the canonical key
-    comes back by one gather of its point columns.  The decoded polynomial
-    is not cached.
+    coordinate, so the sum is multiplicative over a direct sum: the blocks'
+    arrays (_block_parts over _SUPPORT_CACHE, _class_support on a miss)
+    multiply by _support_product.  The decoded polynomial is not cached.
     """
-    blocks = _flag_blocks(fm)
-    parts = []
-    for s in blocks:
-        key = fm.key() if len(blocks) == 1 else _restrict(fm, s)
-        part = _SUPPORT_CACHE.lookup((key, mode))
-        if part is None:
-            ckey, sigma = _canonical(key)
-            whole = _SUPPORT_CACHE.lookup((ckey, mode))
-            if whole is None:
-                whole = _whole_support(_flag_of_key(ckey), mode)
-                _SUPPORT_CACHE.store((ckey, mode), whole)
-            part = whole._replace(points=whole.points[:, sigma])
-            _SUPPORT_CACHE.store((key, mode), part)
-        parts.append((s, part))
-    if len(parts) == 1:
-        return _decode_support(parts[0][1])
-    return _decode_support(_support_product(fm.n, parts))
+    return _decode_support(_support_product(
+        fm.n, _block_parts(fm, mode, _SUPPORT_CACHE, _class_support)))
 
 
 def kt_equivariant(fm):
@@ -418,6 +417,28 @@ def _restrict(fm, s):
 def _flag_of_key(key):
     return FlagMatroid(tuple(Matroid(n, bases, _trusted=True)
                              for n, bases in key), _trusted=True)
+
+
+def _block_parts(fm, mode, cache, compute):
+    """(mask, part) per block of a flag (_flag_blocks), each part cached.
+
+    The one block loop of the t -> 1 values and the equivariant supports:
+    a block is keyed by the flag's key() when the flag is connected and by
+    _restrict otherwise, looked up in cache under (key, mode), and on a
+    miss computed by compute(block, mode) from the block as a flag (the
+    flag itself, or one built by _flag_of_key from the key) and stored.
+    """
+    blocks = _flag_blocks(fm)
+    parts = []
+    for s in blocks:
+        key = fm.key() if len(blocks) == 1 else _restrict(fm, s)
+        part = cache.lookup((key, mode))
+        if part is None:
+            part = compute(fm if len(blocks) == 1 else _flag_of_key(key),
+                           mode)
+            cache.store((key, mode), part)
+        parts.append((s, part))
+    return parts
 
 
 def _canonical(key):
@@ -488,39 +509,24 @@ def _multiply_terms(a, b):
     return out
 
 
-def _localization_value(fm, mode, seed=0):
+def _localization_value(fm, mode):
     """The t -> 1 value of a localization sum, as a polynomial in u and v.
 
-    The sum is multiplicative over a direct sum, so a flag of several blocks
-    (_flag_blocks) is the integer product of its blocks' values.  Flags and
-    blocks share _VALUE_CACHE; a block is keyed by _restrict and built as a
-    flag of its own only on a miss.
+    The sum is multiplicative over a direct sum, so a flag is the integer
+    product of its blocks' values (_block_parts over _VALUE_CACHE,
+    _connected_value on a miss); the empty product is 1.  Values stay keyed
+    by labelled blocks: a canonical key costs more than most connected
+    blocks do, and those rarely share a class.
     """
-    key = (fm.key(), mode, seed)
-    hit = _VALUE_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    blocks = _flag_blocks(fm)
-    if len(blocks) == 1:
-        result = _connected_value(fm, mode, seed)
-    else:
-        terms = {(0, 0): 1}
-        for s in blocks:
-            block = (_restrict(fm, s), mode, seed)
-            part = _VALUE_CACHE.lookup(block)
-            if part is None:
-                part = _connected_value(_flag_of_key(block[0]), mode, seed)
-                _VALUE_CACHE.store(block, part)
-            terms = _multiply_terms(
-                terms, {e: c.numerator for e, c in part.terms.items()})
-        result = AuxPolynomial._trusted(
-            ("u", "v"), {e: Fraction(c) for e, c in terms.items() if c})
-    _VALUE_CACHE.store(key, result)
-    return result
+    terms = {(0, 0): 1}
+    for _, part in _block_parts(fm, mode, _VALUE_CACHE, _connected_value):
+        terms = _multiply_terms(terms, part)
+    return AuxPolynomial._trusted(
+        ("u", "v"), {e: Fraction(c) for e, c in terms.items() if c})
 
 
-def _connected_value(fm, mode, seed):
-    """The t -> 1 value of a flag of one block.
+def _connected_value(fm, mode):
+    """The t -> 1 value of a flag of one block, as {(u, v) exponents: int}.
 
     One pass of _specialize_t1 over the arrays of _flag_cells: the pairings
     of all rays with the weight are w[head] - w[tail], and the z-exponents
@@ -543,9 +549,8 @@ def _connected_value(fm, mode, seed):
         return dots, w[cells.slots] @ steps.T + (levels @ w)[:, None], points
 
     values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
-                            cls, vals, len(classes), seed)
-    return AuxPolynomial._trusted(
-        ("u", "v"), {e: Fraction(c) for e, c in zip(classes, values) if c})
+                            cls, vals, len(classes))
+    return {e: c for e, c in zip(classes, values) if c}
 
 
 def kt(fm):

@@ -168,6 +168,20 @@ def test_verify_direct_sum_list_input(capsys):
     assert out.endswith("PASS\n")
 
 
+def test_verify_on_the_empty_ground_set(capsys):
+    # a flag on no elements has no blocks; its support is the unit
+    empty = {"type": "uniform", "r": 0, "n": 0}
+    runs = [(identity, json.dumps(empty))
+            for identity in ("duality", "latticepoints", "h-uv")]
+    runs.append(("kt22", json.dumps({"type": "flag",
+                                     "constituents": [empty, empty]})))
+    for identity, doc in runs:
+        code, out = run_main("verify", "--identity", identity, "--input",
+                             doc, capsys=capsys)
+        assert code == 0, identity
+        assert out.endswith("PASS\n"), identity
+
+
 def test_verify_json_format(capsys):
     code, out = run_main("verify", "--identity", "latticepoints",
                          "--format", "json", "--threads", "1",

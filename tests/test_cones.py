@@ -14,8 +14,9 @@ import pytest
 
 from flagtutte import cones
 from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
-                       cone_membership, default_direction, flag, flip_cone,
-                       slice_cone, tangent_cone_generators,
+                       cone_membership, default_direction, flag,
+                       flag_corpus, flip_cone, slice_cone,
+                       tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte.errors import NotABasis, ZeroPairing
 from flagtutte.linalg import nonneg_combination_exists
@@ -236,6 +237,36 @@ def test_permuted_copies_make_no_triangulation_miss():
     for fb in fm.flag_bases():
         triangulate_half_open((0,) * 5, tangent_cone_generators(fm, fb))
     assert cones._triangulate_cells.cache_info().misses - misses <= 1
+
+
+def _stacks():
+    """Exchange-digraph stacks of every 10th corpus flag with an edge, then
+    seeded random digraph stacks with n = 2..7."""
+    for fm in flag_corpus()[::10]:
+        chains = np.array(fm.flag_bases(), dtype=np.uint64).reshape(-1, fm.k)
+        adj = cones._tangent_generators(fm, chains)
+        if adj.any():
+            yield adj
+    rng = np.random.default_rng(20261019)
+    for n in range(2, 8):
+        for _ in range(5):
+            adj = rng.random((8, n, n)) < 0.35
+            adj[:, np.arange(n), np.arange(n)] = False
+            yield adj
+
+
+def test_colour_order_of_a_stack_is_each_digraph_alone():
+    # _triangulate refines a whole stack in one call: each digraph must be
+    # ordered as it is ordered alone, so its class key cannot depend on
+    # the stack it arrives in
+    count = 0
+    for adj in _stacks():
+        together = cones._colour_order(adj)
+        for b in range(len(adj)):
+            alone = cones._colour_order(adj[b:b + 1])[0]
+            assert together[b].tolist() == alone.tolist(), (adj[b], b)
+        count += 1
+    assert count > 100
 
 
 def test_triangulate_translates_cached_cells():

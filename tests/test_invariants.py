@@ -518,6 +518,24 @@ def test_split_values_equal_whole_values(monkeypatch):
         assert a == b, label
 
 
+def test_value_cache_holds_block_entries_only():
+    # the t -> 1 route caches blocks, never a whole disconnected flag: one
+    # entry per distinct (labelled block key, mode) over the corpus
+    flags = flag_corpus()
+    modes = ("kt", "h", "h_lv")
+    clear_caches()
+    try:
+        for mode in modes:
+            for fm in flags:
+                invariants._localization_value(fm, mode)
+        held = set(invariants._VALUE_CACHE)
+        assert invariants._VALUE_CACHE.evictions == 0
+    finally:
+        clear_caches()
+    assert held == {(key, mode) for key in _block_keys(flags)
+                    for mode in modes}
+
+
 def test_split_supports_equal_whole_supports(monkeypatch):
     # every disconnected rank >= 1 corpus flag, in all three numerator
     # modes: the product of its blocks' supports against one pass of the
@@ -609,7 +627,7 @@ def _relabel_key(key, sigma):
 
 
 def _block_keys(flags):
-    """Every distinct block key of the flags, as _ktt_support forms them."""
+    """Every distinct block key of the flags, as _block_parts forms them."""
     keys = set()
     for fm in flags:
         blocks = invariants._flag_blocks(fm)
@@ -718,6 +736,8 @@ def test_canonical_falls_back_past_its_budget():
 
 def test_flags_whose_cells_have_no_rays():
     assert kt(flag(U(0, 0))).canonical_str() == "1"
+    # no blocks at all: the empty product of supports is the unit
+    assert _ktt_support(flag(U(0, 0))).canonical_str() == "t^[]: 1"
     assert kt(flag(U(0, 1))).canonical_str() == "y"
     assert kt(flag(U(1, 1))).canonical_str() == "x"
     assert kt(flag(U(0, 2), U(1, 2))).canonical_str() == "x*y^2 + y^2"
@@ -734,7 +754,7 @@ def test_flag_routes_build_no_per_basis_cones(monkeypatch):
                          (cones, "triangulate_half_open"),
                          (invariants, "tangent_cone_generators"),
                          (invariants, "triangulate_half_open"),
-                         (genfun, "_flip")):
+                         (genfun, "_flipped_cached")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
