@@ -2,8 +2,11 @@
 
 The corank-nullity family (Tutte, characteristic, Las Vergnas Tutte, beta,
 Poincare) is read off each matroid's rank table (matroid.rank_table): one
-vectorized count of the subsets per (corank, nullity, gap), then expanded
-at (x - 1, y - 1) binomially in integers or specialized term by term.  The
+bincount of the subsets per (corank, nullity, gap) into a dense int64 array
+C.  Tutte and Las Vergnas Tutte open (x - 1)^a (y - 1)^b as P^T C P with a
+signed Pascal matrix P (batched over the gap axis), in int64, as every
+entry stays below 4^n <= 2^48; characteristic, beta and Poincare multiply C
+by the (-1)^(cr + nl + gap) parity grid and sum the dropped axes.  The
 flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
 computed from the localization sum over flag bases, with the flag as the
 unit of work.  _flag_cells holds, per flag, the half-open triangulations of
@@ -60,24 +63,46 @@ from .polynomial import AuxPolynomial
 # ------------------------------------------------------ corank-nullity family
 
 
-def _expand_shifted(vars, counts, shifted):
-    """Expand sum c * prod (v_i - 1)^(e_i) over the first `shifted` variables.
+@lru_cache(maxsize=64)
+def _pascal(b):
+    """P[e, j] = (-1)^(e - j) C(e, j), row e the coefficients of (v - 1)^e."""
+    pas = np.array([[(-1) ** (e - j) * comb(e, j) for j in range(b)]
+                    for e in range(b)], dtype=np.int64)
+    pas.setflags(write=False)
+    return pas
 
-    counts maps exponent tuples over vars to exact coefficients; the
-    variables past the first `shifted` keep their plain powers.  Each
-    (v - 1)^e opens binomially, so integer counts stay integers.
-    """
-    for i in range(shifted):
-        out = {}
-        for exps, c in counts.items():
-            e = exps[i]
-            for j in range(e + 1):
-                key = exps[:i] + (j,) + exps[i + 1:]
-                term = c * comb(e, j)
-                out[key] = out.get(key, 0) + (-term if (e - j) & 1 else term)
-        counts = out
-    return AuxPolynomial._trusted(
-        vars, {e: Fraction(c) for e, c in counts.items() if c})
+
+def _open_shifts(A):
+    """Open (v - 1)^e along the last two axes of A (its only one if A is a
+    vector): P^T @ A @ P, batched.  int64 products stay off BLAS."""
+    A = A @ _pascal(A.shape[-1]).astype(A.dtype, copy=False)
+    if A.ndim > 1:
+        A = _pascal(A.shape[-2]).astype(A.dtype, copy=False).T @ A
+    return A
+
+
+def _poly(vars, coeffs):
+    """The AuxPolynomial whose coefficient of vars^e is coeffs[e]."""
+    idx = np.nonzero(coeffs)
+    return AuxPolynomial._trusted(vars, {
+        e: Fraction(c) for e, c in zip(zip(*(i.tolist() for i in idx)),
+                                       coeffs[idx].tolist())})
+
+
+def _expand_shifted(vars, terms):
+    """sum c prod (v_i - 1)^(e_i) over {exponents: integral Fraction c}, in
+    one or two variables.  Every partial sum of the Pascal products is at
+    most sum |c| 2^(a + b) < max|c| 2^(sum of the array's sides): the array
+    is int64 when that is below 2^63, exact Python ints otherwise."""
+    if any(c.denominator != 1 for c in terms.values()):
+        raise InternalAssertion("a non-integral coefficient to expand")
+    cols = tuple(zip(*terms))
+    coeffs = [c.numerator for c in terms.values()]
+    shape = [max(col) + 1 for col in cols]
+    wide = max(map(abs, coeffs)).bit_length() + sum(shape) > 63
+    A = np.zeros(shape, dtype=object if wide else np.int64)
+    A[cols] = coeffs
+    return _poly(vars, _open_shifts(A))
 
 
 def _require_quotient(m1, m2):
@@ -93,53 +118,56 @@ def _corank_nullity_codes(m1, m2):
     three lie in [0, n] when m1 is a quotient of m2 or equals it, so the
     code is a base-b number.  Returns (int16 codes, b).
     """
-    n = m1.n
-    sizes = _subset_sizes(n)
     cr = m1.rank_value - rank_table(m1).astype(np.int16)
     rk2 = rank_table(m2).astype(np.int16)
-    b = n + 1
-    return (cr * b + (sizes - rk2)) * b + (m2.rank_value - rk2 - cr), b
-
-
-def _decode(code, b):
-    return code // (b * b), code // b % b, code % b
+    b = m1.n + 1
+    nl = _subset_sizes(m1.n) - rk2
+    return (cr * b + nl) * b + (m2.rank_value - rk2 - cr), b
 
 
 def _corank_nullity_counts(m1, m2):
-    """{(cr, nl, gap): number of subsets} over all subsets of the pair."""
+    """The number of subsets per (cr, nl, gap), a dense int64 b^3 array.
+
+    Products with it stay in int64: an entry or partial sum is at most
+    sum_S C(cr, i) C(nl, j) <= sum_S 2^(cr + nl), and cr <= |E - S| (as
+    r1 <= rk1(S) + |E - S|) and nl <= |S|, so at most 2^n 2^n = 4^n: 2^48
+    at RANK_TABLE_MAX = 24.
+    """
     codes, b = _corank_nullity_codes(m1, m2)
-    values, counts = np.unique(codes, return_counts=True)
-    return {_decode(c, b): k
-            for c, k in zip(values.tolist(), counts.tolist())}
+    return np.bincount(codes, minlength=b ** 3).reshape(b, b, b)
 
 
-def _signed_counts(vars, counts, keep, sign):
-    """sum c * (-1)^(sign + cr + nl + gap) * prod vars^(key[keep])."""
-    terms = {}
-    for key, c in counts.items():
-        exps = tuple(key[i] for i in keep)
-        c = -c if (sign + sum(key)) & 1 else c
-        terms[exps] = terms.get(exps, 0) + c
-    return AuxPolynomial(vars, terms)
+@lru_cache(maxsize=64)
+def _parity(b):
+    """(-1)^(cr + nl + gap) over a b^3 count array."""
+    grid = (-1) ** np.indices((b, b, b)).sum(axis=0)
+    grid.setflags(write=False)
+    return grid
+
+
+def _signed(m1, m2, sign, drop):
+    """sum (-1)^(sign + cr + nl + gap) of the pair's counts over axes drop."""
+    counts = _corank_nullity_counts(m1, m2)
+    out = (counts * _parity(len(counts))).sum(axis=drop)
+    return -out if sign & 1 else out
 
 
 def tutte(m):
     """The Tutte polynomial by the corank-nullity sum, in x and y."""
-    counts = {(cr, nl): c
-              for (cr, nl, _), c in _corank_nullity_counts(m, m).items()}
-    return _expand_shifted(("x", "y"), counts, 2)
+    return _poly(("x", "y"),
+                 _open_shifts(_corank_nullity_counts(m, m).sum(axis=2)))
 
 
 def characteristic(m):
     """The characteristic polynomial chi(q) = (-1)^r T(1-q, 0)."""
-    return _signed_counts(("q",), _corank_nullity_counts(m, m), (0,),
-                          m.rank_value)
+    return _poly(("q",), _signed(m, m, m.rank_value, (1, 2)))
 
 
 def lv_tutte(m1, m2):
     """The three-variable corank-nullity polynomial of a quotient, in x,y,z."""
     _require_quotient(m1, m2)
-    return _expand_shifted(("x", "y", "z"), _corank_nullity_counts(m1, m2), 2)
+    counts = _corank_nullity_counts(m1, m2).transpose(2, 0, 1)
+    return _poly(("x", "y", "z"), _open_shifts(counts).transpose(1, 2, 0))
 
 
 def lv_tutte_equivariant(m1, m2):
@@ -147,8 +175,8 @@ def lv_tutte_equivariant(m1, m2):
     _require_quotient(m1, m2)
     codes, b = _corank_nullity_codes(m1, m2)
     values, inverse = np.unique(codes, return_inverse=True)
-    monos = [AuxPolynomial.monomial(("u", "v", "w"), _decode(c, b))
-             for c in values.tolist()]
+    monos = [AuxPolynomial.monomial(("u", "v", "w"), e)
+             for e in zip(*np.unravel_index(values, (b, b, b)))]
     n = m1.n
     support = {tuple(s >> i & 1 for i in range(n)): monos[k]
                for s, k in enumerate(inverse.tolist())}
@@ -252,14 +280,11 @@ def _numerator(mode, counts):
     reps = M + 1
     rows = np.repeat(np.arange(len(M)), reps)
     j = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
-    top = int(M.max())
-    pascal = np.array([[comb(a, b) for b in range(top + 1)]
-                       for a in range(top + 1)], dtype=np.int64)
     vstr = sum(counts) + 1
     used, cls = np.unique((U[rows] + j) * vstr + V[rows] + j,
                           return_inverse=True)
     out = (chosen[rows, :, 0].astype(np.int8), cls.reshape(-1),
-           pascal[M[rows], j])
+           np.abs(_pascal(int(M.max()) + 1)[M[rows], j]))
     for a in out:
         a.setflags(write=False)
     return out + (tuple(divmod(int(c), vstr) for c in used),)
@@ -559,12 +584,7 @@ def kt(fm):
     Computed as the t = 1 value of the localization sum (which also covers
     a rank-0 first constituent) followed by u = x-1, v = y-1.
     """
-    phi = _localization_value(fm, "kt")
-    # the coefficients are integers: expand them as such
-    if any(c.denominator != 1 for c in phi.terms.values()):
-        raise InternalAssertion("kt value has a non-integral coefficient")
-    return _expand_shifted(("x", "y"),
-                           {e: c.numerator for e, c in phi.terms.items()}, 2)
+    return _expand_shifted(("x", "y"), _localization_value(fm, "kt").terms)
 
 
 # ----------------------------------------------------------------- h family
@@ -579,14 +599,7 @@ def _check_loops_coloops(fm):
 
 def _is_diagonal(phi):
     """Whether a (u,v)-polynomial has equal u- and v-exponents throughout."""
-    ui = phi.vars.index("u") if "u" in phi.vars else None
-    vi = phi.vars.index("v") if "v" in phi.vars else None
-    for exps in phi.terms:
-        a = exps[ui] if ui is not None else 0
-        b = exps[vi] if vi is not None else 0
-        if a != b:
-            return False
-    return True
+    return all(u == v for u, v in phi.align(("u", "v")).terms)
 
 
 def h_value_uv(fm):
@@ -605,10 +618,8 @@ def h_polynomial(fm):
     if not _is_diagonal(phi):
         raise NotInUV("untwisted localization value has a term off the "
                       "uv-diagonal")
-    ui = phi.vars.index("u")
-    counts = {(exps[ui],): -coeff if exps[ui] & 1 else coeff
-              for exps, coeff in phi.terms.items()}
-    return _expand_shifted(("s",), counts, 1)
+    return _expand_shifted(("s",), {(u,): -c if u & 1 else c for (u, _), c
+                                    in phi.align(("u", "v")).terms.items()})
 
 
 def h_candidate_lv(fm):
@@ -630,31 +641,8 @@ def h_candidate_lv(fm):
 
 def beta_invariant(m):
     """Signed derivative of the characteristic polynomial at q = 1."""
-    chi = characteristic(m)
-    deriv = Fraction(0)
-    for exps, coeff in chi.terms.items():
-        e = exps[chi.vars.index("q")]
-        deriv += e * coeff
-    sign = -1 if (m.rank_value - 1) % 2 else 1
-    return sign * deriv
-
-
-def _divide_by_q_minus_1(poly):
-    coeffs = {}
-    qi = poly.vars.index("q") if "q" in poly.vars else None
-    for exps, coeff in poly.terms.items():
-        e = exps[qi] if qi is not None else 0
-        coeffs[e] = coeffs.get(e, Fraction(0)) + coeff
-    if sum(coeffs.values(), Fraction(0)) != 0:
-        raise NotDivisible("beta polynomial is not divisible by (q - 1)")
-    out = {}
-    if coeffs:
-        acc = Fraction(0)
-        for e in range(0, max(coeffs) + 1):
-            acc = acc - coeffs.get(e, Fraction(0))
-            if acc and e < max(coeffs):
-                out[(e,)] = acc
-    return AuxPolynomial(("q",), out)
+    chi = _signed(m, m, 1, (1, 2))  # sign 1: (-1)^(r - 1) chi
+    return Fraction(int(np.arange(len(chi)) @ chi))
 
 
 def beta_polynomial(m1, m2):
@@ -662,9 +650,12 @@ def beta_polynomial(m1, m2):
     _require_quotient(m1, m2)
     if m1.rank_value == m2.rank_value:
         raise RankGapZero("beta polynomial reduction needs r2 > r1")
-    beta = _signed_counts(("q",), _corank_nullity_counts(m1, m2), (2,),
-                          m2.rank_value - m1.rank_value)
-    return beta, _divide_by_q_minus_1(beta)
+    beta = _signed(m1, m2, m2.rank_value - m1.rank_value, (0, 1))
+    # beta / (q - 1) has the coefficients -(c_0 + ... + c_e)
+    reduced = -np.cumsum(beta)
+    if reduced[-1]:
+        raise NotDivisible("beta polynomial is not divisible by (q - 1)")
+    return _poly(("q",), beta), _poly(("q",), reduced[:-1])
 
 
 def reduced_beta_via_higgs(m1, m2):
@@ -686,8 +677,7 @@ def reduced_beta_via_higgs(m1, m2):
 def poincare(m1, m2):
     """The two-variable specialization (-1)^{r2} LVT(1-q, 0, -s)."""
     _require_quotient(m1, m2)
-    return _signed_counts(("q", "s"), _corank_nullity_counts(m1, m2), (0, 2),
-                          m2.rank_value)
+    return _poly(("q", "s"), _signed(m1, m2, m2.rank_value, 1))
 
 
 def k_char(fm):
@@ -1005,14 +995,7 @@ def check_loop_coloop_divisibility(fm):
     report = VerifyReport("divisibility")
     nl = len(fm.constituents[0].loops())
     nc = len(fm.constituents[-1].coloops())
-    poly = kt(fm)
-    ok = True
-    for exps in poly.terms:
-        xi = exps[poly.vars.index("x")] if "x" in poly.vars else 0
-        yi = exps[poly.vars.index("y")] if "y" in poly.vars else 0
-        if xi < nc or yi < nl:
-            ok = False
-            break
+    ok = all(x >= nc and y >= nl for x, y in kt(fm).terms)
     report.data["loops"] = nl
     report.data["coloops"] = nc
     report.check("monomial-wise divisibility by x^%d y^%d" % (nc, nl), ok)

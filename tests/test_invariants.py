@@ -28,6 +28,7 @@ from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               RankGapZero, RankZeroConstituent,
                               UnknownInvariant)
 from flagtutte.invariants import _flag_kernels, _ktt_support
+from flagtutte.corpus import matroid_corpus
 from flagtutte.matroid import RANK_TABLE_MAX, pseudo_basis_masks
 
 U = Matroid.uniform
@@ -891,6 +892,96 @@ def test_corank_nullity_admission_guard():
     with pytest.raises(GroundSetTooLarge):
         lv_tutte(m, m)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _truncations(m):
+    """m and its truncations down to rank 0, each a quotient of the last."""
+    chain = [m]
+    while chain[-1].rank_value:
+        chain.append(chain[-1].truncation())
+    return chain
+
+
+def _corank_nullity_oracle(m1, m2):
+    """LVT(m1, m2) and T(m2) summed over all 2^n subsets through
+    Matroid.rank on copies that never build a rank table, with the
+    (x - 1)- and (y - 1)-powers expanded by AuxPolynomial arithmetic, and
+    Whitney's chi(m2) = sum (-1)^|S| q^(r2 - rk2(S))."""
+    c1, c2 = (Matroid(m.n, m.bases_masks, _trusted=True) for m in (m1, m2))
+    counts, whitney = Counter(), Counter()
+    for s in range(1 << m1.n):
+        rk1, rk2 = c1.rank(s), c2.rank(s)
+        cr, nl = m1.rank_value - rk1, s.bit_count() - rk2
+        counts[cr, nl, m2.rank_value - rk2 - cr] += 1
+        whitney[m2.rank_value - rk2] += (-1) ** s.bit_count()
+    assert c1._table is None and c2._table is None
+    lvt = AuxPolynomial.zero(("x", "y", "z"))
+    tut = AuxPolynomial.zero(("x", "y"))
+    for (cr, nl, gap), c in counts.items():
+        lvt = lvt + Fraction(c) * (X - 1) ** cr * (Y - 1) ** nl * Z ** gap
+        if not gap and m1.rank_value == m2.rank_value:
+            tut = tut + Fraction(c) * (X - 1) ** cr * (Y - 1) ** nl
+    chi = AuxPolynomial.zero(("q",))
+    for e, c in whitney.items():
+        chi = chi + c * Q ** e
+    return lvt, tut, chi
+
+
+def test_corank_nullity_family_against_a_subset_oracle():
+    # quotient pairs on 7 and 8 elements, past the corpus's 6: truncation
+    # chains of uniform matroids and of direct sums of corpus matroids
+    rng = random.Random(21)
+    corpus = matroid_corpus()
+    sources = [U(rng.randint(2, n), n) for n in (7, 7, 8, 8)]
+    while len(sources) < 10:
+        a, b = rng.sample(corpus, 2)
+        if a.n + b.n in (7, 8) and a.rank_value + b.rank_value:
+            sources.append(a.direct_sum(b))
+    for m in sources:
+        chain = _truncations(m)
+        i = rng.randrange(len(chain) - 1)
+        for m1, m2 in ((chain[rng.randrange(i + 1, len(chain))], chain[i]),
+                       (chain[i], chain[i])):
+            lvt, tut, chi = _corank_nullity_oracle(m1, m2)
+            r1, r2 = m1.rank_value, m2.rank_value
+            assert lv_tutte(m1, m2) == lvt, (m1, m2)
+            assert poincare(m1, m2) == (-1) ** r2 * lvt.substitute(
+                {"x": 1 - Q, "y": 0, "z": -S}), (m1, m2)
+            assert characteristic(m2) == chi, m2
+            if r1 == r2:
+                assert tutte(m2) == tut, m2
+                continue
+            beta, reduced = beta_polynomial(m1, m2)
+            assert beta == (-1) ** (r2 - r1) * lvt.substitute(
+                {"x": 0, "y": 0, "z": -Q}), (m1, m2)
+            assert reduced * (Q - 1) == beta, (m1, m2)
+
+
+def test_corank_nullity_on_twenty_two_elements():
+    # every Pascal product stays in int64 (its entries are at most 4^n)
+    m, below = U(11, 22), U(10, 22)
+    t0 = time.perf_counter()
+    poly = tutte(m)
+    lvt = lv_tutte(below, m)
+    assert time.perf_counter() - t0 < 10.0
+    n, r = 22, 11
+    closed = (sum(binom(n - i - 1, r - i) * X ** i for i in range(1, r + 1))
+              + sum(binom(n - j - 1, r - 1) * Y ** j
+                    for j in range(1, n - r + 1)))
+    assert poly == closed
+    assert lvt.evaluate({"x": 2, "y": 2, "z": 1}) == 2 ** n
+
+
+def test_shift_stays_exact_past_int64():
+    # the kt and h expansions switch to Python ints past the int64 bound
+    for e in (40, 55, 56, 57, 58, 62, 63, 70):
+        terms = {(2, 3): Fraction(2 ** e - 1), (0, 1): Fraction(-2 ** e),
+                 (1, 0): Fraction(3)}
+        want = ((2 ** e - 1) * (X - 1) ** 2 * (Y - 1) ** 3
+                - 2 ** e * (Y - 1) + 3 * (X - 1))
+        assert invariants._expand_shifted(("x", "y"), terms) == want, e
+        assert invariants._expand_shifted(
+            ("s",), {(4,): Fraction(2 ** e)}) == 2 ** e * (S - 1) ** 4, e
 
 
 # ------------------------------------------------------ numerator kernels

@@ -291,6 +291,17 @@ def test_is_quotient_against_oracle():
             assert is_quotient(m1, m2) == oracle_is_quotient(m1, m2)
 
 
+def test_is_quotient_on_edges_along_high_bits():
+    # d = rk2 - rk1 drops only when the last element joins, an edge past
+    # the low bits that the one comparison covers
+    for n in (7, 9, 12):
+        coloop = U(2, n - 1).direct_sum(U(1, 1))
+        loop = U(2, n - 1).direct_sum(U(0, 1))
+        assert not is_quotient(coloop, loop)
+        assert is_quotient(loop, coloop)
+        assert is_quotient(loop, coloop) == oracle_is_quotient(loop, coloop)
+
+
 def test_flag_validation():
     fm = flag(U(1, 3), U(2, 3))
     assert fm.ranks == (1, 2)
