@@ -1,13 +1,12 @@
 """One report of the library's result caches, and one switch to empty them.
 
-Five caches are lru.LRUCache objects, which count their own hits, misses and
+Four caches are lru.LRUCache objects, which count their own hits, misses and
 evictions; the rest are functools memos, which report cache_info().
 """
 
 from . import cones, genfun, invariants
 
 _LRU_CACHES = {
-    "genfun.member_cache": genfun._member_cache,
     "genfun.box_cache": genfun._box_cache,
     "invariants.cells_cache": invariants._CELLS_CACHE,
     "invariants.value_cache": invariants._VALUE_CACHE,
@@ -18,7 +17,6 @@ _MEMOS = {
     "cones.triangulate_cells": cones._triangulate_cells,
     "cones.origin_cells": cones._origin_cells,
     "cones.edge_vectors": cones._edge_vectors,
-    "cones.edge_ranks": cones._edge_ranks,
     "genfun.interned": genfun._interned,
     "genfun.flipped_cached": genfun._flipped_cached,
     "genfun.reversed_edges": genfun._reversed_edges,

@@ -478,18 +478,6 @@ def _edge_vectors(n):
                  for i in range(n) for j in range(n))
 
 
-@lru_cache(maxsize=64)
-def _edge_ranks(n):
-    """(n x n) int array: at [i, j], the lexicographic rank of e_j - e_i
-    among all n * n such vectors."""
-    vectors = _edge_vectors(n)
-    ranks = np.empty(n * n, dtype=np.int64)
-    ranks[sorted(range(n * n), key=vectors.__getitem__)] = np.arange(n * n)
-    ranks = ranks.reshape(n, n)
-    ranks.setflags(write=False)
-    return ranks
-
-
 def _triangulate(adj):
     """Half-open triangulations of a stack of exchange digraphs, as arrays.
 
@@ -537,13 +525,75 @@ def _triangulate(adj):
             opens[cell], owner)
 
 
-def _sort_rays(n, tails, heads, opens):
-    """Cell arrays as _triangulate returns them, rays within each cell
-    sorted as vectors e_j - e_i."""
-    by_vector = np.argsort(_edge_ranks(n)[tails, heads], axis=1)
-    cell = np.arange(len(tails))[:, None]
-    return (tails[cell, by_vector], heads[cell, by_vector],
-            opens[cell, by_vector])
+def _forest_rows(tails, heads, opens, n):
+    """Integer membership rows of a stack of forest cones at the origin.
+
+    Cell c has the rays e_heads[c, k] - e_tails[c, k] (a slot with tail ==
+    head is padding) and open flags opens[c].  Returns (M, thr), M int8 (C
+    x H x n) and thr int8 (C x H): a point x of the sum-zero box lies in the
+    cell exactly when M[c] x >= thr[c] row by row.  The rows are +I and -I
+    for each component indicator I of the cell's forest but the first,
+    whose row is implied on the sum-zero box, then per slot the indicator
+    of the ray's head side, the component of its head without the ray:
+    given the component sums, the ray coordinates of x in the span are
+    these head-side sums, with the open flags as thresholds.  Rows past a
+    cell's components and rows of padding slots are zero at threshold 0.
+
+    Components come from least-label propagation; the round in which a
+    vertex takes its final label is its depth below the least vertex of
+    its component, the deeper end of each ray is its child, and ancestors
+    follow the parent pointers by repeated doubling.  The rows are checked
+    exactly: the head-side rows times the rays must be the identity, which
+    holds only for independent rays.  Else InternalAssertion.
+    """
+    C, D = tails.shape
+    cell = np.arange(C)[:, None]
+    tails, heads = tails.astype(np.intp), heads.astype(np.intp)
+    real = tails != heads
+    adj = np.zeros((C, n, n), dtype=bool)
+    adj[cell, tails, heads] = adj[cell, heads, tails] = True
+    adj[:, np.arange(n), np.arange(n)] = True
+    label = np.zeros((C, 1), dtype=np.intp) + np.arange(n)
+    depth = np.zeros((C, n), dtype=np.intp)
+    rounds = 0
+    while True:
+        near = np.where(adj, label[:, None, :], n).min(axis=2, initial=n)
+        moved = near < label
+        if not moved.any():
+            break
+        rounds += 1
+        depth[moved] = rounds
+        label = near
+    deeper = depth[cell, heads] > depth[cell, tails]
+    child = np.where(deeper, heads, tails)
+    up = np.zeros((C, 1), dtype=np.intp) + np.arange(n)
+    at = np.nonzero(real)
+    up[at[0], child[at]] = np.where(deeper, tails, heads)[at]
+    # anc[c, v, u]: u is v or one of its ancestors
+    anc = np.eye(n, dtype=bool) | (up[:, :, None] == np.arange(n))
+    reach = 1
+    while reach < n - 1:
+        anc = anc | anc[cell, up]
+        up = up[cell, up]
+        reach *= 2
+    below = anc.transpose(0, 2, 1)[cell, child]
+    same = label[:, None, :] == label[cell, heads][:, :, None]
+    side = (np.where(deeper[:, :, None], below, same & ~below)
+            & real[:, :, None]).astype(np.int8)
+    # side times ray j: side[c, k, heads[c, j]] - side[c, k, tails[c, j]]
+    slot, ends = cell[:, :, None], np.arange(D)[:, None]
+    if not np.array_equal(side[slot, ends, heads[:, None, :]]
+                          - side[slot, ends, tails[:, None, :]],
+                          np.eye(D, dtype=np.int8) * real[:, None, :]):
+        raise InternalAssertion("rays are not independent difference vectors")
+    roots = label == np.arange(n)
+    comp = (np.cumsum(roots, axis=1) - 1)[cell, label]
+    count = int(roots.sum(axis=1).max(initial=1)) - 1
+    ind = (comp[:, None, :] == np.arange(1, count + 1)[:, None]).astype(
+        np.int8)
+    thr = np.zeros((C, 2 * count + D), dtype=np.int8)
+    thr[:, 2 * count:] = opens & real
+    return np.concatenate([ind, -ind, side], axis=1), thr
 
 
 @lru_cache(maxsize=16384)
@@ -560,13 +610,15 @@ def _origin_cells(generators):
         return _placing_cells(generators)
     adj = np.zeros((1, n, n), dtype=bool)
     adj[0, [i for i, _ in edges], [j for _, j in edges]] = True
-    tails, heads, opens = _sort_rays(n, *_triangulate(adj)[:3])
+    tails, heads, opens = _triangulate(adj)[:3]
     origin = (0,) * n
     vectors = _edge_vectors(n)
     codes = tails.astype(np.intp) * n + heads
-    out = [HalfOpenSimplicialCone(origin, tuple(map(vectors.__getitem__, c)),
-                                  tuple(flags), 1, _trusted=True)
-           for c, flags in zip(codes.tolist(), opens.tolist())]
+    out = []
+    for c, flags in zip(codes.tolist(), opens.tolist()):
+        rays, flags = zip(*sorted(zip(map(vectors.__getitem__, c), flags)))
+        out.append(HalfOpenSimplicialCone(origin, rays, flags, 1,
+                                          _trusted=True))
     return tuple(sorted(out, key=HalfOpenSimplicialCone.key))
 
 

@@ -8,27 +8,29 @@ direction and hyperplane slices are taken cell by cell.
 
 Two integer cores serve both the GenFun API and the localization sums of
 invariants.py.  _support_core extracts the full support of sums whose rays
-are all difference vectors e_j - e_i.  It takes a kernel list: per
-half-open cone at the origin its rays, open flags and sign, plus int64
-arrays of numerator apexes, coefficient classes and multiplicities.  Every
-cell is then a forest cone, its membership a few integer rows over x each
-with a threshold (_cell_rows), so one batched pass per chunk of kernels
-tests all their cells against the sum-zero difference box with one float
-product and adds the signed memberships up to one multiplicity per kernel
-and box point; points that cannot reach the apex box are dropped, the rest
-are tested against it in the narrowest integer dtype, and the incidences
-that land are scattered into one dense int64 accumulator.  Its nonzero
-rows are the support in array form (_Support: points, a dense count matrix
-over the classes and a common denominator), which a direct sum multiplies
-block by block (_support_product) and one decode turns into an
-EquivariantPolynomial, one shared coefficient per distinct row of counts
-(support_pure, a per-point crawl, remains for other rays and as the test
-reference).  _specialize_t1 sets t -> 1 in one array pass over
-all cells: it takes per-cell arrays (open flags, sign, numerator index)
-and a callback pairing every ray and numerator apex with a weight,
-substitutes t_i = z^(c_i) and reads the value at z = 1 off the Laurent
-expansion at z = e^s modulo primes, one integer per class by CRT;
-evaluate_t1 feeds it the distinct cones of a GenFun.
+are all difference vectors e_j - e_i.  It takes cell arrays: per
+half-open cone at the origin the tails and heads of its rays, its open
+flags, sign and owner, plus per owner int64 arrays of numerator apexes,
+coefficient classes and multiplicities.  Every cell is then a forest cone,
+its membership a few integer rows over x each with a threshold, built for
+a chunk of cells at once (cones._forest_rows), so one batched pass per
+chunk of owners tests all their cells against the sum-zero difference box
+with one float product and adds the signed memberships up to one
+multiplicity per owner and box point; points that cannot reach the apex
+box are dropped, the rest are tested against it in the narrowest integer
+dtype, and the incidences that land are scattered into one dense int64
+accumulator.  Its nonzero rows are the support in array form (_Support:
+points, a dense count matrix over the classes and a common denominator),
+which a direct sum multiplies block by block (_support_product) and one
+decode turns into an EquivariantPolynomial, one shared coefficient per
+distinct row of counts (support_pure, a per-point crawl, remains for
+other rays and as the test reference).  _specialize_t1 sets t -> 1 in one
+array pass over all cells: it takes per-cell arrays (open flags, sign,
+numerator index) and a callback pairing every ray and numerator apex with
+a weight, substitutes t_i = z^(c_i) and reads the value at z = 1 off the
+Laurent expansion at z = e^s modulo primes, one integer per class by CRT.
+_genfun_kernels gives both cores the distinct cones of a GenFun in the
+same array form, as a table of distinct rays and per-cell slots into it.
 """
 
 from __future__ import annotations
@@ -45,16 +47,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _row_ranks,
-    cone_membership, default_direction, flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _edge_vectors, _forest_rows,
+    _row_ranks, cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
-    InternalAssertion, NonCancellingPole,
+    NonCancellingPole,
 )
-from .linalg import (
-    difference_vector_graph, forest_flow, vec_dot,
-)
+from .linalg import difference_vector_graph, vec_dot
 from .lru import LRUCache
 from .polynomial import AuxPolynomial, _merge_vars
 
@@ -262,14 +262,9 @@ def _reversed_edges(direction):
     direction is one returned by _interned; the diagonal is False.
     """
     n = len(direction.zeta)
-    out = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [0] * n
-                v[i] = -1
-                v[j] = 1
-                out[i, j] = direction.sign(v) < 0
+    out = np.array([k // n != k % n and direction.sign(v) < 0
+                    for k, v in enumerate(_edge_vectors(n))],
+                   dtype=bool).reshape(n, n)
     out.setflags(write=False)
     return out
 
@@ -351,26 +346,6 @@ def support_pure(g, direction=None):
     return EquivariantPolynomial(g.n, out)
 
 
-def _pivot_structure(rays, n):
-    """Integer rows deciding membership of x in cone(rays) at the origin.
-
-    The rays must be independent difference vectors e_j - e_i, as every ray
-    of the engine's cells is.  Returns (H, S), both lists of n-tuples read
-    off the spanning forest: H holds the component indicators and S the
-    signed subtree rows.  x lies in the span exactly when H x = 0, and its
-    ray coordinates are then S x, integers because the rays are unimodular.
-    """
-    edges = difference_vector_graph(rays, n)
-    flow = None if edges is None else forest_flow(edges, n)
-    if flow is None:
-        raise InternalAssertion("rays are not independent difference vectors")
-    components, subtrees = flow
-    H = [tuple(int(v in comp) for v in range(n)) for comp in components]
-    S = [tuple(sign if v in verts else 0 for v in range(n))
-         for sign, verts in subtrees]
-    return H, S
-
-
 class _Support(NamedTuple):
     """A support in array form: the coefficient of t^points[p] is
     sum_c counts[p, c] / den times the monomial classes[c] in aux_vars.
@@ -387,116 +362,80 @@ class _Support(NamedTuple):
 
 _SUPPORT_CELLS = 40_000_000
 _PASS_ENTRIES = 1 << 18
-_member_cache = LRUCache(16384)
+# never written; still bound because the benchmark worker reads its length
+_member_cache = LRUCache(0)
 _box_cache = LRUCache(256)
 
 
-def _cell_rows(rays, n):
-    """The membership rows of the forest cone on rays, cached per ray tuple.
+def _membership_passes(n, tails, heads, opens, signs, owner, XT):
+    """Signed membership multiplicities of the cells per owner, pass by pass.
 
-    Returns (M, h) with M an int8 matrix: a point x of the sum-zero box lies
-    in cone(rays) at the origin with open flags f exactly when M x >= thr
-    row by row, thr being h zeros followed by f.  The first h rows are +H
-    and -H of _pivot_structure without the first component, whose row is
-    implied on the sum-zero box; the rest are the subtree rows.
+    The cells are arrays as _support_core takes them.  Yields (b0, p0,
+    mult): mult the int64 sums of sign * [x in cell] over the cells of
+    owners b0, b0 + 1, ... (one row each) for the box points p0, p0 + 1, ...
+    of XT, the transposed sum-zero box in a float dtype holding every |M x|
+    exactly.  Each pass takes a chunk of consecutive owners, their cells'
+    rows from cones._forest_rows (built once per chunk), one product with a
+    block of points, one comparison against the thresholds, one all() over
+    each cell's rows and one signed sum per owner.  The product has at most
+    _PASS_ENTRIES entries unless one owner alone has more rows than that.
     """
-    hit = _member_cache.lookup((n, rays))
-    if hit is None:
-        H, S = _pivot_structure(rays, n)
-        H = H[1:]
-        rows = H + [tuple(-x for x in r) for r in H] + S
-        M = np.array(rows, dtype=np.int8).reshape(len(rows), n)
-        hit = (M, 2 * len(H))
-        _member_cache.store((n, rays), hit)
-    return hit
-
-
-def _membership_passes(n, kernels, XT):
-    """Signed membership multiplicities of the kernels' cells, pass by pass.
-
-    Cells sharing one kernel (the same A, cls and vals arrays: the cells of
-    one flag basis) merge into one basis.  Yields (bases, p0, mult): bases
-    a list of (A, cls, vals), and mult the int64 (len(bases) x block) sums
-    of sign * [x in cell] over the cells of each basis for the box points
-    p0, p0 + 1, ...  XT is the transposed sum-zero box in a float dtype
-    holding every |M x| exactly.  Each pass stacks the rows of all cells of
-    a chunk of bases, padded with zero rows to one height per cell, takes
-    one product with a block of points, one comparison against the
-    thresholds, one all() over each cell's rows and one signed sum per
-    basis.  The product has at most _PASS_ENTRIES entries unless one basis
-    alone has more rows than that.
-    """
-    grouped = {}
-    for rays, flags, sign, A, cls, vals in kernels:
-        key = (id(A), id(cls), id(vals))
-        entry = grouped.get(key)
-        if entry is None:
-            entry = grouped[key] = ((A, cls, vals), [])
-        M, h = _cell_rows(rays, n)
-        entry[1].append((M, [0] * h + [int(f) for f in flags], sign))
-    bases = list(grouped.values())
-    sizes = [(len(cells), max(len(M) for M, _, _ in cells))
-             for _, cells in bases]
+    sizes = np.bincount(owner)
+    ends = np.concatenate([[0], np.cumsum(sizes)])
+    # the most rows a cell of a forest on these slots can need
+    dims = (tails != heads).sum(axis=1)
+    height = 2 * max(n - 1 - int(dims.min(initial=n)), 0) + tails.shape[1]
     points = XT.shape[1]
     block = max(1, min(points, _PASS_ENTRIES // max(
-        [c * k for c, k in sizes] + [1])))
-    chunks = []
-    for b, (c, k) in enumerate(sizes):
-        if chunks:
-            members, cells, height = chunks[-1]
-            if (cells + c) * max(height, k) * block <= _PASS_ENTRIES:
-                chunks[-1] = (members + [b], cells + c, max(height, k))
-                continue
-        chunks.append(([b], c, k))
-    for members, n_cells, height in chunks:
-        R = np.zeros((n_cells, height, n), dtype=XT.dtype)
-        thr = np.zeros((n_cells, height, 1), dtype=XT.dtype)
-        signs = np.zeros((len(members), n_cells), dtype=XT.dtype)
-        col = 0
-        for row, b in enumerate(members):
-            for M, t, sign in bases[b][1]:
-                R[col, :len(M)] = M
-                thr[col, :len(t), 0] = t
-                signs[row, col] = sign
-                col += 1
-        R = R.reshape(n_cells * height, n)
+        int(sizes.max(initial=1)) * height, 1)))
+    chunks = [[0, 0, 0]]
+    for c in sizes.tolist():
+        b0, b1, cells = chunks[-1]
+        if cells and (cells + c) * height * block > _PASS_ENTRIES:
+            chunks.append([b1, b1 + 1, c])
+        else:
+            chunks[-1] = [b0, b1 + 1, cells + c]
+    for b0, b1, _ in chunks:
+        at = slice(ends[b0], ends[b1])
+        M, thr = _forest_rows(tails[at], heads[at], opens[at], n)
+        cells, rows = thr.shape
+        R = M.reshape(cells * rows, n).astype(XT.dtype)
+        thr = thr[:, :, None].astype(XT.dtype)
+        sign = np.zeros((b1 - b0, cells), dtype=XT.dtype)
+        sign[owner[at] - b0, np.arange(cells)] = signs[at]
         for p0 in range(0, points, block):
             Xb = XT[:, p0:p0 + block]
-            prod = (R @ Xb).reshape(n_cells, height, Xb.shape[1])
+            prod = (R @ Xb).reshape(cells, rows, Xb.shape[1])
             hits = (prod >= thr).all(axis=1)
-            mult = (signs @ hits).astype(np.int64)
-            yield [bases[b][0] for b in members], p0, mult
+            yield b0, p0, (sign @ hits).astype(np.int64)
 
 
-def _support_core(n, los, his, kernels, classes, aux_vars, den):
+def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
     """The support extractor for cones on difference-vector rays.
 
-    kernels: list of (rays, open_flags, sign, A, cls, vals) where
-    (rays, open_flags, sign) describe an already-flipped half-open cone at
-    the origin whose rays are independent difference vectors, and the
-    kernel arrays give, per numerator monomial, its apex row in A (int64,
-    kappa x n), its coefficient-class index and its integer multiplicity.
-    Cone points x come from the sum-zero difference box [los - his,
-    his - los].  Cells sharing one kernel (the same arrays) are merged:
-    _membership_passes tests every cell of a chunk of kernels against a
-    block of box points in one batched pass and sums the signed memberships
-    to one multiplicity per kernel and point, where flipped cells cancel.
-    Only points with nonzero multiplicity that can reach the apex box
-    [los, his] for some monomial are broadcast against the kernel, in the
-    narrowest unsigned dtype that holds the shifted sums; the incidences
-    w = apex + x inside the box are scattered, one pass at a time, into one
-    dense int64 accumulator over the box and the classes.  Dropping the
-    incidences outside is sound because the result's Newton polytope lies
-    in the convex hull of the apexes.  Returns the accumulator's nonzero
-    rows as a _Support over the classes that occur (class c with count k
-    is the monomial classes[c] in aux_vars with coefficient k / den), for
-    _decode_support.  Raises GroundSetTooLarge, before allocating, when the
-    accumulator would exceed _SUPPORT_CELLS entries.
+    cells = (tails, heads, opens, signs, owner): per already-flipped
+    half-open cone at the origin, its independent rays e_heads[c, k] -
+    e_tails[c, k] on D slots (tail == head in a padding slot), open flags,
+    sign and owner (ascending), the index of its numerator.  numerators =
+    (A, cls, vals): per owner b and monomial r its apex A[b, r] (int64, B x
+    kappa x n), class cls[b, r] and integer multiplicity vals[b, r] (cls
+    and vals broadcast to B x kappa).  _membership_passes tests the cells
+    against blocks of the sum-zero difference box [los - his, his - los]
+    and sums the signed memberships to one multiplicity per owner and
+    point, where flipped cells cancel.  Only points with nonzero
+    multiplicity that can reach the apex box [los, his] are broadcast
+    against the owner's monomials, in the narrowest unsigned dtype that
+    holds the shifted sums, and the incidences w = apex + x inside the box
+    are scattered into one dense int64 accumulator over the box and the
+    classes; the result's Newton polytope lies in the convex hull of the
+    apexes, so none outside counts.  Returns the nonzero rows as a _Support
+    over the classes that occur (class c with count k is the monomial
+    classes[c] in aux_vars with coefficient k / den).  Raises
+    GroundSetTooLarge, before allocating, when the accumulator would
+    exceed _SUPPORT_CELLS entries.
     """
     ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
-    space = 1
-    for r in ranges:
-        space *= r
+    space = prod(ranges)
     n_cls = max(len(classes), 1)
     if space * n_cls > _SUPPORT_CELLS:
         raise GroundSetTooLarge(
@@ -522,27 +461,31 @@ def _support_core(n, los, his, kernels, classes, aux_vars, den):
     narrow = np.min_scalar_type(2 * (max(ranges, default=1) - 1))
     rng_narrow = rng.astype(narrow)
 
+    A, cls, vals = numerators
+    cls, vals = (np.broadcast_to(a, A.shape[:2]) for a in (cls, vals))
+    shifted = A - lo
+    # x can land only inside [-max(B), range - 1 - min(B)]
+    low, high = -shifted.max(axis=1), rng - shifted.min(axis=1)
+    offsets = shifted @ strides
+    shifted = shifted.astype(narrow)
     acc = np.zeros(space * n_cls, dtype=np.int64)
-    for bases, p0, mult in _membership_passes(n, kernels, XT):
+    for b0, p0, mult in _membership_passes(n, *cells, XT):
         codes, weights = [], []
-        for (A, cls, vals), m in zip(bases, mult):
-            B = A - lo
+        for b, m in enumerate(mult, b0):
             rows = np.nonzero(m)[0] + p0
             Xr = X[rows]
-            # x can land only inside [-max(B), range - 1 - min(B)]
-            fit = ((Xr >= -B.max(axis=0))
-                   & (Xr < rng - B.min(axis=0))).all(axis=1)
+            fit = ((Xr >= low[b]) & (Xr < high[b])).all(axis=1)
             rows, Xr = rows[fit], Xr[fit]
             if len(rows) == 0:
                 continue
-            Xn, Bn = Xr.astype(narrow), B.astype(narrow)
+            Xn, Bn = Xr.astype(narrow), shifted[b]
             inside = np.ones((len(Xn), len(Bn)), dtype=bool)
             for i in range(n):
                 inside &= np.add.outer(Xn[:, i], Bn[:, i]) < rng_narrow[i]
             at, mons = np.nonzero(inside)
-            codes.append(((Xr @ strides)[at] + (B @ strides)[mons]) * n_cls
-                         + cls[mons])
-            weights.append(m[rows[at] - p0] * vals[mons])
+            codes.append(((Xr @ strides)[at] + offsets[b, mons]) * n_cls
+                         + cls[b, mons])
+            weights.append(m[rows[at] - p0] * vals[b, mons])
         if codes:
             np.add.at(acc, np.concatenate(codes), np.concatenate(weights))
 
@@ -644,14 +587,17 @@ def _support_product(n, parts):
 
 
 def _genfun_kernels(g, direction=None):
-    """A GenFun as kernels for _specialize_t1 and _support_core.
+    """A GenFun as cell arrays for _specialize_t1 and _support_core.
 
-    One kernel per distinct (rays, open_flags, sign), flipped along the
-    interned direction when one is given.  Classes are the
-    coefficient monomials, with multiplicities scaled by the common
-    denominator of all coefficients: only the whole sum is a Laurent
-    polynomial, but then so is its coefficient of each monomial.  Returns
-    (kernels, aux variables, class exponent tuples, common denominator).
+    One cell per distinct (rays, open_flags, sign), flipped along the
+    interned direction when one is given, with its own numerator; classes
+    are the coefficient monomials, multiplicities scaled by the common
+    denominator (only the whole sum is a Laurent polynomial, but then so is
+    its coefficient of each monomial).  Returns (rays, slots, opens, signs,
+    (A, cls, vals), aux variables, class exponent tuples, denominator):
+    rays the (R x n) table of distinct rays, slots (K x D) indices into it
+    (R in a padding slot), A (K x rows x n), cls and vals (K x rows), whose
+    padding rows repeat a cell's first apex with multiplicity 0.
     """
     vars_ = ()
     den = 1
@@ -669,28 +615,46 @@ def _genfun_kernels(g, direction=None):
         for exps, c in t.coeff.align(vars_).terms.items():
             key = (cone.apex, class_index.setdefault(exps, len(class_index)))
             counts[key] = counts.get(key, 0) + int(c * den)
-    kernels = []
+    ids = {}
+    cells = []
     for (rays, flags, sign), counts in sorted(by_cone.items()):
-        items = [(key, v) for key, v in sorted(counts.items()) if v]
-        if not items:
-            continue
-        _check_width(max(abs(v) for _, v in items))
-        A = np.array([apex for (apex, _), _ in items],
-                     dtype=np.int64).reshape(len(items), g.n)
-        cls = np.array([c for (_, c), _ in items], dtype=np.int64)
-        vals = np.array([v for _, v in items], dtype=np.int64)
-        kernels.append((rays, flags, sign, A, cls, vals))
-    return kernels, vars_, list(class_index), den
+        items = [(apex, c, v) for (apex, c), v in sorted(counts.items()) if v]
+        if items:
+            _check_width(max(abs(v) for _, _, v in items))
+            cells.append(([ids.setdefault(v, len(ids)) for v in rays], flags,
+                          sign, items))
+    K = len(cells)
+    dim = max((len(c[0]) for c in cells), default=0)
+    # one row at least, so that an empty sum still reduces over its rows
+    rows = max((len(c[3]) for c in cells), default=1)
+    slots = np.full((K, dim), len(ids), dtype=np.intp)
+    opens = np.zeros((K, dim), dtype=bool)
+    A = np.zeros((K, rows, g.n), dtype=np.int64)
+    cls = np.zeros((K, rows), dtype=np.int64)
+    vals = np.zeros((K, rows), dtype=np.int64)
+    for k, (at, flags, _, items) in enumerate(cells):
+        slots[k, :len(at)] = at
+        opens[k, :len(flags)] = flags
+        apexes, cs, vs = zip(*items)
+        A[k] = apexes[0]
+        A[k, :len(items)] = apexes
+        cls[k, :len(items)] = cs
+        vals[k, :len(items)] = vs
+    rays = np.array(list(ids), dtype=np.int64).reshape(len(ids), g.n)
+    signs = np.array([c[2] for c in cells], dtype=np.int64)
+    return (rays, slots, opens, signs, (A, cls, vals), vars_,
+            list(class_index), den)
 
 
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
     When every ray is a difference vector e_j - e_i (all engine
-    pipelines), each distinct cone is flipped once and the signed
-    incidences go through _support_core, in integers (int64 is exact at
-    these sizes); it raises GroundSetTooLarge when the apex box is too
-    large.  Other rays take the per-point reference path, support_pure.
+    pipelines), each distinct cone is flipped once, its tails and heads
+    read off the ray table, and the signed incidences go through
+    _support_core, in integers (int64 is exact at these sizes); it raises
+    GroundSetTooLarge when the apex box is too large.  Other rays take the
+    per-point reference path, support_pure.
     """
     if direction is None:
         direction = default_direction(g.n)
@@ -703,10 +667,15 @@ def support(g, direction=None):
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
-    kernels, vars_, classes, den = _genfun_kernels(
-        g, _interned(direction.key()))
+    rays, slots, opens, signs, numerators, vars_, classes, den = \
+        _genfun_kernels(g, _interned(direction.key()))
+    # each ray's tail and head; the padding slot gets tail == head == 0
+    ends = np.arange(n)
+    cells = (np.append((rays < 0) @ ends, 0)[slots],
+             np.append((rays > 0) @ ends, 0)[slots], opens, signs,
+             np.arange(len(slots)))
     return _decode_support(
-        _support_core(n, los, his, kernels, classes, vars_, den))
+        _support_core(n, los, his, cells, numerators, classes, vars_, den))
 
 
 # ---------------------------------------------------------------------- slice
@@ -968,25 +937,8 @@ def evaluate_t1(g, seed=0):
     polynomial raises NonCancellingPole, save for the small chance, stated
     in _specialize_t1, that its pole vanishes modulo every prime in use.
     """
-    kernels, vars_, classes, den = _genfun_kernels(g)
-    ids = {}
-    slots = [[ids.setdefault(v, len(ids)) for v in k[0]] for k in kernels]
-    dim = max(map(len, slots), default=0)
-    rows = max((len(k[3]) for k in kernels), default=0)
-    K = len(kernels)
-    slots = np.array([s + [len(ids)] * (dim - len(s)) for s in slots],
-                     dtype=np.intp).reshape(K, dim)
-    opens = np.zeros((K, dim), dtype=bool)
-    # padding rows repeat a kernel's first apex with multiplicity 0
-    A = np.zeros((K, rows, g.n), dtype=np.int64)
-    cls = np.zeros((K, rows), dtype=np.int64)
-    vals = np.zeros((K, rows), dtype=np.int64)
-    for c, (_, flags, _, kA, kcls, kvals) in enumerate(kernels):
-        opens[c, :len(flags)] = flags
-        A[c], A[c, :len(kA)] = kA[0], kA
-        cls[c, :len(kA)] = kcls
-        vals[c, :len(kA)] = kvals
-    rays = np.array(list(ids), dtype=np.int64).reshape(len(ids), g.n)
+    rays, slots, opens, signs, (A, cls, vals), vars_, classes, den = \
+        _genfun_kernels(g)
     top = int(max(np.abs(rays).max(initial=0), np.abs(A).max(initial=0)))
 
     def at_weight(w):
@@ -998,9 +950,9 @@ def evaluate_t1(g, seed=0):
         points = prod((np.ptp(A, axis=(0, 1)) + 1).tolist())
         return np.append(dots, 0)[slots], A @ w, points
 
-    values = _specialize_t1(g.n, at_weight, opens,
-                            np.array([k[2] for k in kernels], dtype=np.int64),
-                            np.arange(K), cls, vals, len(classes), seed)
+    values = _specialize_t1(g.n, at_weight, opens, signs,
+                            np.arange(len(slots)), cls, vals, len(classes),
+                            seed)
     return AuxPolynomial(vars_, {e: Fraction(v, den)
                                  for e, v in zip(classes, values) if v})
 

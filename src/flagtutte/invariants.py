@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _edge_vectors, _row_ranks, _sort_rays, _tangent_generators, _triangulate,
+    _row_ranks, _tangent_generators, _triangulate,
     default_direction, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
@@ -296,29 +296,26 @@ def _slot_counts(fm):
 
 
 def _flag_kernels(fm, mode, direction=None):
-    """The localization sum of a flag as kernels for _support_core.
+    """The localization sum of a flag as arrays for _support_core.
 
-    One kernel (rays, open_flags, sign, A, cls, vals) per cell of
-    _flag_cells.  How many coordinates each slot type of _SLOT_TERMS holds
-    depends only on the ranks, so one closed-form numerator (_numerator)
-    serves every basis of the flag: all share its cls and vals arrays, and
-    each basis gets one apex block A, its levels (mode "kt") plus the slot
-    steps gathered onto its own coordinates.  Rays are sorted as vectors
-    within each cell, so equal cones make equal _member_cache keys.  With
-    a direction every cell is flipped first, as _support_core needs: the
-    rays pairing negatively (one table lookup per ray) reverse, toggle
-    their open flags and flip the sign.  Returns the kernels and the
-    classes, the sorted (u, v) exponent pairs.
+    The cells of _flag_cells, each owned by its flag basis.  How many
+    coordinates each slot type of _SLOT_TERMS holds depends only on the
+    ranks, so one closed-form numerator (_numerator) serves every basis:
+    all share its cls and vals, and each basis gets one apex block of A,
+    its levels (mode "kt") plus the slot steps on its own coordinates.
+    With a direction every cell is flipped first, as _support_core needs:
+    the rays pairing negatively (one table lookup per ray) reverse, toggle
+    their open flags and flip the sign.  Returns ((tails, heads, opens,
+    signs, owner), (A, cls, vals), classes), classes the sorted (u, v)
+    exponent pairs.
     """
-    n = fm.n
     cells = _flag_cells(fm)
     steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
     A = steps[:, np.argsort(cells.slots, axis=1)].transpose(1, 0, 2)
     A = A.astype(np.int64)
     if mode == "kt":
         A += cells.levels[:, None, :]
-    blocks = list(A)
-    tails, heads, opens = _sort_rays(n, cells.tails, cells.heads, cells.opens)
+    tails, heads, opens = cells.tails, cells.heads, cells.opens
     signs = np.ones(len(tails), dtype=np.int64)
     if direction is not None:
         flip = _reversed_edges(_interned(direction.key()))[tails, heads]
@@ -326,24 +323,20 @@ def _flag_kernels(fm, mode, direction=None):
                         np.where(flip, tails, heads))
         opens = opens ^ flip
         signs = 1 - 2 * (flip.sum(axis=1) & 1)
-    vectors = _edge_vectors(n)
-    codes = (tails.astype(np.intp) * n + heads).tolist()
-    kernels = [(tuple(map(vectors.__getitem__, c)), tuple(f), s, blocks[b],
-                cls, vals)
-               for c, f, s, b in zip(codes, opens.tolist(), signs.tolist(),
-                                     cells.owner.tolist())]
-    return kernels, list(classes)
+    return ((tails, heads, opens, signs, cells.owner), (A, cls, vals),
+            list(classes))
 
 
 def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
     pass of the support core over the whole flag, never split."""
-    kernels, classes = _flag_kernels(fm, mode, default_direction(fm.n))
-    blocks = {id(A): A for _, _, _, A, _, _ in kernels}
-    apexes = np.concatenate(list(blocks.values()))
-    los = tuple(int(x) for x in apexes.min(axis=0))
-    his = tuple(int(x) for x in apexes.max(axis=0))
-    return _support_core(fm.n, los, his, kernels, classes, ("u", "v"), 1)
+    cells, numerators, classes = _flag_kernels(fm, mode,
+                                               default_direction(fm.n))
+    A = numerators[0]
+    los = tuple(A.min(axis=(0, 1)).tolist())
+    his = tuple(A.max(axis=(0, 1)).tolist())
+    return _support_core(fm.n, los, his, cells, numerators, classes,
+                         ("u", "v"), 1)
 
 
 def _class_support(block, mode):

@@ -94,12 +94,15 @@ class Matroid:
             raise InvalidRank("need 0 <= r <= n, got r=%d n=%d" % (r, n))
         if n > MAX_GROUND:
             raise GroundSetTooLarge("ground set larger than %d" % MAX_GROUND)
-        masks = []
-        for combo in combinations(range(n), r):
-            m = 0
-            for i in combo:
-                m |= 1 << i
+        # the r-subset masks in increasing order, by Gosper's hack
+        m, masks = (1 << r) - 1, []
+        while m < 1 << n:
             masks.append(m)
+            if not m:
+                break
+            low = m & -m
+            ripple = m + low
+            m = ((ripple ^ m) >> 2) // low | ripple
         return cls(n, masks, _trusted=True)
 
     @classmethod

@@ -19,7 +19,9 @@ from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
                        tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte.errors import NotABasis, ZeroPairing
-from flagtutte.linalg import nonneg_combination_exists
+from flagtutte.genfun import _box_candidates
+from flagtutte.invariants import _flag_kernels
+from flagtutte.linalg import forest_flow, nonneg_combination_exists
 
 U = Matroid.uniform
 
@@ -479,3 +481,79 @@ def test_cone_key_and_equality():
     c = HalfOpenSimplicialCone((0, 0), ((1, 0),), (True,))
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+# ------------------------------------------------------ forest cell rows
+
+
+def _flow_members(tails, heads, opens, X):
+    """Per point of X, whether it lies in the half-open forest cone, from
+    linalg.forest_flow: zero sums on every component and subtree
+    coordinates at least the open flags.  Slots with tail == head are
+    padding."""
+    n = X.shape[1]
+    slots = [k for k, (i, j) in enumerate(zip(tails, heads)) if i != j]
+    components, subtrees = forest_flow([(tails[k], heads[k]) for k in slots],
+                                       n)
+    H = np.array([[v in comp for v in range(n)] for comp in components],
+                 dtype=np.int64).reshape(-1, n)
+    S = np.array([[sign * (v in verts) for v in range(n)]
+                  for sign, verts in subtrees], dtype=np.int64).reshape(-1, n)
+    low = np.array([opens[k] for k in slots], dtype=np.int64)
+    return ((H @ X.T == 0).all(axis=0)
+            & (S @ X.T >= low[:, None]).all(axis=0))
+
+
+def _row_members(M, thr, X):
+    return (M.astype(np.int64) @ X.T >= thr[:, :, None]).all(axis=1)
+
+
+def _sum_zero_box(n, reach):
+    return np.array(_box_candidates([-reach] * n, [reach] * n, 0),
+                    dtype=np.int64).reshape(-1, n)
+
+
+def test_forest_rows_match_forest_flow_on_corpus_cells():
+    # every flipped cell of the rank >= 1 corpus flags, one call per flag:
+    # the batched rows and forest_flow agree on the sum-zero box
+    boxes, oracle = {}, {}
+    for fm in flag_corpus():
+        if fm.ranks[0] < 1:
+            continue
+        n = fm.n
+        (tails, heads, opens, _, _), _, _ = _flag_kernels(
+            fm, "kt", default_direction(n))
+        X = boxes.setdefault(n, _sum_zero_box(n, 2 if n <= 5 else 1))
+        got = _row_members(*cones._forest_rows(tails, heads, opens, n), X)
+        for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
+                                      opens.tolist())):
+            key = (n,) + tuple(map(tuple, cell))
+            if key not in oracle:
+                oracle[key] = _flow_members(*cell, X)
+            assert np.array_equal(row, oracle[key]), key
+    # 8,400 distinct cells, 5,858 with a member in their box
+    assert len(oracle) == 8400
+    assert sum(m.any() for m in oracle.values()) == 5858
+
+
+def test_forest_rows_pad_cells_of_fewer_rays():
+    # cells of 3, 2, 1 and no rays on n = 4 in one call, padded by slots
+    # with tail == head, at the least vertex of a component or not (3 in
+    # the third cell); then cells on n = 0
+    tails = np.array([[0, 1, 3], [2, 2, 0], [1, 3, 1], [0, 2, 2]])
+    heads = np.array([[1, 2, 2], [0, 3, 0], [3, 3, 1], [0, 2, 2]])
+    opens = np.array([[True, False, True], [False, True, True],
+                      [True, True, False], [True, True, True]])
+    M, thr = cones._forest_rows(tails, heads, opens, 4)
+    assert M.shape == (4, 2 * 3 + 3, 4) and M.dtype == np.int8
+    X = _sum_zero_box(4, 2)
+    got = _row_members(M, thr, X)
+    for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
+                                  opens.tolist())):
+        assert np.array_equal(row, _flow_members(*cell, X))
+    assert got.sum(axis=1).tolist()[-1] == 1
+    M, thr = cones._forest_rows(np.zeros((2, 0), dtype=np.int8),
+                                np.zeros((2, 0), dtype=np.int8),
+                                np.zeros((2, 0), dtype=bool), 0)
+    assert M.shape == (2, 0, 0) and thr.shape == (2, 0)
+    assert _row_members(M, thr, np.zeros((1, 0), dtype=np.int64)).all()

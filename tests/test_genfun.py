@@ -350,12 +350,19 @@ def test_support_rejects_box_beyond_cell_cap():
         support(g)
 
 
-def _kernel_genfun(n, kernels, classes, aux_vars, den):
-    """The GenFun a kernel list stands for: one term per cell and monomial."""
+def _kernel_genfun(n, cells, numerators, classes, aux_vars, den):
+    """The GenFun cell arrays stand for: one term per cell and monomial."""
+    A, cls, vals = numerators
+    cls, vals = (np.broadcast_to(a, A.shape[:2]) for a in (cls, vals))
     terms = []
-    for rays, flags, sign, A, cls, vals in kernels:
-        cone = HalfOpenSimplicialCone((0,) * n, rays, flags, sign)
-        for apex, c, k in zip(A.tolist(), cls.tolist(), vals.tolist()):
+    for tails, heads, flags, sign, b in zip(*(a.tolist() for a in cells)):
+        slots = [k for k, (i, j) in enumerate(zip(tails, heads)) if i != j]
+        rays = [tuple((v == heads[k]) - (v == tails[k]) for v in range(n))
+                for k in slots]
+        cone = HalfOpenSimplicialCone((0,) * n, rays,
+                                      [flags[k] for k in slots], sign)
+        for apex, c, k in zip(A[b].tolist(), cls[b].tolist(),
+                              vals[b].tolist()):
             coeff = AuxPolynomial.monomial(aux_vars, classes[c],
                                            Fraction(k, den))
             terms.append(GenFunTerm(coeff, cone.translate(apex)))
@@ -364,18 +371,22 @@ def _kernel_genfun(n, kernels, classes, aux_vars, den):
 
 def test_support_core_merges_cells_sharing_a_kernel():
     fm = flag(U(2, 4))
-    kernels, classes = _flag_kernels(fm, "kt", default_direction(4))
-    assert max(Counter(id(k[3]) for k in kernels).values()) > 1
+    cells, numerators, classes = _flag_kernels(fm, "kt", default_direction(4))
+    assert np.bincount(cells[4]).max() > 1
     # a cell and its negative on one kernel: their memberships cancel
-    rays, flags, _, A, cls, vals = kernels[0]
-    pair = [(rays, flags, 1, A, cls, vals), (rays, flags, -1, A, cls, vals)]
+    pair = tuple(np.repeat(a[:1], 2, axis=0) for a in cells)
+    pair[3][:] = 1, -1
+    both = tuple(map(np.concatenate, zip(pair, cells)))
     los, his = (0,) * 4, (2,) * 4
     aux = ("u", "v")
     got = _decode_support(
-        _support_core(4, los, his, kernels + pair, classes, aux, 1))
-    assert got == support_pure(_kernel_genfun(4, kernels, classes, aux, 1))
+        _support_core(4, los, his, both, numerators, classes, aux, 1))
+    assert got == support_pure(
+        _kernel_genfun(4, cells, numerators, classes, aux, 1))
     assert got == kt_equivariant(fm)
-    empty = _decode_support(_support_core(4, los, his, pair, classes, aux, 1))
+    A, cls, vals = numerators
+    empty = _decode_support(_support_core(4, los, his, pair,
+                                          (A[:1], cls, vals), classes, aux, 1))
     assert empty == EquivariantPolynomial(4) and empty.aux_vars == ()
 
 
@@ -459,7 +470,8 @@ def _random_forest_cell(rng, n, seen):
 @pytest.mark.parametrize("cap", [None, 1, 300])
 def test_membership_passes_match_cone_membership(monkeypatch, cap):
     # per kernel and box point, the batched multiplicity is the signed sum
-    # of cone_membership over the kernel's cells, for every chunking
+    # of cone_membership over the kernel's cells, for every chunking; cells
+    # of fewer than n - 1 rays take padding slots
     if cap is not None:
         monkeypatch.setattr(genfun, "_PASS_ENTRIES", cap)
     rng = random.Random(20261018)
@@ -469,27 +481,32 @@ def test_membership_passes_match_cone_membership(monkeypatch, cap):
         X = np.array(_box_candidates([-reach] * n, [reach] * n, 0),
                      dtype=np.int64).reshape(-1, n)
         kernels = []
-        for _ in range(4):
-            A = np.zeros((1, n), dtype=np.int64)
-            cls, vals = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        for b in range(4):
             for _ in range(rng.randint(1, 4)):
-                cell = _random_forest_cell(rng, n, seen)
-                kernels.append((cell.rays, cell.open_flags, cell.sign, A, cls,
-                                vals))
+                kernels.append((b, _random_forest_cell(rng, n, seen)))
         rng.shuffle(kernels)
-        want = {}
-        for rays, flags, sign, A, _, _ in kernels:
-            cone = HalfOpenSimplicialCone((0,) * n, rays, flags)
-            row = want.setdefault(id(A), np.zeros(len(X), dtype=np.int64))
-            row += [sign * cone_membership(cone, x) for x in X.tolist()]
-        got = {key: np.zeros(len(X), dtype=np.int64) for key in want}
-        for bases, p0, mult in genfun._membership_passes(
-                n, kernels, X.T.astype(np.float32)):
-            for (A, _, _), row in zip(bases, mult):
-                got[id(A)][p0:p0 + len(row)] = row
-        for key in want:
-            assert np.array_equal(got[key], want[key])
-        seen["members"] += sum(int(np.abs(row).sum()) for row in want.values())
+        kernels.sort(key=lambda k: k[0])
+        owner = np.array([b for b, _ in kernels], dtype=np.intp)
+        tails = np.zeros((len(kernels), n - 1), dtype=np.int8)
+        heads = np.zeros_like(tails)
+        opens = np.zeros(tails.shape, dtype=bool)
+        for c, (_, cell) in enumerate(kernels):
+            for k, (ray, flag_) in enumerate(zip(cell.rays, cell.open_flags)):
+                tails[c, k], heads[c, k] = ray.index(-1), ray.index(1)
+                opens[c, k] = flag_
+        signs = np.array([cell.sign for _, cell in kernels], dtype=np.int64)
+        want = np.zeros((4, len(X)), dtype=np.int64)
+        for b, cell in kernels:
+            cone = HalfOpenSimplicialCone((0,) * n, cell.rays,
+                                          cell.open_flags)
+            want[b] += [cell.sign * cone_membership(cone, x)
+                        for x in X.tolist()]
+        got = np.zeros_like(want)
+        for b0, p0, mult in genfun._membership_passes(
+                n, tails, heads, opens, signs, owner, X.T.astype(np.float32)):
+            got[b0:b0 + len(mult), p0:p0 + mult.shape[1]] = mult
+        assert np.array_equal(got, want)
+        seen["members"] += int(np.abs(want).sum())
     assert min(seen.values()) >= 10, seen
 
 
@@ -536,8 +553,8 @@ def test_decode_shares_one_coefficient_per_distinct_row():
     # points with equal rows of counts share one AuxPolynomial, and each
     # distinct count is one Fraction object
     fm = flag(U(2, 4), U(3, 4))
-    kernels, classes = _flag_kernels(fm, "kt", default_direction(4))
-    arrays = _support_core(4, (0,) * 4, (2,) * 4, kernels, classes,
+    cells, numerators, classes = _flag_kernels(fm, "kt", default_direction(4))
+    arrays = _support_core(4, (0,) * 4, (2,) * 4, cells, numerators, classes,
                            ("u", "v"), 1)
     phi = _decode_support(arrays)
     assert phi == kt_equivariant(fm)

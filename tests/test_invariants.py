@@ -1033,13 +1033,12 @@ def test_flag_numerator_matches_subset_oracle():
     for fm in flags:
         bases = fm.flag_bases()
         for mode in ("kt", "h", "h_lv"):
-            kernels, classes = _flag_kernels(fm, mode)
-            blocks = {id(k[3]): k[3:] for k in kernels}
+            _, (A, cls, vals), classes = _flag_kernels(fm, mode)
             # one apex block per basis, in flag-basis order
-            assert len(blocks) == len(bases), (fm, mode)
-            for fb, (A, cls, vals) in zip(bases, blocks.values()):
+            assert len(A) == len(bases), (fm, mode)
+            for fb, block in zip(bases, A):
                 rows = Counter()
-                for apex, c, k in zip(A.tolist(), cls.tolist(),
+                for apex, c, k in zip(block.tolist(), cls.tolist(),
                                       vals.tolist()):
                     key = (tuple(apex),) + tuple(classes[c])
                     assert key not in rows, (fm, mode, fb)

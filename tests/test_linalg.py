@@ -18,8 +18,8 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, GenFun,
                        support, tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte import cones
+from flagtutte.cones import _forest_rows
 from flagtutte.errors import InternalAssertion, NotUnimodular
-from flagtutte.genfun import _pivot_structure
 from flagtutte.linalg import (difference_vector_graph, flow_coordinates,
                               forest_flow, forest_rank, integer_coordinates,
                               lattice_index, matrix_rank, solve_exact)
@@ -55,12 +55,22 @@ def _random_system(rng):
     return n, edges, cols, targets
 
 
-def _pivot_coordinates(structure, x):
-    """Coordinates of x from _pivot_structure data, or None off the span."""
-    H, S = structure
-    if any(sum(h * c for h, c in zip(row, x)) for row in H):
+def _edge_arrays(edges):
+    """One cell's (1 x d) tails and heads, closed, for _forest_rows."""
+    return (np.array([[i for i, _ in edges]], dtype=np.int8).reshape(1, -1),
+            np.array([[j for _, j in edges]], dtype=np.int8).reshape(1, -1),
+            np.zeros((1, len(edges)), dtype=bool))
+
+
+def _row_coordinates(M, d, x):
+    """Coordinates of x from the rows _forest_rows gives a cell of d rays,
+    or None off the span.  The first component's row is implied by
+    sum(x) = 0."""
+    count = (len(M) - d) // 2
+    y = M.astype(np.int64) @ np.array(x, dtype=np.int64)
+    if sum(x) or y[:count].any():
         return None
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in S)
+    return tuple(y[2 * count:].tolist())
 
 
 def test_forest_helpers_match_fraction_elimination():
@@ -77,16 +87,20 @@ def test_forest_helpers_match_fraction_elimination():
         seen["cyclic"] += not independent
         touched = {v for e in edges for v in e}
         seen["isolated"] += len(touched) < n
-        structure = _pivot_structure(cols, n) if independent else None
+        if independent:
+            M = _forest_rows(*_edge_arrays(edges), n)[0][0]
+            assert len(M) == 2 * (n - len(cols) - 1) + len(cols)
+        else:
+            with pytest.raises(InternalAssertion):
+                _forest_rows(*_edge_arrays(edges), n)
         for t in targets:
             want = solve_exact(cols, t)
             seen["outside"] += want is None
             got = None if flow is None else flow_coordinates(flow, t)
             assert got == want
             assert integer_coordinates(cols, t) == want
-            if structure is not None:
-                assert len(structure[1]) == len(cols)
-                assert _pivot_coordinates(structure, t) == want
+            if independent:
+                assert _row_coordinates(M, len(cols), t) == want
     assert min(seen.values()) > 500
 
 
@@ -119,8 +133,13 @@ def test_mixed_rays_take_the_fraction_fallback(monkeypatch):
     assert support(g) == EquivariantPolynomial(3, {(0, 0, 0): 1,
                                                    (0, 1, -1): 1})
     assert calls
-    with pytest.raises(InternalAssertion):
-        _pivot_structure(rays, 3)
+    # the rows of the support core take tails and heads, so no ray off the
+    # graph reaches them; dependent difference rays (a cycle, a repeated
+    # ray) are rejected there
+    for tails, heads in [([2, 2, 0], [1, 0, 1]), ([0, 0], [1, 1])]:
+        with pytest.raises(InternalAssertion):
+            _forest_rows(np.array([tails]), np.array([heads]),
+                         np.zeros((1, len(tails)), dtype=bool), 3)
     calls.clear()
     cells = triangulate_half_open((0, 0, 0), [(0, 1, -1), (1, 1, -2),
                                               (1, 0, -1)])
@@ -192,6 +211,11 @@ def test_forest_flow_isolated_vertices_and_empty_edge_set():
     assert flow_coordinates(flow, (-2, 0, 2, 1)) is None
     assert flow_coordinates(flow, (-2, 1, 1, 0)) is None
     assert forest_flow([(0, 1), (1, 0)], 2) is None
-    H, S = _pivot_structure([(-1, 0, 1, 0)], 4)
-    assert S == [(0, 0, 1, 0)]
-    assert np.array(H).sum(axis=0).tolist() == [1, 1, 1, 1]
+    # rows without the first component {0, 2}: +-[1], +-[3], then the
+    # head side of the ray e_2 - e_0
+    M, thr = _forest_rows(*_edge_arrays([(0, 2)]), 4)
+    assert M[0, 4:].tolist() == [[0, 0, 1, 0]]
+    assert M[0, :2].sum(axis=0).tolist() == [0, 1, 0, 1]
+    assert np.array_equal(M[0, 2:4], -M[0, :2]) and not thr.any()
+    M, thr = _forest_rows(*_edge_arrays([]), 3)
+    assert M[0].tolist() == [[0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]]

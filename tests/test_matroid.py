@@ -6,6 +6,7 @@ brute force, independently of the library code paths under test.
 
 import hashlib
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ def test_uniform_examples():
         U(4, 3)
     with pytest.raises(InvalidRank):
         U(-1, 3)
+
+
+def test_uniform_masks_match_combinations():
+    # the increasing-mask construction against one mask per r-subset
+    for n in range(13):
+        for r in range(n + 1):
+            want = sorted(sum(1 << i for i in c)
+                          for c in combinations(range(n), r))
+            assert U(r, n).key() == (n, tuple(want)), (r, n)
 
 
 def test_from_bases_examples():
