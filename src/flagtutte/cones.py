@@ -6,24 +6,27 @@ Their ray matrices are directed-graph incidence matrices, so rank tests,
 coordinates and the unimodularity check are graph computations (spanning
 forests and tree flows, see `linalg`): an independent set of such rays is
 automatically a lattice basis of its span.  Cones with general rays, which
-only the public API can build, fall back to exact `Fraction` elimination and
-the Smith-form lattice index.  Pointedness and extreme ray tests use digraph
-arguments in the difference-vector case and an exact phase-1 simplex
-otherwise.
+only the public API can build, fall back to exact `Fraction` elimination, the
+Smith-form lattice index and an exact phase-1 simplex for pointedness and
+extreme rays.  _origin_cells is the one place that tells the two apart; both
+kinds share one placing loop (_placing_cells), which works on ray indices
+through a rank test and a per-cell coordinate map.
 
 Relabelling coordinates carries a half-open triangulation to a half-open
 triangulation, so difference-vector cones are triangulated once per class:
-the key is the generator set relabelled by colour refinement of its digraph
-(McKay and Piperno, "Practical graph isomorphism, II", 2014).  Each class's
-cells are validated once, when they are built, and kept as int arrays.  The
-localization sums work on a whole flag at a time: _tangent_generators
-builds the exchange digraphs of all its flag bases as one adjacency stack,
+the key is the ascending edge codes i * n + j of the cone's digraph relabelled
+by colour refinement (McKay and Piperno, "Practical graph isomorphism, II",
+2014).  Per class, one boolean reachability closure finds directed cycles
+(the cone is not pointed) and the redundant rays (an edge i -> k is redundant
+exactly when another directed path joins i to k), and the placing loop's
+cells are kept as int arrays, each checked once by its tree flow.  The
+localization sums work on a whole flag at a time: _tangent_generators builds
+the exchange digraphs of all its flag bases as one adjacency stack,
 _triangulate relabels them (colour refinement of the whole stack in one
-batch) and carries each class's cells back to every cone of the class by
-one index gather, as arrays of ray tails, ray heads, open flags and owning
-cone.
-triangulate_half_open builds trusted cone objects from the same arrays for
-the public API.
+batch) and carries each class's cells back to every cone of the class by one
+index gather, as arrays of ray tails, ray heads, open flags and owning cone;
+no cone object is built on that route.  triangulate_half_open builds trusted
+cone objects from the same arrays for the public API.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from .errors import (
     InternalAssertion, NotABasis, NotPointed, NotUnimodular, ZeroPairing,
 )
 from .linalg import (
-    difference_vector_graph, digraph_has_cycle, digraph_reachable,
-    flow_coordinates, forest_flow, forest_rank, integer_coordinates,
-    lattice_index, matrix_rank, nonneg_combination_exists, primitive,
-    solve_exact, vec_add, vec_dot, vec_neg, vec_sub,
+    difference_vector_graph, flow_coordinates, forest_flow, forest_rank,
+    integer_coordinates, lattice_index, matrix_rank,
+    nonneg_combination_exists, primitive, solve_exact, vec_add, vec_dot,
+    vec_neg, vec_sub,
 )
 
 
@@ -260,66 +263,17 @@ def _tangent_generators(fm, chains):
 # ------------------------------------------------------------- triangulation
 
 
-def _is_pointed(rays, edges, n):
-    if edges is not None:
-        return not digraph_has_cycle(edges, n)
-    # pointed iff 0 is not a convex combination: append a normalizing row
-    cols = [tuple(v) + (1,) for v in rays]
-    target = (0,) * n + (1,)
-    return not nonneg_combination_exists(cols, target)
+def _placing_cells(gens, independent, solver):
+    """Placing triangulation of Cone(gens), as index cells at the origin.
 
-
-def _in_cone_of(k, others, rays, edges, n):
-    """Whether rays[k] lies in the cone over the rays indexed by others."""
-    if not others:
-        return False
-    if edges is not None:
-        i, j = edges[k]
-        return digraph_reachable([edges[o] for o in others], n, i, j)
-    return nonneg_combination_exists([rays[o] for o in others], rays[k])
-
-
-def _placing_cells(generators):
-    """Placing triangulation of Cone(generators) as cells at the origin.
-
-    generators is a nonempty tuple of integer tuples.  The cells are built
-    and validated here, and their open flags implement an exact half-open
-    cover of the cone (every lattice point in exactly one cell).
+    gens is a nonempty sequence of the extreme rays of a pointed cone,
+    placed in that order.  independent(idxs) tells whether the rays indexed
+    by idxs are linearly independent; solver(cell) returns, for a cell of
+    ray indices, its coordinate map v -> coordinates (None off its span).
+    Returns the cells, sorted tuples of ray indices in sorted order, and
+    per cell its open flags, which implement an exact half-open cover of
+    the cone (every lattice point in exactly one cell).
     """
-    n = len(generators[0])
-    gens = sorted({primitive(v) for v in generators})
-    for v in gens:
-        if all(x == 0 for x in v):
-            raise NotPointed("zero vector among the generators")
-    edges = difference_vector_graph(gens, n)
-    if gens and not _is_pointed(gens, edges, n):
-        raise NotPointed("generators admit a nontrivial nonnegative "
-                         "combination equal to zero")
-    # extreme-ray reduction
-    keep = list(range(len(gens)))
-    for k in list(keep):
-        rest = [o for o in keep if o != k]
-        if _in_cone_of(k, rest, gens, edges, n):
-            keep = rest
-    gens = tuple(gens[k] for k in keep)
-
-    if edges is None:
-        def independent(idxs):
-            return matrix_rank([gens[i] for i in idxs]) == len(idxs)
-
-        def solver(cell):
-            rays = [gens[i] for i in cell]
-            return lambda v: solve_exact(rays, v)
-    else:
-        edges = [edges[k] for k in keep]
-
-        def independent(idxs):
-            return forest_rank([edges[i] for i in idxs], n) == len(idxs)
-
-        def solver(cell):
-            flow = forest_flow([edges[i] for i in cell], n)
-            return lambda v: None if flow is None else flow_coordinates(flow, v)
-
     solvers = {}
 
     def coords_in(cell, v):
@@ -339,13 +293,8 @@ def _placing_cells(generators):
             cells = [c + (idx,) for c in cells]
             span.append(idx)
             continue
-        inside = False
-        for c in cells:
-            a = coords_in(c, g)
-            if a is not None and all(x >= 0 for x in a):
-                inside = True
-                break
-        if inside:
+        if any(a is not None and min(a) >= 0
+               for a in (coords_in(c, g) for c in cells)):
             continue
         facet_count = {}
         for c in cells:
@@ -367,52 +316,67 @@ def _placing_cells(generators):
 
     cells = sorted(cells)
     # half-open flags from a symbolically generic interior reference point
-    rho = (0,) * n
-    for v in gens:
-        rho = vec_add(rho, v)
-    # the placing loop's greedy basis of the span
-    perturb = [gens[i] for i in span]
-    origin = (0,) * n
-    out = []
+    # perturbed along the placing loop's greedy basis of the span
+    points = [tuple(map(sum, zip(*gens)))] + [gens[i] for i in span]
+    opens = []
     for c in cells:
-        seqs = [coords_in(c, rho)]
-        for u in perturb:
-            seqs.append(coords_in(c, u))
-        if any(s is None for s in seqs):
+        seqs = [coords_in(c, v) for v in points]
+        if None in seqs:
             raise InternalAssertion("reference point outside the cone span")
-        cell_flags = []
-        for pos in range(len(c)):
-            val = 0
-            for s in seqs:
-                if s[pos] != 0:
-                    val = 1 if s[pos] > 0 else -1
-                    break
-            if val == 0:
-                raise InternalAssertion("perturbed reference point on a "
-                                        "facet hyperplane")
-            cell_flags.append(val < 0)
-        out.append(HalfOpenSimplicialCone(
-            origin, tuple(gens[i] for i in c), cell_flags, 1))
-    return tuple(out)
+        # per ray, the first nonzero coordinate of the perturbed point
+        first = [next((x for x in col if x), 0) for col in zip(*seqs)]
+        if 0 in first:
+            raise InternalAssertion("perturbed reference point on a "
+                                    "facet hyperplane")
+        opens.append(tuple(x < 0 for x in first))
+    return cells, opens
 
 
 @lru_cache(maxsize=100000)
-def _triangulate_cells(generators):
+def _triangulate_cells(n, codes):
     """The placing triangulation of one class of exchange digraphs.
 
-    generators is the class key: a nonempty sorted tuple of difference
-    vectors e_j - e_i.  The cells are built and validated once per key by
-    _placing_cells and kept as read-only arrays (tails, heads, opens): per
-    cell and ray, its i, its j and its open flag.
+    codes is the class key: the ascending edge codes i * n + j of a digraph
+    on n vertices, the edge i -> j standing for the ray e_j - e_i.  The rays
+    are placed in the order of their vectors.  One boolean reachability
+    closure decides the rest: a directed cycle makes the cone not pointed
+    (NotPointed), and in an acyclic digraph the ray of an edge i -> k lies
+    in the cone of the others exactly when another directed path joins i to
+    k, so those edges are dropped.  Ranks and coordinates are spanning-forest
+    computations, and each cell's forest_flow is its exact check: dependent
+    rays raise InternalAssertion.  The cells are kept as read-only arrays
+    (tails, heads, opens): per cell and ray, its i, its j and its open flag.
     """
-    cells = _placing_cells(generators)
-    n = len(generators[0])
-    rays = np.array([c.rays for c in cells], dtype=np.int64)
-    rays = rays.reshape(len(cells), -1, n)
-    out = (rays.argmin(axis=2).astype(np.int8),
-           rays.argmax(axis=2).astype(np.int8),
-           np.array([c.open_flags for c in cells], dtype=bool).reshape(
-               rays.shape[:2]))
+    vectors = _edge_vectors(n)
+    codes = np.array(sorted(codes, key=vectors.__getitem__), dtype=np.intp)
+    tails, heads = np.divmod(codes, n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = True
+    reach = adj.copy()
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[k]
+    if reach.diagonal().any():
+        raise NotPointed("generators admit a nontrivial nonnegative "
+                         "combination equal to zero")
+    longer = (adj.astype(np.intp) @ reach) > 0
+    keep = ~longer[tails, heads]
+    codes, tails, heads = codes[keep], tails[keep], heads[keep]
+    edges = list(zip(tails.tolist(), heads.tolist()))
+
+    def independent(idxs):
+        return forest_rank([edges[i] for i in idxs], n) == len(idxs)
+
+    def solver(cell):
+        flow = forest_flow([edges[i] for i in cell], n)
+        if flow is None:
+            raise InternalAssertion("cell rays are linearly dependent")
+        return lambda v: flow_coordinates(flow, v)
+
+    cells, opens = _placing_cells([vectors[c] for c in codes.tolist()],
+                                  independent, solver)
+    at = np.array(cells)
+    out = (tails[at].astype(np.int8), heads[at].astype(np.int8),
+           np.array(opens, dtype=bool))
     for a in out:
         a.setflags(write=False)
     return out
@@ -484,8 +448,8 @@ def _triangulate(adj):
     adj is a (B x n x n) bool stack; adj[b, i, j] marks the ray e_j - e_i of
     cone b.  The whole stack is relabelled by one colour refinement
     (_colour_order, which orders each digraph as it orders that digraph
-    alone), and each distinct class key, the relabelled digraph as the
-    sorted generator tuple, is looked up once in the class cache
+    alone), and each distinct class key, the ascending edge codes of the
+    relabelled digraph, is looked up once in the class cache
     _triangulate_cells.  Relabelling coordinates carries a half-open cover
     to a half-open cover, so the class cells are carried back by one index
     gather.  Returns (tails, heads, opens, owner): per cell, the i and j of
@@ -502,13 +466,11 @@ def _triangulate(adj):
     order = _colour_order(adj)
     relabelled = adj[np.arange(count)[:, None, None], order[:, :, None],
                      order[:, None, :]]
-    vectors = _edge_vectors(n)
-    keys = [tuple(sorted(map(vectors.__getitem__,
-                             np.flatnonzero(edges).tolist())))
+    keys = [tuple(np.flatnonzero(edges).tolist())
             for edges in relabelled.reshape(count, n * n)]
     index = {}
     kind = np.array([index.setdefault(key, len(index)) for key in keys])
-    classes = [_triangulate_cells(key) for key in index if key]
+    classes = [_triangulate_cells(n, key) for key in index if key]
     if len(classes) < len(index) or len({c[0].shape[1] for c in classes}) > 1:
         raise InternalAssertion("cones of one stack differ in dimension")
     tails, heads, opens = (np.concatenate([c[i] for c in classes])
@@ -596,18 +558,53 @@ def _forest_rows(tails, heads, opens, n):
     return np.concatenate([ind, -ind, side], axis=1), thr
 
 
+def _general_cells(gens):
+    """The cells of triangulate_half_open at the origin for general rays.
+
+    gens is a sorted list of distinct primitive integer vectors, not all of
+    them difference vectors.  Pointedness and the extreme rays are exact
+    phase-1 simplex tests, ranks and coordinates Fraction elimination, and
+    each cell is a validated HalfOpenSimplicialCone.
+    """
+    n = len(gens[0])
+    if not all(any(v) for v in gens):
+        raise NotPointed("zero vector among the generators")
+    # pointed iff 0 is not a convex combination: append a normalizing row
+    if nonneg_combination_exists([v + (1,) for v in gens], (0,) * n + (1,)):
+        raise NotPointed("generators admit a nontrivial nonnegative "
+                         "combination equal to zero")
+    for v in gens:
+        rest = [u for u in gens if u != v]
+        if nonneg_combination_exists(rest, v):
+            gens = rest
+
+    def independent(idxs):
+        return matrix_rank([gens[i] for i in idxs]) == len(idxs)
+
+    def solver(cell):
+        rays = [gens[i] for i in cell]
+        return lambda v: solve_exact(rays, v)
+
+    cells, opens = _placing_cells(gens, independent, solver)
+    origin = (0,) * n
+    return tuple(HalfOpenSimplicialCone(origin, [gens[i] for i in c], flags)
+                 for c, flags in zip(cells, opens))
+
+
 @lru_cache(maxsize=16384)
 def _origin_cells(generators):
     """The cells of triangulate_half_open at the origin, per generator tuple.
 
-    Difference-vector generators go through _triangulate, one digraph;
-    other generators are triangulated directly by _placing_cells.  Rays
-    within a cell and the cells themselves come out sorted.
+    The generators are made primitive and deduplicated, then triangulated
+    as one digraph by _triangulate when all are difference vectors, else by
+    _general_cells.  Rays within a cell and the cells themselves come out
+    sorted.
     """
     n = len(generators[0])
-    edges = difference_vector_graph(generators, n)
+    gens = sorted({primitive(v) for v in generators})
+    edges = difference_vector_graph(gens, n)
     if edges is None:
-        return _placing_cells(generators)
+        return _general_cells(gens)
     adj = np.zeros((1, n, n), dtype=bool)
     adj[0, [i for i, _ in edges], [j for _, j in edges]] = True
     tails, heads, opens = _triangulate(adj)[:3]

@@ -13,7 +13,7 @@ half-open cone at the origin the tails and heads of its rays, its open
 flags, sign and owner, plus per owner int64 arrays of numerator apexes,
 coefficient classes and multiplicities.  Every cell is then a forest cone,
 its membership a few integer rows over x each with a threshold, built for
-a chunk of cells at once (cones._forest_rows), so one batched pass per
+all cells at once (cones._forest_rows), so one batched pass per
 chunk of owners tests all their cells against the sum-zero difference box
 with one float product and adds the signed memberships up to one
 multiplicity per owner and box point; points that cannot reach the apex
@@ -374,17 +374,17 @@ def _membership_passes(n, tails, heads, opens, signs, owner, XT):
     mult): mult the int64 sums of sign * [x in cell] over the cells of
     owners b0, b0 + 1, ... (one row each) for the box points p0, p0 + 1, ...
     of XT, the transposed sum-zero box in a float dtype holding every |M x|
-    exactly.  Each pass takes a chunk of consecutive owners, their cells'
-    rows from cones._forest_rows (built once per chunk), one product with a
-    block of points, one comparison against the thresholds, one all() over
-    each cell's rows and one signed sum per owner.  The product has at most
-    _PASS_ENTRIES entries unless one owner alone has more rows than that.
+    exactly.  The rows of all cells come from one cones._forest_rows call.
+    Each pass takes a chunk of consecutive owners, their cells' rows, one
+    product with a block of points, one comparison against the thresholds,
+    one all() over each cell's rows and one signed sum per owner.  The
+    product has at most _PASS_ENTRIES entries unless one owner alone has
+    more rows than that.
     """
     sizes = np.bincount(owner)
     ends = np.concatenate([[0], np.cumsum(sizes)])
-    # the most rows a cell of a forest on these slots can need
-    dims = (tails != heads).sum(axis=1)
-    height = 2 * max(n - 1 - int(dims.min(initial=n)), 0) + tails.shape[1]
+    M, thr = _forest_rows(tails, heads, opens, n)
+    height = thr.shape[1]
     points = XT.shape[1]
     block = max(1, min(points, _PASS_ENTRIES // max(
         int(sizes.max(initial=1)) * height, 1)))
@@ -395,18 +395,16 @@ def _membership_passes(n, tails, heads, opens, signs, owner, XT):
             chunks.append([b1, b1 + 1, c])
         else:
             chunks[-1] = [b0, b1 + 1, cells + c]
-    for b0, b1, _ in chunks:
+    for b0, b1, cells in chunks:
         at = slice(ends[b0], ends[b1])
-        M, thr = _forest_rows(tails[at], heads[at], opens[at], n)
-        cells, rows = thr.shape
-        R = M.reshape(cells * rows, n).astype(XT.dtype)
-        thr = thr[:, :, None].astype(XT.dtype)
+        R = M[at].reshape(cells * height, n).astype(XT.dtype)
+        low = thr[at, :, None].astype(XT.dtype)
         sign = np.zeros((b1 - b0, cells), dtype=XT.dtype)
         sign[owner[at] - b0, np.arange(cells)] = signs[at]
         for p0 in range(0, points, block):
             Xb = XT[:, p0:p0 + block]
-            prod = (R @ Xb).reshape(cells, rows, Xb.shape[1])
-            hits = (prod >= thr).all(axis=1)
+            prod = (R @ Xb).reshape(cells, height, Xb.shape[1])
+            hits = (prod >= low).all(axis=1)
             yield b0, p0, (sign @ hits).astype(np.int64)
 
 

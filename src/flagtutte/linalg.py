@@ -9,8 +9,10 @@ size of a union-find spanning forest, an edge set is independent exactly
 when it closes no (undirected) cycle, and the coordinates of a vector
 against a forest are its tree flow, i.e. signed subtree sums
 (`difference_vector_graph`, `forest_rank`, `forest_flow`,
-`flow_coordinates`).  General rays (public-API cones, matrix matroids) go
-through exact `Fraction` Gaussian elimination (`matrix_rank`,
+`flow_coordinates`).  The directed questions, pointedness and redundant
+rays, are not asked here: `cones` answers them for a whole exchange digraph
+by one reachability closure.  General rays (public-API cones, matrix
+matroids) go through exact `Fraction` Gaussian elimination (`matrix_rank`,
 `solve_exact`), the Smith form and a phase-1 simplex.  Sizes are tiny
 (dimensions up to the ground-set size, so <= 64 and in the invariant
 pipeline <= 8), so cubic algorithms are fine.
@@ -284,51 +286,6 @@ def difference_vector_graph(rays, n):
             return None
         edges.append((neg, pos))
     return edges
-
-
-def digraph_has_cycle(edges, n):
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-    color = [0] * n
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
-def digraph_reachable(edges, n, src, dst):
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-    seen = [False] * n
-    stack = [src]
-    seen[src] = True
-    while stack:
-        node = stack.pop()
-        if node == dst:
-            return True
-        for nxt in adj[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
-    return False
 
 
 def forest_rank(edges, n):

@@ -12,13 +12,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from flagtutte import cones
+from flagtutte import cones, linalg
 from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
                        cone_membership, default_direction, flag,
                        flag_corpus, flip_cone, slice_cone,
                        tangent_cone_generators,
                        triangulate_half_open)
-from flagtutte.errors import NotABasis, ZeroPairing
+from flagtutte.errors import (InternalAssertion, NotABasis, NotPointed,
+                              ZeroPairing)
 from flagtutte.genfun import _box_candidates
 from flagtutte.invariants import _flag_kernels
 from flagtutte.linalg import forest_flow, nonneg_combination_exists
@@ -239,6 +240,66 @@ def test_permuted_copies_make_no_triangulation_miss():
     for fb in fm.flag_bases():
         triangulate_half_open((0,) * 5, tangent_cone_generators(fm, fb))
     assert cones._triangulate_cells.cache_info().misses - misses <= 1
+
+
+def _extreme_by_simplex(gens):
+    """The generators left by dropping, one at a time, each one that lies in
+    the cone of the others still kept (exact phase-1 simplex)."""
+    keep = list(gens)
+    for v in gens:
+        rest = [u for u in keep if u != v]
+        if nonneg_combination_exists(rest, v):
+            keep = rest
+    return keep
+
+
+def test_closure_keeps_the_rays_of_the_simplex_reduction():
+    # an edge i -> k is dropped exactly when another directed path joins i
+    # to k; some of the dropped edges have no detour of two steps
+    rng = random.Random(20261020)
+    only_long = 0
+    for n in range(2, 9):
+        for trial in range(6):
+            gens = _random_dag(rng, n, path=trial % 2 == 0)
+            edges = {(v.index(-1), v.index(1)) for v in gens}
+            tails, heads, _ = cones._triangulate_cells(
+                n, tuple(sorted(i * n + j for i, j in edges)))
+            kept = set(zip(tails.ravel().tolist(), heads.ravel().tolist()))
+            assert kept == {(v.index(-1), v.index(1))
+                            for v in _extreme_by_simplex(gens)}, (n, edges)
+            only_long += sum(
+                not any((i, j) in edges and (j, k) in edges
+                        for j in range(n))
+                for i, k in edges - kept)
+    assert only_long > 0
+
+
+def test_cones_that_are_not_pointed():
+    # a directed cycle of difference vectors (the graph route)
+    with pytest.raises(NotPointed):
+        triangulate_half_open((0, 0, 0), (E21, E32, (1, 0, -1)))
+    # opposite general rays, and a zero generator (the general route)
+    with pytest.raises(NotPointed):
+        triangulate_half_open((0, 0), ((1, 0), (-1, 0), (0, 1)))
+    with pytest.raises(NotPointed, match="zero"):
+        triangulate_half_open((0, 0, 0), (E21, (0, 0, 0)))
+
+
+def test_scaled_difference_vectors_take_the_graph_route(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_echelon", calls.append)
+    scaled = triangulate_half_open((0, 0, 0), ((-2, 2, 0), E32, (0, -3, 3)))
+    assert scaled == triangulate_half_open((0, 0, 0), (E21, E32))
+    assert calls == []
+
+
+def test_dependent_cell_rays_raise(monkeypatch):
+    # K_{2,2} has four extreme rays spanning three dimensions: a rank test
+    # that over-reports independence puts all four into one cell, whose
+    # tree flow then meets the cycle
+    monkeypatch.setattr(cones, "forest_rank", lambda edges, n: len(edges))
+    with pytest.raises(InternalAssertion, match="dependent"):
+        cones._triangulate_cells.__wrapped__(4, (2, 3, 6, 7))
 
 
 def _stacks():
