@@ -133,27 +133,6 @@ class EquivariantPolynomial:
             total = total + poly * times[key]
         return total
 
-    def substitute_aux(self, mapping):
-        """Substitute into every coefficient, once per coefficient object
-        (points of an extracted support share them)."""
-        done = {}
-        out = {}
-        for w, poly in self.support.items():
-            key = id(poly)
-            if key not in done:
-                done[key] = poly.substitute(mapping)
-            out[w] = done[key]
-        return EquivariantPolynomial(self.n, out)
-
-    def map_support(self, fn):
-        """Apply an exponent-vector map; collisions accumulate."""
-        out = {}
-        for w, poly in self.support.items():
-            key = tuple(int(x) for x in fn(w))
-            out[key] = out.get(key, AuxPolynomial.zero(poly.vars)) + poly
-        return EquivariantPolynomial(self.n if not out else len(next(iter(out))),
-                                     out)
-
     def insert_coordinate(self, position, value):
         """Embed into one more t-variable with a fixed exponent there."""
         def fn(w):
@@ -359,6 +338,11 @@ class _Support(NamedTuple):
     aux_vars: tuple
     den: int
 
+    def exponents(self):
+        """The classes as a (len(classes) x len(aux_vars)) int64 array."""
+        return np.array(self.classes, dtype=np.int64).reshape(
+            len(self.classes), len(self.aux_vars))
+
 
 _SUPPORT_CELLS = 40_000_000
 _PASS_ENTRIES = 1 << 18
@@ -544,14 +528,10 @@ def _support_product(n, parts):
                         np.ones((1, 1), dtype=np.int64), ((0, 0),),
                         ("u", "v"), 1)
 
-    def exponents(s):
-        return np.array(s.classes, dtype=np.int64).reshape(
-            len(s.classes), len(s.aux_vars))
-
     merges = []
-    classes = exponents(parts[0][1])
+    classes = parts[0][1].exponents()
     for _, s in parts[1:]:
-        sums = (classes[:, None] + exponents(s)).reshape(
+        sums = (classes[:, None] + s.exponents()).reshape(
             -1, classes.shape[1])
         rank, first = _row_ranks(sums)
         merges.append((rank, len(first)))

@@ -24,7 +24,8 @@ support flips the same arrays along a direction and goes through the
 support core (_flag_kernels), and the supports multiply as arrays.
 Relabelled blocks share that pass: it runs once per canonical block key
 (_canonical), and each labelled block permutes the columns of the
-canonical points.
+canonical points.  Verifiers compare supports undecoded (_flag_support),
+as tallies of counts per distinct (point, class image) row (_tally).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .genfun import (
 )
 from .lru import LRUCache
 from .matroid import (
-    FlagMatroid, Matroid, _subset_sizes, flag, flag_dual,
+    FlagMatroid, Matroid, _polytope_members, _subset_sizes, flag, flag_dual,
     higgs_factorization, is_quotient, pseudo_basis_masks, rank_table,
 )
 from .polynomial import AuxPolynomial
@@ -357,18 +358,24 @@ def _class_support(block, mode):
     return whole._replace(points=whole.points[:, sigma])
 
 
-def _ktt_support(fm, mode="kt"):
-    """The full equivariant localization sum as a Laurent polynomial.
+def _flag_support(fm, mode="kt"):
+    """The full equivariant localization sum of a flag as a _Support.
 
     Valid for any quotient chain, including a rank-0 first constituent
     (the sum itself makes sense verbatim there).  The mode selects the
     numerator; see _flag_kernels.  Each numerator factor depends on one
     coordinate, so the sum is multiplicative over a direct sum: the blocks'
     arrays (_block_parts over _SUPPORT_CACHE, _class_support on a miss)
-    multiply by _support_product.  The decoded polynomial is not cached.
+    multiply by _support_product.  Every count is over den 1, the support
+    core's denominator on this route.
     """
-    return _decode_support(_support_product(
-        fm.n, _block_parts(fm, mode, _SUPPORT_CACHE, _class_support)))
+    return _support_product(
+        fm.n, _block_parts(fm, mode, _SUPPORT_CACHE, _class_support))
+
+
+def _ktt_support(fm, mode="kt"):
+    """_flag_support decoded to a Laurent polynomial, not cached."""
+    return _decode_support(_flag_support(fm, mode))
 
 
 def kt_equivariant(fm):
@@ -705,24 +712,25 @@ class VerifyReport:
                                          "PASS" if self.passed else "FAIL")
 
 
-def _mask_vector(n, s):
-    return tuple(1 if s >> i & 1 else 0 for i in range(n))
+def _tally(*parts):
+    """Counts summed per distinct (point, class image) row over supports.
 
-
-def kt22_rhs_equivariant(m1, m2):
-    """Product side of the pseudo-basis identity, with aux variable q."""
-    n = m1.n
-    pbs = pseudo_basis_masks(m1, m2)
-    support = {}
-    for t_sub in range(1 << n):
-        wt = _mask_vector(n, t_sub)
-        qt = t_sub.bit_count()
-        for s in pbs:
-            w = tuple(a + b for a, b in zip(wt, _mask_vector(n, s)))
-            mono = AuxPolynomial.monomial(("q",), (qt + s.bit_count(),))
-            cur = support.get(w)
-            support[w] = mono if cur is None else cur + mono
-    return EquivariantPolynomial(n, support)
+    Each part is (points, counts, images): points P x n, counts P x C and
+    images C x m, each class's image under a class map.  Returns the
+    distinct rows in lexicographic order (cones._row_ranks), their nonzero
+    sums as a last column: equal sums of supports give equal arrays.
+    """
+    rows, sums = [], []
+    for points, counts, images in parts:
+        at, cls = np.nonzero(counts)
+        rows.append(np.concatenate([points[at], images[cls]], axis=1))
+        sums.append(counts[at, cls])
+    rows, sums = np.concatenate(rows), np.concatenate(sums)
+    rank, first = _row_ranks(rows - rows.min(axis=0, initial=0))
+    total = np.zeros(len(first), dtype=np.int64)
+    np.add.at(total, rank, sums)
+    keep = np.flatnonzero(total)
+    return np.concatenate([rows[first[keep]], total[keep, None]], axis=1)
 
 
 def verify_kt22(fm):
@@ -742,25 +750,30 @@ def verify_kt22(fm):
     pbs = pseudo_basis_masks(m1, m2)
     report.data["pseudo_bases"] = len(pbs)
 
-    phi_t = _ktt_support(fm)
-    qinv = AuxPolynomial.monomial(("q",), (-1,))
-    q = AuxPolynomial.variable("q")
-    scale = q ** rsum
-    # support points share coefficient objects: map each one once
-    done = {}
-    lhs_support = {}
-    for w, coeff in phi_t.support.items():
-        val = done.get(id(coeff))
-        if val is None:
-            val = done[id(coeff)] = coeff.substitute(
-                {"u": qinv, "v": q}) * scale
-        if val:
-            lhs_support[w] = val
-    lhs = EquivariantPolynomial(n, lhs_support)
-    rhs = kt22_rhs_equivariant(m1, m2)
-    report.check("equivariant pseudo-basis identity", lhs == rhs)
+    # u -> 1/q, v -> q, times q^{r1 + r2}: class (a, b) has q-degree
+    # r1 + r2 - a + b
+    sup = _flag_support(fm)
+    a, b = sup.exponents().T
+    lhs = _tally((sup.points, sup.counts, (rsum - a + b)[:, None]))
+    # t^{e_S} q^{|S|} per pseudo-basis S, times (1 + t_i q) one coordinate
+    # at a time, collected after each step; the q-degree is a last point
+    # column under the single class
+    unit = np.zeros((1, 0), dtype=np.int64)
+    bits = (np.array(pbs, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    rhs = _tally((np.concatenate([bits, bits.sum(axis=1, keepdims=True)],
+                                 axis=1),
+                  np.ones((len(bits), 1), dtype=np.int64), unit))
+    steps = np.eye(n, n + 1, dtype=np.int64)
+    steps[:, n] = 1
+    for step in steps:
+        rows, counts = rhs[:, :-1], rhs[:, -1:]
+        rhs = _tally((rows, counts, unit), (rows + step, counts, unit))
+    report.check("equivariant pseudo-basis identity",
+                 np.array_equal(lhs, rhs))
 
     phi = _localization_value(fm, "kt")
+    qinv = AuxPolynomial.monomial(("q",), (-1,))
+    q = AuxPolynomial.variable("q")
     lhs_q = phi.substitute({"u": qinv, "v": q}) * (q ** rsum)
     rhs_q = ((1 + q) ** n) * sum(
         (q ** s.bit_count() for s in pbs), AuxPolynomial.zero(("q",)))
@@ -775,23 +788,6 @@ def verify_kt22(fm):
     return report
 
 
-def delcont_rhs_supports(m, e, ell):
-    """Right-hand side of the l-fold deletion-contraction identity."""
-    dele, relabel1 = m.minor(delete=(e,))
-    cont, relabel2 = m.minor(contract=(e,))
-    assert relabel1 == relabel2
-    parts = []
-    for i in range(ell + 1):
-        constituents = (cont,) * (ell - i) + (dele,) * i
-        sub = FlagMatroid(constituents)
-        piece = _ktt_support(sub).insert_coordinate(e - 1, ell - i)
-        parts.append(piece)
-    total = parts[0]
-    for piece in parts[1:]:
-        total = total + piece
-    return total
-
-
 def verify_delcont(m, e, ell=2):
     """Check the l-fold equivariant deletion-contraction identity at e."""
     loops = m.loops()
@@ -800,17 +796,22 @@ def verify_delcont(m, e, ell=2):
         raise LoopOrColoop("element %d is a loop or coloop" % e)
     report = VerifyReport("delcont")
     fm = FlagMatroid((m,) * ell)
-    lhs = _ktt_support(fm)
-    rhs = delcont_rhs_supports(m, e, ell)
-    report.check("equivariant %d-fold identity at element %d" % (ell, e),
-                 lhs == rhs)
-
     dele, _ = m.minor(delete=(e,))
     cont, _ = m.minor(contract=(e,))
+    subs = [FlagMatroid((cont,) * (ell - i) + (dele,) * i)
+            for i in range(ell + 1)]
+    # the i-th minor's supports sit at exponent ell - i on coordinate e
+    sup = _flag_support(fm)
+    lhs = _tally((sup.points, sup.counts, sup.exponents()))
+    rhs = _tally(*[(np.insert(s.points, e - 1, ell - i, axis=1), s.counts,
+                    s.exponents())
+                   for i, s in enumerate(map(_flag_support, subs))])
+    report.check("equivariant %d-fold identity at element %d" % (ell, e),
+                 np.array_equal(lhs, rhs))
+
     lhs_v = _localization_value(fm, "kt")
     rhs_v = AuxPolynomial.zero(("u", "v"))
-    for i in range(ell + 1):
-        sub = FlagMatroid((cont,) * (ell - i) + (dele,) * i)
+    for sub in subs:
         rhs_v = rhs_v + _localization_value(sub, "kt")
     report.check("value identity at t = 1", lhs_v == rhs_v)
     return report
@@ -906,7 +907,7 @@ def check_lvt_delcont(m1, m2, e=None):
 
 def count_lattice_points(fm):
     """Lattice points of the base polytope by direct membership testing."""
-    return len(_enumerate_polytope(fm))
+    return len(_lattice_points(fm))
 
 
 def check_duality(fm):
@@ -917,13 +918,10 @@ def check_duality(fm):
     """
     dual = flag_dual(fm)
     report = VerifyReport("duality")
-    b = _ktt_support(dual)
-    n, k = fm.n, fm.k
-    u = AuxPolynomial.variable("u")
-    v = AuxPolynomial.variable("v")
-    a = _ktt_support(fm).substitute_aux({"u": v, "v": u})
-    mapped = {tuple(k - x for x in w): c for w, c in a.support.items()}
-    report.check("equivariant duality", EquivariantPolynomial(n, mapped) == b)
+    s, d = _flag_support(fm), _flag_support(dual)
+    report.check("equivariant duality", np.array_equal(
+        _tally((fm.k - s.points, s.counts, s.exponents()[:, ::-1])),
+        _tally((d.points, d.counts, d.exponents()))))
     x = AuxPolynomial.variable("x")
     y = AuxPolynomial.variable("y")
     report.check("plain duality",
@@ -962,7 +960,8 @@ def check_direct_sum(fm1, fm2):
 def check_latticepoints(fm):
     """The (1,1) value against direct polytope point enumeration."""
     report = VerifyReport("latticepoints")
-    expected = count_lattice_points(fm)
+    points = _lattice_points(fm)
+    expected = len(points)
     report.data["lattice_points"] = expected
     phi = _localization_value(fm, "kt")
     value = phi.constant_term()
@@ -970,17 +969,24 @@ def check_latticepoints(fm):
                  value == expected
                  and kt(fm).substitute({"x": 1, "y": 1})
                  == AuxPolynomial.constant(expected))
-    eq = _ktt_support(fm).substitute_aux({"u": 0, "v": 0})
-    pts = {w: AuxPolynomial.constant(1) for w in _enumerate_polytope(fm)}
+    # u = v = 0 keeps the class (0, 0) column alone
+    s = _flag_support(fm)
+    zero = [c for c, e in enumerate(s.classes) if e == (0, 0)]
+    ones = np.ones((len(points), 1), dtype=np.int64)
     report.check("equivariant (1,1) value lists the lattice points",
-                 eq == EquivariantPolynomial(fm.n, pts))
+                 np.array_equal(
+                     _tally((s.points, s.counts[:, zero],
+                             s.exponents()[zero])),
+                     _tally((points, ones, np.zeros((1, 2), dtype=np.int64)))))
     return report
 
 
-def _enumerate_polytope(fm):
-    """Lattice points of the base polytope, from its box [0, k]^n."""
+def _lattice_points(fm):
+    """The points of the box [0, k]^n on the rank-sum hyperplane in the
+    base polytope, by one membership test (matroid._polytope_members)."""
     box = _box_candidates([0] * fm.n, [fm.k] * fm.n, sum(fm.ranks))
-    return [w for w in box if fm.polytope_membership(w)]
+    box = np.array(box, dtype=np.int64).reshape(len(box), fm.n)
+    return box[_polytope_members(fm, box)]
 
 
 def check_loop_coloop_divisibility(fm):
@@ -1002,29 +1008,24 @@ def check_coefficient_theorem(fm):
     m1, m2 = fm.constituents
     r1, r2 = fm.ranks
     report = VerifyReport("coefficients")
-    phi_t = _ktt_support(fm)
-    ok_sum = True
-    ok_rule = True
-    for w, coeff in phi_t.support.items():
-        for exps, gamma in coeff.terms.items():
-            a = exps[coeff.vars.index("u")]
-            b = exps[coeff.vars.index("v")]
-            i, j = r2 - a, b
-            if sum(w) != r1 + i + j:
-                ok_sum = False
-            c = sum(1 for x in w if x == 1)
-            bound = abs(r1 + j - i)
-            if c < bound:
-                ok_rule = False
-            elif c == bound:
-                s2 = sum(1 << idx for idx, x in enumerate(w) if x >= 1)
-                s1 = sum(1 << idx for idx, x in enumerate(w) if x == 2)
-                good = (m1.rank(s2) == r1
-                        and m2.rank(s1) == s1.bit_count())
-                if gamma != 1 or not good:
-                    ok_rule = False
-    report.check("coordinate sums match r1 + i + j", ok_sum)
-    report.check("0/1 coefficient rule at the few-ones boundary", ok_rule)
+    # one row per nonzero coefficient gamma of t^w u^a v^b
+    s = _flag_support(fm)
+    at, cls = np.nonzero(s.counts)
+    w, gamma = s.points[at], s.counts[at, cls]
+    a, b = s.exponents()[cls].T
+    i, j = r2 - a, b
+    ones = (w == 1).sum(axis=1)
+    bound = np.abs(r1 + j - i)
+    edge = ones == bound
+    bits = 1 << np.arange(fm.n)
+    s2, s1 = (w >= 1) @ bits, (w == 2) @ bits
+    good = ((rank_table(m1)[s2] == r1)
+            & (rank_table(m2)[s1] == _subset_sizes(fm.n)[s1]))
+    report.check("coordinate sums match r1 + i + j",
+                 (w.sum(axis=1) == r1 + i + j).all())
+    report.check("0/1 coefficient rule at the few-ones boundary",
+                 (ones >= bound).all() and (gamma[edge] == 1).all()
+                 and good[edge].all())
     return report
 
 

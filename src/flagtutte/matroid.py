@@ -416,17 +416,34 @@ class FlagMatroid:
         w = tuple(int(x) for x in w)
         if len(w) != self.n:
             raise GroundSetMismatch("point has wrong dimension")
-        if sum(w) != sum(self.ranks):
-            return False
         if any(x < 0 or x > self.k for x in w):
             return False
-        bound = np.zeros(1 << self.n, dtype=np.int32)
-        for m in self.constituents:
-            bound += rank_table(m)
-        ws = np.zeros(1 << self.n, dtype=np.int32)
-        for i, x in enumerate(w):
-            ws[1 << i:2 << i] = ws[:1 << i] + x
-        return not (ws > bound).any()
+        return bool(_polytope_members(self, np.array([w]))[0])
+
+
+_MEMBER_ENTRIES = 1 << 20
+
+
+def _polytope_members(fm, points):
+    """Which rows of a (P x n) int array lie in the base polytope of a flag.
+
+    That Minkowski sum is the base polytope of the summed rank functions:
+    w(S) <= sum of rank(S) for every subset S, with equality at the ground
+    set.  Per chunk of points (at most _MEMBER_ENTRIES sums) the subset
+    sums w(S) double up over the elements against the summed rank tables.
+    """
+    n = fm.n
+    bound = sum(rank_table(m).astype(np.int32) for m in fm.constituents)
+    out = np.empty(len(points), dtype=bool)
+    step = max(1, _MEMBER_ENTRIES >> n)
+    for at in range(0, len(points), step):
+        w = points[at:at + step].astype(np.int32)
+        ws = np.zeros((len(w), 1 << n), dtype=np.int32)
+        for i in range(n):
+            ws[:, 1 << i:2 << i] = ws[:, :1 << i] + w[:, i:i + 1]
+        out[at:at + step] = ((ws <= bound).all(axis=1)
+                             & (ws[:, -1] == bound[-1]))
+    return out
 
 
 def flag(*matroids):

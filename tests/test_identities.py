@@ -4,6 +4,7 @@ The full-corpus sweeps live in the acceptance tests; these exercise each
 verifier on a handful of hand-picked cases, including the error paths.
 """
 
+import numpy as np
 import pytest
 
 from flagtutte import (Matroid, brion_example_report, check_beta_higgs,
@@ -12,7 +13,7 @@ from flagtutte import (Matroid, brion_example_report, check_beta_higgs,
                        check_latticepoints, check_loop_coloop_divisibility,
                        check_lvt_delcont, check_lvt_special, flag,
                        verify_delcont, verify_h_uv, verify_kt22)
-from flagtutte import invariants
+from flagtutte import FlagMatroid, clear_caches, invariants, matroid
 from flagtutte.errors import InputError, LoopOrColoop
 
 U = Matroid.uniform
@@ -139,6 +140,110 @@ def test_check_direct_sum_catches_a_wrong_support_product(monkeypatch):
     assert report.details == [("equivariant direct-sum multiplicativity",
                                False),
                               ("plain direct-sum multiplicativity", True)]
+
+
+def test_tally_sums_counts_per_distinct_row():
+    # both classes of a point share an image, so their counts add; rows
+    # from different parts meet; a zero sum drops; negative images are fine
+    first = (np.array([[0, 1], [1, 0]]), np.array([[2, 3], [1, 0]]),
+             np.array([[5], [5]]))
+    second = (np.array([[1, 0]]), np.array([[-1]]), np.array([[-2]]))
+    third = (np.array([[0, 1]]), np.array([[-5]]), np.array([[5]]))
+    assert invariants._tally(first).tolist() == [[0, 1, 5, 5], [1, 0, 5, 1]]
+    assert invariants._tally(first, second, third).tolist() == [
+        [1, 0, -2, -1], [1, 0, 5, 1]]
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Plant a mutant in the equivariant support of one connected flag.
+
+    Calling planted(fm) adds 1 to one count of the kt support block of fm
+    alone (class (0, 0) at its first point); its dual, its minors and every
+    other flag keep their supports.  The t = 1 route is untouched, so only
+    the equivariant checks may see it.  Caches are emptied before and after,
+    so no planted support outlives the test.
+    """
+    def plant(fm):
+        def mutated(block, mode):
+            s = compute(block, mode)
+            if mode != "kt" or block.key() != fm.key():
+                return s
+            counts = s.counts.copy()
+            counts[0, s.classes.index((0, 0))] += 1
+            return s._replace(counts=counts)
+
+        compute = invariants._class_support
+        monkeypatch.setattr(invariants, "_class_support", mutated)
+
+    clear_caches()
+    yield plant
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_verify_kt22_catches_a_planted_count(planted):
+    fm = flag(U(1, 4), U(2, 4))
+    planted(fm)
+    assert verify_kt22(fm).details == [
+        ("equivariant pseudo-basis identity", False),
+        ("one-variable pseudo-basis identity", True),
+        ("value at (2,2) equals 2^n times the pseudo-basis count", True)]
+
+
+def test_check_duality_catches_a_planted_count(planted):
+    fm = flag(U(1, 4), U(2, 4))  # its dual is flag(U(2, 4), U(3, 4))
+    planted(fm)
+    assert check_duality(fm).details == [("equivariant duality", False),
+                                         ("plain duality", True)]
+
+
+def test_check_latticepoints_catches_a_planted_count(planted):
+    fm = flag(U(1, 3), U(2, 3))
+    planted(fm)
+    report = check_latticepoints(fm)
+    assert report.details == [
+        ("kt at (1,1) equals the lattice-point count", True),
+        ("equivariant (1,1) value lists the lattice points", False)]
+    assert report.data["lattice_points"] == 7
+
+
+def test_verify_delcont_catches_a_planted_count(planted):
+    m = U(2, 4)
+    planted(FlagMatroid((m, m)))
+    assert verify_delcont(m, 1, ell=2).details == [
+        ("equivariant 2-fold identity at element 1", False),
+        ("value identity at t = 1", True)]
+
+
+def test_check_coefficient_theorem_catches_a_planted_count(planted):
+    fm = flag(U(1, 3), U(2, 3))
+    planted(fm)
+    # the planted class (0, 0) needs coordinate sum r1 + r2 at its point
+    assert check_coefficient_theorem(fm).details == [
+        ("coordinate sums match r1 + i + j", False),
+        ("0/1 coefficient rule at the few-ones boundary", True)]
+
+
+def test_check_latticepoints_catches_a_lowered_rank_bound(monkeypatch):
+    # the lattice points come from the rank tables; rank 0 for {1} in U(1, 3)
+    # drops the two points with w_1 = 2, which the kt value still counts
+    def lowered(m):
+        out = table(m)
+        if m is bottom:
+            out = out.copy()
+            out[0b001] -= 1
+        return out
+
+    table = matroid.rank_table
+    fm = flag(U(1, 3), U(2, 3))
+    bottom = fm.constituents[0]
+    monkeypatch.setattr(matroid, "rank_table", lowered)
+    report = check_latticepoints(fm)
+    assert report.data["lattice_points"] == 5
+    assert report.details == [
+        ("kt at (1,1) equals the lattice-point count", False),
+        ("equivariant (1,1) value lists the lattice points", False)]
 
 
 def test_check_divisibility_spots():
