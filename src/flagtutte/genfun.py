@@ -20,11 +20,12 @@ multiplicity per owner and box point; points that cannot reach the apex
 box are dropped, the rest are tested against it in the narrowest integer
 dtype, and the incidences that land are scattered into one dense int64
 accumulator.  Its nonzero rows are the support in array form (_Support:
-points, a dense count matrix over the classes and a common denominator),
-which a direct sum multiplies block by block (_support_product) and one
-decode turns into an EquivariantPolynomial, one shared coefficient per
-distinct row of counts (support_pure, a per-point crawl, remains for
-other rays and as the test reference).  _specialize_t1 sets t -> 1 in one
+points, per point a row of a table of distinct count rows over the
+classes, ranked once per pass, and a common denominator), which a direct
+sum multiplies block by block, table by table (_support_product), and
+one decode turns into an EquivariantPolynomial, one shared coefficient
+per table row (support_pure, a per-point crawl, remains for other rays
+and as the test reference).  _specialize_t1 sets t -> 1 in one
 array pass over all cells: it takes per-cell arrays (open flags, sign,
 numerator index) and a callback pairing every ray and numerator apex with
 a weight, substitutes t_i = z^(c_i) and reads the value at z = 1 off the
@@ -327,16 +328,24 @@ def support_pure(g, direction=None):
 
 class _Support(NamedTuple):
     """A support in array form: the coefficient of t^points[p] is
-    sum_c counts[p, c] / den times the monomial classes[c] in aux_vars.
+    sum_c table[rows[p], c] / den times the monomial classes[c] in aux_vars.
 
-    points is (P x n) int64 and counts the dense (P x len(classes)) int64
-    count matrix; every point holds a nonzero count.
+    points is (P x n) int64, rows (P,) indexes table, the (R x C) int64
+    count rows over the classes.  Every table row is nonzero and held by
+    some point; the support core's rows are distinct, a product's are the
+    products of its blocks' rows, which may coincide.
     """
     points: np.ndarray
-    counts: np.ndarray
+    rows: np.ndarray
+    table: np.ndarray
     classes: tuple
     aux_vars: tuple
     den: int
+
+    @property
+    def counts(self):
+        """The (P x C) count matrix, one table row per point."""
+        return self.table[self.rows]
 
     def exponents(self):
         """The classes as a (len(classes) x len(aux_vars)) int64 array."""
@@ -412,7 +421,8 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
     classes; the result's Newton polytope lies in the convex hull of the
     apexes, so none outside counts.  Returns the nonzero rows as a _Support
     over the classes that occur (class c with count k is the monomial
-    classes[c] in aux_vars with coefficient k / den).  Raises
+    classes[c] in aux_vars with coefficient k / den), its table the
+    distinct rows in lexicographic order (cones._row_ranks).  Raises
     GroundSetTooLarge, before allocating, when the accumulator would
     exceed _SUPPORT_CELLS entries.
     """
@@ -475,34 +485,32 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
     at = np.flatnonzero(acc.any(axis=1))
     counts = acc[at]
     keep = np.flatnonzero(counts.any(axis=0))
-    return _Support(at[:, None] // strides % rng + lo, counts[:, keep],
+    counts = counts[:, keep]
+    rows, first = _row_ranks(counts - counts.min(initial=0))
+    return _Support(at[:, None] // strides % rng + lo, rows, counts[first],
                     tuple(classes[c] for c in keep.tolist()), aux_vars, den)
 
 
 def _decode_support(s):
     """The EquivariantPolynomial of a support in array form.
 
-    The points holding one row of counts share one AuxPolynomial: the
-    distinct rows come from cones._row_ranks (a void view and np.unique),
-    each is built once by AuxPolynomial._trusted, and each distinct count
-    is one Fraction over the denominator.  Shared coefficients are never
-    mutated in place.
+    The points holding one table row share one AuxPolynomial, built once
+    by AuxPolynomial._trusted, and each distinct count is one Fraction over
+    the denominator.  Shared coefficients are never mutated in place.
     """
     n = s.points.shape[1]
     if not len(s.points):
         return EquivariantPolynomial._trusted(n, {}, s.aux_vars)
-    inverse, first = _row_ranks(s.counts - s.counts.min())
-    rows = s.counts[first]
-    at, cidx = np.nonzero(rows)
-    values, which = np.unique(rows[at, cidx], return_inverse=True)
-    coeffs = [Fraction(k, s.den) for k in values.tolist()]
+    at, cidx = np.nonzero(s.table)
+    counts = s.table[at, cidx].tolist()
+    coeffs = {k: Fraction(k, s.den) for k in set(counts)}
     terms = list(zip(map(s.classes.__getitem__, cidx.tolist()),
-                     map(coeffs.__getitem__, which.tolist())))
-    bounds = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
+                     map(coeffs.__getitem__, counts)))
+    bounds = np.searchsorted(at, np.arange(len(s.table) + 1)).tolist()
     polys = [AuxPolynomial._trusted(s.aux_vars, dict(terms[a:b]))
              for a, b in zip(bounds, bounds[1:])]
     support = dict(zip(map(tuple, s.points.tolist()),
-                       map(polys.__getitem__, inverse.tolist())))
+                       map(polys.__getitem__, s.rows.tolist())))
     return EquivariantPolynomial._trusted(n, support, s.aux_vars)
 
 
@@ -511,56 +519,67 @@ def _support_product(n, parts):
 
     parts lists (mask, support) per block, each support on its block's own
     coordinates in increasing order, all on one aux_vars and with
-    nonnegative class exponents, as on the flag route.  The points
-    pair up by np.repeat and np.tile, each block's columns placed at its
-    mask positions, so no two pairs meet; class exponents add and counts
-    multiply, and the class pairs that land on one class merge in one
-    integer product with a 0/1 merge matrix.  One block covers every
-    coordinate and is its own product; the product over no blocks (n = 0)
-    is the unit, one point of length 0 with count 1 in class (0, 0).
-    Raises GroundSetTooLarge, before allocating, when the product would
-    exceed _SUPPORT_CELLS cells.
+    nonnegative class exponents, as on the flag route.  The points pair up
+    in C order, each block's columns placed at its mask positions, so no
+    two pairs meet.  The tables multiply instead of the points: the pair of
+    rows r1, r2 is row r1 * R2 + r2 of the product table, its counts the
+    products of the two rows' counts, with class exponents added.  A class
+    (u, v) is the code u * V + v, V past every sum of v exponents, so codes
+    add as exponents do; the product's classes are the code sums taken, in
+    (u, v) order, and each block's step scatters the table so far into one
+    array per class of the block, then sums them weighted by the block's
+    table in one integer product.  One block covers every coordinate and is
+    its own product; the product over no blocks (n = 0) is the unit, one
+    point of length 0 with count 1 in class (0, 0).  Raises
+    GroundSetTooLarge, before allocating, when the product would exceed
+    _SUPPORT_CELLS cells of points times classes.
     """
     if len(parts) == 1:
         return parts[0][1]
     if not parts:
         return _Support(np.zeros((1, n), dtype=np.int64),
+                        np.zeros(1, dtype=np.intp),
                         np.ones((1, 1), dtype=np.int64), ((0, 0),),
                         ("u", "v"), 1)
 
-    merges = []
-    classes = parts[0][1].exponents()
-    for _, s in parts[1:]:
-        sums = (classes[:, None] + s.exponents()).reshape(
-            -1, classes.shape[1])
-        rank, first = _row_ranks(sums)
-        merges.append((rank, len(first)))
-        classes = sums[first]
-    cells = prod(len(s.points) for _, s in parts) * len(classes)
+    V = 1 + sum(max((v for _, v in s.classes), default=0) for _, s in parts)
+    codes = [[u * V + v for u, v in s.classes] for _, s in parts]
+    top = sum(max(c, default=0) for c in codes) + 1
+    code, merges = np.array(codes[0], dtype=np.int64), []
+    for c in codes[1:]:
+        # rank[b, a]: the product class of the next block's class b and
+        # class a so far, the rank of their code sum among those taken
+        sums = np.add.outer(np.array(c, dtype=np.int64), code)
+        taken = np.zeros(top, dtype=bool)
+        taken[sums] = True
+        code = np.flatnonzero(taken)
+        merges.append((np.searchsorted(code, sums), len(code)))
+    sizes = [len(s.points) for _, s in parts]
+    cells = prod(sizes) * len(code)
     if cells > _SUPPORT_CELLS:
         raise GroundSetTooLarge("support product of %d cells exceeds %d"
                                 % (cells, _SUPPORT_CELLS))
 
-    def placed(mask, points):
-        out = np.zeros((len(points), n), dtype=np.int64)
-        out[:, [i for i in range(n) if mask >> i & 1]] = points
-        return out
-
-    mask, s = parts[0]
-    W, D, den = placed(mask, s.points), s.counts, s.den
-    for (mask, s), (rank, C) in zip(parts[1:], merges):
-        (P1, C1), (P2, C2) = D.shape, s.counts.shape
-        _check_width(int(np.abs(D).max(initial=0))
-                     * int(np.abs(s.counts).max(initial=0)) * min(C1, C2))
-        merge = np.zeros((C1 * C2, C), dtype=np.int64)
-        merge[np.arange(C1 * C2), rank] = 1
-        # X[i, b, c] = sum_a D[i, a] [a + b -> c]; then sum_b counts[j, b]
-        X = (D @ merge.reshape(C1, C2 * C)).reshape(P1, C2, C)
-        D = np.matmul(s.counts, X).reshape(P1 * P2, C)
-        W = (np.repeat(W, P2, axis=0)
-             + np.tile(placed(mask, s.points), (P1, 1)))
+    T, rows, den = parts[0][1].table, parts[0][1].rows, parts[0][1].den
+    for (_, s), (rank, C) in zip(parts[1:], merges):
+        (R1, C1), (R2, C2) = T.shape, s.table.shape
+        _check_width(int(np.abs(T).max(initial=0))
+                     * int(np.abs(s.table).max(initial=0)) * min(C1, C2))
+        # X[i, b, rank[b, a]] = T[i, a], one scatter since the sums with
+        # one b are distinct; then sum_b table[j, b] X[i, b]
+        X = np.zeros((R1, C2, C), dtype=np.int64)
+        X[:, np.arange(C2)[:, None], rank] = T[:, None, :]
+        T = np.matmul(s.table, X).reshape(R1 * R2, C)
+        rows = np.add.outer(rows * R2, s.rows).ravel()
         den *= s.den
-    return _Support(W, D, tuple(map(tuple, classes.tolist())),
+    W = np.zeros(sizes + [n], dtype=np.int64)
+    for i, (mask, s) in enumerate(parts):
+        shape = [1] * len(parts) + [s.points.shape[1]]
+        shape[i] = sizes[i]
+        W[..., [j for j in range(n) if mask >> j & 1]] = \
+            s.points.reshape(shape)
+    return _Support(W.reshape(-1, n), rows, T,
+                    tuple(divmod(c, V) for c in code.tolist()),
                     parts[0][1].aux_vars, den)
 
 

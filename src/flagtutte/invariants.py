@@ -430,13 +430,26 @@ def _restrict(fm, s):
     """FlagMatroid.key() of the flag of the restrictions to a block s.
 
     The bases of a restriction to a separator are the sets B & s, relabelled
-    by bit position, and restricted to a separator a quotient chain stays
+    by bit position (bit[1 << p] is the bit that element p of s takes, set
+    bit by set bit), and restricted to a separator a quotient chain stays
     one, so _flag_of_key builds the flag without re-validating it.
     """
-    pos = [i for i in range(fm.n) if s >> i & 1]
-    return tuple((len(pos), tuple(sorted(
-        sum((b >> p & 1) << i for i, p in enumerate(pos))
-        for b in {b & s for b in m.bases_masks}))) for m in fm.constituents)
+    bit = {}
+    for p in range(fm.n):
+        if s >> p & 1:
+            bit[1 << p] = 1 << len(bit)
+    key = []
+    for m in fm.constituents:
+        bases = []
+        for b in {b & s for b in m.bases_masks}:
+            image = 0
+            while b:
+                low = b & -b
+                image |= bit[low]
+                b ^= low
+            bases.append(image)
+        key.append((len(bit), tuple(sorted(bases))))
+    return tuple(key)
 
 
 def _flag_of_key(key):
@@ -1032,6 +1045,9 @@ def check_coefficient_theorem(fm):
 def check_kchi_conjecture(m):
     """Observe whether k_char of (U_{1,n}, M) collapses to (q-1)^rank."""
     n = m.n
+    if n < 1:
+        raise InputError("conjecture check needs a nonempty ground set "
+                         "(n >= 1, for U(1, n)), got n = 0")
     if m.loops():
         raise InputError("conjecture check needs a loopless matroid")
     u1n = Matroid.uniform(1, n)

@@ -282,6 +282,15 @@ def test_exit_2_non_quotient_flag(capsys):
     assert code == 2
 
 
+def test_exit_2_kchi_conjecture_on_the_empty_ground_set(capsys):
+    code, out = run_main("verify", "--identity", "kchi-conjecture",
+                         "--input", '{"type":"uniform","r":0,"n":0}',
+                         capsys=capsys)
+    assert code == 2 and out == ""
+    assert "nonempty ground set (n >= 1" in run_main.err
+    assert "r=1" not in run_main.err
+
+
 def test_exit_3_internal_assertion(capsys, monkeypatch):
     def boom(fm):
         raise NonCancellingPole("pole fails to cancel")

@@ -602,6 +602,16 @@ def test_aux_polynomial_operations_never_mutate_an_operand():
             assert p.vars == vars_ and p.terms is terms and p.terms == copy
 
 
+def test_aux_polynomial_total_degree():
+    # the largest exponent sum over the terms; 0 for the zero polynomial
+    u = AuxPolynomial.variable("u", ("u", "v"))
+    v = AuxPolynomial.variable("v", ("u", "v"))
+    assert AuxPolynomial.zero(("u", "v")).total_degree() == 0
+    assert AuxPolynomial.constant(Fraction(-3, 2)).total_degree() == 0
+    assert (u * u * v - 3 * v + 7).total_degree() == 3
+    assert (u * v - u * v + v).total_degree() == 1
+
+
 def test_equivariant_polynomial_drops_zeros():
     phi = EquivariantPolynomial(1, {(0,): 0, (1,): 1})
     assert list(phi.items()) == [((1,), ONE)]

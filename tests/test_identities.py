@@ -129,7 +129,7 @@ def test_check_direct_sum_catches_a_wrong_support_product(monkeypatch):
     # support core, so a wrong product must fail it
     def corrupted(n, parts):
         out = product(n, parts)
-        return out._replace(counts=out.counts * 2)
+        return out._replace(table=out.table * 2)
 
     product = invariants._support_product
     a = flag(U(1, 2).direct_sum(U(1, 2)))
@@ -169,9 +169,13 @@ def planted(monkeypatch):
             s = compute(block, mode)
             if mode != "kt" or block.key() != fm.key():
                 return s
-            counts = s.counts.copy()
-            counts[0, s.classes.index((0, 0))] += 1
-            return s._replace(counts=counts)
+            # a fresh table row, so no other point holding the first
+            # point's row changes with it
+            row = s.table[s.rows[0]].copy()
+            row[s.classes.index((0, 0))] += 1
+            rows = s.rows.copy()
+            rows[0] = len(s.table)
+            return s._replace(rows=rows, table=np.vstack([s.table, row]))
 
         compute = invariants._class_support
         monkeypatch.setattr(invariants, "_class_support", mutated)
@@ -315,3 +319,9 @@ def test_check_kchi_spots():
         assert "matches" in report.data and "value" in report.data
     with pytest.raises(InputError):
         check_kchi_conjecture(LOOPY)
+
+
+def test_check_kchi_rejects_the_empty_ground_set():
+    # U(1, n) needs n >= 1; the error names that, not an internal U(1, 0)
+    with pytest.raises(InputError, match=r"nonempty ground set \(n >= 1"):
+        check_kchi_conjecture(U(0, 0))

@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from flagtutte import (AuxPolynomial, EquivariantPolynomial, FlagMatroid,
@@ -557,6 +558,56 @@ def test_split_supports_equal_whole_supports(monkeypatch):
     labels = [(fm, mode) for fm in flags for mode in modes]
     for label, a, b in zip(labels, split, whole):
         assert a == b, label
+
+
+def _pairwise_product(n, parts):
+    """A direct sum's support as every pair of points with dense counts:
+    the points (P x n) and one count column per sum of block classes."""
+    points = np.zeros((1, n), dtype=np.int64)
+    columns = {(0, 0): np.ones(1, dtype=np.int64)}
+    for mask, s in parts:
+        placed = np.zeros((len(s.points), n), dtype=np.int64)
+        placed[:, [i for i in range(n) if mask >> i & 1]] = s.points
+        points = (points[:, None] + placed).reshape(-1, n)
+        product = {}
+        for (a, b), left in columns.items():
+            for (c, d), right in zip(s.classes, s.counts.T):
+                column = np.outer(left, right).ravel()
+                key = (a + c, b + d)
+                product[key] = (product[key] + column if key in product
+                                else column)
+        columns = product
+    return points, columns
+
+
+def test_factored_supports_hold_their_invariants():
+    # every rank >= 1 corpus flag in all three numerator modes: each table
+    # row is nonzero and held by some point, the decode makes one
+    # coefficient object per table row, a product's counts are those of
+    # every pair of points, and a single block's rows (one support core
+    # pass) are distinct
+    flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1]
+    split = 0
+    for mode in ("kt", "h", "h_lv"):
+        for fm in flags:
+            s = invariants._flag_support(fm, mode)
+            assert s.table.any(axis=1).all(), (fm, mode)
+            assert np.array_equal(np.unique(s.rows),
+                                  np.arange(len(s.table))), (fm, mode)
+            phi = genfun._decode_support(s)
+            assert len({id(c) for c in phi.support.values()}) == len(s.table)
+            parts = invariants._block_parts(
+                fm, mode, invariants._SUPPORT_CACHE, invariants._class_support)
+            if len(parts) == 1:
+                assert len(np.unique(s.table, axis=0)) == len(s.table)
+                continue
+            split += 1
+            points, columns = _pairwise_product(fm.n, parts)
+            assert np.array_equal(s.points, points), (fm, mode)
+            assert list(s.classes) == sorted(columns), (fm, mode)
+            assert np.array_equal(s.counts, np.column_stack(
+                [columns[c] for c in s.classes])), (fm, mode)
+    assert split == 3 * 577
 
 
 @pytest.mark.parametrize("summands", [

@@ -230,6 +230,17 @@ def test_rank_table_admission_guard():
     assert m.rank(range(1, RANK_TABLE_MAX + 2)) == 1
 
 
+def test_is_basis_takes_element_lists_and_masks():
+    m = Matroid.from_bases(4, [{1, 2}, {1, 3}])
+    assert m.is_basis([1, 2]) and m.is_basis((3, 1)) and m.is_basis({1, 3})
+    assert not m.is_basis([2, 3]) and not m.is_basis([1])
+    assert m.is_basis(0b0011) and m.is_basis(0b0101)
+    assert not m.is_basis(0b0110) and not m.is_basis(0)
+    for outside in ([1, 5], [0, 1], 1 << 4, -1):
+        with pytest.raises(GroundSetMismatch):
+            m.is_basis(outside)
+
+
 def test_loops_coloops():
     m = Matroid.from_bases(4, [{1, 2}, {1, 3}])
     assert m.loops() == frozenset({4})
