@@ -19,7 +19,6 @@ _MEMOS = {
     "cones.edge_vectors": cones._edge_vectors,
     "genfun.interned": genfun._interned,
     "genfun.flipped_cached": genfun._flipped_cached,
-    "genfun.reversed_edges": genfun._reversed_edges,
     "genfun.prime_tables": genfun._prime_tables,
     "invariants.numerator": invariants._numerator,
 }

@@ -48,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _edge_vectors, _forest_rows,
-    _row_ranks, cone_membership, default_direction, flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _forest_rows, _row_ranks,
+    cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
@@ -105,7 +105,8 @@ class EquivariantPolynomial:
 
     @classmethod
     def _trusted(cls, n, support, aux_vars):
-        """Wrap a support built by _decode_support without re-validating it.
+        """Wrap a support built by _decode_support or
+        lv_tutte_equivariant without re-validating it.
 
         support maps int tuples of length n to nonzero AuxPolynomials already
         on aux_vars; an empty support carries no aux variables, as from the
@@ -233,20 +234,6 @@ def _flipped_cached(cone, direction):
     key; callers intern once per sweep, not once per cell.
     """
     return flip_cone(cone, direction)
-
-
-@lru_cache(maxsize=1024)
-def _reversed_edges(direction):
-    """(n x n) bool: whether e_j - e_i pairs negatively at [i, j].
-
-    direction is one returned by _interned; the diagonal is False.
-    """
-    n = len(direction.zeta)
-    out = np.array([k // n != k % n and direction.sign(v) < 0
-                    for k, v in enumerate(_edge_vectors(n))],
-                   dtype=bool).reshape(n, n)
-    out.setflags(write=False)
-    return out
 
 
 # ------------------------------------------------------------- coefficient_at

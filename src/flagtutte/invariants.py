@@ -19,9 +19,12 @@ t = 1 value and the full equivariant sum are multiplicative over a direct
 sum, so one block loop (_block_parts) serves both: it splits a flag into
 its blocks (_flag_blocks), looks each up in the route's cache and computes
 it on a miss.  A t = 1 block value is one pass of genfun's specialization
-core over the arrays, and the values multiply in integers.  A block
-support flips the same arrays along a direction and goes through the
-support core (_flag_kernels), and the supports multiply as arrays.
+core over the arrays, kept as Python ints in an object array indexed
+[u, v]; the values multiply as arrays (_times, one 1-D convolution), and
+kt, h and k_char read their coefficients off the product and build their
+polynomial once (_poly).  A block support flips the same arrays along the
+default direction and goes through the support core (_flag_kernels), and
+the supports multiply as arrays.
 Relabelled blocks share that pass: it runs once per canonical block key
 (_canonical), and each labelled block permutes the columns of the
 canonical points.  Verifiers compare supports undecoded (_flag_support),
@@ -33,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial, prod
 from typing import NamedTuple
@@ -41,17 +44,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _row_ranks, _tangent_generators, _triangulate,
-    default_direction, tangent_cone_generators, triangulate_half_open,
+    _row_ranks, _tangent_generators, _triangulate, tangent_cone_generators,
+    triangulate_half_open,
 )
 from .errors import (
-    HasLoopOrColoop, InputError, InternalAssertion, LoopOrColoop,
-    NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
+    HasLoopOrColoop, InputError, LoopOrColoop, NotAQuotient, NotDivisible,
+    NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
     EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates,
-    _decode_support, _interned, _reversed_edges, _specialize_t1,
-    _support_core, _support_product,
+    _decode_support, _specialize_t1, _support_core, _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
@@ -75,7 +77,8 @@ def _pascal(b):
 
 def _open_shifts(A):
     """Open (v - 1)^e along the last two axes of A (its only one if A is a
-    vector): P^T @ A @ P, batched.  int64 products stay off BLAS."""
+    vector): P^T @ A @ P, batched.  int64 products stay off BLAS, and an
+    object array of Python ints stays exact."""
     A = A @ _pascal(A.shape[-1]).astype(A.dtype, copy=False)
     if A.ndim > 1:
         A = _pascal(A.shape[-2]).astype(A.dtype, copy=False).T @ A
@@ -88,22 +91,6 @@ def _poly(vars, coeffs):
     return AuxPolynomial._trusted(vars, {
         e: Fraction(c) for e, c in zip(zip(*(i.tolist() for i in idx)),
                                        coeffs[idx].tolist())})
-
-
-def _expand_shifted(vars, terms):
-    """sum c prod (v_i - 1)^(e_i) over {exponents: integral Fraction c}, in
-    one or two variables.  Every partial sum of the Pascal products is at
-    most sum |c| 2^(a + b) < max|c| 2^(sum of the array's sides): the array
-    is int64 when that is below 2^63, exact Python ints otherwise."""
-    if any(c.denominator != 1 for c in terms.values()):
-        raise InternalAssertion("a non-integral coefficient to expand")
-    cols = tuple(zip(*terms))
-    coeffs = [c.numerator for c in terms.values()]
-    shape = [max(col) + 1 for col in cols]
-    wide = max(map(abs, coeffs)).bit_length() + sum(shape) > 63
-    A = np.zeros(shape, dtype=object if wide else np.int64)
-    A[cols] = coeffs
-    return _poly(vars, _open_shifts(A))
 
 
 def _require_quotient(m1, m2):
@@ -181,7 +168,7 @@ def lv_tutte_equivariant(m1, m2):
     n = m1.n
     support = {tuple(s >> i & 1 for i in range(n)): monos[k]
                for s, k in enumerate(inverse.tolist())}
-    return EquivariantPolynomial(n, support)
+    return EquivariantPolynomial._trusted(n, support, ("u", "v", "w"))
 
 
 # ------------------------------------------------- localization sum machinery
@@ -296,7 +283,7 @@ def _slot_counts(fm):
     return (r1, rk - r1, fm.n - rk)
 
 
-def _flag_kernels(fm, mode, direction=None):
+def _flag_kernels(fm, mode, flip=False):
     """The localization sum of a flag as arrays for _support_core.
 
     The cells of _flag_cells, each owned by its flag basis.  How many
@@ -304,11 +291,11 @@ def _flag_kernels(fm, mode, direction=None):
     ranks, so one closed-form numerator (_numerator) serves every basis:
     all share its cls and vals, and each basis gets one apex block of A,
     its levels (mode "kt") plus the slot steps on its own coordinates.
-    With a direction every cell is flipped first, as _support_core needs:
-    the rays pairing negatively (one table lookup per ray) reverse, toggle
-    their open flags and flip the sign.  Returns ((tails, heads, opens,
-    signs, owner), (A, cls, vals), classes), classes the sorted (u, v)
-    exponent pairs.
+    With flip every cell is flipped first along cones.default_direction, as
+    _support_core needs: the rays e_j - e_i pairing negatively with it,
+    those with j > i, reverse, toggle their open flags and flip the sign.
+    Returns ((tails, heads, opens, signs, owner), (A, cls, vals), classes),
+    classes the sorted (u, v) exponent pairs.
     """
     cells = _flag_cells(fm)
     steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
@@ -318,12 +305,12 @@ def _flag_kernels(fm, mode, direction=None):
         A += cells.levels[:, None, :]
     tails, heads, opens = cells.tails, cells.heads, cells.opens
     signs = np.ones(len(tails), dtype=np.int64)
-    if direction is not None:
-        flip = _reversed_edges(_interned(direction.key()))[tails, heads]
-        tails, heads = (np.where(flip, heads, tails),
-                        np.where(flip, tails, heads))
-        opens = opens ^ flip
-        signs = 1 - 2 * (flip.sum(axis=1) & 1)
+    if flip:
+        back = heads > tails
+        tails, heads = (np.where(back, heads, tails),
+                        np.where(back, tails, heads))
+        opens = opens ^ back
+        signs = 1 - 2 * (back.sum(axis=1) & 1)
     return ((tails, heads, opens, signs, cells.owner), (A, cls, vals),
             list(classes))
 
@@ -331,8 +318,7 @@ def _flag_kernels(fm, mode, direction=None):
 def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
     pass of the support core over the whole flag, never split."""
-    cells, numerators, classes = _flag_kernels(fm, mode,
-                                               default_direction(fm.n))
+    cells, numerators, classes = _flag_kernels(fm, mode, True)
     A = numerators[0]
     los = tuple(A.min(axis=(0, 1)).tolist())
     his = tuple(A.max(axis=(0, 1)).tolist())
@@ -537,34 +523,44 @@ def _canonical(key):
             sigma[best].astype(np.intp))
 
 
-def _multiply_terms(a, b):
-    """The product of two {(u, v) exponents: int} term dicts."""
-    out = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            e = (i + k, j + l)
-            out[e] = out.get(e, 0) + c * d
-    return out
+def _times(a, b):
+    """The product of two [u, v] coefficient arrays of Python ints: one 1-D
+    convolution of their rows, each padded with Python zeros (np.zeros of
+    dtype object) to the product's width, so no column carries into the
+    next row."""
+    rows, width = len(a) + len(b) - 1, a.shape[1] + b.shape[1] - 1
+    flat = []
+    for x in (a, b):
+        padded = np.zeros((len(x), width), dtype=object)
+        padded[:, :x.shape[1]] = x
+        flat.append(padded.ravel())
+    return np.convolve(*flat)[:rows * width].reshape(rows, width)
+
+
+def _localization_array(fm, mode):
+    """The t -> 1 value of a localization sum: its coefficients, Python
+    ints in an object array indexed [u, v].
+
+    The sum is multiplicative over a direct sum, so a flag is the product
+    (_times) of its blocks' values (_block_parts over _VALUE_CACHE,
+    _connected_value on a miss); the empty product is 1.  Values stay keyed
+    by labelled blocks: a canonical key costs more than most connected
+    blocks do, and those rarely share a class.  The array may be a cached
+    one, read-only.
+    """
+    parts = [part for _, part in _block_parts(fm, mode, _VALUE_CACHE,
+                                              _connected_value)]
+    return reduce(_times, parts) if parts else np.ones((1, 1), dtype=object)
 
 
 def _localization_value(fm, mode):
-    """The t -> 1 value of a localization sum, as a polynomial in u and v.
-
-    The sum is multiplicative over a direct sum, so a flag is the integer
-    product of its blocks' values (_block_parts over _VALUE_CACHE,
-    _connected_value on a miss); the empty product is 1.  Values stay keyed
-    by labelled blocks: a canonical key costs more than most connected
-    blocks do, and those rarely share a class.
-    """
-    terms = {(0, 0): 1}
-    for _, part in _block_parts(fm, mode, _VALUE_CACHE, _connected_value):
-        terms = _multiply_terms(terms, part)
-    return AuxPolynomial._trusted(
-        ("u", "v"), {e: Fraction(c) for e, c in terms.items() if c})
+    """_localization_array as a polynomial in u and v."""
+    return _poly(("u", "v"), _localization_array(fm, mode))
 
 
 def _connected_value(fm, mode):
-    """The t -> 1 value of a flag of one block, as {(u, v) exponents: int}.
+    """The t -> 1 value of a flag of one block, a read-only object array of
+    Python ints indexed [u, v].
 
     One pass of _specialize_t1 over the arrays of _flag_cells: the pairings
     of all rays with the weight are w[head] - w[tail], and the z-exponents
@@ -588,7 +584,11 @@ def _connected_value(fm, mode):
 
     values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
                             cls, vals, len(classes))
-    return {e: c for e, c in zip(classes, values) if c}
+    u, v = np.array(classes).T
+    out = np.zeros((u.max() + 1, v.max() + 1), dtype=object)
+    out[u, v] = values
+    out.setflags(write=False)
+    return out
 
 
 def kt(fm):
@@ -597,7 +597,7 @@ def kt(fm):
     Computed as the t = 1 value of the localization sum (which also covers
     a rank-0 first constituent) followed by u = x-1, v = y-1.
     """
-    return _expand_shifted(("x", "y"), _localization_value(fm, "kt").terms)
+    return _poly(("x", "y"), _open_shifts(_localization_array(fm, "kt")))
 
 
 # ----------------------------------------------------------------- h family
@@ -625,14 +625,17 @@ def h_polynomial(fm):
     """The one-variable h-polynomial, via the uv-diagonal substitution.
 
     The untwisted sum is a polynomial in the product uv; writing it as
-    sum c_m (uv)^m, the h-polynomial is sum c_m (1-s)^m.
+    sum c_m (uv)^m, the h-polynomial is sum c_m (1-s)^m =
+    sum (-1)^m c_m (s-1)^m, the diagonal of the value's array opened.
     """
-    phi = h_value_uv(fm)
-    if not _is_diagonal(phi):
+    _check_loops_coloops(fm)
+    V = _localization_array(fm, "h")
+    c = V.diagonal().copy()
+    if np.count_nonzero(c) != np.count_nonzero(V):
         raise NotInUV("untwisted localization value has a term off the "
                       "uv-diagonal")
-    return _expand_shifted(("s",), {(u,): -c if u & 1 else c for (u, _), c
-                                    in phi.align(("u", "v")).terms.items()})
+    c[1::2] *= -1
+    return _poly(("s",), _open_shifts(c))
 
 
 def h_candidate_lv(fm):
@@ -694,10 +697,15 @@ def poincare(m1, m2):
 
 
 def k_char(fm):
-    """The flag-geometric characteristic polynomial (-1)^{r_k} KT(1-q, 0)."""
-    q = AuxPolynomial.variable("q")
-    out = kt(fm).substitute({"x": 1 - q, "y": 0})
-    return out * ((-1) ** fm.ranks[-1])
+    """The flag-geometric characteristic polynomial (-1)^{r_k} KT(1-q, 0).
+
+    KT(1-q, 0) is the t -> 1 value V at u = -q, v = -1, so the coefficient
+    of q^a is (-1)^(r_k + a) sum_b (-1)^b V[a, b].
+    """
+    V = _localization_array(fm, "kt")
+    c = V[:, ::2].sum(axis=1) - V[:, 1::2].sum(axis=1)
+    c[1 - fm.ranks[-1] % 2::2] *= -1
+    return _poly(("q",), c)
 
 
 # ------------------------------------------------------------- verification

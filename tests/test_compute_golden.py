@@ -1,6 +1,6 @@
-"""Golden digests of `flagtutte compute --invariant kt --equivariant` stdout.
+"""Golden digests of `flagtutte compute --invariant kt|lvt --equivariant`.
 
-Every tests/data flag document and one disconnected inline flag, whose
+Every tests/data flag document and one disconnected inline flag, whose kt
 support is a product of block supports, in text and in json; the sha256
 of stdout must not change.
 """
@@ -35,19 +35,45 @@ GOLDEN = {
         "61f3fcc2e2b032fb02e08aa9cd373d70ac90b9de55b17f07939596646d64f209"),
 }
 
+# the same for --invariant lvt
+LVT_GOLDEN = {
+    "flag_u13_u23.json": (
+        "ce892855eb5fceffa89ab64f04fff54b0c5ca2247ae6fde07d573165d76b99e3",
+        "e413d41c18342b4b7e48159a592593ca9e0ea71c954994defd8cc6edbada01eb"),
+    "flag_u14_u24.json": (
+        "0afacb4a37eb286481a3c2767ebe707c4bf55a41df3f30b210733eb09830c062",
+        "b7b07090ff3c0881dbf06b93316b1a9aef1f1a96cb5d27ce7818c838a9eb911f"),
+    "flag_u24_u34_lvdiagram.json": (
+        "982b1328abb46f00473a4265f06000ecf83be61717cd8bbc0e88cd2f9fbfc803",
+        "3e37dbfd22c67873ee1203042b0cc540830a19b703046332691e2cf623fb371c"),
+    "disconnected": (
+        "84e477ba9f1e38eb849d2a59e156a79999cb7e4e86718b2213d402cb327aaed0",
+        "072977cdd5e515a6650c8a68b592a1dfcdef4fcacd7b3e0dbaab772925bda5fc"),
+}
+
 
 def test_every_flag_document_has_digests():
     flags = sorted(f for f in os.listdir(DATA) if f.startswith("flag_"))
     assert flags == sorted(set(GOLDEN) - {"disconnected"})
+    assert flags == sorted(set(LVT_GOLDEN) - {"disconnected"})
 
 
-@pytest.mark.parametrize("source", sorted(GOLDEN))
-def test_compute_equivariant_stdout_digests(source, capsys):
+def _check_stdout(invariant, source, golden, capsys):
     argument = (DISCONNECTED if source == "disconnected"
                 else os.path.join(DATA, source))
-    for fmt, want in zip(("text", "json"), GOLDEN[source]):
-        code = cli.main(["compute", "--invariant", "kt", "--equivariant",
+    for fmt, want in zip(("text", "json"), golden[source]):
+        code = cli.main(["compute", "--invariant", invariant, "--equivariant",
                          "--format", fmt, "--input", argument])
         out = capsys.readouterr().out
         assert code == 0, fmt
         assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN))
+def test_compute_equivariant_stdout_digests(source, capsys):
+    _check_stdout("kt", source, GOLDEN, capsys)
+
+
+@pytest.mark.parametrize("source", sorted(LVT_GOLDEN))
+def test_compute_lvt_equivariant_stdout_digests(source, capsys):
+    _check_stdout("lvt", source, LVT_GOLDEN, capsys)

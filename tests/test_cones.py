@@ -582,8 +582,7 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
         if fm.ranks[0] < 1:
             continue
         n = fm.n
-        (tails, heads, opens, _, _), _, _ = _flag_kernels(
-            fm, "kt", default_direction(n))
+        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt", True)
         X = boxes.setdefault(n, _sum_zero_box(n, 2 if n <= 5 else 1))
         got = _row_members(*cones._forest_rows(tails, heads, opens, n), X)
         for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
@@ -595,6 +594,25 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
     # 8,400 distinct cells, 5,858 with a member in their box
     assert len(oracle) == 8400
     assert sum(m.any() for m in oracle.values()) == 5858
+
+
+def test_flag_kernels_flip_as_flip_cone_along_the_default_direction():
+    # flip=True reverses the rays e_j - e_i with j > i, cell by cell what
+    # flip_cone does along default_direction(n)
+    for fm in flag_corpus()[::40]:
+        n = fm.n
+        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt")
+        flipped = zip(*_flag_kernels(fm, "kt", True)[0][:4])
+        for cell, got in zip(zip(tails.tolist(), heads.tolist(),
+                                 opens.tolist()), flipped):
+            rays = [tuple((v == j) - (v == i) for v in range(n))
+                    for i, j in zip(*cell[:2])]
+            want = flip_cone(HalfOpenSimplicialCone((0,) * n, rays, cell[2]),
+                             default_direction(n))
+            t, h, o, sign = (a.tolist() for a in got)
+            assert [tuple((v == j) - (v == i) for v in range(n))
+                    for i, j in zip(t, h)] == list(want.rays), fm
+            assert (o, sign) == (list(want.open_flags), want.sign), fm
 
 
 def test_forest_rows_pad_cells_of_fewer_rays():

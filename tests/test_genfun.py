@@ -371,7 +371,7 @@ def _kernel_genfun(n, cells, numerators, classes, aux_vars, den):
 
 def test_support_core_merges_cells_sharing_a_kernel():
     fm = flag(U(2, 4))
-    cells, numerators, classes = _flag_kernels(fm, "kt", default_direction(4))
+    cells, numerators, classes = _flag_kernels(fm, "kt", True)
     assert np.bincount(cells[4]).max() > 1
     # a cell and its negative on one kernel: their memberships cancel
     pair = tuple(np.repeat(a[:1], 2, axis=0) for a in cells)
@@ -553,7 +553,7 @@ def test_decode_shares_one_coefficient_per_distinct_row():
     # points with equal rows of counts share one AuxPolynomial, and each
     # distinct count is one Fraction object
     fm = flag(U(2, 4), U(3, 4))
-    cells, numerators, classes = _flag_kernels(fm, "kt", default_direction(4))
+    cells, numerators, classes = _flag_kernels(fm, "kt", True)
     arrays = _support_core(4, (0,) * 4, (2,) * 4, cells, numerators, classes,
                            ("u", "v"), 1)
     phi = _decode_support(arrays)

@@ -25,9 +25,8 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, FlagMatroid,
                        tutte)
 from flagtutte import cones, genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
-                              InputError, InternalAssertion, NotAQuotient,
-                              RankGapZero, RankZeroConstituent,
-                              UnknownInvariant)
+                              InputError, NotAQuotient, RankGapZero,
+                              RankZeroConstituent, UnknownInvariant)
 from flagtutte.invariants import _flag_kernels, _ktt_support
 from flagtutte.corpus import matroid_corpus
 from flagtutte.matroid import RANK_TABLE_MAX, pseudo_basis_masks
@@ -405,6 +404,30 @@ def test_kt_golden_digest_over_full_corpus():
     assert len(flags) == 1200
     assert _digest(kt(fm) for fm in flags) == (
         "e4a52fce4ade6cd9a494b53a426e9d3e0b26fef9c9677589bfc87ee9941ef6e9")
+
+
+def _digest_or_error(fn, flags):
+    """_digest of fn over flags, a raising flag recorded by error class."""
+    h = hashlib.sha256()
+    for fm in flags:
+        try:
+            line = fn(fm).canonical_str()
+        except Exception as exc:
+            line = type(exc).__name__
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_h_polynomial_golden_digest_over_full_corpus():
+    # 996 of the 1,200 flags raise HasLoopOrColoop
+    assert _digest_or_error(h_polynomial, flag_corpus()) == (
+        "b070767ec06bda1f2be8a7e2e426934b772a53c5d3fff617cb31e32e0730b2ca")
+
+
+def test_k_char_golden_digest_over_full_corpus():
+    assert _digest_or_error(k_char, flag_corpus()) == (
+        "dcf4d1b31c413e515fc78165a68fdf9e4515ee3fa0d00084425380bcbeaf793c")
 
 
 def test_kt_equivariant_golden_digest_over_corpus():
@@ -1024,15 +1047,32 @@ def test_corank_nullity_on_twenty_two_elements():
 
 
 def test_shift_stays_exact_past_int64():
-    # the kt and h expansions switch to Python ints past the int64 bound
-    for e in (40, 55, 56, 57, 58, 62, 63, 70):
-        terms = {(2, 3): Fraction(2 ** e - 1), (0, 1): Fraction(-2 ** e),
-                 (1, 0): Fraction(3)}
-        want = ((2 ** e - 1) * (X - 1) ** 2 * (Y - 1) ** 3
-                - 2 ** e * (Y - 1) + 3 * (X - 1))
-        assert invariants._expand_shifted(("x", "y"), terms) == want, e
-        assert invariants._expand_shifted(
-            ("s",), {(4,): Fraction(2 ** e)}) == 2 ** e * (S - 1) ** 4, e
+    # t -> 1 values are Python ints in object arrays: the block product and
+    # the kt and h expansions stay exact past int64, and every entry stays
+    # a Python int (a numpy zero would overflow silently)
+    U_, V_ = AuxPolynomial.variable("u"), AuxPolynomial.variable("v")
+
+    def array(terms):
+        out = np.zeros((3, 4), dtype=object)
+        for (a, b), c in terms.items():
+            out[a, b] = c
+        return out
+
+    for e in range(40, 71):
+        a = {(2, 3): 2 ** e - 1, (0, 1): -2 ** e, (1, 0): 3}
+        b = {(0, 0): -2 ** e, (1, 2): 2 ** e + 1}
+        product = invariants._times(array(a), array(b))
+        assert all(type(c) is int for c in product.flat), e
+        want = (sum(c * U_ ** i * V_ ** j for (i, j), c in a.items())
+                * sum(c * U_ ** i * V_ ** j for (i, j), c in b.items()))
+        assert invariants._poly(("u", "v"), product) == want, e
+        shifted = invariants._open_shifts(product)
+        assert all(type(c) is int for c in shifted.flat), e
+        assert invariants._poly(("x", "y"), shifted) == want.substitute(
+            {"u": X - 1, "v": Y - 1}), e
+        line = np.array([0, 0, 0, 0, 2 ** e], dtype=object)
+        assert invariants._poly(("s",), invariants._open_shifts(line)) == (
+            2 ** e * (S - 1) ** 4), e
 
 
 # ------------------------------------------------------ numerator kernels
@@ -1124,11 +1164,3 @@ def test_numerator_is_built_once_per_flag():
     finally:
         for cache in caches:
             cache.clear()
-
-
-def test_kt_rejects_a_non_integral_coefficient(monkeypatch):
-    half = AuxPolynomial(("u", "v"), {(0, 0): Fraction(1, 2)})
-    monkeypatch.setattr(invariants, "_localization_value",
-                        lambda fm, mode: half)
-    with pytest.raises(InternalAssertion, match="non-integral"):
-        kt(flag(U(1, 2)))
