@@ -43,8 +43,8 @@ from .errors import (
 from .linalg import (
     difference_vector_graph, flow_coordinates, forest_flow, forest_rank,
     integer_coordinates, lattice_index, matrix_rank,
-    nonneg_combination_exists, primitive, solve_exact, vec_add, vec_dot,
-    vec_neg, vec_sub,
+    nonneg_combination_exists, primitive, solve_exact, vec_dot, vec_neg,
+    vec_sub,
 )
 
 
@@ -194,6 +194,16 @@ class Direction:
 
 def default_direction(n):
     return Direction(tuple(range(n, 0, -1)))
+
+
+def _flip_back(tails, heads, opens, signs):
+    """Cells of difference-vector rays, as arrays, flipped along
+    default_direction: a ray e_j - e_i pairs with it to i - j, so exactly
+    the rays with j > i reverse, toggle their open flags and flip the sign
+    of their cell.  A padding slot (tail == head) stays as it is."""
+    back = heads > tails
+    return (np.where(back, heads, tails), np.where(back, tails, heads),
+            opens ^ back, np.where(back.sum(axis=1) & 1, -signs, signs))
 
 
 def flip_cone(cone, direction):
@@ -643,52 +653,72 @@ def triangulate_half_open(apex, generators):
     return cells
 
 
+def _box_points(los, his, total=None, weights=None):
+    """The integer points of the box prod_i [los[i], his[i]], as an int64
+    (P x n) array in lexicographic order; with a total, only the points on
+    the hyperplane sum_i weights[i] x_i = total (unit weights by default).
+
+    The coordinates are added one at a time, each prefix repeated once per
+    value of the next, and with a total a prefix that the remaining
+    coordinates can no longer bring to it is dropped.  A level keeps its
+    values and their prefixes' indices; the points are read back once.
+    With n = 0 the box is one empty point, on the hyperplane iff total = 0.
+    """
+    n = len(los)
+    los, his = (np.array(a, dtype=np.int64).reshape(n) for a in (los, his))
+    w = (np.ones(n, dtype=np.int64) if weights is None
+         else np.array(weights, dtype=np.int64).reshape(n))
+    # the least and greatest weighted sum of the coordinates from i on
+    ends = np.sort([w * los, w * his], axis=0)
+    rest = np.append(np.cumsum(ends[:, ::-1], axis=1)[:, ::-1], [[0], [0]],
+                     axis=1)
+    sums, levels = np.zeros(1, dtype=np.int64), []
+    for i in range(n + 1):
+        if total is not None:
+            keep = np.flatnonzero((sums + rest[0, i] <= total)
+                                  & (sums + rest[1, i] >= total))
+            sums = sums[keep]
+            if levels:
+                levels[-1] = [a[keep] for a in levels[-1]]
+        if i < n:
+            vals = np.arange(los[i], his[i] + 1)
+            levels.append([np.tile(vals, len(sums)),
+                           np.repeat(np.arange(len(sums)), len(vals))])
+            sums = np.repeat(sums, len(vals)) + levels[-1][0] * w[i]
+    out, at = np.empty((len(sums), n), dtype=np.int64), np.arange(len(sums))
+    for i in range(n - 1, -1, -1):
+        vals, parent = levels[i]
+        out[:, i], at = vals[at], parent[at]
+    return out
+
+
 def slice_cone(cone, zeta, b):
     """Intersect a direction-pointed cone with the hyperplane <zeta, x> = b.
 
     Requires <zeta, ray> >= 0 for every ray (integer zeta).  Lattice points
-    with positive pairing are peeled off by a bounded knapsack over the
-    unimodular ray coordinates; the zero-pairing rays survive as the rays of
-    the sliced cells.
+    with positive pairing are peeled off the unimodular ray coordinates by
+    one _box_points call over the positive-pairing rays, weighted by their
+    pairings; the zero-pairing rays survive as the rays of the sliced cells.
     """
     zeta = tuple(int(z) for z in zeta)
-    b = int(b)
     pairings = [vec_dot(zeta, v) for v in cone.rays]
     if any(d < 0 for d in pairings):
         raise ValueError("slice_cone needs a zeta-pointed cone")
-    beta = b - vec_dot(zeta, cone.apex)
+    beta = int(b) - vec_dot(zeta, cone.apex)
     if beta < 0:
         return ()
     pos = [i for i, d in enumerate(pairings) if d > 0]
     zero = [i for i, d in enumerate(pairings) if d == 0]
-    solutions = []
-
-    def rec(pos_left, remaining, chosen):
-        if not pos_left:
-            if remaining == 0:
-                solutions.append(dict(chosen))
-            return
-        i = pos_left[0]
-        d = pairings[i]
-        lo = 1 if cone.open_flags[i] else 0
-        a = lo
-        while a * d <= remaining:
-            chosen.append((i, a))
-            rec(pos_left[1:], remaining - a * d, chosen)
-            chosen.pop()
-            a += 1
-
-    rec(pos, beta, [])
-    out = []
-    for sol in solutions:
-        apex = cone.apex
-        for i, a in sol.items():
-            if a:
-                apex = vec_add(apex, tuple(a * x for x in cone.rays[i]))
-        out.append(HalfOpenSimplicialCone(
-            apex,
-            tuple(cone.rays[i] for i in zero),
-            tuple(cone.open_flags[i] for i in zero),
-            cone.sign,
-            _trusted=True))
-    return tuple(sorted(out, key=lambda c: c.key()))
+    d = [pairings[i] for i in pos]
+    los = [int(cone.open_flags[i]) for i in pos]
+    slack = beta - vec_dot(d, los)
+    steps = _box_points(los, [lo + slack // di for lo, di in zip(los, d)],
+                        beta, d)
+    # exact Python ints: apexes and rays may lie beyond int64
+    rays = np.array([cone.rays[i] for i in pos],
+                    dtype=object).reshape(len(pos), cone.n)
+    apexes = np.array(cone.apex, dtype=object) + steps.astype(object) @ rays
+    kept = (tuple(cone.rays[i] for i in zero),
+            tuple(cone.open_flags[i] for i in zero))
+    return tuple(HalfOpenSimplicialCone(apex, *kept, cone.sign, _trusted=True)
+                 for apex in sorted(map(tuple, apexes.tolist())))

@@ -31,7 +31,10 @@ numerator index) and a callback pairing every ray and numerator apex with
 a weight, substitutes t_i = z^(c_i) and reads the value at z = 1 off the
 Laurent expansion at z = e^s modulo primes, one integer per class by CRT.
 _genfun_kernels gives both cores the distinct cones of a GenFun in the
-same array form, as a table of distinct rays and per-cell slots into it.
+same array form, as a table of distinct rays and per-cell slots into it;
+support() flips them by the flag route's rule (cones._flip_back), since
+the support does not depend on the direction.  Every box of lattice points
+comes from the one enumerator cones._box_points.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _forest_rows, _row_ranks,
-    cone_membership, default_direction, flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _box_points, _flip_back, _forest_rows,
+    _row_ranks, cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
@@ -261,35 +264,6 @@ def coefficient_at(g, w, direction=None):
 # ------------------------------------------------------------------- support
 
 
-def _box_candidates(los, his, fixed_sum=None):
-    """Integer points of a coordinate box, optionally on a sum hyperplane."""
-    n = len(los)
-    out = []
-    point = [0] * n
-
-    suffix_min = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + los[i]
-        suffix_max[i] = suffix_max[i + 1] + his[i]
-
-    def rec(i, remaining):
-        if i == n:
-            if fixed_sum is None or remaining == 0:
-                out.append(tuple(point))
-            return
-        lo, hi = los[i], his[i]
-        if fixed_sum is not None:
-            lo = max(lo, remaining - suffix_max[i + 1])
-            hi = min(hi, remaining - suffix_min[i + 1])
-        for v in range(lo, hi + 1):
-            point[i] = v
-            rec(i + 1, remaining - v)
-
-    rec(0, fixed_sum if fixed_sum is not None else 0)
-    return out
-
-
 def support_pure(g, direction=None):
     """Reference support extraction: per-point coefficient_at over the box.
 
@@ -306,7 +280,7 @@ def support_pure(g, direction=None):
     los = [min(a[c] for a in apexes) for c in range(g.n)]
     his = [max(a[c] for a in apexes) for c in range(g.n)]
     out = {}
-    for w in _box_candidates(los, his):
+    for w in map(tuple, _box_points(los, his).tolist()):
         poly = coefficient_at(g, w, direction)
         if poly:
             out[w] = poly
@@ -424,10 +398,9 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
     dkey = tuple(lo - hi for lo, hi in zip(los, his))
     X = _box_cache.lookup(dkey)
     if X is None:
-        pts = _box_candidates(list(dkey), [-d for d in dkey], 0)
         # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
-        X = np.array(pts, dtype=np.min_scalar_type(min(dkey, default=0) - 1))
-        X = X.reshape(len(pts), n)
+        X = _box_points(dkey, [-d for d in dkey], 0).astype(
+            np.min_scalar_type(min(dkey, default=0) - 1))
         _box_cache.store(dkey, X)
     # |M x| <= sum(range - 1): float32 is exact below 2^24
     XT = X.T.astype(np.float32 if -sum(dkey) < 1 << 24 else np.float64)
@@ -570,12 +543,11 @@ def _support_product(n, parts):
                     parts[0][1].aux_vars, den)
 
 
-def _genfun_kernels(g, direction=None):
+def _genfun_kernels(g):
     """A GenFun as cell arrays for _specialize_t1 and _support_core.
 
-    One cell per distinct (rays, open_flags, sign), flipped along the
-    interned direction when one is given, with its own numerator; classes
-    are the coefficient monomials, multiplicities scaled by the common
+    One cell per distinct (rays, open_flags, sign), with its own numerator;
+    classes are the coefficient monomials, multiplicities scaled by the common
     denominator (only the whole sum is a Laurent polynomial, but then so is
     its coefficient of each monomial).  Returns (rays, slots, opens, signs,
     (A, cls, vals), aux variables, class exponent tuples, denominator):
@@ -592,12 +564,10 @@ def _genfun_kernels(g, direction=None):
     class_index = {}
     by_cone = {}
     for t in g.terms:
-        cone = (t.cone if direction is None
-                else _flipped_cached(t.cone, direction))
-        counts = by_cone.setdefault((cone.rays, cone.open_flags, cone.sign),
-                                    {})
+        counts = by_cone.setdefault(
+            (t.cone.rays, t.cone.open_flags, t.cone.sign), {})
         for exps, c in t.coeff.align(vars_).terms.items():
-            key = (cone.apex, class_index.setdefault(exps, len(class_index)))
+            key = (t.cone.apex, class_index.setdefault(exps, len(class_index)))
             counts[key] = counts.get(key, 0) + int(c * den)
     ids = {}
     cells = []
@@ -633,15 +603,15 @@ def _genfun_kernels(g, direction=None):
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
-    When every ray is a difference vector e_j - e_i (all engine
-    pipelines), each distinct cone is flipped once, its tails and heads
-    read off the ray table, and the signed incidences go through
-    _support_core, in integers (int64 is exact at these sizes); it raises
-    GroundSetTooLarge when the apex box is too large.  Other rays take the
-    per-point reference path, support_pure.
+    The support of a Laurent polynomial does not depend on the direction,
+    which only the per-point path, support_pure, uses: it takes over when
+    some ray is not a difference vector e_j - e_i.  On difference-vector
+    rays (all engine pipelines) each distinct cone's tails and heads are
+    read off the ray table, the cells flipped along the default direction
+    (cones._flip_back) and their signed incidences summed by _support_core,
+    in integers (int64 is exact at these sizes); it raises
+    GroundSetTooLarge when the apex box is too large.
     """
-    if direction is None:
-        direction = default_direction(g.n)
     if not g.terms:
         return EquivariantPolynomial(g.n)
     n = g.n
@@ -652,14 +622,14 @@ def support(g, direction=None):
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
     rays, slots, opens, signs, numerators, vars_, classes, den = \
-        _genfun_kernels(g, _interned(direction.key()))
+        _genfun_kernels(g)
     # each ray's tail and head; the padding slot gets tail == head == 0
     ends = np.arange(n)
-    cells = (np.append((rays < 0) @ ends, 0)[slots],
-             np.append((rays > 0) @ ends, 0)[slots], opens, signs,
-             np.arange(len(slots)))
-    return _decode_support(
-        _support_core(n, los, his, cells, numerators, classes, vars_, den))
+    cells = _flip_back(np.append((rays < 0) @ ends, 0)[slots],
+                       np.append((rays > 0) @ ends, 0)[slots], opens, signs)
+    return _decode_support(_support_core(
+        n, los, his, cells + (np.arange(len(slots)),), numerators, classes,
+        vars_, den))
 
 
 # ---------------------------------------------------------------------- slice

@@ -44,21 +44,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _row_ranks, _tangent_generators, _triangulate, tangent_cone_generators,
-    triangulate_half_open,
+    _box_points, _flip_back, _row_ranks, _tangent_generators, _triangulate,
+    tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
     HasLoopOrColoop, InputError, LoopOrColoop, NotAQuotient, NotDivisible,
     NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _box_candidates,
-    _decode_support, _specialize_t1, _support_core, _support_product,
+    EquivariantPolynomial, GenFun, GenFunTerm, _decode_support,
+    _specialize_t1, _support_core, _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
-    FlagMatroid, Matroid, _polytope_members, _subset_sizes, flag, flag_dual,
-    higgs_factorization, is_quotient, pseudo_basis_masks, rank_table,
+    FlagMatroid, Matroid, _polytope_members, _relabel, _subset_sizes, flag,
+    flag_dual, higgs_factorization, is_quotient, pseudo_basis_masks,
+    rank_table,
 )
 from .polynomial import AuxPolynomial
 
@@ -283,7 +284,7 @@ def _slot_counts(fm):
     return (r1, rk - r1, fm.n - rk)
 
 
-def _flag_kernels(fm, mode, flip=False):
+def _flag_kernels(fm, mode):
     """The localization sum of a flag as arrays for _support_core.
 
     The cells of _flag_cells, each owned by its flag basis.  How many
@@ -291,9 +292,8 @@ def _flag_kernels(fm, mode, flip=False):
     ranks, so one closed-form numerator (_numerator) serves every basis:
     all share its cls and vals, and each basis gets one apex block of A,
     its levels (mode "kt") plus the slot steps on its own coordinates.
-    With flip every cell is flipped first along cones.default_direction, as
-    _support_core needs: the rays e_j - e_i pairing negatively with it,
-    those with j > i, reverse, toggle their open flags and flip the sign.
+    Every cell is flipped along cones.default_direction (cones._flip_back),
+    as _support_core needs.
     Returns ((tails, heads, opens, signs, owner), (A, cls, vals), classes),
     classes the sorted (u, v) exponent pairs.
     """
@@ -303,22 +303,15 @@ def _flag_kernels(fm, mode, flip=False):
     A = A.astype(np.int64)
     if mode == "kt":
         A += cells.levels[:, None, :]
-    tails, heads, opens = cells.tails, cells.heads, cells.opens
-    signs = np.ones(len(tails), dtype=np.int64)
-    if flip:
-        back = heads > tails
-        tails, heads = (np.where(back, heads, tails),
-                        np.where(back, tails, heads))
-        opens = opens ^ back
-        signs = 1 - 2 * (back.sum(axis=1) & 1)
-    return ((tails, heads, opens, signs, cells.owner), (A, cls, vals),
-            list(classes))
+    kernels = _flip_back(cells.tails, cells.heads, cells.opens,
+                         np.ones(len(cells.tails), dtype=np.int64))
+    return (kernels + (cells.owner,), (A, cls, vals), list(classes))
 
 
 def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
     pass of the support core over the whole flag, never split."""
-    cells, numerators, classes = _flag_kernels(fm, mode, True)
+    cells, numerators, classes = _flag_kernels(fm, mode)
     A = numerators[0]
     los = tuple(A.min(axis=(0, 1)).tolist())
     his = tuple(A.max(axis=(0, 1)).tolist())
@@ -416,26 +409,11 @@ def _restrict(fm, s):
     """FlagMatroid.key() of the flag of the restrictions to a block s.
 
     The bases of a restriction to a separator are the sets B & s, relabelled
-    by bit position (bit[1 << p] is the bit that element p of s takes, set
-    bit by set bit), and restricted to a separator a quotient chain stays
-    one, so _flag_of_key builds the flag without re-validating it.
+    by position in s (matroid._relabel, all constituents in one call), and
+    restricted to a separator a quotient chain stays one, so _flag_of_key
+    builds the flag without re-validating it.
     """
-    bit = {}
-    for p in range(fm.n):
-        if s >> p & 1:
-            bit[1 << p] = 1 << len(bit)
-    key = []
-    for m in fm.constituents:
-        bases = []
-        for b in {b & s for b in m.bases_masks}:
-            image = 0
-            while b:
-                low = b & -b
-                image |= bit[low]
-                b ^= low
-            bases.append(image)
-        key.append((len(bit), tuple(sorted(bases))))
-    return tuple(key)
+    return tuple(_relabel([m.bases_masks for m in fm.constituents], s))
 
 
 def _flag_of_key(key):
@@ -1005,8 +983,7 @@ def check_latticepoints(fm):
 def _lattice_points(fm):
     """The points of the box [0, k]^n on the rank-sum hyperplane in the
     base polytope, by one membership test (matroid._polytope_members)."""
-    box = _box_candidates([0] * fm.n, [fm.k] * fm.n, sum(fm.ranks))
-    box = np.array(box, dtype=np.int64).reshape(len(box), fm.n)
+    box = _box_points([0] * fm.n, [fm.k] * fm.n, sum(fm.ranks))
     return box[_polytope_members(fm, box)]
 
 

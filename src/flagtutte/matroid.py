@@ -58,6 +58,32 @@ def _bits(mask):
         mask ^= low
 
 
+def _relabel(families, s):
+    """Per family of basis masks, the key() of the matroid of the images
+    B & s relabelled by position in s: (|s|, the sorted distinct images).
+    One bit map (bit[1 << p] the bit that element p of s takes) serves
+    every family."""
+    bit, size, rest = {}, 0, s
+    while rest:
+        low = rest & -rest
+        bit[low] = 1 << size
+        size += 1
+        rest ^= low
+    out = []
+    for masks in families:
+        images = []
+        for b in {b & s for b in masks}:
+            image = 0
+            while b:
+                low = b & -b
+                image |= bit[low]
+                b ^= low
+            images.append(image)
+        images.sort()
+        out.append((size, tuple(images)))
+    return out
+
+
 class Matroid:
     """A matroid given by its explicit basis family."""
 
@@ -230,7 +256,10 @@ class Matroid:
     def minor(self, delete=(), contract=()):
         """(M / contract) with `delete` removed; returns (Matroid, relabel).
 
-        relabel maps surviving old labels to 1..n' in increasing order.
+        relabel maps surviving old labels to 1..n' in increasing order.  The
+        bases of M / C are the sets B - C over the bases B of M that meet C
+        in rk(C) elements, and deleting D keeps the largest of their
+        intersections with the rest of the ground set.
         """
         d = _mask_of(delete, self.n)
         c = _mask_of(contract, self.n)
@@ -239,21 +268,13 @@ class Matroid:
         keep = ((1 << self.n) - 1) & ~(d | c)
         if keep == 0:
             raise GroundSetExhausted("minor would have an empty ground set")
-        kept = [i for i in range(self.n) if keep >> i & 1]
-        relabel = {i + 1: pos + 1 for pos, i in enumerate(kept)}
-        rc = self.rank(c)
-        rnew = self.rank(keep | c) - rc
-        masks = []
-        for combo in combinations(range(len(kept)), rnew):
-            old = 0
-            for pos in combo:
-                old |= 1 << kept[pos]
-            if self.rank(old | c) == rnew + rc:
-                m = 0
-                for pos in combo:
-                    m |= 1 << pos
-                masks.append(m)
-        return Matroid(len(kept), masks, _trusted=True), relabel
+        relabel = {i + 1: pos + 1 for pos, i in enumerate(_bits(keep))}
+        rc = max((b & c).bit_count() for b in self._bases)
+        kept = {b & keep for b in self._bases if (b & c).bit_count() == rc}
+        rnew = max(b.bit_count() for b in kept)
+        (size, masks), = _relabel(
+            [[b for b in kept if b.bit_count() == rnew]], keep)
+        return Matroid(size, masks, _trusted=True), relabel
 
     def truncation(self):
         """Rank lowered by one; bases are the independent sets of size r-1."""

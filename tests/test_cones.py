@@ -6,21 +6,21 @@ feasibility code.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from flagtutte import cones, linalg
+from flagtutte import cones, invariants, linalg
 from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
                        cone_membership, default_direction, flag,
                        flag_corpus, flip_cone, slice_cone,
                        tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte.errors import (InternalAssertion, NotABasis, NotPointed,
-                              ZeroPairing)
-from flagtutte.genfun import _box_candidates
+                              NotUnimodular, ZeroPairing)
 from flagtutte.invariants import _flag_kernels
 from flagtutte.linalg import forest_flow, nonneg_combination_exists
 
@@ -536,6 +536,107 @@ def test_slice_cone_counts_points():
         slice_cone(cone, (-1, 0), 0)
 
 
+def _pointed_cones(rng, count):
+    """(zeta, cone) pairs: seeded unimodular cones in dimension 2 or 3 of 1
+    to n rays, each ray pairing negatively with the nonzero zeta negated."""
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        zeta = (0,) * n
+        while not any(zeta):
+            zeta = tuple(rng.randint(-2, 2) for _ in range(n))
+        dim = rng.randint(1, n)
+        while True:
+            rays = [tuple(rng.randint(-1, 1) for _ in range(n))
+                    for _ in range(dim)]
+            rays = [tuple(-x for x in v)
+                    if sum(map(int.__mul__, zeta, v)) < 0 else v
+                    for v in rays]
+            try:
+                cone = HalfOpenSimplicialCone(
+                    tuple(rng.randint(-2, 2) for _ in range(n)), rays,
+                    [rng.random() < 0.5 for _ in rays], rng.choice((1, -1)))
+            except (NotPointed, NotUnimodular):
+                continue
+            yield zeta, cone
+            break
+
+
+def test_slice_cone_matches_brute_force_points():
+    # the slice cells cover each lattice point of the cone on the
+    # hyperplane exactly once and no other point of a window around the
+    # apex, every cell on the hyperplane with the cone's sign
+    rng = random.Random(20261020)
+    seen = Counter()
+    cases = list(_pointed_cones(rng, 60)) + [
+        ((1, 0), HalfOpenSimplicialCone((0, 0), ((0, 1),), (True,)))]
+    for zeta, cone in cases:
+        dot = lambda x: sum(map(int.__mul__, zeta, x))  # noqa: E731
+        pairings = [dot(v) for v in cone.rays]
+        for beta in range(-1, 5):
+            b = dot(cone.apex) + beta
+            cells = slice_cone(cone, zeta, b)
+            seen["open"] += any(cone.open_flags)
+            seen["zero pairing"] += 0 in pairings
+            seen["beta < 0"] += beta < 0
+            seen["no positive ray, beta != 0"] += (
+                beta != 0 and not any(pairings))
+            seen["cells"] += len(cells)
+            for c in cells:
+                assert dot(c.apex) == b and c.sign == cone.sign
+                assert all(dot(v) == 0 for v in c.rays)
+            for x in product(*(range(a - 5, a + 6) for a in cone.apex)):
+                if dot(x) != b:
+                    continue
+                hits = sum(cone_membership(c, x) for c in cells)
+                assert hits == cone_membership(cone, x), (cone, zeta, b, x)
+    assert min(seen.values()) > 0, seen
+
+
+def test_slice_cone_apexes_stay_exact_past_int64():
+    big = 2 ** 70
+    quad = HalfOpenSimplicialCone((big, 0), ((1, 0), (0, 1)), (False, True))
+    cells = slice_cone(quad, (1, 0), big + 2)
+    assert [c.apex for c in cells] == [(big + 2, 0)]
+    assert slice_cone(quad, (1, 0), 0) == ()
+    steep = HalfOpenSimplicialCone((0, 0), ((1, big),), (False,))
+    assert [c.apex for c in slice_cone(steep, (1, 0), 3)] == [(3, 3 * big)]
+
+
+@pytest.mark.parametrize("hyperplane", [None, "unit", "weighted"])
+def test_box_points_match_product(hyperplane):
+    # seeded boxes with negative bounds and empty ranges, against a
+    # brute-force filter of itertools.product in its (lexicographic) order
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        los = [rng.randint(-3, 2) for _ in range(n)]
+        his = [lo + rng.randint(-1, 3) for lo in los]
+        weights = ([rng.randint(-3, 3) for _ in range(n)]
+                   if hyperplane == "weighted" else None)
+        total = None if hyperplane is None else rng.randint(-4, 4)
+        w = weights or [1] * n
+        want = [x for x in product(*(range(lo, hi + 1)
+                                     for lo, hi in zip(los, his)))
+                if total is None or sum(map(int.__mul__, w, x)) == total]
+        got = cones._box_points(los, his, total, weights)
+        assert got.dtype == np.int64 and got.shape == (len(want), n)
+        assert list(map(tuple, got.tolist())) == want
+        seen["empty range"] += any(hi < lo for lo, hi in zip(los, his))
+        seen["negative bound"] += min(los) < 0
+        seen["points"] += len(want)
+    assert min(seen.values()) > 0, seen
+
+
+def test_box_points_of_no_coordinates():
+    # the box of no coordinates is one empty point, on a hyperplane
+    # exactly when its total is 0
+    for total, weights, count in ((None, None, 1), (0, None, 1),
+                                  (0, [], 1), (2, None, 0), (-1, [], 0)):
+        got = cones._box_points([], [], total, weights)
+        assert got.dtype == np.int64 and got.shape == (count, 0)
+
+
 def test_cone_key_and_equality():
     a = HalfOpenSimplicialCone((0, 0), ((1, 0),), (False,))
     b = HalfOpenSimplicialCone((0, 0), ((1, 0),), (False,))
@@ -570,8 +671,7 @@ def _row_members(M, thr, X):
 
 
 def _sum_zero_box(n, reach):
-    return np.array(_box_candidates([-reach] * n, [reach] * n, 0),
-                    dtype=np.int64).reshape(-1, n)
+    return cones._box_points([-reach] * n, [reach] * n, 0)
 
 
 def test_forest_rows_match_forest_flow_on_corpus_cells():
@@ -582,7 +682,7 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
         if fm.ranks[0] < 1:
             continue
         n = fm.n
-        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt", True)
+        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt")
         X = boxes.setdefault(n, _sum_zero_box(n, 2 if n <= 5 else 1))
         got = _row_members(*cones._forest_rows(tails, heads, opens, n), X)
         for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
@@ -597,12 +697,12 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
 
 
 def test_flag_kernels_flip_as_flip_cone_along_the_default_direction():
-    # flip=True reverses the rays e_j - e_i with j > i, cell by cell what
-    # flip_cone does along default_direction(n)
+    # the kernels reverse the rays e_j - e_i with j > i of the flag's
+    # cells, cell by cell what flip_cone does along default_direction(n)
     for fm in flag_corpus()[::40]:
         n = fm.n
-        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt")
-        flipped = zip(*_flag_kernels(fm, "kt", True)[0][:4])
+        tails, heads, opens = invariants._flag_cells(fm)[:3]
+        flipped = zip(*_flag_kernels(fm, "kt")[0][:4])
         for cell, got in zip(zip(tails.tolist(), heads.tolist(),
                                  opens.tolist()), flipped):
             rays = [tuple((v == j) - (v == i) for v in range(n))

@@ -22,8 +22,9 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.genfun import (_box_candidates, _decode_support,
-                              _specialize_t1, _support_core, support_pure)
+from flagtutte.cones import _box_points
+from flagtutte.genfun import (_decode_support, _specialize_t1, _support_core,
+                              support_pure)
 from flagtutte.invariants import _flag_kernels
 
 U = Matroid.uniform
@@ -106,6 +107,28 @@ def test_vertex_cone_sum_against_sympy():
     # support box is [0,2]^3, so base-8 digits separate exponents
     sympy_support_check(g, FIVE_TERMS, (1, 8, 64))
     sympy_support_check(g, FIVE_TERMS, (1, 9, 81))
+
+
+def test_support_equals_support_pure_under_other_directions():
+    # u + 1 times the vertex cones of Delta(2, 3) plus v times those of
+    # the simplex Delta(1, 3): the support core flips along the default
+    # direction whatever direction it is given, the reference path along
+    # the one given, and both find the same Laurent polynomial
+    u = AuxPolynomial.variable("u")
+    v = AuxPolynomial.variable("v")
+    fm = flag(U(1, 3))
+    terms = [GenFunTerm(u + 1, t.cone) for t in _vertex_cone_genfun().terms]
+    for e in range(3):
+        apex = tuple(int(i == e) for i in range(3))
+        for cell in triangulate_half_open(
+                apex, tangent_cone_generators(fm, (1 << e,))):
+            terms.append(GenFunTerm(v, cell))
+    g = GenFun(3, terms)
+    want = EquivariantPolynomial(3, {
+        **{w: u + 1 for w in FIVE_TERMS.support},
+        **{w: v for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]}})
+    for d in (Direction((1, 2, 3)), Direction((2, 7, 3), (3, 1, 2))):
+        assert support(g, d) == support_pure(g, d) == want
 
 
 def test_coefficient_examples():
@@ -371,7 +394,7 @@ def _kernel_genfun(n, cells, numerators, classes, aux_vars, den):
 
 def test_support_core_merges_cells_sharing_a_kernel():
     fm = flag(U(2, 4))
-    cells, numerators, classes = _flag_kernels(fm, "kt", True)
+    cells, numerators, classes = _flag_kernels(fm, "kt")
     assert np.bincount(cells[4]).max() > 1
     # a cell and its negative on one kernel: their memberships cancel
     pair = tuple(np.repeat(a[:1], 2, axis=0) for a in cells)
@@ -478,8 +501,7 @@ def test_membership_passes_match_cone_membership(monkeypatch, cap):
     seen = Counter()
     for n in list(range(1, 8)) * 3:
         reach = 2 if n <= 5 else 1
-        X = np.array(_box_candidates([-reach] * n, [reach] * n, 0),
-                     dtype=np.int64).reshape(-1, n)
+        X = _box_points([-reach] * n, [reach] * n, 0)
         kernels = []
         for b in range(4):
             for _ in range(rng.randint(1, 4)):
@@ -553,7 +575,7 @@ def test_decode_shares_one_coefficient_per_distinct_row():
     # points with equal rows of counts share one AuxPolynomial, and each
     # distinct count is one Fraction object
     fm = flag(U(2, 4), U(3, 4))
-    cells, numerators, classes = _flag_kernels(fm, "kt", True)
+    cells, numerators, classes = _flag_kernels(fm, "kt")
     arrays = _support_core(4, (0,) * 4, (2,) * 4, cells, numerators, classes,
                            ("u", "v"), 1)
     phi = _decode_support(arrays)

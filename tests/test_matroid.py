@@ -5,6 +5,7 @@ brute force, independently of the library code paths under test.
 """
 
 import hashlib
+import random
 import time
 from itertools import combinations
 
@@ -278,6 +279,36 @@ def test_minor_and_relabel():
     assert relabel == {2: 1, 3: 2}
     with pytest.raises(GroundSetExhausted):
         U(1, 2).minor(delete=(1, 2))
+
+
+def _minor_by_scan(m, d, c):
+    """The bases of M / c with d deleted, relabelled, by a rank test of
+    every subset of the kept elements of the minor's rank."""
+    kept = [i for i in range(m.n) if not (d | c) >> i & 1]
+    keep = sum(1 << i for i in kept)
+    rc = oracle_rank(m.bases_masks, c)
+    r = oracle_rank(m.bases_masks, keep | c) - rc
+    return sorted(sum(1 << p for p in combo)
+                  for combo in combinations(range(len(kept)), r)
+                  if oracle_rank(m.bases_masks,
+                                 sum(1 << kept[p] for p in combo) | c)
+                  == r + rc)
+
+
+def test_minor_matches_a_rank_scan_over_the_corpus():
+    # every corpus matroid, each with seeded disjoint (delete, contract)
+    # pairs that keep at least one element
+    rng = random.Random(20261020)
+    for m in matroid_corpus():
+        for _ in range(6):
+            roles = [rng.randrange(3) for _ in range(m.n)]
+            if 0 not in roles:
+                roles[rng.randrange(m.n)] = 0
+            d = {i + 1 for i, role in enumerate(roles) if role == 1}
+            c = {i + 1 for i, role in enumerate(roles) if role == 2}
+            got, relabel = m.minor(delete=d, contract=c)
+            want = _minor_by_scan(m, _mask_of(d, m.n), _mask_of(c, m.n))
+            assert got.key() == (len(relabel), tuple(want)), (m, d, c)
 
 
 def test_truncation():
