@@ -654,40 +654,44 @@ def triangulate_half_open(apex, generators):
 
 
 def _box_points(los, his, total=None, weights=None):
-    """The integer points of the box prod_i [los[i], his[i]], as an int64
-    (P x n) array in lexicographic order; with a total, only the points on
-    the hyperplane sum_i weights[i] x_i = total (unit weights by default).
+    """The integer points of the box prod_i [los[i], his[i]], as a (P x n)
+    array in lexicographic order; with a total, only the points on the
+    hyperplane sum_i weights[i] x_i = total (unit weights by default).
 
-    The coordinates are added one at a time, each prefix repeated once per
-    value of the next, and with a total a prefix that the remaining
-    coordinates can no longer bring to it is dropped.  A level keeps its
-    values and their prefixes' indices; the points are read back once.
+    Coordinates are added one at a time, each prefix taking only the values
+    of the next from which the later ones can still reach the total; each
+    level keeps its values and their prefixes' indices for one read-back.
+    The array is int64, or exact Python ints where a sum could near 2^63.
     With n = 0 the box is one empty point, on the hyperplane iff total = 0.
     """
     n = len(los)
-    los, his = (np.array(a, dtype=np.int64).reshape(n) for a in (los, his))
-    w = (np.ones(n, dtype=np.int64) if weights is None
-         else np.array(weights, dtype=np.int64).reshape(n))
+    w = [1] * n if weights is None else [int(x) for x in weights]
+    box = [(int(lo), int(hi)) for lo, hi in zip(los, his)]
+    # every sum below is at most 3 * reach in absolute value
+    reach = abs(int(total or 0)) + sum((abs(wi) + 1) * max(map(abs, b))
+                                       for wi, b in zip(w, box))
+    dtype = np.int64 if reach < 1 << 60 else object
     # the least and greatest weighted sum of the coordinates from i on
-    ends = np.sort([w * los, w * his], axis=0)
-    rest = np.append(np.cumsum(ends[:, ::-1], axis=1)[:, ::-1], [[0], [0]],
-                     axis=1)
-    sums, levels = np.zeros(1, dtype=np.int64), []
-    for i in range(n + 1):
-        if total is not None:
-            keep = np.flatnonzero((sums + rest[0, i] <= total)
-                                  & (sums + rest[1, i] >= total))
-            sums = sums[keep]
-            if levels:
-                levels[-1] = [a[keep] for a in levels[-1]]
-        if i < n:
-            vals = np.arange(los[i], his[i] + 1)
-            levels.append([np.tile(vals, len(sums)),
-                           np.repeat(np.arange(len(sums)), len(vals))])
-            sums = np.repeat(sums, len(vals)) + levels[-1][0] * w[i]
-    out, at = np.empty((len(sums), n), dtype=np.int64), np.arange(len(sums))
-    for i in range(n - 1, -1, -1):
-        vals, parent = levels[i]
+    ends = [sorted((wi * lo, wi * hi)) for wi, (lo, hi) in zip(w, box)]
+    rest = [list(map(sum, zip(*ends[i:]))) or [0, 0] for i in range(n + 1)]
+    sums, levels = np.zeros(1, dtype=dtype), []
+    if total is not None and not rest[0][0] <= total <= rest[0][1]:
+        sums = sums[:0]
+    for i, (lo, hi) in enumerate(box):
+        lo, hi = np.full(len(sums), lo, dtype), np.full(len(sums), hi, dtype)
+        if total is not None and w[i]:
+            # w x lies in [a, b], from where the later coordinates reach it
+            a, b = (total - sums - rest[i + 1][k] for k in (1, 0))
+            a, b = (a, b) if w[i] > 0 else (b, a)
+            lo, hi = np.maximum(lo, -(-a // w[i])), np.minimum(hi, b // w[i])
+        counts = np.maximum(hi - lo + 1, 0).astype(np.intp)
+        parent = np.repeat(np.arange(len(sums)), counts)
+        vals = (np.repeat(lo - np.cumsum(counts) + counts, counts)
+                + np.arange(len(parent)))
+        levels.append((vals, parent))
+        sums = sums[parent] + vals * w[i]
+    out, at = np.empty((len(sums), n), dtype=dtype), np.arange(len(sums))
+    for i, (vals, parent) in reversed(list(enumerate(levels))):
         out[:, i], at = vals[at], parent[at]
     return out
 
@@ -705,15 +709,11 @@ def slice_cone(cone, zeta, b):
     if any(d < 0 for d in pairings):
         raise ValueError("slice_cone needs a zeta-pointed cone")
     beta = int(b) - vec_dot(zeta, cone.apex)
-    if beta < 0:
-        return ()
     pos = [i for i, d in enumerate(pairings) if d > 0]
     zero = [i for i, d in enumerate(pairings) if d == 0]
     d = [pairings[i] for i in pos]
     los = [int(cone.open_flags[i]) for i in pos]
-    slack = beta - vec_dot(d, los)
-    steps = _box_points(los, [lo + slack // di for lo, di in zip(los, d)],
-                        beta, d)
+    steps = _box_points(los, [beta // di for di in d], beta, d)
     # exact Python ints: apexes and rays may lie beyond int64
     rays = np.array([cone.rays[i] for i in pos],
                     dtype=object).reshape(len(pos), cone.n)

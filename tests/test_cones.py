@@ -6,6 +6,7 @@ feasibility code.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -600,6 +601,62 @@ def test_slice_cone_apexes_stay_exact_past_int64():
     assert slice_cone(quad, (1, 0), 0) == ()
     steep = HalfOpenSimplicialCone((0, 0), ((1, big),), (False,))
     assert [c.apex for c in slice_cone(steep, (1, 0), 3)] == [(3, 3 * big)]
+
+
+def test_slice_cone_stays_exact_when_pairings_pass_int64():
+    # weighted sums of 2^61-sized pairings pass int64: the cells stay exact
+    quad = HalfOpenSimplicialCone((0, 0), ((1, 0), (0, 1)), (False, False))
+    cells = slice_cone(quad, (2 ** 61, 2 ** 61), 2 ** 62)
+    assert [c.apex for c in cells] == [(0, 2), (1, 1), (2, 0)]
+    big = 2 ** 70
+    ray = HalfOpenSimplicialCone((0, 0), ((big, 1),), (False,))
+    assert [c.apex for c in slice_cone(ray, (1, 0), big)] == [(big, 1)]
+    assert slice_cone(ray, (1, 0), big - 1) == ()
+
+
+def test_slice_cone_of_a_large_beta():
+    # two rays of pairing 1: the beta + 1 cells of the segment
+    quad = HalfOpenSimplicialCone((0, 0), ((1, 0), (0, 1)), (False, True))
+    beta = 10 ** 4
+    cells = slice_cone(quad, (1, 1), beta)
+    assert [c.apex for c in cells] == [(i, beta - i) for i in range(beta)]
+
+
+def test_box_points_memory_follows_the_output():
+    # a level holds only the prefixes that can still reach the total, so
+    # the 2001 points of this 2001 x 2001 box take no 2001^2 array
+    tracemalloc.start()
+    try:
+        got = cones._box_points([0, 0], [2000, 2000], 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [[i, 2000 - i] for i in range(2001)]
+    assert peak < 1 << 20, peak
+
+
+def test_box_points_past_int64_match_the_small_box():
+    # seeded boxes shifted by 2^62 or weighted by 2^61 have the same points
+    # as the unshifted, unit-scale ones, held as exact Python ints
+    rng = random.Random(20261021)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        los = [rng.randint(-3, 2) for _ in range(n)]
+        his = [lo + rng.randint(0, 3) for lo in los]
+        weights = [rng.randint(-3, 3) for _ in range(n)]
+        total = rng.randint(-4, 4)
+        want = cones._box_points(los, his, total, weights).tolist()
+        shift = [rng.choice((-1, 1)) * 2 ** 62 for _ in range(n)]
+        got = cones._box_points(
+            [lo + c for lo, c in zip(los, shift)],
+            [hi + c for hi, c in zip(his, shift)],
+            total + sum(map(int.__mul__, weights, shift)), weights)
+        assert got.dtype == object
+        assert [[x - c for x, c in zip(p, shift)] for p in got.tolist()] \
+            == want
+        scaled = cones._box_points(los, his, total * 2 ** 61,
+                                   [wi * 2 ** 61 for wi in weights])
+        assert scaled.tolist() == want
 
 
 @pytest.mark.parametrize("hyperplane", [None, "unit", "weighted"])
