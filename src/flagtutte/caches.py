@@ -4,7 +4,7 @@ Four caches are lru.LRUCache objects, which count their own hits, misses and
 evictions; the rest are functools memos, which report cache_info().
 """
 
-from . import cones, genfun, invariants
+from . import cones, genfun, invariants, matroid
 
 _LRU_CACHES = {
     "genfun.box_cache": genfun._box_cache,
@@ -21,6 +21,9 @@ _MEMOS = {
     "genfun.flipped_cached": genfun._flipped_cached,
     "genfun.prime_tables": genfun._prime_tables,
     "invariants.numerator": invariants._numerator,
+    "invariants.pascal": invariants._pascal,
+    "invariants.parity": invariants._parity,
+    "matroid.cube_edges": matroid._cube_edges,
 }
 
 

@@ -15,18 +15,19 @@ through a rank test and a per-cell coordinate map.
 Relabelling coordinates carries a half-open triangulation to a half-open
 triangulation, so difference-vector cones are triangulated once per class:
 the key is the ascending edge codes i * n + j of the cone's digraph relabelled
-by colour refinement (McKay and Piperno, "Practical graph isomorphism, II",
-2014).  Per class, one boolean reachability closure finds directed cycles
-(the cone is not pointed) and the redundant rays (an edge i -> k is redundant
-exactly when another directed path joins i to k), and the placing loop's
-cells are kept as int arrays, each checked once by its tree flow.  The
-localization sums work on a whole flag at a time: _tangent_generators builds
-the exchange digraphs of all its flag bases as one adjacency stack,
-_triangulate relabels them (colour refinement of the whole stack in one
-batch) and carries each class's cells back to every cone of the class by one
-index gather, as arrays of ray tails, ray heads, open flags and owning cone;
-no cone object is built on that route.  triangulate_half_open builds trusted
-cone objects from the same arrays for the public API.
+by _refine, the one colour refinement of the package, which also colours
+the elements of flag blocks for invariants._canonical.  Per class, one
+boolean reachability closure finds directed cycles (the cone is not pointed)
+and the redundant rays (an edge i -> k is redundant exactly when another
+directed path joins i to k), and the placing loop's cells are kept as int
+arrays, each checked once by its tree flow.  The localization sums work on a
+whole flag at a time: _tangent_generators builds the exchange digraphs of
+all its flag bases as one adjacency stack, _triangulate relabels them
+(colour refinement of the whole stack in one batch) and carries each
+class's cells back to every cone of the class by one index gather, as
+arrays of ray tails, ray heads, open flags and owning cone; no cone object
+is built on that route.  triangulate_half_open builds trusted cone objects
+from the same arrays for the public API.
 """
 
 from __future__ import annotations
@@ -408,40 +409,47 @@ def _row_ranks(rows):
     return ranks, first
 
 
+def _refine(labels, colour):
+    """Colour refinement of a stack of graphs with labelled edges (McKay and
+    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 2014).
+
+    labels is a (B x n x n) stack of nonnegative int edge labels and colour
+    a (B x n x k) stack of starting rows, both invariant under relabelling.
+    Each round names each vertex by the rank of its row, first its starting
+    row, then (colour, colour[j] * L + labels[i, j] sorted over j) with L
+    past every label, until no graph's class count grows.  The graph index
+    leads every row, so each graph's names are consecutive ints, ordered as
+    refining that graph alone orders them.  Returns the (B x n) colours,
+    the first graph's from 0.
+    """
+    count, n, _ = labels.shape
+    rows = np.empty((count, n, n + 2), dtype=np.intp)
+    rows[..., 0] = np.arange(count)[:, None]
+    width = int(labels.max(initial=0)) + 1
+    names, first = _row_ranks(np.concatenate(
+        [rows[..., :1], colour], axis=2).reshape(count * n, -1))
+    while True:
+        classes, colour = len(first), names.reshape(count, n)
+        rows[..., 1] = colour
+        rows[..., 2:] = np.sort(colour[:, None] * width + labels, axis=2)
+        names, first = _row_ranks(rows.reshape(count * n, -1))
+        if len(first) == classes:
+            return colour
+
+
 def _colour_order(adj):
     """Per digraph of a stack, its vertices ordered by colour refinement.
 
-    adj is a (B x n x n) bool adjacency stack.  Colours start as (out-degree,
-    in-degree) and are refined by the sorted colours of out- and
-    in-neighbours until no digraph's number of colour classes grows; each
-    round names the colours of a digraph by rank, in the order of these
-    tuples (a shorter neighbour list compares as a prefix: its digits are
-    colour + 1, padded with 0).  A digraph whose classes stopped growing
-    keeps its names, so refining the stack together orders each digraph as
-    refining it alone does.  Returns the (B x n) vertex order by (colour,
-    index).  Relabelled isomorphic digraphs usually, not always, get the
-    same order.
+    adj is a (B x n x n) bool stack.  _refine starts from (out-degree,
+    in-degree) and labels (i, j) 3, less 1 for an edge i -> j and 2 for an
+    edge j -> i, so neighbours sort before the other vertices of a colour.
+    Returns the (B x n) vertex order by (colour, index), the same for a
+    digraph alone.  Relabelled isomorphic digraphs usually, not always, get
+    the same order.
     """
-    count, n, _ = adj.shape
-    both = np.stack([adj, adj.transpose(0, 2, 1)], axis=1)
-    # the digraph index leads every row: each digraph's names are one range
-    which = np.repeat(np.arange(count), n).reshape(count, n, 1)
-    rows = np.concatenate([which, both.sum(axis=3).transpose(0, 2, 1)],
-                          axis=2)
-    classes = None
-    while True:
-        names = _row_ranks(rows.reshape(count * n, -1))[0].reshape(count, n)
-        colour = names - names.min(axis=1, keepdims=True)
-        grown = colour.max(axis=1)
-        # a discrete partition, or one that stopped growing, is stable
-        if ((grown == n - 1).all()
-                or classes is not None and (grown == classes).all()):
-            break
-        classes = grown
-        near = np.sort(np.where(both, colour[:, None, None, :], n), axis=3)
-        near = ((near + 1) % (n + 1)).transpose(0, 2, 1, 3)
-        rows = np.concatenate([which, colour[:, :, None],
-                               near.reshape(count, n, 2 * n)], axis=2)
+    n = adj.shape[1]
+    colour = _refine(3 - adj - 2 * adj.transpose(0, 2, 1),
+                     np.stack([adj.sum(axis=2), adj.sum(axis=1)], axis=2))
     return np.argsort(colour * n + np.arange(n), axis=1)
 
 

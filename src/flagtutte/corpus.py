@@ -10,7 +10,8 @@ and small direct sums, then deduplicating by labeled basis family.
 
 from fractions import Fraction
 
-from .matroid import Matroid, flag, is_quotient
+from .errors import InternalAssertion
+from .matroid import FlagMatroid, Matroid, flag, is_quotient
 
 MAX_GROUND = 6
 
@@ -60,27 +61,24 @@ def matroid_corpus():
     Seeds, their duals, and pairwise direct sums of small uniforms, in a fixed
     construction order, deduplicated by labeled basis family.
     """
-    seen = set()
-    out = []
+    return _matroids()[1]
+
+
+def _matroids():
+    """(the seed list, matroid_corpus() closed from it)."""
+    seeds = _seed_matroids()
+    out = {}
 
     def add(m):
-        if m.n > MAX_GROUND:
-            return
-        k = m.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(m)
+        if m.n <= MAX_GROUND:
+            out.setdefault(m.key(), m)
 
-    seeds = _seed_matroids()
     for m in seeds:
         add(m)
     for m in seeds:
         add(m.dual())
-    uniforms = [
-        Matroid.uniform(r, n)
-        for n in range(1, MAX_GROUND)
-        for r in range(0, n + 1)
-    ]
+    uniforms = [Matroid.uniform(r, n)
+                for n in range(1, MAX_GROUND) for r in range(0, n + 1)]
     for m1 in uniforms:
         for m2 in uniforms:
             if m1.n + m2.n <= MAX_GROUND:
@@ -93,9 +91,9 @@ def matroid_corpus():
             if s.n + u.n <= MAX_GROUND:
                 add(s.direct_sum(u))
                 add(u.direct_sum(s))
-    for m in list(out):
+    for m in list(out.values()):
         add(m.dual())
-    return out
+    return seeds, list(out.values())
 
 
 def quotient_corpus():
@@ -107,15 +105,15 @@ def quotient_corpus():
     (N/e, N\\e) from deleting/contracting one element of a seed matroid.
     Deduplicated by the pair of labeled basis families.
     """
-    corpus = matroid_corpus()
-    seen = set()
-    out = []
+    return _quotients(*_matroids())
+
+
+def _quotients(seeds, corpus):
+    """quotient_corpus() from _matroids(), each pair checked once."""
+    out = {}
 
     def add(m1, m2):
-        k = (m1.key(), m2.key())
-        if k not in seen:
-            seen.add(k)
-            out.append((m1, m2))
+        out.setdefault((m1.key(), m2.key()), (m1, m2))
 
     for m in corpus:
         add(m, m)
@@ -131,7 +129,7 @@ def quotient_corpus():
         add(Matroid.uniform(0, m.n), m)
         if not m.loops():
             add(Matroid.uniform(1, m.n), m)
-    for m in _seed_matroids():
+    for m in seeds:
         if m.n > MAX_GROUND or m.n < 2:
             continue
         full = (1 << m.n) - 1
@@ -142,23 +140,24 @@ def quotient_corpus():
             contracted, _ = m.minor(contract=(e,))
             deleted, _ = m.minor(delete=(e,))
             add(contracted, deleted)
-    for m1, m2 in out:
-        assert is_quotient(m1, m2)
-    return out
+    for m1, m2 in out.values():
+        if not is_quotient(m1, m2):
+            raise InternalAssertion("a corpus pair is not a quotient")
+    return list(out.values())
 
 
 def flag_corpus():
     """Flag matroids for identity sweeps: every corpus matroid as a one-step
     flag, plus every quotient-corpus pair as a two-step flag."""
-    out = [flag(m) for m in matroid_corpus()]
-    out.extend(flag(m1, m2) for m1, m2 in quotient_corpus())
-    return out
+    seeds, corpus = _matroids()
+    return [flag(m) for m in corpus] + [
+        FlagMatroid(pair, _trusted=True) for pair in _quotients(seeds, corpus)]
 
 
 def corpus_summary():
     """Counts by ground-set size, for the CLI corpus verb."""
-    ms = matroid_corpus()
-    qs = quotient_corpus()
+    seeds, ms = _matroids()
+    qs = _quotients(seeds, ms)
     by_n = {}
     for m in ms:
         by_n[m.n] = by_n.get(m.n, 0) + 1

@@ -27,9 +27,10 @@ one decode turns into an EquivariantPolynomial, one shared coefficient
 per table row (support_pure, a per-point crawl, remains for other rays
 and as the test reference).  _specialize_t1 sets t -> 1 in one
 array pass over all cells: it takes per-cell arrays (open flags, sign,
-numerator index) and a callback pairing every ray and numerator apex with
-a weight, substitutes t_i = z^(c_i) and reads the value at z = 1 off the
-Laurent expansion at z = e^s modulo primes, one integer per class by CRT.
+numerator index) and the pairings of every ray and numerator apex with a
+weight that pairs no ray to zero, substitutes t_i = z^(c_i) and reads the
+value at z = 1 off the Laurent expansion at z = e^s modulo primes, one
+integer per class by CRT.
 _genfun_kernels gives both cores the distinct cones of a GenFun in the
 same array form, as a table of distinct rays and per-cell slots into it;
 support() flips them by the flag route's rule (cones._flip_back), since
@@ -740,21 +741,20 @@ def _prime_tables(p, order):
             list(accumulate(inv, lambda a, b: a * b % p)))
 
 
-def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
-                   seed=0):
+def _specialize_t1(dots, z, points, opens, signs, owner, cls, vals, n_cls):
     """The t -> 1 value of a signed sum of cone kernels, one integer per class.
 
     C cells at the origin of D ray slots each share K numerators: cell c has
     open flags opens[c], sign signs[c] (+-1, broadcast) and numerator
     owner[c] (ascending, each numerator owning a cell), and numerator k is
     sum_r vals[k, r] t^(a_kr) in class cls[k, r] (K x R, or length R when
-    shared).  at_weight(w), for an int64 weight w, returns None when a ray
-    pairs to zero, else the (C x D) pairings w . ray (0 in a padding slot),
-    the (K x R) exponents w . a_kr (fresh arrays, overwritten here) and the
-    number of lattice points in the box of all apexes a_kr.  The first
-    weight accepted substitutes t_i = z^(w_i): cell c is signs[c] z^shift
-    N_k(z) / prod_j (1 - z^d_j) with d_j = |w . ray| > 0 and shift the sum
-    of its open d_j (1 / (1 - z^-d) = -z^d / (1 - z^d) reverses a ray).
+    shared).  An integer weight w pairing no ray to zero gives the rest:
+    the (C x D) pairings dots = w . ray (0 in a padding slot), the (K x R)
+    exponents z = w . a_kr (a fresh array, overwritten here) and points, the
+    number of lattice points in the box of all apexes a_kr.  Substituting
+    t_i = z^(w_i), cell c is signs[c] z^shift N_k(z) / prod_j (1 - z^d_j)
+    with d_j = |w . ray| > 0 and shift the sum of its open d_j
+    (1 / (1 - z^-d) = -z^d / (1 - z^d) reverses a ray).
 
     At z = e^s, 1 / (1 - e^x) = -B(x) / x with B(x) = x / (e^x - 1), as in
     Barvinok (1994) and LattE (De Loera et al. 2004), so a cell of dim rays
@@ -780,15 +780,6 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
     over at most D + 1 orders, the cells of a numerator or its rows, fewer
     than 2^21 of them (else GroundSetTooLarge).
     """
-    if len(opens) == 0:
-        return [0] * n_cls
-    for weights in _weight_candidates(n, seed):
-        found = at_weight(np.array(weights, dtype=np.int64))
-        if found is not None:
-            break
-    else:
-        raise DegenerateWeights("no generic weight vector found")
-    dots, z, points = found
     K, (C, D) = len(z), dots.shape
     if z.shape[1] >> 21:
         raise GroundSetTooLarge("numerators of %d rows" % z.shape[1])
@@ -883,30 +874,34 @@ def _specialize_t1(n, at_weight, opens, signs, owner, cls, vals, n_cls,
 def evaluate_t1(g, seed=0):
     """The specialization t_i -> 1 of a Laurent-polynomial GenFun.
 
-    Substitutes t_i = z^(c_i) for a deterministic generic integer weight
-    vector and reads off the value at z = 1 from the Laurent expansion of
-    the per-term rational functions at z = e^s (see _specialize_t1).  Each
+    Substitutes t_i = z^(c_i) for the first integer weight vector of
+    _weight_candidates that pairs no ray to zero (else DegenerateWeights)
+    and reads off the value at z = 1 from the Laurent expansion of the
+    per-term rational functions at z = e^s (see _specialize_t1).  Each
     distinct cone is one cell with its own numerator; cells of fewer rays
-    are padded with slots that pair to 0.  A GenFun that is no Laurent
-    polynomial raises NonCancellingPole, save for the small chance, stated
-    in _specialize_t1, that its pole vanishes modulo every prime in use.
+    are padded with slots that pair to 0, and a sum whose kernels all
+    cancel is 0.  A GenFun that is no Laurent polynomial raises
+    NonCancellingPole, save for the small chance, stated in _specialize_t1,
+    that its pole vanishes modulo every prime in use.
     """
     rays, slots, opens, signs, (A, cls, vals), vars_, classes, den = \
         _genfun_kernels(g)
+    if not len(slots):
+        return AuxPolynomial(vars_, {})
     top = int(max(np.abs(rays).max(initial=0), np.abs(A).max(initial=0)))
-
-    def at_weight(w):
+    for w in _weight_candidates(g.n, seed):
+        w = np.array(w, dtype=np.int64)
         # every pairing w . v below stays within int64
         _check_width(top * int(w.sum()))
         dots = rays @ w
-        if not dots.all():
-            return None
-        points = prod((np.ptp(A, axis=(0, 1)) + 1).tolist())
-        return np.append(dots, 0)[slots], A @ w, points
-
-    values = _specialize_t1(g.n, at_weight, opens, signs,
-                            np.arange(len(slots)), cls, vals, len(classes),
-                            seed)
+        if dots.all():
+            break
+    else:
+        raise DegenerateWeights("no generic weight vector found")
+    points = prod((np.ptp(A, axis=(0, 1)) + 1).tolist())
+    values = _specialize_t1(np.append(dots, 0)[slots], A @ w, points, opens,
+                            signs, np.arange(len(slots)), cls, vals,
+                            len(classes))
     return AuxPolynomial(vars_, {e: Fraction(v, den)
                                  for e, v in zip(classes, values) if v})
 

@@ -26,9 +26,11 @@ polynomial once (_poly).  A block support flips the same arrays along the
 default direction and goes through the support core (_flag_kernels), and
 the supports multiply as arrays.
 Relabelled blocks share that pass: it runs once per canonical block key
-(_canonical), and each labelled block permutes the columns of the
-canonical points.  Verifiers compare supports undecoded (_flag_support),
-as tallies of counts per distinct (point, class image) row (_tally).
+(_canonical, coloured by the colour refinement cones._refine that also
+relabels exchange digraphs), and each labelled block permutes the columns
+of the canonical points.  Verifiers compare supports undecoded
+(_flag_support), as tallies of counts per distinct (point, class image) row
+(_tally).
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _box_points, _flip_back, _row_ranks, _tangent_generators, _triangulate,
-    tangent_cone_generators, triangulate_half_open,
+    _box_points, _flip_back, _refine, _row_ranks, _tangent_generators,
+    _triangulate, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
     HasLoopOrColoop, InputError, LoopOrColoop, NotAQuotient, NotDivisible,
@@ -447,19 +449,18 @@ def _canonical(key):
     """A canonical form of a flag key under relabelling, and its position map.
 
     Returns (ckey, sigma): ckey is key relabelled by sigma, element i going
-    to position sigma[i], and relabelled keys give the same ckey.  The
-    elements are coloured by refinement (McKay and Piperno, "Practical graph
-    isomorphism, II", J. Symbolic Comput. 2014): first by how many bases of
-    each constituent hold them, then, until the classes stop splitting, by
-    the sorted (colour, pair counts) over all elements, pair counts being
-    how many bases of each constituent hold both.  The colours are ranks of
-    these invariants, so the classes take consecutive positions in an order
-    that relabelling keeps.  ckey is the least key, comparing the sorted
-    basis tuples constituent by constituent, over every relabelling that
-    respects the classes, found in one pass: each candidate's image masks,
-    sorted per constituent, then lexsort.  When candidates times bases pass
-    _CANON_ENTRIES, ckey is key itself with the identity map: correct, only
-    not shared with its relabellings.
+    to position sigma[i], and relabelled keys give the same ckey.  Each
+    pair of elements is labelled by the rank of its pair counts, how many
+    bases of each constituent hold both, and the elements are coloured by
+    the colour refinement of that labelled graph (cones._refine), starting
+    from the diagonal: how many bases of each constituent hold them.  The
+    colours are ranks of these invariants, so the classes take consecutive
+    positions in an order that relabelling keeps.  ckey is the least key,
+    comparing the sorted basis tuples constituent by constituent, over every
+    relabelling that respects the classes, found in one pass: each
+    candidate's image masks, sorted per constituent, then lexsort.  When
+    candidates times bases pass _CANON_ENTRIES, ckey is key itself with the
+    identity map: correct, only not shared with its relabellings.
     """
     n = key[0][0]
     total = sum(len(bases) for _, bases in key)
@@ -470,14 +471,7 @@ def _canonical(key):
             for _, bases in key]
     pairs = np.stack([b.T @ b for b in bits], axis=2)
     code = _row_ranks(pairs.reshape(n * n, -1))[0].reshape(n, n)
-    colour = np.unique(code.diagonal(), return_inverse=True)[1]
-    while True:
-        near = np.sort(colour * (int(code.max()) + 1) + code, axis=1)
-        refined = _row_ranks(np.concatenate([colour[:, None], near],
-                                            axis=1))[0]
-        if refined.max() == colour.max():
-            break
-        colour = refined
+    colour = _refine(code[None], code.diagonal()[None, :, None])[0]
     sizes = np.bincount(colour).tolist()
     arrangements = [factorial(size) for size in sizes]
     count = prod(arrangements)
@@ -540,10 +534,10 @@ def _connected_value(fm, mode):
     """The t -> 1 value of a flag of one block, a read-only object array of
     Python ints indexed [u, v].
 
-    One pass of _specialize_t1 over the arrays of _flag_cells: the pairings
-    of all rays with the weight are w[head] - w[tail], and the z-exponents
-    of all flag bases' numerator rows are one product of the shared slot
-    steps with the weight gathered in each basis's slot order.
+    One pass of _specialize_t1 over the arrays of _flag_cells with the
+    weight w = (1, ..., n), which pairs every ray e_j - e_i to j - i, never
+    0: the z-exponents of all flag bases' numerator rows are one product of
+    the shared slot steps with w gathered in each basis's slot order.
     """
     cells = _flag_cells(fm)
     steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
@@ -553,15 +547,11 @@ def _connected_value(fm, mode):
     los = steps.min(axis=0)[rank] + levels
     his = steps.max(axis=0)[rank] + levels
     points = prod((his.max(axis=0) - los.min(axis=0) + 1).tolist())
-
-    def at_weight(w):
-        dots = w[cells.heads] - w[cells.tails]
-        if not dots.all():
-            return None
-        return dots, w[cells.slots] @ steps.T + (levels @ w)[:, None], points
-
-    values = _specialize_t1(fm.n, at_weight, cells.opens, 1, cells.owner,
-                            cls, vals, len(classes))
+    w = np.arange(1, fm.n + 1, dtype=np.int64)
+    values = _specialize_t1(w[cells.heads] - w[cells.tails],
+                            w[cells.slots] @ steps.T + (levels @ w)[:, None],
+                            points, cells.opens, 1, cells.owner, cls, vals,
+                            len(classes))
     u, v = np.array(classes).T
     out = np.zeros((u.max() + 1, v.max() + 1), dtype=object)
     out[u, v] = values

@@ -17,7 +17,7 @@ import os
 from fractions import Fraction
 
 from .errors import ParseError
-from .matroid import FlagMatroid, Matroid
+from .matroid import FlagMatroid, Matroid, _bits
 
 
 def _entry(value):
@@ -102,15 +102,5 @@ def object_to_dict(obj):
         return {"type": "flag",
                 "constituents": [object_to_dict(m) for m in obj.constituents]}
     return {"type": "bases", "n": obj.n,
-            "bases": [sorted(_elements(b)) for b in sorted(obj.bases_masks)]}
-
-
-def _elements(mask):
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+            "bases": [[i + 1 for i in _bits(b)]
+                      for b in sorted(obj.bases_masks)]}

@@ -24,10 +24,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 

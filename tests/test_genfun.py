@@ -239,11 +239,8 @@ def _one_ray_cells(cells):
     open, val): one single-ray cell with its own one-row numerator each."""
     apex, ray, is_open, val = (np.array(c, dtype=np.int64)
                                for c in zip(*cells))
-
-    def at_weight(w):
-        return ray[:, None] * w, apex[:, None] * w, int(np.ptp(apex)) + 1
-
-    return _specialize_t1(1, at_weight, is_open[:, None].astype(bool), 1,
+    return _specialize_t1(ray[:, None], apex[:, None], int(np.ptp(apex)) + 1,
+                          is_open[:, None].astype(bool), 1,
                           np.arange(len(cells)), 0, val[:, None], 1)
 
 

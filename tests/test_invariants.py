@@ -10,7 +10,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -790,6 +790,43 @@ def test_canonical_keys_match_a_brute_force_minimum():
     assert all(len(v) == 1 for v in classes.values())
     assert len({b for v in classes.values() for b in v}) == len(classes)
     assert len(classes) == 161
+
+
+def test_relabelling_golden_digests():
+    # the two users of the one colour refinement (cones._refine), pinned
+    # over the corpus: the vertex order of every exchange-digraph stack
+    # with an edge, and the canonical key and map of every flag key
+    flags = flag_corpus()
+    orders, canon = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for fm in flags:
+        chains = np.array(fm.flag_bases(), dtype=np.uint64).reshape(-1, fm.k)
+        adj = cones._tangent_generators(fm, chains)
+        if adj.any():
+            orders.update(repr(cones._colour_order(adj).tolist()).encode())
+            count += 1
+        ckey, sigma = invariants._canonical(fm.key())
+        canon.update(repr((ckey, sigma.tolist())).encode())
+    assert (count, len(flags)) == (1080, 1200)
+    assert orders.hexdigest() == (
+        "a0e9eb1c51e9df66462e849842dbb1ad4066ffe4a9d231a8068fa5a60bed7313")
+    assert canon.hexdigest() == (
+        "d4f73c9cb76f38fc963be2675592609299c8f3375d010a39916c243030baf461")
+
+
+def test_one_step_kt_equivariant_is_lv_tutte_equivariant():
+    # for one step, kt_equivariant(flag(M)) is the subset-graded
+    # corank-nullity sum over S of u^(r - rk S) v^(|S| - rk S) t^(e_S),
+    # which lv_tutte_equivariant(M, M) computes from the rank table: a
+    # full-polynomial check of the whole equivariant route
+    mats = [m for m in matroid_corpus() if m.rank_value >= 1]
+    assert len(mats) == 274
+    edges = random.Random(1).sample(list(combinations(range(1, 7), 2)), 9)
+    graph = Matroid.graphic(edges, n_vertices=6)
+    assert len(invariants._flag_blocks(flag(graph))) == 1
+    for m in mats + [U(3, 8), U(4, 8), graph]:
+        assert (kt_equivariant(flag(m)).canonical_str()
+                == lv_tutte_equivariant(m, m).canonical_str()), m.key()
 
 
 def test_canonical_falls_back_past_its_budget():
