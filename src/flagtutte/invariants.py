@@ -6,7 +6,10 @@ bincount of the subsets per (corank, nullity, gap) into a dense int64 array
 C.  Tutte and Las Vergnas Tutte open (x - 1)^a (y - 1)^b as P^T C P with a
 signed Pascal matrix P (batched over the gap axis), in int64, as every
 entry stays below 4^n <= 2^48; characteristic, beta and Poincare multiply C
-by the (-1)^(cr + nl + gap) parity grid and sum the dropped axes.  The
+by the (-1)^(cr + nl + gap) parity grid and sum the dropped axes.  Every
+one of them reads C through _quotient_counts, which checks the quotient and
+counts once per pair: C is kept on the first matroid for its latest partner.
+Results are built with Python int coefficients (_poly).  The
 flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
 computed from the localization sum over flag bases, with the flag as the
 unit of work.  _flag_cells holds, per flag, the half-open triangulations of
@@ -35,7 +38,6 @@ of the canonical points.  Verifiers compare supports undecoded
 
 from __future__ import annotations
 
-import hashlib
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -50,12 +52,12 @@ from .cones import (
     _triangulate, tangent_cone_generators, triangulate_half_open,
 )
 from .errors import (
-    HasLoopOrColoop, InputError, LoopOrColoop, NotAQuotient, NotDivisible,
-    NotInUV, RankGapZero, RankZeroConstituent,
+    GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
+    NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
 )
 from .genfun import (
-    EquivariantPolynomial, GenFun, GenFunTerm, _decode_support,
-    _specialize_t1, _support_core, _support_product,
+    _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm,
+    _decode_support, _specialize_t1, _support_core, _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
@@ -89,11 +91,10 @@ def _open_shifts(A):
 
 
 def _poly(vars, coeffs):
-    """The AuxPolynomial whose coefficient of vars^e is coeffs[e]."""
+    """The AuxPolynomial whose coefficient of vars^e is coeffs[e], an int."""
     idx = np.nonzero(coeffs)
-    return AuxPolynomial._trusted(vars, {
-        e: Fraction(c) for e, c in zip(zip(*(i.tolist() for i in idx)),
-                                       coeffs[idx].tolist())})
+    return AuxPolynomial._trusted(vars, dict(zip(
+        zip(*(i.tolist() for i in idx)), coeffs[idx].tolist())))
 
 
 def _require_quotient(m1, m2):
@@ -116,16 +117,30 @@ def _corank_nullity_codes(m1, m2):
     return (cr * b + nl) * b + (m2.rank_value - rk2 - cr), b
 
 
-def _corank_nullity_counts(m1, m2):
-    """The number of subsets per (cr, nl, gap), a dense int64 b^3 array.
+def _quotient_counts(m1, m2):
+    """The number of subsets per (cr, nl, gap) of a quotient pair, a dense
+    read-only int64 b^3 array.
 
-    Products with it stay in int64: an entry or partial sum is at most
-    sum_S C(cr, i) C(nl, j) <= sum_S 2^(cr + nl), and cr <= |E - S| (as
-    r1 <= rk1(S) + |E - S|) and nl <= |S|, so at most 2^n 2^n = 4^n: 2^48
-    at RANK_TABLE_MAX = 24.
+    Kept on m1 with its partner, (m2, counts), or (None, counts) when m1 is
+    m2, which needs no quotient check and forms no reference cycle: each
+    matroid keeps the array of its latest partner only, and it dies with
+    the matroid.  A pair that is no quotient raises NotAQuotient and is
+    never kept.  Products with the array stay in int64: an entry or partial
+    sum is at most sum_S C(cr, i) C(nl, j) <= sum_S 2^(cr + nl), and
+    cr <= |E - S| (as r1 <= rk1(S) + |E - S|) and nl <= |S|, so at most
+    2^n 2^n = 4^n: 2^48 at RANK_TABLE_MAX = 24.
     """
+    partner = None if m1 is m2 else m2
+    kept = m1._counts
+    if kept is not None and kept[0] is partner:
+        return kept[1]
+    if partner is not None:
+        _require_quotient(m1, m2)
     codes, b = _corank_nullity_codes(m1, m2)
-    return np.bincount(codes, minlength=b ** 3).reshape(b, b, b)
+    counts = np.bincount(codes, minlength=b ** 3).reshape(b, b, b)
+    counts.setflags(write=False)
+    m1._counts = (partner, counts)
+    return counts
 
 
 @lru_cache(maxsize=64)
@@ -136,28 +151,26 @@ def _parity(b):
     return grid
 
 
-def _signed(m1, m2, sign, drop):
-    """sum (-1)^(sign + cr + nl + gap) of the pair's counts over axes drop."""
-    counts = _corank_nullity_counts(m1, m2)
+def _signed(counts, sign, drop):
+    """sum (-1)^(sign + cr + nl + gap) of the counts over axes drop."""
     out = (counts * _parity(len(counts))).sum(axis=drop)
     return -out if sign & 1 else out
 
 
 def tutte(m):
     """The Tutte polynomial by the corank-nullity sum, in x and y."""
-    return _poly(("x", "y"),
-                 _open_shifts(_corank_nullity_counts(m, m).sum(axis=2)))
+    return _poly(("x", "y"), _open_shifts(_quotient_counts(m, m).sum(axis=2)))
 
 
 def characteristic(m):
     """The characteristic polynomial chi(q) = (-1)^r T(1-q, 0)."""
-    return _poly(("q",), _signed(m, m, m.rank_value, (1, 2)))
+    return _poly(("q",), _signed(_quotient_counts(m, m), m.rank_value,
+                                 (1, 2)))
 
 
 def lv_tutte(m1, m2):
     """The three-variable corank-nullity polynomial of a quotient, in x,y,z."""
-    _require_quotient(m1, m2)
-    counts = _corank_nullity_counts(m1, m2).transpose(2, 0, 1)
+    counts = _quotient_counts(m1, m2).transpose(2, 0, 1)
     return _poly(("x", "y", "z"), _open_shifts(counts).transpose(1, 2, 0))
 
 
@@ -312,7 +325,17 @@ def _flag_kernels(fm, mode):
 
 def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
-    pass of the support core over the whole flag, never split."""
+    pass of the support core over the whole flag, never split.
+
+    Raises GroundSetTooLarge before any array is built when the apexes,
+    flag bases times numerator rows times n entries, would pass the support
+    core's _SUPPORT_CELLS budget.
+    """
+    entries = (len(fm.flag_bases())
+               * len(_numerator(mode, _slot_counts(fm))[0]) * fm.n)
+    if entries > _SUPPORT_CELLS:
+        raise GroundSetTooLarge("support apexes of %d entries exceed %d"
+                                % (entries, _SUPPORT_CELLS))
     cells, numerators, classes = _flag_kernels(fm, mode)
     A = numerators[0]
     los = tuple(A.min(axis=(0, 1)).tolist())
@@ -625,16 +648,16 @@ def h_candidate_lv(fm):
 
 def beta_invariant(m):
     """Signed derivative of the characteristic polynomial at q = 1."""
-    chi = _signed(m, m, 1, (1, 2))  # sign 1: (-1)^(r - 1) chi
+    chi = _signed(_quotient_counts(m, m), 1, (1, 2))  # (-1)^(r - 1) chi
     return Fraction(int(np.arange(len(chi)) @ chi))
 
 
 def beta_polynomial(m1, m2):
     """The beta polynomial of a quotient and its (q-1)-reduced form."""
-    _require_quotient(m1, m2)
+    counts = _quotient_counts(m1, m2)
     if m1.rank_value == m2.rank_value:
         raise RankGapZero("beta polynomial reduction needs r2 > r1")
-    beta = _signed(m1, m2, m2.rank_value - m1.rank_value, (0, 1))
+    beta = _signed(counts, m2.rank_value - m1.rank_value, (0, 1))
     # beta / (q - 1) has the coefficients -(c_0 + ... + c_e)
     reduced = -np.cumsum(beta)
     if reduced[-1]:
@@ -660,8 +683,8 @@ def reduced_beta_via_higgs(m1, m2):
 
 def poincare(m1, m2):
     """The two-variable specialization (-1)^{r2} LVT(1-q, 0, -s)."""
-    _require_quotient(m1, m2)
-    return _poly(("q", "s"), _signed(m1, m2, m2.rank_value, 1))
+    return _poly(("q", "s"), _signed(_quotient_counts(m1, m2),
+                                     m2.rank_value, 1))
 
 
 def k_char(fm):
@@ -1095,6 +1118,7 @@ def _input_hash(obj):
         key = obj.key()
     else:
         key = tuple(obj)
+    import hashlib  # loads OpenSSL, which only this hash needs
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 

@@ -87,7 +87,7 @@ def _relabel(families, s):
 class Matroid:
     """A matroid given by its explicit basis family."""
 
-    __slots__ = ("n", "rank_value", "_bases", "_table", "_key")
+    __slots__ = ("n", "rank_value", "_bases", "_table", "_counts", "_key")
 
     def __init__(self, n, bases_masks, _trusted=False):
         self.n = int(n)
@@ -96,6 +96,7 @@ class Matroid:
             raise EmptyBases("a matroid needs at least one basis")
         self.rank_value = next(iter(self._bases)).bit_count()
         self._table = None
+        self._counts = None
         self._key = None
         if not _trusted:
             self.validate()

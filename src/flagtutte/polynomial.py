@@ -1,9 +1,12 @@
-"""Exact multivariate (Laurent) polynomials with Fraction coefficients.
+"""Exact multivariate (Laurent) polynomials with rational coefficients.
 
 The auxiliary-variable polynomials that decorate equivariant supports and
 come out of the invariants all live here.  Representation: a fixed tuple of
-variable names and a dict from integer exponent tuples to nonzero Fractions.
-Exponents may be negative; nothing downstream ever needs radicals or floats.
+variable names and a dict from integer exponent tuples to nonzero exact
+coefficients, each an int or a Fraction (the public constructors make
+Fractions; integer results may hold ints, which print, compare and
+serialize alike).  Exponents may be negative; nothing downstream ever needs
+radicals or floats.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class AuxPolynomial:
 
     @classmethod
     def _trusted(cls, vars, terms):
-        """Wrap a dict of nonzero Fraction terms over the tuple vars without
-        re-validating it."""
+        """Wrap a dict of nonzero int or Fraction terms over the tuple vars
+        without re-validating it."""
         out = cls.__new__(cls)
         out.vars = vars
         out.terms = terms
@@ -242,7 +245,8 @@ class AuxPolynomial:
         if len(self.terms) != 1:
             raise ValueError("only monomials can be inverted")
         (exps, coeff), = self.terms.items()
-        return AuxPolynomial(self.vars, {tuple(-e for e in exps): 1 / coeff})
+        return AuxPolynomial(self.vars,
+                             {tuple(-e for e in exps): Fraction(1) / coeff})
 
     def evaluate(self, mapping):
         """Fully numeric evaluation; every variable must be mapped."""

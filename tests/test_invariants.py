@@ -5,6 +5,7 @@ independently of the corank-nullity sum used by the library.
 """
 
 import hashlib
+import json
 import random
 import time
 import tracemalloc
@@ -672,6 +673,17 @@ def test_support_product_guard():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_support_apex_guard():
+    # 2,520 flag bases times 6,912 numerator rows times 10 coordinates of
+    # apexes are past the 4e7-cell budget, refused before they are built
+    # (unguarded, the apex array alone needs 1.4 GB)
+    fm = flag(U(2, 10), U(5, 10))
+    t0 = time.perf_counter()
+    with pytest.raises(GroundSetTooLarge, match="support apexes"):
+        kt_equivariant(fm)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_kt_of_larger_direct_sums():
     invariants._VALUE_CACHE.clear()
     m = U(2, 5).direct_sum(U(2, 5)).direct_sum(U(2, 5))
@@ -920,42 +932,67 @@ def test_h_lv_support_golden_digest_over_corpus():
         "1f3333e62637c9afa5d4e92b374ac07c695b09a9c58b295afd2bfd8399511e16")
 
 
+def _json_digest(polys):
+    """sha256 over the sorted JSON of each polynomial's to_json(), one per
+    line: integer and Fraction coefficients must serialize alike."""
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(json.dumps(p.to_json(), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def test_tutte_golden_digest_over_quotient_corpus():
     pairs = quotient_corpus()
     assert len(pairs) == 920
-    assert _digest(tutte(m) for pair in pairs for m in pair) == (
+    polys = [tutte(m) for pair in pairs for m in pair]
+    assert _digest(polys) == (
         "ba90a0e45329dde318a07708d8680c5b135fd5872962ae312d8e9f9644b197cd")
+    assert _json_digest(polys) == (
+        "22dbcf7d0eea2af7c56265c2bd1d506b4500deec77f34a8ea41bd13f96f6fcf4")
 
 
 def test_lv_tutte_golden_digest_over_quotient_corpus():
-    assert _digest(lv_tutte(m1, m2) for m1, m2 in quotient_corpus()) == (
+    polys = [lv_tutte(m1, m2) for m1, m2 in quotient_corpus()]
+    assert _digest(polys) == (
         "e5bbb1511179168b549199357e11fbcef97f658704f77d3c6791083210b7998a")
+    assert _json_digest(polys) == (
+        "9eab2c43879527cfdcf25aee60013e18579bbeec69e661ab1cd61ec5100c6332")
 
 
 def test_poincare_golden_digest_over_quotient_corpus():
-    assert _digest(poincare(m1, m2) for m1, m2 in quotient_corpus()) == (
+    polys = [poincare(m1, m2) for m1, m2 in quotient_corpus()]
+    assert _digest(polys) == (
         "6c651e3584ab98b2c5e38d1b8f476b1812419ceedc41e91cc4dd538b4a093202")
+    assert _json_digest(polys) == (
+        "0b0b077a781581a7ef42a6b9a709e5a6c0eff3d90a592f740927c88e86ee092a")
 
 
 def test_beta_polynomial_golden_digest_over_quotient_corpus():
     pairs = [(m1, m2) for m1, m2 in quotient_corpus()
              if m2.rank_value > m1.rank_value]
     assert len(pairs) == 640
-    assert _digest(p for m1, m2 in pairs
-                   for p in beta_polynomial(m1, m2)) == (
+    polys = [p for m1, m2 in pairs for p in beta_polynomial(m1, m2)]
+    assert _digest(polys) == (
         "c5b147075262d8c1b8f44e1c2f4be2322501690c0cefc59a1b7150d5b44d217b")
+    assert _json_digest(polys) == (
+        "53344c2b200838d34a3707e738976c5e8afda88292c56afc3afd4a667edc774e")
 
 
 def test_lv_tutte_equivariant_golden_digest_over_quotient_corpus():
-    assert _digest(lv_tutte_equivariant(m1, m2)
-                   for m1, m2 in quotient_corpus()) == (
+    polys = [lv_tutte_equivariant(m1, m2) for m1, m2 in quotient_corpus()]
+    assert _digest(polys) == (
         "d7d815264ed7867efff741c764a671d65363359cc7ad6a78c6fe111ca5dee763")
+    assert _json_digest(polys) == (
+        "d80afa94f23f501bea7554dd9001284274c23cc78a04c09b888bd4a6eb37ed15")
 
 
 def test_characteristic_golden_digest_over_quotient_corpus():
-    assert _digest(characteristic(m) for pair in quotient_corpus()
-                   for m in pair) == (
+    polys = [characteristic(m) for pair in quotient_corpus() for m in pair]
+    assert _digest(polys) == (
         "82439db9e3e69d4a277a110a82d49e2827df53c670af4d9c86bd6992f9edead1")
+    assert _json_digest(polys) == (
+        "a611874f80f2e20f8573815ce2f26d82829c6449f7b21435e4ba2fa61337904c")
 
 
 # ------------------------------------------------------ corank-nullity route
@@ -1003,6 +1040,51 @@ def test_corank_nullity_admission_guard():
     with pytest.raises(GroundSetTooLarge):
         lv_tutte(m, m)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_quotient_counts_follow_the_latest_partner():
+    # the count array kept on m1 serves only the partner it was built for:
+    # interleaved partners, a refused one among them, each give what newly
+    # built matroids give, and a non-quotient partner is never kept
+    def fresh(m):
+        return Matroid(m.n, m.bases_masks, _trusted=True)
+
+    def family(m1, m2):
+        out = [lv_tutte(m1, m2), poincare(m1, m2)]
+        if m2.rank_value > m1.rank_value:
+            out += beta_polynomial(m1, m2)
+        return out
+
+    m1, m2, other = U(1, 4), U(2, 4), U(4, 4)
+    loop = Matroid.from_bases(4, [[1], [2], [3]])  # element 4 is a loop
+    twin = U(2, 4)
+    for m in (m2, loop, other, m1, twin, m2):
+        if m is loop:
+            for _ in range(2):
+                for fn in (lv_tutte, poincare, beta_polynomial):
+                    with pytest.raises(NotAQuotient):
+                        fn(m1, loop)
+            assert m1._counts[0] is not loop
+        elif m is m1:
+            assert tutte(m1) == tutte(fresh(m1))
+            assert characteristic(m1) == characteristic(fresh(m1))
+            assert m1._counts[0] is None
+        else:
+            assert family(m1, m) == family(fresh(m1), fresh(m)), m
+            assert m1._counts[0] is m
+    with pytest.raises(RankGapZero):
+        beta_polynomial(m1, m1)
+
+
+def test_integer_coefficients_invert_exactly():
+    assert AuxPolynomial._trusted(("x",), {(1,): 2})._monomial_inverse(
+        ).canonical_str() == "1/2*x^-1"
+    assert all(type(c) is int for c in tutte(U(2, 4)).terms.values())
+    two_y = invariants._poly(("y",), np.array([0, 2]))
+    assert type(two_y.terms[(1,)]) is int
+    # a negative power substitutes the value's monomial inverse
+    assert AuxPolynomial.monomial(("x",), (-1,)).substitute(
+        {"x": two_y}).canonical_str() == "1/2*y^-1"
 
 
 def _truncations(m):
