@@ -11,25 +11,19 @@ import os
 import sys
 from fractions import Fraction
 
-from .corpus import corpus_summary, matroid_corpus
+from .corpus import corpus_summary
 from .errors import (GeometryError, InputError, InternalAssertion,
-                     NotAQuotient, ParseError, UnknownIdentity)
+                     NotAQuotient, ParseError)
 from .genfun import EquivariantPolynomial
-from .invariants import (_as_flag, brion_example_report, check_beta_higgs,
-                         check_direct_sum, check_duality,
-                         check_kchi_conjecture, check_latticepoints,
-                         check_lvt_delcont, check_lvt_special,
-                         compute_invariant, verify_delcont, verify_h_uv,
-                         verify_kt22)
+from .invariants import (_IDENTITIES, _INVARIANTS, _run_identity,
+                         compute_invariant)
 from .io import load_input
-from .matroid import FlagMatroid, Matroid, flag, pseudo_basis_masks, _set_of
+from .matroid import FlagMatroid, pseudo_basis_masks, _set_of
 from .polynomial import AuxPolynomial
 
-INVARIANTS = ("tutte", "characteristic", "lvt", "kt", "h", "h-lv", "beta",
-              "beta-reduced", "beta-invariant", "poincare", "kchar")
-IDENTITIES = ("delcont", "kt22", "lvt-special", "lvt-delcont", "duality",
-              "direct-sum", "latticepoints", "h-uv", "beta-higgs",
-              "kchi-conjecture", "brion-example")
+INVARIANTS = tuple(_INVARIANTS)
+IDENTITIES = tuple(_IDENTITIES)
+_EQUIVARIANT = sorted(n for n, e in _INVARIANTS.items() if e.equivariant)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,7 +53,8 @@ def _build_parser():
     p.add_argument("--input", required=True,
                    help="path to a matroid JSON file, or inline JSON")
     p.add_argument("--equivariant", action="store_true",
-                   help="emit the torus-equivariant refinement (kt, lvt)")
+                   help="emit the torus-equivariant refinement (%s)"
+                        % ", ".join(_EQUIVARIANT))
 
     p = sub.add_parser("verify", parents=[common],
                        help="check one identity, on an input or on built-in "
@@ -127,9 +122,9 @@ def _single_object(spec):
 
 
 def _run_compute(args):
-    threads = _resolve_threads(args.threads)
-    if args.equivariant and args.invariant not in ("kt", "lvt"):
-        raise InputError("--equivariant applies only to kt and lvt")
+    if args.equivariant and args.invariant not in _EQUIVARIANT:
+        raise InputError("--equivariant applies only to %s"
+                         % " and ".join(_EQUIVARIANT))
     obj = _single_object(args.input)
     result = compute_invariant(args.invariant, obj,
                                equivariant=args.equivariant, seed=args.seed)
@@ -139,7 +134,7 @@ def _run_compute(args):
             "invariant": args.invariant,
             "equivariant": bool(args.equivariant),
             "input": result.metadata["input"],
-            "threads": threads,
+            "threads": args.threads,
             "value": value,
         }
         _emit_json(doc)
@@ -151,91 +146,10 @@ def _run_compute(args):
 # -------------------------------------------------------------------- verify
 
 
-def _as_pair(obj, what):
-    if isinstance(obj, FlagMatroid) and obj.k == 2:
-        return obj.constituents
-    if isinstance(obj, Matroid):
-        return obj, obj
-    raise InputError("%s needs a two-step flag matroid input" % what)
-
-
-def _as_matroid_obj(obj, what):
-    if isinstance(obj, Matroid):
-        return obj
-    if isinstance(obj, FlagMatroid) and obj.k == 1:
-        return obj.constituents[0]
-    raise InputError("%s needs a single matroid input" % what)
-
-
-def _verify_reports(name, obj, seed):
-    """Produce the list of reports for one identity invocation."""
-    U = Matroid.uniform
-    if name == "brion-example":
-        return [brion_example_report()]
-    if name == "kt22":
-        if obj is None:
-            obj = flag(U(1, 3), U(2, 3))
-        return [verify_kt22(_as_flag(obj))]
-    if name == "delcont":
-        m = U(2, 4) if obj is None else _as_matroid_obj(obj, "delcont")
-        bad = m.loops() | m.coloops()
-        reports = []
-        for e in range(1, m.n + 1):
-            if e in bad:
-                continue
-            reports.append(verify_delcont(m, e, ell=2))
-            if m.n <= 5:
-                reports.append(verify_delcont(m, e, ell=3))
-        if not reports:
-            raise InputError("every element is a loop or a coloop; the "
-                             "three-term identity does not apply")
-        return reports
-    if name == "lvt-special":
-        m1, m2 = ((U(1, 3), U(2, 3)) if obj is None
-                  else _as_pair(obj, "lvt-special"))
-        return [check_lvt_special(m1, m2)]
-    if name == "lvt-delcont":
-        m1, m2 = ((U(1, 3), U(2, 3)) if obj is None
-                  else _as_pair(obj, "lvt-delcont"))
-        return [check_lvt_delcont(m1, m2)]
-    if name == "duality":
-        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag(obj)
-        return [check_duality(fm)]
-    if name == "direct-sum":
-        if obj is None:
-            pairs = [(flag(U(1, 2)), flag(U(1, 3))),
-                     (flag(U(1, 2), U(2, 2)), flag(U(1, 3), U(2, 3)))]
-        else:
-            if not (isinstance(obj, list) and len(obj) == 2):
-                raise InputError("direct-sum needs a JSON list of exactly "
-                                 "two flag documents")
-            pairs = [(_as_flag(obj[0]), _as_flag(obj[1]))]
-        return [check_direct_sum(a, b) for a, b in pairs]
-    if name == "latticepoints":
-        fm = flag(U(1, 3), U(2, 3)) if obj is None else _as_flag(obj)
-        return [check_latticepoints(fm)]
-    if name == "h-uv":
-        fm = flag(U(2, 4), U(3, 4)) if obj is None else _as_flag(obj)
-        return [verify_h_uv(fm)]
-    if name == "beta-higgs":
-        m1, m2 = ((U(1, 3), U(2, 3)) if obj is None
-                  else _as_pair(obj, "beta-higgs"))
-        return [check_beta_higgs(m1, m2)]
-    if name == "kchi-conjecture":
-        if obj is None:
-            ms = [m for m in matroid_corpus() if m.n <= 5 and not m.loops()]
-        else:
-            ms = [_as_matroid_obj(obj, "kchi-conjecture")]
-        return [check_kchi_conjecture(m) for m in ms]
-    raise UnknownIdentity("no identity named %r (expected one of %s)"
-                          % (name, ", ".join(IDENTITIES)))
-
-
 def _run_verify(args):
-    _resolve_threads(args.threads)
     obj = load_input(args.input) if args.input is not None else None
-    reports = _verify_reports(args.identity, obj, args.seed)
-    observational = args.identity == "kchi-conjecture"
+    reports = _run_identity(args.identity, obj)
+    observational = _IDENTITIES[args.identity].observational
     passed = all(r.passed for r in reports)
     if args.format == "json":
         doc = {
@@ -266,8 +180,6 @@ def _run_verify(args):
 def _text_value(value):
     if isinstance(value, (AuxPolynomial, EquivariantPolynomial)):
         return value.canonical_str().replace("\n", "\n    ")
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(int(value))
     return str(value)
 
 
@@ -275,7 +187,6 @@ def _text_value(value):
 
 
 def _run_pseudobases(args):
-    _resolve_threads(args.threads)
     obj = _single_object(args.input)
     if not (isinstance(obj, FlagMatroid) and obj.k == 2):
         raise NotAQuotient("pseudobases needs a two-step flag matroid")
@@ -300,7 +211,6 @@ def _run_pseudobases(args):
 
 
 def _run_corpus(args):
-    _resolve_threads(args.threads)
     summary = corpus_summary()
     if args.format == "json":
         _emit_json(summary)
@@ -320,14 +230,11 @@ def _run_corpus(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run = {"compute": _run_compute, "verify": _run_verify,
+           "pseudobases": _run_pseudobases, "corpus": _run_corpus}[args.verb]
     try:
-        if args.verb == "compute":
-            return _run_compute(args)
-        if args.verb == "verify":
-            return _run_verify(args)
-        if args.verb == "pseudobases":
-            return _run_pseudobases(args)
-        return _run_corpus(args)
+        args.threads = _resolve_threads(args.threads)
+        return run(args)
     except (ParseError, InputError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -792,8 +792,8 @@ def _specialize_t1(dots, z, points, opens, signs, owner, cls, vals, n_cls):
     dens.sort(axis=1)
     group, first = _row_ranks(np.column_stack([dens, shift]))
     dens, shift = dens[first], shift[first]
-    ds = np.unique(dens)
-    di = np.searchsorted(ds, dens)
+    ds, di = np.unique(dens, return_inverse=True)
+    di = di.reshape(dens.shape)
 
     rows = np.abs(np.atleast_2d(vals)).tolist()
     counts = [C] if vals.ndim == 1 else np.bincount(owner).tolist()

@@ -34,6 +34,8 @@ relabels exchange digraphs), and each labelled block permutes the columns
 of the canonical points.  Verifiers compare supports undecoded
 (_flag_support), as tallies of counts per distinct (point, class image) row
 (_tally).
+Every `compute` invariant and `verify` identity is one entry of _INVARIANTS
+or _IDENTITIES: its input kind, functions, and for an identity its default.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ from .cones import (
     _box_points, _flip_back, _refine, _row_ranks, _tangent_generators,
     _triangulate, tangent_cone_generators, triangulate_half_open,
 )
+from .corpus import matroid_corpus
 from .errors import (
     GroundSetTooLarge, HasLoopOrColoop, InputError, LoopOrColoop,
     NotAQuotient, NotDivisible, NotInUV, RankGapZero, RankZeroConstituent,
+    UnknownIdentity, UnknownInvariant,
 )
 from .genfun import (
     _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm,
@@ -1097,7 +1101,7 @@ def brion_example_report():
     return report
 
 
-# ------------------------------------------------------------- CLI plumbing
+# ------------------------------------------------------------- registry
 
 
 class InvariantResult:
@@ -1112,79 +1116,167 @@ class InvariantResult:
 
 
 def _input_hash(obj):
-    if isinstance(obj, FlagMatroid):
-        key = obj.key()
-    elif isinstance(obj, Matroid):
-        key = obj.key()
-    else:
-        key = tuple(obj)
+    key = obj.key() if isinstance(obj, (FlagMatroid, Matroid)) else tuple(obj)
     import hashlib  # loads OpenSSL, which only this hash needs
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
-def _as_flag(obj):
-    if isinstance(obj, FlagMatroid):
-        return obj
-    return flag(obj)
+# Input kinds: each maps a loaded input to the argument tuple of an entry's
+# functions.  subject, an identity's name or None for an invariant, only
+# words the error.
+
+def _needs(subject, what):
+    if subject is None:
+        return InputError("this invariant needs %s" % what)
+    return InputError("%s needs %s input" % (subject, what))
 
 
-def _as_matroid(obj):
+def _matroid_args(obj, subject):
     if isinstance(obj, Matroid):
-        return obj
+        return (obj,)
     if isinstance(obj, FlagMatroid) and obj.k == 1:
-        return obj.constituents[0]
-    raise InputError("this invariant needs a single matroid")
+        return obj.constituents
+    raise _needs(subject, "a single matroid")
 
 
-def _as_quotient_pair(obj):
+def _pair_args(obj, subject):
     if isinstance(obj, FlagMatroid) and obj.k == 2:
         return obj.constituents
     if isinstance(obj, Matroid):
         return obj, obj
-    raise InputError("this invariant needs a two-step flag matroid")
+    raise _needs(subject, "a two-step flag matroid")
+
+
+def _flag_args(obj, subject):
+    return (obj if isinstance(obj, FlagMatroid) else flag(obj),)
+
+
+def _flags_args(obj, subject):
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise InputError("%s needs a JSON list of exactly two flag documents"
+                         % subject)
+    return _flag_args(obj[0], subject) + _flag_args(obj[1], subject)
+
+
+class _Invariant(NamedTuple):
+    kind: object  # input kind, as _matroid_args
+    value: object  # *args -> AuxPolynomial
+    equivariant: object = None  # *args -> EquivariantPolynomial
+
+
+class _Identity(NamedTuple):
+    kind: object  # input kind, as _matroid_args
+    default: object  # () -> the built-in inputs, each of that kind
+    check: object  # *args -> list of VerifyReport
+    observational: bool = False  # reports divergences without failing
+
+
+# `flagtutte compute --invariant` names, in CLI order
+_INVARIANTS = {
+    "tutte": _Invariant(_matroid_args, tutte),
+    "characteristic": _Invariant(_matroid_args, characteristic),
+    "lvt": _Invariant(_pair_args, lv_tutte, lv_tutte_equivariant),
+    "kt": _Invariant(_flag_args, kt, kt_equivariant),
+    "h": _Invariant(_flag_args, h_polynomial),
+    "h-lv": _Invariant(_flag_args, lambda fm: h_candidate_lv(fm)[0]),
+    "beta": _Invariant(_pair_args, lambda *p: beta_polynomial(*p)[0]),
+    "beta-reduced": _Invariant(_pair_args, lambda *p: beta_polynomial(*p)[1]),
+    "beta-invariant": _Invariant(
+        _matroid_args, lambda m: AuxPolynomial.constant(beta_invariant(m))),
+    "poincare": _Invariant(_pair_args, poincare),
+    "kchar": _Invariant(_flag_args, k_char),
+}
+
+
+def _delcont_reports(m):
+    """verify_delcont at each element neither a loop nor a coloop, with
+    l = 2, and also l = 3 up to five elements."""
+    bad = m.loops() | m.coloops()
+    ells = (2, 3) if m.n <= 5 else (2,)
+    reports = [verify_delcont(m, e, ell) for e in range(1, m.n + 1)
+               if e not in bad for ell in ells]
+    if not reports:
+        raise InputError("every element is a loop or a coloop; the "
+                         "three-term identity does not apply")
+    return reports
+
+
+def _one_step_equivariant(m):
+    """KT^T of flag(M), through the tangent cones, against the rank-table
+    sum lv_tutte_equivariant(M, M): both are the subset-graded sum."""
+    report = VerifyReport("one-step-equivariant")
+    phi = kt_equivariant(flag(m))
+    report.check("kt_equivariant(flag(M)) equals lv_tutte_equivariant(M, M)",
+                 phi.canonical_str()
+                 == lv_tutte_equivariant(m, m).canonical_str())
+    report.data["support_points"] = len(phi.support)
+    return [report]
+
+
+def _flags(*chains):
+    """One flag of uniform matroids per chain of (r, n) tuples."""
+    return [flag(*(Matroid.uniform(r, n) for r, n in chain))
+            for chain in chains]
+
+
+# `flagtutte verify --identity` names, in CLI order.  Each check looks its
+# verifier up in this module when it runs, so a test can replace it.
+_IDENTITIES = {
+    "delcont": _Identity(_matroid_args, lambda: _flags([(2, 4)]),
+                         _delcont_reports),
+    "kt22": _Identity(_flag_args, lambda: _flags([(1, 3), (2, 3)]),
+                      lambda fm: [verify_kt22(fm)]),
+    "lvt-special": _Identity(_pair_args, lambda: _flags([(1, 3), (2, 3)]),
+                             lambda *p: [check_lvt_special(*p)]),
+    "lvt-delcont": _Identity(_pair_args, lambda: _flags([(1, 3), (2, 3)]),
+                             lambda *p: [check_lvt_delcont(*p)]),
+    "duality": _Identity(_flag_args, lambda: _flags([(1, 3), (2, 3)]),
+                         lambda fm: [check_duality(fm)]),
+    "direct-sum": _Identity(
+        _flags_args,
+        lambda: [_flags([(1, 2)], [(1, 3)]),
+                 _flags([(1, 2), (2, 2)], [(1, 3), (2, 3)])],
+        lambda *fms: [check_direct_sum(*fms)]),
+    "latticepoints": _Identity(_flag_args, lambda: _flags([(1, 3), (2, 3)]),
+                               lambda fm: [check_latticepoints(fm)]),
+    "h-uv": _Identity(_flag_args, lambda: _flags([(2, 4), (3, 4)]),
+                      lambda fm: [verify_h_uv(fm)]),
+    "beta-higgs": _Identity(_pair_args, lambda: _flags([(1, 3), (2, 3)]),
+                            lambda *p: [check_beta_higgs(*p)]),
+    "kchi-conjecture": _Identity(
+        _matroid_args,
+        lambda: [m for m in matroid_corpus() if m.n <= 5 and not m.loops()],
+        lambda m: [check_kchi_conjecture(m)], observational=True),
+    "brion-example": _Identity(lambda obj, subject: (), lambda: [None],
+                               lambda: [brion_example_report()]),
+    "one-step-equivariant": _Identity(
+        _matroid_args, lambda: _flags([(2, 4)]), _one_step_equivariant),
+}
 
 
 def compute_invariant(name, obj, equivariant=False, seed=0):
-    """Dispatch a named invariant computation; see the CLI for names."""
+    """Compute a named invariant (_INVARIANTS) of a loaded input."""
     t0 = time.perf_counter()
-    eq = None
-    if name == "tutte":
-        poly = tutte(_as_matroid(obj))
-    elif name == "characteristic":
-        poly = characteristic(_as_matroid(obj))
-    elif name == "lvt":
-        m1, m2 = _as_quotient_pair(obj)
-        poly = lv_tutte(m1, m2)
-        if equivariant:
-            eq = lv_tutte_equivariant(m1, m2)
-    elif name == "kt":
-        fm = _as_flag(obj)
-        poly = kt(fm)
-        if equivariant:
-            eq = kt_equivariant(fm)
-    elif name == "h":
-        poly = h_polynomial(_as_flag(obj))
-    elif name == "h-lv":
-        poly, in_uv = h_candidate_lv(_as_flag(obj))
-    elif name == "beta":
-        m1, m2 = _as_quotient_pair(obj)
-        poly, _ = beta_polynomial(m1, m2)
-    elif name == "beta-reduced":
-        m1, m2 = _as_quotient_pair(obj)
-        _, poly = beta_polynomial(m1, m2)
-    elif name == "beta-invariant":
-        poly = AuxPolynomial.constant(beta_invariant(_as_matroid(obj)))
-    elif name == "poincare":
-        m1, m2 = _as_quotient_pair(obj)
-        poly = poincare(m1, m2)
-    elif name == "kchar":
-        poly = k_char(_as_flag(obj))
-    else:
-        from .errors import UnknownInvariant
+    entry = _INVARIANTS.get(name)
+    if entry is None:
         raise UnknownInvariant("no invariant named %r" % name)
-    meta = {
-        "invariant": name,
-        "input": _input_hash(obj),
-        "seconds": time.perf_counter() - t0,
-    }
+    args = entry.kind(obj, None)
+    poly = entry.value(*args)
+    eq = None
+    if equivariant and entry.equivariant is not None:
+        eq = entry.equivariant(*args)
+    meta = {"invariant": name, "input": _input_hash(obj),
+            "seconds": time.perf_counter() - t0}
     return InvariantResult(poly, eq, meta)
+
+
+def _run_identity(name, obj):
+    """The reports of a named identity (_IDENTITIES) on a loaded input, or
+    on each of its built-in inputs when obj is None."""
+    entry = _IDENTITIES.get(name)
+    if entry is None:
+        raise UnknownIdentity("no identity named %r (expected one of %s)"
+                              % (name, ", ".join(_IDENTITIES)))
+    inputs = entry.default() if obj is None else [obj]
+    return [report for x in inputs
+            for report in entry.check(*entry.kind(x, name))]

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
-from flagtutte import cli
+from flagtutte import cli, invariants
 from flagtutte.errors import NonCancellingPole
-from flagtutte.invariants import VerifyReport
+from flagtutte.genfun import EquivariantPolynomial
+from flagtutte.invariants import VerifyReport, lv_tutte_equivariant
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FLAG_PATH = os.path.join(DATA, "flag_u13_u23.json")
@@ -294,7 +295,7 @@ def test_exit_2_kchi_conjecture_on_the_empty_ground_set(capsys):
 def test_exit_3_internal_assertion(capsys, monkeypatch):
     def boom(fm):
         raise NonCancellingPole("pole fails to cancel")
-    monkeypatch.setattr(cli, "verify_kt22", boom)
+    monkeypatch.setattr(invariants, "verify_kt22", boom)
     code, _ = run_main("verify", "--identity", "kt22", capsys=capsys)
     assert code == 3
     assert "internal assertion" in run_main.err
@@ -305,7 +306,7 @@ def test_exit_4_falsified_identity(capsys, monkeypatch):
         report = VerifyReport("kt22")
         report.check("deliberately failing check", False)
         return report
-    monkeypatch.setattr(cli, "verify_kt22", failed)
+    monkeypatch.setattr(invariants, "verify_kt22", failed)
     code, out = run_main("verify", "--identity", "kt22", capsys=capsys)
     assert code == 4
     assert "FAIL" in out
@@ -318,11 +319,41 @@ def test_kchi_conjecture_exits_zero_even_on_mismatch(capsys, monkeypatch):
         report.data["value"] = 0
         report.details.append(("k_char equals (q-1)^r", False))
         return report
-    monkeypatch.setattr(cli, "check_kchi_conjecture", observational)
+    monkeypatch.setattr(invariants, "check_kchi_conjecture", observational)
     code, out = run_main("verify", "--identity", "kchi-conjecture",
                          "--input", '{"type":"uniform","r":1,"n":2}',
                          capsys=capsys)
     assert code == 0
+
+
+def test_exit_4_one_step_equivariant_mismatch(capsys, monkeypatch):
+    def shifted(m1, m2):
+        phi = lv_tutte_equivariant(m1, m2)
+        return EquivariantPolynomial(phi.n + 1, {
+            w + (0,): c for w, c in phi.support.items()})
+    monkeypatch.setattr(invariants, "lv_tutte_equivariant", shifted)
+    code, out = run_main("verify", "--identity", "one-step-equivariant",
+                         capsys=capsys)
+    assert code == 4
+    assert out.endswith("FAIL\n")
+
+
+def test_exit_2_one_step_equivariant_rank_zero(capsys):
+    code, out = run_main("verify", "--identity", "one-step-equivariant",
+                         "--input", '{"type":"uniform","r":0,"n":2}',
+                         capsys=capsys)
+    assert code == 2 and out == ""
+    assert "first constituent of rank >= 1" in run_main.err
+
+
+def test_command_names_keep_their_order():
+    assert cli.INVARIANTS == (
+        "tutte", "characteristic", "lvt", "kt", "h", "h-lv", "beta",
+        "beta-reduced", "beta-invariant", "poincare", "kchar")
+    assert cli.IDENTITIES == (
+        "delcont", "kt22", "lvt-special", "lvt-delcont", "duality",
+        "direct-sum", "latticepoints", "h-uv", "beta-higgs",
+        "kchi-conjecture", "brion-example", "one-step-equivariant")
 
 
 def test_threads_env_fallback(capsys, monkeypatch):

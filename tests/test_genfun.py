@@ -5,7 +5,10 @@ rational function via an injective integer weight and compares against the
 claimed polynomial support with sympy's exact rational arithmetic.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -634,3 +637,17 @@ def test_aux_polynomial_total_degree():
 def test_equivariant_polynomial_drops_zeros():
     phi = EquivariantPolynomial(1, {(0,): 0, (1,): 1})
     assert list(phi.items()) == [((1,), ONE)]
+
+
+def test_kt_leaves_numpy_ma_unimported():
+    # np.unique without indices asks np.ma whether its input is masked,
+    # which imports numpy.ma (about 1.3 MB) into the t -> 1 route
+    code = ("import sys\n"
+            "from flagtutte import flag_corpus, kt\n"
+            "fm = next(f for f in flag_corpus() if f.k == 2)\n"
+            "kt(fm)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout == "False\n"

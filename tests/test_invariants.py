@@ -376,6 +376,17 @@ def test_compute_invariant_errors():
         compute_invariant("beta", U(2, 3))
 
 
+def test_compute_invariant_equivariant_only_where_registered():
+    fm = flag(U(1, 3), U(2, 3))
+    expect = {"kt": kt_equivariant(fm),
+              "lvt": lv_tutte_equivariant(U(1, 3), U(2, 3))}
+    for name, entry in invariants._INVARIANTS.items():
+        obj = U(2, 3) if entry.kind is invariants._matroid_args else fm
+        res = compute_invariant(name, obj, equivariant=True)
+        assert res.equivariant == expect.get(name), name
+        assert (entry.equivariant is not None) == (name in expect), name
+
+
 def test_matroid_invariants_accept_one_step_flags():
     assert compute_invariant("tutte", flag(U(1, 2))).polynomial == X + Y
     # a single matroid works anywhere a quotient pair is expected
