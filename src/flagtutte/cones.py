@@ -6,11 +6,13 @@ Their ray matrices are directed-graph incidence matrices, so rank tests,
 coordinates and the unimodularity check are graph computations (spanning
 forests and tree flows, see `linalg`): an independent set of such rays is
 automatically a lattice basis of its span.  Cones with general rays, which
-only the public API can build, fall back to exact `Fraction` elimination, the
-Smith-form lattice index and an exact phase-1 simplex for pointedness and
-extreme rays.  _origin_cells is the one place that tells the two apart; both
-kinds share one placing loop (_placing_cells), which works on ray indices
-through a rank test and a per-cell coordinate map.
+only the public API can build, fall back to exact `Fraction` elimination for
+ranks and an exact phase-1 simplex for pointedness and extreme rays.  Every
+cone object keeps one lattice frame (linalg._lattice_frame): integer span
+and coordinate rows, from which cone_membership reads, and whose reduction
+is the unimodularity check.  _origin_cells is the one place that tells the
+two ray kinds apart; both share one placing loop (_placing_cells), which
+works on ray indices through a rank test and a per-cell coordinate map.
 
 Relabelling coordinates carries a half-open triangulation to a half-open
 triangulation, so difference-vector cones are triangulated once per class:
@@ -42,10 +44,8 @@ from .errors import (
     InternalAssertion, NotABasis, NotPointed, NotUnimodular, ZeroPairing,
 )
 from .linalg import (
-    difference_vector_graph, flow_coordinates, forest_flow, forest_rank,
-    integer_coordinates, lattice_index, matrix_rank,
-    nonneg_combination_exists, primitive, solve_exact, vec_dot, vec_neg,
-    vec_sub,
+    _lattice_frame, difference_vector_graph, flow_coordinates, forest_flow,
+    forest_rank, matrix_rank, nonneg_combination_exists, primitive, vec_dot,
 )
 
 
@@ -57,12 +57,15 @@ class HalfOpenSimplicialCone:
     coordinate vanishes (the cone keeps points with that coordinate > 0).
     The generating function is
         sign * t^apex * prod_closed 1/(1-t^v) * prod_open t^v/(1-t^v).
+    The cone keeps its lattice frame (linalg._lattice_frame), set when the
+    rays are validated and computed on first use for a trusted cone.
     """
 
-    __slots__ = ("apex", "rays", "open_flags", "sign", "_hash")
+    __slots__ = ("apex", "rays", "open_flags", "sign", "_hash", "_frame")
 
     def __init__(self, apex, rays, open_flags, sign=1, _trusted=False):
         self._hash = None
+        self._frame = None
         if _trusted:
             # apex and rays are tuples of Python ints already
             self.apex = apex
@@ -89,20 +92,14 @@ class HalfOpenSimplicialCone:
                 raise NotPointed("zero vector offered as a ray")
             if v != primitive(v):
                 raise NotUnimodular("rays must be primitive")
-        if not self.rays:
-            return
-        edges = difference_vector_graph(self.rays, n)
-        if edges is not None:
-            # independent network-matrix columns always have lattice index 1
-            if forest_rank(edges, n) != len(edges):
-                raise NotUnimodular("rays are linearly dependent")
-        else:
-            idx = lattice_index(self.rays)
-            if idx == 0:
-                raise NotUnimodular("rays are linearly dependent")
-            if idx != 1:
-                raise NotUnimodular(
-                    "rays span a sublattice of index %d" % idx)
+        self._frame = _lattice_frame(self.rays, n)
+
+    def _lattice(self):
+        """The lattice frame (L, S): x lies in the span of the rays exactly
+        when S x = 0, and its ray coordinates are then L x."""
+        if self._frame is None:
+            self._frame = _lattice_frame(self.rays, self.n)
+        return self._frame
 
     @property
     def n(self):
@@ -129,23 +126,28 @@ class HalfOpenSimplicialCone:
             self.apex, self.rays, self.open_flags, self.sign)
 
     def translate(self, apex):
-        return HalfOpenSimplicialCone(
+        out = HalfOpenSimplicialCone(
             tuple(int(x) for x in apex), self.rays, self.open_flags,
             self.sign, _trusted=True)
+        out._frame = self._frame
+        return out
+
+
+def _check_length(vector, n, what):
+    if len(vector) != n:
+        raise ValueError("%s of length %d in dimension %d"
+                         % (what, len(vector), n))
 
 
 def cone_membership(cone, point):
-    """Exact membership of an integer point in a half-open simplicial cone."""
-    x = vec_sub(tuple(int(p) for p in point), cone.apex)
-    if not cone.rays:
-        return all(v == 0 for v in x)
-    a = integer_coordinates(list(cone.rays), x)
-    if a is None:
-        return False
-    for coord, is_open in zip(a, cone.open_flags):
-        if coord < (1 if is_open else 0):
-            return False
-    return True
+    """Exact membership of an integer point in a half-open simplicial cone,
+    read off the cone's lattice frame."""
+    _check_length(point, cone.n, "point")
+    x = [int(p) - a for p, a in zip(point, cone.apex)]
+    coords, span = cone._lattice()
+    return (not any(vec_dot(row, x) for row in span)
+            and all(vec_dot(row, x) >= is_open
+                    for row, is_open in zip(coords, cone.open_flags)))
 
 
 # ------------------------------------------------------------------ directions
@@ -214,12 +216,13 @@ def flip_cone(cone, direction):
     sign multiplied by -1; the generating function is unchanged as a rational
     function.
     """
+    _check_length(direction.zeta, cone.n, "direction")
     rays = []
     flags = []
     sign = cone.sign
     for v, is_open in zip(cone.rays, cone.open_flags):
         if direction.sign(v) < 0:
-            rays.append(vec_neg(v))
+            rays.append(tuple(-x for x in v))
             flags.append(not is_open)
             sign = -sign
         else:
@@ -581,8 +584,9 @@ def _general_cells(gens):
 
     gens is a sorted list of distinct primitive integer vectors, not all of
     them difference vectors.  Pointedness and the extreme rays are exact
-    phase-1 simplex tests, ranks and coordinates Fraction elimination, and
-    each cell is a validated HalfOpenSimplicialCone.
+    phase-1 simplex tests, ranks Fraction elimination and coordinates each
+    cell's lattice frame, so a cell that is not unimodular raises as soon
+    as it is placed.  Each cell is a validated HalfOpenSimplicialCone.
     """
     n = len(gens[0])
     if not all(any(v) for v in gens):
@@ -600,8 +604,9 @@ def _general_cells(gens):
         return matrix_rank([gens[i] for i in idxs]) == len(idxs)
 
     def solver(cell):
-        rays = [gens[i] for i in cell]
-        return lambda v: solve_exact(rays, v)
+        coords, span = _lattice_frame([gens[i] for i in cell], n)
+        return lambda v: (None if any(vec_dot(row, v) for row in span)
+                          else tuple(vec_dot(row, v) for row in coords))
 
     cells, opens = _placing_cells(gens, independent, solver)
     origin = (0,) * n
@@ -712,6 +717,7 @@ def slice_cone(cone, zeta, b):
     one _box_points call over the positive-pairing rays, weighted by their
     pairings; the zero-pairing rays survive as the rays of the sliced cells.
     """
+    _check_length(zeta, cone.n, "zeta")
     zeta = tuple(int(z) for z in zeta)
     pairings = [vec_dot(zeta, v) for v in cone.rays]
     if any(d < 0 for d in pairings):

@@ -7,35 +7,35 @@ extracted exactly by Lawrence-Varchenko flips along a symbolically irrational
 direction and hyperplane slices are taken cell by cell.
 
 Two integer cores serve both the GenFun API and the localization sums of
-invariants.py.  _support_core extracts the full support of sums whose rays
-are all difference vectors e_j - e_i.  It takes cell arrays: per
-half-open cone at the origin the tails and heads of its rays, its open
-flags, sign and owner, plus per owner int64 arrays of numerator apexes,
-coefficient classes and multiplicities.  Every cell is then a forest cone,
-its membership a few integer rows over x each with a threshold, built for
-all cells at once (cones._forest_rows), so one batched pass per
-chunk of owners tests all their cells against the sum-zero difference box
-with one float product and adds the signed memberships up to one
-multiplicity per owner and box point; points that cannot reach the apex
-box are dropped, the rest are tested against it in the narrowest integer
-dtype, and the incidences that land are scattered into one dense int64
-accumulator.  Its nonzero rows are the support in array form (_Support:
-points, per point a row of a table of distinct count rows over the
-classes, ranked once per pass, and a common denominator), which a direct
-sum multiplies block by block, table by table (_support_product), and
-one decode turns into an EquivariantPolynomial, one shared coefficient
-per table row (support_pure, a per-point crawl, remains for other rays
-and as the test reference).  _specialize_t1 sets t -> 1 in one
-array pass over all cells: it takes per-cell arrays (open flags, sign,
-numerator index) and the pairings of every ray and numerator apex with a
-weight that pairs no ray to zero, substitutes t_i = z^(c_i) and reads the
-value at z = 1 off the Laurent expansion at z = e^s modulo primes, one
-integer per class by CRT.
+invariants.py.  _support_core extracts the full support of a sum of
+half-open unimodular cones.  It takes cell arrays: per half-open cone at
+the origin its integer membership rows over x, each with a threshold, its
+sign and owner, plus per owner int64 arrays of numerator apexes,
+coefficient classes and multiplicities.  On difference-vector rays e_j -
+e_i a cell is a forest cone whose rows are built for all cells at once
+(cones._forest_rows) and tested on the sum-zero difference box; on other
+rays they are the rows of the cone's lattice frame (linalg._lattice_frame)
+and the box is the whole difference box.  One batched pass per chunk of
+owners tests all their cells against the box with one float product and
+adds the signed memberships up to one multiplicity per owner and box
+point; points that cannot reach the apex box are dropped, the rest are
+tested against it in the narrowest integer dtype, and the incidences that
+land are scattered into one dense int64 accumulator.  Its nonzero rows are
+the support in array form (_Support: points, per point a row of a table
+of distinct count rows over the classes, ranked once per pass, and a
+common denominator), which a direct sum multiplies block by block, table
+by table (_support_product), and one decode turns into an
+EquivariantPolynomial, one shared coefficient per table row.
+_specialize_t1 sets t -> 1 in one array pass over all cells: it takes
+per-cell arrays (open flags, sign, numerator index) and the pairings of
+every ray and numerator apex with a weight that pairs no ray to zero,
+substitutes t_i = z^(c_i) and reads the value at z = 1 off the Laurent
+expansion at z = e^s modulo primes, one integer per class by CRT.
 _genfun_kernels gives both cores the distinct cones of a GenFun in the
 same array form, as a table of distinct rays and per-cell slots into it;
-support() flips them by the flag route's rule (cones._flip_back), since
-the support does not depend on the direction.  Every box of lattice points
-comes from the one enumerator cones._box_points.
+support() flips them along the default direction, since the support does
+not depend on it.  Every box of lattice points comes from the one
+enumerator cones._box_points.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _box_points, _flip_back, _forest_rows,
-    _row_ranks, cone_membership, default_direction, flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _box_points, _check_length,
+    _flip_back, _forest_rows, _row_ranks, cone_membership, default_direction,
+    flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
@@ -252,6 +253,8 @@ def coefficient_at(g, w, direction=None):
     """
     if direction is None:
         direction = default_direction(g.n)
+    _check_length(w, g.n, "point")
+    _check_length(direction.zeta, g.n, "direction")
     w = tuple(int(x) for x in w)
     direction = _interned(direction.key())
     total = AuxPolynomial.zero()
@@ -263,29 +266,6 @@ def coefficient_at(g, w, direction=None):
 
 
 # ------------------------------------------------------------------- support
-
-
-def support_pure(g, direction=None):
-    """Reference support extraction: per-point coefficient_at over the box.
-
-    The Newton polytope of a Laurent-polynomial GenFun lies in the convex
-    hull of its apexes, so their bounding box is a sound superset.  support()
-    takes this path only when some ray is not a difference vector; tests
-    use it as the reference for the dense support core.
-    """
-    if direction is None:
-        direction = default_direction(g.n)
-    if not g.terms:
-        return EquivariantPolynomial(g.n)
-    apexes = [t.cone.apex for t in g.terms]
-    los = [min(a[c] for a in apexes) for c in range(g.n)]
-    his = [max(a[c] for a in apexes) for c in range(g.n)]
-    out = {}
-    for w in map(tuple, _box_points(los, his).tolist()):
-        poly = coefficient_at(g, w, direction)
-        if poly:
-            out[w] = poly
-    return EquivariantPolynomial(g.n, out)
 
 
 class _Support(NamedTuple):
@@ -322,14 +302,13 @@ _member_cache = LRUCache(0)
 _box_cache = LRUCache(256)
 
 
-def _membership_passes(n, tails, heads, opens, signs, owner, XT):
+def _membership_passes(M, thr, signs, owner, XT):
     """Signed membership multiplicities of the cells per owner, pass by pass.
 
-    The cells are arrays as _support_core takes them.  Yields (b0, p0,
-    mult): mult the int64 sums of sign * [x in cell] over the cells of
+    The cells are membership rows as _support_core takes them.  Yields (b0,
+    p0, mult): mult the int64 sums of sign * [x in cell] over the cells of
     owners b0, b0 + 1, ... (one row each) for the box points p0, p0 + 1, ...
-    of XT, the transposed sum-zero box in a float dtype holding every |M x|
-    exactly.  The rows of all cells come from one cones._forest_rows call.
+    of XT, the transposed box in a float dtype holding every |M x| exactly.
     Each pass takes a chunk of consecutive owners, their cells' rows, one
     product with a block of points, one comparison against the thresholds,
     one all() over each cell's rows and one signed sum per owner.  The
@@ -338,8 +317,7 @@ def _membership_passes(n, tails, heads, opens, signs, owner, XT):
     """
     sizes = np.bincount(owner)
     ends = np.concatenate([[0], np.cumsum(sizes)])
-    M, thr = _forest_rows(tails, heads, opens, n)
-    height = thr.shape[1]
+    _, height, n = M.shape
     points = XT.shape[1]
     block = max(1, min(points, _PASS_ENTRIES // max(
         int(sizes.max(initial=1)) * height, 1)))
@@ -363,30 +341,34 @@ def _membership_passes(n, tails, heads, opens, signs, owner, XT):
             yield b0, p0, (sign @ hits).astype(np.int64)
 
 
-def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
-    """The support extractor for cones on difference-vector rays.
+def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
+                  total=0):
+    """The support extractor of signed sums of half-open unimodular cones.
 
-    cells = (tails, heads, opens, signs, owner): per already-flipped
-    half-open cone at the origin, its independent rays e_heads[c, k] -
-    e_tails[c, k] on D slots (tail == head in a padding slot), open flags,
-    sign and owner (ascending), the index of its numerator.  numerators =
-    (A, cls, vals): per owner b and monomial r its apex A[b, r] (int64, B x
-    kappa x n), class cls[b, r] and integer multiplicity vals[b, r] (cls
-    and vals broadcast to B x kappa).  _membership_passes tests the cells
-    against blocks of the sum-zero difference box [los - his, his - los]
-    and sums the signed memberships to one multiplicity per owner and
-    point, where flipped cells cancel.  Only points with nonzero
-    multiplicity that can reach the apex box [los, his] are broadcast
-    against the owner's monomials, in the narrowest unsigned dtype that
-    holds the shifted sums, and the incidences w = apex + x inside the box
-    are scattered into one dense int64 accumulator over the box and the
-    classes; the result's Newton polytope lies in the convex hull of the
-    apexes, so none outside counts.  Returns the nonzero rows as a _Support
-    over the classes that occur (class c with count k is the monomial
-    classes[c] in aux_vars with coefficient k / den), its table the
-    distinct rows in lexicographic order (cones._row_ranks).  Raises
-    GroundSetTooLarge, before allocating, when the accumulator would
-    exceed _SUPPORT_CELLS entries.
+    cells = (M, thr, signs, owner): per already-flipped half-open cone at
+    the origin, its integer membership rows (C x H x n: x lies in cell c
+    exactly when M[c] x >= thr[c] row by row), sign and owner (ascending),
+    the index of its numerator.  numerators = (A, cls, vals): per owner b
+    and monomial r its apex A[b, r] (int64, B x kappa x n), class cls[b, r]
+    and integer multiplicity vals[b, r] (cls and vals broadcast to B x
+    kappa).  _membership_passes tests the cells against blocks of the
+    difference box [los - his, his - los], its points of coordinate sum
+    total (0 for the rows of cones._forest_rows, None for the whole box),
+    in float32 or float64 as a bound on |M x| allows, and sums the signed
+    memberships to one multiplicity per owner and point, where flipped
+    cells cancel.  Only points with nonzero multiplicity that can reach the
+    apex box [los, his] are broadcast against the owner's monomials, in the
+    narrowest unsigned dtype that holds the shifted sums, and the
+    incidences w = apex + x inside the box are scattered into one dense
+    int64 accumulator over the box and the classes; the result's Newton
+    polytope lies in the convex hull of the apexes, so none outside
+    counts.  Returns the nonzero rows as a _Support over the classes that
+    occur (class c with count k is the monomial classes[c] in aux_vars with
+    coefficient k / den), its table the distinct rows in lexicographic
+    order (cones._row_ranks).  Raises
+    GroundSetTooLarge, before allocating, when the accumulator, or the
+    whole difference box times n, would exceed _SUPPORT_CELLS entries, and
+    when |M x| may reach 2^53.
     """
     ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
     space = prod(ranges)
@@ -397,14 +379,24 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
             % (space, n_cls, _SUPPORT_CELLS))
 
     dkey = tuple(lo - hi for lo, hi in zip(los, his))
-    X = _box_cache.lookup(dkey)
+    whole = prod(1 - 2 * d for d in dkey)
+    if total is None and whole * n > _SUPPORT_CELLS:
+        raise GroundSetTooLarge(
+            "difference box of %d points in dimension %d exceeds %d cells"
+            % (whole, n, _SUPPORT_CELLS))
+    # |M x| <= (largest absolute row sum) * max |x|: exact in float32 below
+    # 2^24 and in float64 below 2^53
+    bound = (int(np.abs(cells[0]).sum(axis=2).max(initial=0))
+             * -min(dkey, default=0))
+    if bound >> 53:
+        raise GroundSetTooLarge("membership rows reach %d" % bound)
+    X = _box_cache.lookup((total, dkey))
     if X is None:
         # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
-        X = _box_points(dkey, [-d for d in dkey], 0).astype(
+        X = _box_points(dkey, [-d for d in dkey], total).astype(
             np.min_scalar_type(min(dkey, default=0) - 1))
-        _box_cache.store(dkey, X)
-    # |M x| <= sum(range - 1): float32 is exact below 2^24
-    XT = X.T.astype(np.float32 if -sum(dkey) < 1 << 24 else np.float64)
+        _box_cache.store((total, dkey), X)
+    XT = X.T.astype(np.float32 if bound < 1 << 24 else np.float64)
     lo = np.array(los, dtype=np.int64)
     rng = np.array(ranges, dtype=np.int64)
     strides = np.cumprod([1] + ranges)[:-1].astype(np.int64)
@@ -422,7 +414,7 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den):
     offsets = shifted @ strides
     shifted = shifted.astype(narrow)
     acc = np.zeros(space * n_cls, dtype=np.int64)
-    for b0, p0, mult in _membership_passes(n, *cells, XT):
+    for b0, p0, mult in _membership_passes(*cells, XT):
         codes, weights = [], []
         for b, m in enumerate(mult, b0):
             rows = np.nonzero(m)[0] + p0
@@ -601,36 +593,68 @@ def _genfun_kernels(g):
             list(class_index), den)
 
 
+def _frame_rows(g, rays, slots, opens, signs):
+    """Membership rows of the cells of _genfun_kernels on any rays, each
+    flipped along default_direction.
+
+    A cell's rows are [L; S; -S] of its cone's lattice frame (coordinates
+    in slot order, then the span equations twice), padded with zero rows,
+    at thresholds [opens; 0; 0].  A ray that pairs negatively with the
+    direction reverses: its L row is negated, its open flag toggled and
+    the cell's sign flipped.  Returns (M, thr, signs), M int64 (C x H x n).
+    """
+    n, D = g.n, slots.shape[1]
+    cones = {t.cone.rays: t.cone for t in g.terms}
+    table = list(map(tuple, rays.tolist()))
+    frames = [cones[tuple(table[k] for k in at if k < len(table))]._lattice()
+              for at in slots.tolist()]
+    h = max(len(span) for _, span in frames)
+    M = np.zeros((len(frames), D + 2 * h, n), dtype=np.int64)
+    for c, (coords, span) in enumerate(frames):
+        _check_width(max(map(abs, sum(coords + span, ())), default=0))
+        M[c, :len(coords)] = np.reshape(coords, (-1, n))
+        M[c, D:D + len(span)] = np.reshape(span, (-1, n))
+    M[:, D + h:] = -M[:, D:D + h]
+    direction = default_direction(n)
+    back = np.array([direction.sign(v) < 0 for v in table] + [False])[slots]
+    M[:, :D] *= np.where(back, -1, 1)[:, :, None]
+    thr = np.zeros(M.shape[:2], dtype=np.int64)
+    thr[:, :D] = opens ^ back
+    return M, thr, np.where(back.sum(axis=1) & 1, -signs, signs)
+
+
 def support(g, direction=None):
     """Full support of a GenFun that is a Laurent polynomial.
 
-    The support of a Laurent polynomial does not depend on the direction,
-    which only the per-point path, support_pure, uses: it takes over when
-    some ray is not a difference vector e_j - e_i.  On difference-vector
-    rays (all engine pipelines) each distinct cone's tails and heads are
-    read off the ray table, the cells flipped along the default direction
-    (cones._flip_back) and their signed incidences summed by _support_core,
-    in integers (int64 is exact at these sizes); it raises
-    GroundSetTooLarge when the apex box is too large.
+    The support does not depend on the direction, so the one given is not
+    used: every distinct cone is flipped along the default direction and
+    its membership rows go to _support_core.  Difference-vector rays (all
+    engine pipelines) give forest rows (cones._flip_back, _forest_rows)
+    over the sum-zero difference box, any other rays lattice-frame rows
+    (_frame_rows) over the whole one.  Raises GroundSetTooLarge when a box
+    is too large.
     """
     if not g.terms:
         return EquivariantPolynomial(g.n)
     n = g.n
-    if any(difference_vector_graph(t.cone.rays, n) is None for t in g.terms):
-        return support_pure(g, direction)
     apexes = [t.cone.apex for t in g.terms]
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
     rays, slots, opens, signs, numerators, vars_, classes, den = \
         _genfun_kernels(g)
-    # each ray's tail and head; the padding slot gets tail == head == 0
-    ends = np.arange(n)
-    cells = _flip_back(np.append((rays < 0) @ ends, 0)[slots],
-                       np.append((rays > 0) @ ends, 0)[slots], opens, signs)
+    if difference_vector_graph(rays.tolist(), n) is None:
+        cells, total = _frame_rows(g, rays, slots, opens, signs), None
+    else:
+        # each ray's tail and head; the padding slot gets tail == head == 0
+        ends = np.arange(n)
+        tails, heads, opens, signs = _flip_back(
+            np.append((rays < 0) @ ends, 0)[slots],
+            np.append((rays > 0) @ ends, 0)[slots], opens, signs)
+        cells, total = _forest_rows(tails, heads, opens, n) + (signs,), 0
     return _decode_support(_support_core(
         n, los, his, cells + (np.arange(len(slots)),), numerators, classes,
-        vars_, den))
+        vars_, den, total))
 
 
 # ---------------------------------------------------------------------- slice
@@ -643,6 +667,7 @@ def slice_genfun(g, zeta, b):
     along zeta (all rays pairing >= 0); the returned GenFun collects the
     pointed terms intersected with the hyperplane, cell by cell.
     """
+    _check_length(zeta, g.n, "zeta")
     zeta = tuple(Fraction(z) for z in zeta)
     if all(z == 0 for z in zeta):
         raise HypothesisViolated("the slicing direction must be nonzero")

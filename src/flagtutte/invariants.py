@@ -50,8 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _box_points, _flip_back, _refine, _row_ranks, _tangent_generators,
-    _triangulate, tangent_cone_generators, triangulate_half_open,
+    _box_points, _flip_back, _forest_rows, _refine, _row_ranks,
+    _tangent_generators, _triangulate, tangent_cone_generators,
+    triangulate_half_open,
 )
 from .corpus import matroid_corpus
 from .errors import (
@@ -312,9 +313,9 @@ def _flag_kernels(fm, mode):
     all share its cls and vals, and each basis gets one apex block of A,
     its levels (mode "kt") plus the slot steps on its own coordinates.
     Every cell is flipped along cones.default_direction (cones._flip_back),
-    as _support_core needs.
-    Returns ((tails, heads, opens, signs, owner), (A, cls, vals), classes),
-    classes the sorted (u, v) exponent pairs.
+    as _support_core needs, and given its forest rows (cones._forest_rows).
+    Returns ((M, thr, signs, owner), (A, cls, vals), classes), classes the
+    sorted (u, v) exponent pairs.
     """
     cells = _flag_cells(fm)
     steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
@@ -324,7 +325,8 @@ def _flag_kernels(fm, mode):
         A += cells.levels[:, None, :]
     kernels = _flip_back(cells.tails, cells.heads, cells.opens,
                          np.ones(len(cells.tails), dtype=np.int64))
-    return (kernels + (cells.owner,), (A, cls, vals), list(classes))
+    return (_forest_rows(*kernels[:3], fm.n) + kernels[3:] + (cells.owner,),
+            (A, cls, vals), list(classes))
 
 
 def _whole_support(fm, mode):

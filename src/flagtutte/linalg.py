@@ -12,10 +12,11 @@ against a forest are its tree flow, i.e. signed subtree sums
 `flow_coordinates`).  The directed questions, pointedness and redundant
 rays, are not asked here: `cones` answers them for a whole exchange digraph
 by one reachability closure.  General rays (public-API cones, matrix
-matroids) go through exact `Fraction` Gaussian elimination (`matrix_rank`,
-`solve_exact`), the Smith form and a phase-1 simplex.  Sizes are tiny
-(dimensions up to the ground-set size, so <= 64 and in the invariant
-pipeline <= 8), so cubic algorithms are fine.
+matroids) go through exact `Fraction` Gaussian elimination (`matrix_rank`),
+one integer column reduction per cone (`_lattice_frame`: the unimodularity
+check and the integer membership rows at once) and a phase-1 simplex.
+Sizes are tiny (dimensions up to the ground-set size, so <= 64 and in the
+invariant pipeline <= 8), so cubic algorithms are fine.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a):
-    return tuple(-x for x in a)
+from .errors import NotUnimodular
 
 
 def vec_dot(a, b):
@@ -83,119 +78,43 @@ def matrix_rank(rows):
     return len(pivots)
 
 
-def solve_exact(cols, target):
-    """Solve sum_j a_j * cols[j] = target exactly over Q.
+def _lattice_frame(rays, n):
+    """The lattice frame (L, S) of a unimodular system of integer rays in Z^n.
 
-    `cols` is a list of integer vectors (the columns), `target` an integer
-    vector of the same dimension.  Returns the unique Fraction tuple `a` when
-    the columns are independent and the system is consistent, else None.
+    Extended-gcd column operations on the rays as rows reach R U = [H | 0],
+    U unimodular and H lower triangular (a Hermite normal form; Cohen, A
+    Course in Computational Algebraic Number Theory, section 2.4); the
+    rays' lattice has index |det H| in span cap Z^n.  A zero pivot means
+    dependent rays and a pivot other than +-1 an index past 1, both
+    NotUnimodular.  Else the pivots are cleared to R U = [I | 0], and an
+    integer x lies in the span exactly when S x = 0, S the rows of U[:, d:]^T,
+    its ray coordinates then L x, L the rows of U[:, :d]^T.
     """
-    n = len(target)
-    d = len(cols)
-    if d == 0:
-        return () if all(x == 0 for x in target) else None
-    aug = [[Fraction(cols[j][i]) for j in range(d)] + [Fraction(target[i])]
-           for i in range(n)]
-    m, pivots = _echelon(aug)
-    if d in pivots:
-        return None
-    if len(pivots) != d:
-        return None
-    sol = [Fraction(0)] * d
-    for r, col in enumerate(pivots):
-        sol[col] = m[r][d]
-    return tuple(sol)
-
-
-def integer_coordinates(cols, target):
-    """Like solve_exact but demands integer coordinates; None otherwise."""
-    edges = difference_vector_graph(cols, len(target))
-    if edges is not None:
-        flow = forest_flow(edges, len(target))
-        return None if flow is None else flow_coordinates(flow, target)
-    a = solve_exact(cols, target)
-    if a is None:
-        return None
-    out = []
-    for x in a:
-        if x.denominator != 1:
-            return None
-        out.append(x.numerator)
-    return tuple(out)
-
-
-def smith_diagonal(rows):
-    """Absolute values of the diagonal after integer diagonalization.
-
-    Unimodular row and column operations preserve the product of invariant
-    factors, which is all the callers need (lattice index = product).
-    """
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return []
-    nr, nc = len(a), len(a[0])
-    diag = []
-    top = 0
-    left = 0
-    while top < nr and left < nc:
-        piv = None
-        best = None
-        for i in range(top, nr):
-            for j in range(left, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[left], row[pj] = row[pj], row[left]
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
-        again = True
-        while again:
-            again = False
-            p = a[top][left]
-            for i in range(top + 1, nr):
-                if a[i][left] != 0:
-                    q = a[i][left] // p
-                    for j in range(left, nc):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][left] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        again = True
-                        break
-            if again:
-                continue
-            for j in range(left + 1, nc):
-                if a[top][j] != 0:
-                    q = a[top][j] // p
-                    for i in range(top, nr):
-                        a[i][j] -= q * a[i][left]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[left], row[j] = row[j], row[left]
-                        again = True
-                        break
-        diag.append(abs(a[top][left]))
-        top += 1
-        left += 1
-    return diag
-
-
-def lattice_index(rays):
-    """Index of the lattice spanned by integer rays inside span cap Z^n.
-
-    The index is the product of the Smith invariant factors and equals 1
-    exactly for unimodular systems; Q-linearly dependent rays give 0.
-    """
-    diag = smith_diagonal(rays)
-    if len(diag) != len(rays):
-        return 0
-    idx = 1
-    for d in diag:
-        idx *= d
-    return idx
+    d = len(rays)
+    # column j of [R; I] times U, stacked: R U[:, j] over U[:, j]
+    cols = [[r[j] for r in rays] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    index = 1
+    for i in range(d):
+        for j in range(i + 1, n):
+            a, b = cols[i], cols[j]
+            while b[i]:
+                q = a[i] // b[i]
+                a, b = b, [x - q * y for x, y in zip(a, b)]
+            cols[i], cols[j] = a, b
+        p = cols[i][i] if i < n else 0
+        if p == 0:
+            raise NotUnimodular("rays are linearly dependent")
+        index *= abs(p)
+        if abs(p) == 1:
+            cols[i] = [p * x for x in cols[i]]
+            for k in range(i):
+                c = cols[k][i]
+                cols[k] = [x - c * y for x, y in zip(cols[k], cols[i])]
+    if index != 1:
+        raise NotUnimodular("rays span a sublattice of index %d" % index)
+    return (tuple(tuple(c[d:]) for c in cols[:d]),
+            tuple(tuple(c[d:]) for c in cols[d:]))
 
 
 def nonneg_combination_exists(cols, target):
@@ -268,19 +187,10 @@ def difference_vector_graph(rays, n):
     """
     edges = []
     for v in rays:
-        pos = neg = None
-        ok = True
-        for idx, x in enumerate(v):
-            if x == 1 and pos is None:
-                pos = idx
-            elif x == -1 and neg is None:
-                neg = idx
-            elif x != 0:
-                ok = False
-                break
-        if not ok or pos is None or neg is None or len(v) != n:
+        v = list(v)
+        if len(v) != n or sorted(x for x in v if x) != [-1, 1]:
             return None
-        edges.append((neg, pos))
+        edges.append((v.index(-1), v.index(1)))
     return edges
 
 

@@ -731,17 +731,29 @@ def _sum_zero_box(n, reach):
     return cones._box_points([-reach] * n, [reach] * n, 0)
 
 
+def _flipped_flag_cells(fm):
+    """The tails, heads, open flags and signs of a flag's cells, flipped
+    along the default direction as _flag_kernels flips them."""
+    cells = invariants._flag_cells(fm)
+    return cones._flip_back(cells.tails, cells.heads, cells.opens,
+                            np.ones(len(cells.tails), dtype=np.int64))
+
+
 def test_forest_rows_match_forest_flow_on_corpus_cells():
     # every flipped cell of the rank >= 1 corpus flags, one call per flag:
-    # the batched rows and forest_flow agree on the sum-zero box
+    # the batched rows, which _flag_kernels passes on, and forest_flow
+    # agree on the sum-zero box
     boxes, oracle = {}, {}
     for fm in flag_corpus():
         if fm.ranks[0] < 1:
             continue
         n = fm.n
-        (tails, heads, opens, _, _), _, _ = _flag_kernels(fm, "kt")
+        tails, heads, opens, _ = _flipped_flag_cells(fm)
+        M, thr = _flag_kernels(fm, "kt")[0][:2]
         X = boxes.setdefault(n, _sum_zero_box(n, 2 if n <= 5 else 1))
-        got = _row_members(*cones._forest_rows(tails, heads, opens, n), X)
+        got = _row_members(M, thr, X)
+        assert all(map(np.array_equal, (M, thr), cones._forest_rows(
+            tails, heads, opens, n)))
         for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
                                       opens.tolist())):
             key = (n,) + tuple(map(tuple, cell))
@@ -759,7 +771,9 @@ def test_flag_kernels_flip_as_flip_cone_along_the_default_direction():
     for fm in flag_corpus()[::40]:
         n = fm.n
         tails, heads, opens = invariants._flag_cells(fm)[:3]
-        flipped = zip(*_flag_kernels(fm, "kt")[0][:4])
+        flipped = _flipped_flag_cells(fm)
+        assert np.array_equal(_flag_kernels(fm, "kt")[0][2], flipped[3])
+        flipped = zip(*flipped)
         for cell, got in zip(zip(tails.tolist(), heads.tolist(),
                                  opens.tolist()), flipped):
             rays = [tuple((v == j) - (v == i) for v in range(n))

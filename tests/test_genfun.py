@@ -20,15 +20,17 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        GenFun, GenFunTerm, HalfOpenSimplicialCone, Matroid,
                        brion_series, coefficient_at, cone_membership,
                        default_direction, evaluate_t1, flag, flag_corpus,
-                       flip_cone, kt_equivariant, slice_genfun, support,
-                       tangent_cone_generators, triangulate_half_open)
+                       flip_cone, kt_equivariant, slice_cone, slice_genfun,
+                       support, tangent_cone_generators,
+                       triangulate_half_open)
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.cones import _box_points
-from flagtutte.genfun import (_decode_support, _specialize_t1, _support_core,
-                              support_pure)
-from flagtutte.invariants import _flag_kernels
+from flagtutte.cones import _box_points, _flip_back, _forest_rows
+from flagtutte.genfun import _decode_support, _specialize_t1, _support_core
+from flagtutte.invariants import _flag_cells, _flag_kernels
+from flagtutte.linalg import difference_vector_graph
+from oracles import support_pure
 
 U = Matroid.uniform
 
@@ -342,11 +344,15 @@ def test_support_with_aux_coefficients():
 def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
     # rays that sum to zero but are not difference vectors: u times the
     # ray-wise differences of one closed cone leave the 3 x 2 parallelogram
-    # {i r1 + j r2}, extracted by the reference path, not the core
-    def refuse(*args):
-        raise AssertionError("the support core takes difference rays only")
+    # {i r1 + j r2}, extracted by one pass of the core over the whole box
+    calls = []
+    core = genfun._support_core
 
-    monkeypatch.setattr(genfun, "_support_core", refuse)
+    def counted(*args):
+        calls.append(args[-1])
+        return core(*args)
+
+    monkeypatch.setattr(genfun, "_support_core", counted)
     u = AuxPolynomial.variable("u")
     r1, r2 = (1, 1, -2), (0, 1, -1)
     cone = HalfOpenSimplicialCone((0, 0, 0), (r1, r2), (False, False))
@@ -357,9 +363,103 @@ def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
         terms.append(GenFunTerm(u * sign, cone.translate(apex)))
     g = GenFun(3, terms)
     phi = support(g)
+    assert calls == [None]
     assert phi == EquivariantPolynomial(3, {
         (i, i + j, -2 * i - j): u for i in range(3) for j in range(2)})
     sympy_support_check(g, phi, (1, 16, 256), aux_syms=("u",))
+
+
+def _unimodular_columns(rng, n):
+    """The columns of a product of elementary integer matrices."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(2, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in U:
+            row[j] += c * row[i]
+    for j in rng.sample(range(n), rng.randint(0, n)):
+        for row in U:
+            row[j] = -row[j]
+    return [tuple(row[j] for row in U) for j in range(n)]
+
+
+def _general_ray_genfun(rng):
+    """A seeded Laurent-polynomial GenFun on general unimodular rays, and
+    its support computed directly.
+
+    Each summand is c times the cone apex + cone(rays) (open flags and
+    sign at random) times prod_i (1 - t^(m_i v_i)), one term per subset of
+    the rays: the lattice points apex + sum_i k_i v_i, o_i <= k_i < o_i +
+    m_i, each with coefficient c * sign.
+    """
+    n = rng.randint(2, 4)
+    u = AuxPolynomial.variable("u")
+    want = {}
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        rays = rng.sample(_unimodular_columns(rng, n), rng.randint(1, n))
+        flags = [rng.random() < 0.5 for _ in rays]
+        cone = HalfOpenSimplicialCone((0,) * n, rays, flags,
+                                      rng.choice((1, -1)))
+        coeff = rng.choice((ONE, u, Fraction(1, 2) * ONE, u - Fraction(2, 3)))
+        apex = tuple(rng.randint(-2, 2) for _ in range(n))
+        steps = [rng.randint(1, 2) for _ in rays]
+        for subset in range(1 << len(rays)):
+            at = [k for k in range(len(rays)) if subset >> k & 1]
+            shift = [sum(steps[k] * rays[k][i] for k in at) for i in range(n)]
+            terms.append(GenFunTerm(
+                coeff * (-1) ** len(at),
+                cone.translate(tuple(map(sum, zip(apex, shift))))))
+        for ks in np.ndindex(*steps):
+            w = tuple(apex[i] + sum((k + f) * v[i] for k, f, v in
+                                    zip(ks, flags, rays)) for i in range(n))
+            want[w] = want.get(w, 0) + coeff * cone.sign
+    return GenFun(n, terms), EquivariantPolynomial(n, want)
+
+
+def test_support_on_general_unimodular_rays():
+    # seeded sums of half-open cones on rays from products of elementary
+    # matrices, n = 2..4, with open flags, both signs, fractional and aux
+    # coefficients; their rays pair both ways with the default direction,
+    # so cells flip.  support() reads the cones' lattice frames in one
+    # pass of the core and matches the per-point crawl and the direct sum
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(16):
+        g, want = _general_ray_genfun(rng)
+        rays = {v for t in g.terms for v in t.cone.rays}
+        seen["flipped"] += any(default_direction(g.n).sign(v) < 0
+                               for v in rays)
+        seen["open"] += any(f for t in g.terms for f in t.cone.open_flags)
+        seen["negative"] += any(t.cone.sign < 0 for t in g.terms)
+        seen["lower"] += any(t.cone.dim < g.n for t in g.terms)
+        seen["full"] += any(t.cone.dim == g.n for t in g.terms)
+        seen["aux"] += bool(want.aux_vars)
+        seen["general"] += difference_vector_graph(rays, g.n) is None
+        seen["points"] += len(want.support)
+        got = support(g)
+        assert got == want
+        assert got == support_pure(g)
+    assert min(seen.values()) >= 3, seen
+
+
+_CONE3 = HalfOpenSimplicialCone((0, 0, 0), ((1, 1, -2),), (False,))
+_GENFUN3 = GenFun(3, (GenFunTerm(ONE, _CONE3),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cone_membership(_CONE3, (1, 1)),
+    lambda: cone_membership(_CONE3, (1, 1, -2, 5)),
+    lambda: coefficient_at(_GENFUN3, (0, 0)),
+    lambda: coefficient_at(_GENFUN3, (0, 0, 0), Direction((1, 2))),
+    lambda: flip_cone(_CONE3, Direction((-1, 0))),
+    lambda: slice_cone(_CONE3, (1, 0), 0),
+    lambda: slice_genfun(_GENFUN3, (1, 0), 0),
+], ids=["membership-short", "membership-long", "coefficient-point",
+        "coefficient-direction", "flip", "slice-cone", "slice-genfun"])
+def test_vectors_of_the_wrong_length_are_rejected(call):
+    with pytest.raises(ValueError, match="length"):
+        call()
 
 
 def test_support_rejects_box_beyond_cell_cap():
@@ -395,17 +495,20 @@ def _kernel_genfun(n, cells, numerators, classes, aux_vars, den):
 def test_support_core_merges_cells_sharing_a_kernel():
     fm = flag(U(2, 4))
     cells, numerators, classes = _flag_kernels(fm, "kt")
-    assert np.bincount(cells[4]).max() > 1
+    assert np.bincount(cells[3]).max() > 1
     # a cell and its negative on one kernel: their memberships cancel
     pair = tuple(np.repeat(a[:1], 2, axis=0) for a in cells)
-    pair[3][:] = 1, -1
+    pair[2][:] = 1, -1
     both = tuple(map(np.concatenate, zip(pair, cells)))
     los, his = (0,) * 4, (2,) * 4
     aux = ("u", "v")
     got = _decode_support(
         _support_core(4, los, his, both, numerators, classes, aux, 1))
-    assert got == support_pure(
-        _kernel_genfun(4, cells, numerators, classes, aux, 1))
+    tails, heads, opens, signs = _flip_back(
+        *_flag_cells(fm)[:3], np.ones(len(cells[3]), dtype=np.int64))
+    assert got == support_pure(_kernel_genfun(
+        4, (tails, heads, opens, signs, cells[3]), numerators, classes, aux,
+        1))
     assert got == kt_equivariant(fm)
     A, cls, vals = numerators
     empty = _decode_support(_support_core(4, los, his, pair,
@@ -525,7 +628,8 @@ def test_membership_passes_match_cone_membership(monkeypatch, cap):
                         for x in X.tolist()]
         got = np.zeros_like(want)
         for b0, p0, mult in genfun._membership_passes(
-                n, tails, heads, opens, signs, owner, X.T.astype(np.float32)):
+                *_forest_rows(tails, heads, opens, n), signs, owner,
+                X.T.astype(np.float32)):
             got[b0:b0 + len(mult), p0:p0 + mult.shape[1]] = mult
         assert np.array_equal(got, want)
         seen["members"] += int(np.abs(want).sum())

@@ -220,7 +220,7 @@ def test_kt_equivariant_scales_to_eight_elements(monkeypatch):
     def crawl(*args, **kwargs):
         raise AssertionError("per-point support path reached")
 
-    monkeypatch.setattr(genfun, "support_pure", crawl)
+    monkeypatch.setattr(genfun, "coefficient_at", crawl)
     for fm in [flag(U(1, 8), U(2, 8)), flag(U(2, 7), U(3, 7))]:
         phi = kt_equivariant(fm)
         assert phi.specialize_t1().substitute(

@@ -1,12 +1,16 @@
-"""Graph linear algebra for difference vectors against the Fraction fallback.
+"""Graph linear algebra for difference vectors and lattice frames for any
+rays, against Fraction elimination and the Smith form.
 
 Columns e_j - e_i form a directed-graph incidence matrix.  The forest
 helpers (union-find rank, tree-flow coordinates) must agree exactly with
 Fraction Gaussian elimination on every such system, and the engine routes
-must never fall back to elimination.
+must never fall back to elimination.  The lattice frame of general rays
+must agree with the oracles of tests/oracles.py on its index, its span
+test and its coordinates.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +24,10 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, GenFun,
 from flagtutte import cones
 from flagtutte.cones import _forest_rows
 from flagtutte.errors import InternalAssertion, NotUnimodular
-from flagtutte.linalg import (difference_vector_graph, flow_coordinates,
-                              forest_flow, forest_rank, integer_coordinates,
-                              lattice_index, matrix_rank, solve_exact)
+from flagtutte.linalg import (_lattice_frame, difference_vector_graph,
+                              flow_coordinates, forest_flow, forest_rank,
+                              matrix_rank)
+from oracles import lattice_index, solve_exact
 
 
 def _ray(n, i, j):
@@ -62,6 +67,14 @@ def _edge_arrays(edges):
             np.zeros((1, len(edges)), dtype=bool))
 
 
+def _frame_coordinates(frame, x):
+    """Coordinates of x from a lattice frame, or None off its span."""
+    coords, span = frame
+    if any(sum(a * b for a, b in zip(row, x)) for row in span):
+        return None
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in coords)
+
+
 def _row_coordinates(M, d, x):
     """Coordinates of x from the rows _forest_rows gives a cell of d rays,
     or None off the span.  The first component's row is implied by
@@ -88,23 +101,29 @@ def test_forest_helpers_match_fraction_elimination():
         touched = {v for e in edges for v in e}
         seen["isolated"] += len(touched) < n
         if independent:
+            frame = _lattice_frame(cols, n)
             M = _forest_rows(*_edge_arrays(edges), n)[0][0]
             assert len(M) == 2 * (n - len(cols) - 1) + len(cols)
         else:
             with pytest.raises(InternalAssertion):
                 _forest_rows(*_edge_arrays(edges), n)
+            with pytest.raises(NotUnimodular, match="dependent"):
+                _lattice_frame(cols, n)
         for t in targets:
             want = solve_exact(cols, t)
             seen["outside"] += want is None
             got = None if flow is None else flow_coordinates(flow, t)
             assert got == want
-            assert integer_coordinates(cols, t) == want
             if independent:
+                assert _frame_coordinates(frame, t) == want
                 assert _row_coordinates(M, len(cols), t) == want
     assert min(seen.values()) > 500
 
 
 def test_mixed_rays_take_the_fraction_fallback(monkeypatch):
+    # membership and support on general rays read the cones' lattice
+    # frames: no Fraction elimination; only the triangulation's rank test
+    # still eliminates
     calls = []
     echelon = linalg._echelon
 
@@ -115,38 +134,68 @@ def test_mixed_rays_take_the_fraction_fallback(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted)
     rays = ((0, 1, -1), (1, 1, -2))
     assert difference_vector_graph(rays, 3) is None
-    assert integer_coordinates(list(rays), (1, 0, -1)) == (-1, 1)
-    assert integer_coordinates(list(rays), (1, 1, 1)) is None
-    assert calls
-    calls.clear()
+    frame = _lattice_frame(rays, 3)
+    assert _frame_coordinates(frame, (1, 0, -1)) == (-1, 1)
+    assert _frame_coordinates(frame, (1, 1, 1)) is None
     cone = HalfOpenSimplicialCone((0, 0, 0), rays, (False, False))
     assert cone_membership(cone, (1, 2, -3))
     assert not cone_membership(cone, (1, 0, -1))
-    assert calls
-    calls.clear()
-    # the same rays in a GenFun: support() takes the reference path, whose
-    # memberships eliminate; the ray-wise differences leave {0, (0, 1, -1)}
+    # the same rays in a GenFun: support() reads the rows of the frames;
+    # the ray-wise differences leave {0, (0, 1, -1)}
     one = AuxPolynomial.constant(1)
     g = GenFun(3, [GenFunTerm(c * one, cone.translate(apex))
                    for c, apex in [(1, (0, 0, 0)), (-1, (0, 2, -2)),
                                    (-1, (1, 1, -2)), (1, (1, 3, -4))]])
     assert support(g) == EquivariantPolynomial(3, {(0, 0, 0): 1,
                                                    (0, 1, -1): 1})
-    assert calls
-    # the rows of the support core take tails and heads, so no ray off the
-    # graph reaches them; dependent difference rays (a cycle, a repeated
-    # ray) are rejected there
+    assert calls == []
+    # forest rows take tails and heads, so no ray off the graph reaches
+    # them; dependent difference rays (a cycle, a repeated ray) are
+    # rejected there
     for tails, heads in [([2, 2, 0], [1, 0, 1]), ([0, 0], [1, 1])]:
         with pytest.raises(InternalAssertion):
             _forest_rows(np.array([tails]), np.array([heads]),
                          np.zeros((1, len(tails)), dtype=bool), 3)
-    calls.clear()
     cells = triangulate_half_open((0, 0, 0), [(0, 1, -1), (1, 1, -2),
                                               (1, 0, -1)])
     assert len(cells) == 1 and calls
     with pytest.raises(NotUnimodular, match="index 2"):
         HalfOpenSimplicialCone((0, 0, 0), ((1, -1, 0), (1, 1, -2)),
                                (False, False))
+
+
+def test_lattice_frame_matches_the_smith_form_and_elimination():
+    # seeded sets of up to n + 1 rays, n <= 6, entries in [-3, 3]:
+    # dependent ones, of index 1 and of index > 1.  The frame raises with
+    # the Smith-form index and, on index 1, its span test and coordinates
+    # are those of Fraction elimination, for points inside the span and
+    # anywhere
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, n + 1))]
+        index = lattice_index(rays) if rays else 1
+        seen[min(index, 2)] += 1
+        if index == 0:
+            with pytest.raises(NotUnimodular,
+                               match="^rays are linearly dependent$"):
+                _lattice_frame(rays, n)
+            continue
+        if index > 1:
+            with pytest.raises(NotUnimodular, match="^rays span a sublattice "
+                               "of index %d$" % index):
+                _lattice_frame(rays, n)
+            continue
+        frame = _lattice_frame(rays, n)
+        inside = [sum(rng.randint(-3, 3) * v[i] for v in rays)
+                  for i in range(n)]
+        for x in (inside, [rng.randint(-4, 4) for _ in range(n)]):
+            want = solve_exact(rays, x)
+            seen["outside"] += want is None
+            assert _frame_coordinates(frame, x) == want, (rays, x)
+    assert min(seen.values()) > 100, seen
 
 
 def test_dependent_rays_are_rejected_on_both_paths():
