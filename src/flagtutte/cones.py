@@ -586,7 +586,9 @@ def _general_cells(gens):
     them difference vectors.  Pointedness and the extreme rays are exact
     phase-1 simplex tests, ranks Fraction elimination and coordinates each
     cell's lattice frame, so a cell that is not unimodular raises as soon
-    as it is placed.  Each cell is a validated HalfOpenSimplicialCone.
+    as it is placed.  Every final cell gets a frame there (its open flags
+    read coordinates in it), and each cell is a trusted
+    HalfOpenSimplicialCone holding that frame.
     """
     n = len(gens[0])
     if not all(any(v) for v in gens):
@@ -603,15 +605,23 @@ def _general_cells(gens):
     def independent(idxs):
         return matrix_rank([gens[i] for i in idxs]) == len(idxs)
 
+    frames = {}
+
     def solver(cell):
-        coords, span = _lattice_frame([gens[i] for i in cell], n)
+        coords, span = frames[cell] = _lattice_frame([gens[i] for i in cell],
+                                                     n)
         return lambda v: (None if any(vec_dot(row, v) for row in span)
                           else tuple(vec_dot(row, v) for row in coords))
 
     cells, opens = _placing_cells(gens, independent, solver)
     origin = (0,) * n
-    return tuple(HalfOpenSimplicialCone(origin, [gens[i] for i in c], flags)
-                 for c, flags in zip(cells, opens))
+    out = []
+    for c, flags in zip(cells, opens):
+        cell = HalfOpenSimplicialCone(origin, tuple(gens[i] for i in c),
+                                      flags, 1, _trusted=True)
+        cell._frame = frames[c]
+        out.append(cell)
+    return tuple(out)
 
 
 @lru_cache(maxsize=16384)

@@ -25,7 +25,8 @@ the support in array form (_Support: points, per point a row of a table
 of distinct count rows over the classes, ranked once per pass, and a
 common denominator), which a direct sum multiplies block by block, table
 by table (_support_product), and one decode turns into an
-EquivariantPolynomial, one shared coefficient per table row.
+EquivariantPolynomial, one shared coefficient per table row
+(_row_coefficients, which the flag route keeps with a product of blocks).
 _specialize_t1 sets t -> 1 in one array pass over all cells: it takes
 per-cell arrays (open flags, sign, numerator index) and the pairings of
 every ray and numerator apex with a weight that pairs no ray to zero,
@@ -141,7 +142,11 @@ class EquivariantPolynomial:
         return total
 
     def insert_coordinate(self, position, value):
-        """Embed into one more t-variable with a fixed exponent there."""
+        """Embed into one more t-variable with a fixed exponent there, the
+        new coordinate before coordinate position (0 <= position <= n)."""
+        if not 0 <= position <= self.n:
+            raise ValueError("position %d outside 0..%d" % (position, self.n))
+
         def fn(w):
             return w[:position] + (int(value),) + w[position:]
         out = {fn(w): poly for w, poly in self.support.items()}
@@ -153,6 +158,7 @@ class EquivariantPolynomial:
 
     def mul_monomial(self, tvec, factor=1):
         tvec = tuple(int(x) for x in tvec)
+        _check_length(tvec, self.n, "monomial")
         out = {tuple(a + b for a, b in zip(w, tvec)): poly * factor
                for w, poly in self.support.items()}
         return EquivariantPolynomial(self.n, out, self.aux_vars)
@@ -444,24 +450,36 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
                     tuple(classes[c] for c in keep.tolist()), aux_vars, den)
 
 
-def _decode_support(s):
-    """The EquivariantPolynomial of a support in array form.
+def _row_coefficients(s):
+    """One AuxPolynomial per table row of a support in array form.
 
-    The points holding one table row share one AuxPolynomial, built once
-    by AuxPolynomial._trusted, and each distinct count is one Fraction over
-    the denominator.  Shared coefficients are never mutated in place.
+    Each is built by AuxPolynomial._trusted, and each distinct count is one
+    Fraction over the denominator.
     """
-    n = s.points.shape[1]
-    if not len(s.points):
-        return EquivariantPolynomial._trusted(n, {}, s.aux_vars)
     at, cidx = np.nonzero(s.table)
     counts = s.table[at, cidx].tolist()
     coeffs = {k: Fraction(k, s.den) for k in set(counts)}
     terms = list(zip(map(s.classes.__getitem__, cidx.tolist()),
                      map(coeffs.__getitem__, counts)))
     bounds = np.searchsorted(at, np.arange(len(s.table) + 1)).tolist()
-    polys = [AuxPolynomial._trusted(s.aux_vars, dict(terms[a:b]))
-             for a, b in zip(bounds, bounds[1:])]
+    return [AuxPolynomial._trusted(s.aux_vars, dict(terms[a:b]))
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _decode_support(s, polys=None):
+    """The EquivariantPolynomial of a support in array form.
+
+    polys holds one coefficient per table row, _row_coefficients(s) when
+    omitted; the points holding one row share its object.  The flag route
+    passes the ones kept with a product of blocks, so results of flags with
+    the same blocks share them too.  Shared coefficients are never mutated
+    in place.
+    """
+    n = s.points.shape[1]
+    if not len(s.points):
+        return EquivariantPolynomial._trusted(n, {}, s.aux_vars)
+    if polys is None:
+        polys = _row_coefficients(s)
     support = dict(zip(map(tuple, s.points.tolist()),
                        map(polys.__getitem__, s.rows.tolist())))
     return EquivariantPolynomial._trusted(n, support, s.aux_vars)
@@ -470,33 +488,33 @@ def _decode_support(s):
 def _support_product(n, parts):
     """The support of a direct sum, in array form, from its blocks' supports.
 
-    parts lists (mask, support) per block, each support on its block's own
-    coordinates in increasing order, all on one aux_vars and with
-    nonnegative class exponents, as on the flag route.  The points pair up
-    in C order, each block's columns placed at its mask positions, so no
-    two pairs meet.  The tables multiply instead of the points: the pair of
-    rows r1, r2 is row r1 * R2 + r2 of the product table, its counts the
-    products of the two rows' counts, with class exponents added.  A class
-    (u, v) is the code u * V + v, V past every sum of v exponents, so codes
-    add as exponents do; the product's classes are the code sums taken, in
-    (u, v) order, and each block's step scatters the table so far into one
-    array per class of the block, then sums them weighted by the block's
-    table in one integer product.  One block covers every coordinate and is
-    its own product; the product over no blocks (n = 0) is the unit, one
-    point of length 0 with count 1 in class (0, 0).  Raises
-    GroundSetTooLarge, before allocating, when the product would exceed
-    _SUPPORT_CELLS cells of points times classes.
+    parts lists the blocks' supports, all on one aux_vars and with
+    nonnegative class exponents, as on the flag route; n is the sum of
+    their widths.  Each block takes the next columns, so the product lies
+    on the contiguous layout of the blocks in the order given (a flag
+    gathers its own columns from it), and the points pair up in C order.
+    The tables multiply instead of the points: the pair of rows r1, r2 is
+    row r1 * R2 + r2 of the product table, its counts the products of the
+    two rows' counts, with class exponents added.  A class (u, v) is the
+    code u * V + v, V past every sum of v exponents, so codes add as
+    exponents do; the product's classes are the code sums taken, in (u, v)
+    order, and each block's step scatters the table so far into one array
+    per class of the block, then sums them weighted by the block's table in
+    one integer product.  One block is its own product; the product over no
+    blocks (n = 0) is the unit, one point of length 0 with count 1 in class
+    (0, 0).  Raises GroundSetTooLarge, before allocating, when the product
+    would exceed _SUPPORT_CELLS cells of points times classes.
     """
     if len(parts) == 1:
-        return parts[0][1]
+        return parts[0]
     if not parts:
         return _Support(np.zeros((1, n), dtype=np.int64),
                         np.zeros(1, dtype=np.intp),
                         np.ones((1, 1), dtype=np.int64), ((0, 0),),
                         ("u", "v"), 1)
 
-    V = 1 + sum(max((v for _, v in s.classes), default=0) for _, s in parts)
-    codes = [[u * V + v for u, v in s.classes] for _, s in parts]
+    V = 1 + sum(max((v for _, v in s.classes), default=0) for s in parts)
+    codes = [[u * V + v for u, v in s.classes] for s in parts]
     top = sum(max(c, default=0) for c in codes) + 1
     code, merges = np.array(codes[0], dtype=np.int64), []
     for c in codes[1:]:
@@ -507,14 +525,14 @@ def _support_product(n, parts):
         taken[sums] = True
         code = np.flatnonzero(taken)
         merges.append((np.searchsorted(code, sums), len(code)))
-    sizes = [len(s.points) for _, s in parts]
+    sizes = [len(s.points) for s in parts]
     cells = prod(sizes) * len(code)
     if cells > _SUPPORT_CELLS:
         raise GroundSetTooLarge("support product of %d cells exceeds %d"
                                 % (cells, _SUPPORT_CELLS))
 
-    T, rows, den = parts[0][1].table, parts[0][1].rows, parts[0][1].den
-    for (_, s), (rank, C) in zip(parts[1:], merges):
+    T, rows, den = parts[0].table, parts[0].rows, parts[0].den
+    for s, (rank, C) in zip(parts[1:], merges):
         (R1, C1), (R2, C2) = T.shape, s.table.shape
         _check_width(int(np.abs(T).max(initial=0))
                      * int(np.abs(s.table).max(initial=0)) * min(C1, C2))
@@ -526,14 +544,15 @@ def _support_product(n, parts):
         rows = np.add.outer(rows * R2, s.rows).ravel()
         den *= s.den
     W = np.zeros(sizes + [n], dtype=np.int64)
-    for i, (mask, s) in enumerate(parts):
+    at = 0
+    for i, s in enumerate(parts):
         shape = [1] * len(parts) + [s.points.shape[1]]
         shape[i] = sizes[i]
-        W[..., [j for j in range(n) if mask >> j & 1]] = \
-            s.points.reshape(shape)
+        W[..., at:at + shape[-1]] = s.points.reshape(shape)
+        at += shape[-1]
     return _Support(W.reshape(-1, n), rows, T,
                     tuple(divmod(c, V) for c in code.tolist()),
-                    parts[0][1].aux_vars, den)
+                    parts[0].aux_vars, den)
 
 
 def _genfun_kernels(g):

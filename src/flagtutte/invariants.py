@@ -19,21 +19,23 @@ counts.  One closed-form numerator serves every flag basis (_numerator,
 memoized per mode and slot counts): each coordinate's factor depends only
 on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  Both the
 t = 1 value and the full equivariant sum are multiplicative over a direct
-sum, so one block loop (_block_parts) serves both: it splits a flag into
-its blocks (_flag_blocks), looks each up in the route's cache and computes
-it on a miss.  A t = 1 block value is one pass of genfun's specialization
-core over the arrays, kept as Python ints in an object array indexed
-[u, v]; the values multiply as arrays (_times, one 1-D convolution), and
-kt, h and k_char read their coefficients off the product and build their
-polynomial once (_poly).  A block support flips the same arrays along the
-default direction and goes through the support core (_flag_kernels), and
-the supports multiply as arrays.
+sum, so both routes split a flag into its blocks (_flag_blocks), look each
+up in the route's cache and compute it on a miss (_block_part).  A t = 1
+block value is one pass of genfun's specialization core over the arrays,
+kept as Python ints in an object array indexed [u, v]; the values
+multiply as arrays (_times, one 1-D convolution), and kt, h and k_char
+read their coefficients off the product and build their polynomial once
+(_poly).  A block support flips the same arrays along the default
+direction and goes through the support core (_flag_kernels).
 Relabelled blocks share that pass: it runs once per canonical block key
 (_canonical, coloured by the colour refinement cones._refine that also
 relabels exchange digraphs), and each labelled block permutes the columns
-of the canonical points.  Verifiers compare supports undecoded
-(_flag_support), as tallies of counts per distinct (point, class image) row
-(_tally).
+of the canonical points.  The supports of a disconnected flag's blocks
+multiply as arrays once per multiset of labelled block keys, and the
+product is kept with its decoded row coefficients: each flag with those
+blocks gathers its columns from it (_gathered_support).  Verifiers compare
+supports undecoded (_flag_support), as tallies of counts per distinct
+(point, class image) row (_tally).
 Every `compute` invariant and `verify` identity is one entry of _INVARIANTS
 or _IDENTITIES: its input kind, functions, and for an identity its default.
 """
@@ -62,7 +64,8 @@ from .errors import (
 )
 from .genfun import (
     _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm,
-    _decode_support, _specialize_t1, _support_core, _support_product,
+    _decode_support, _row_coefficients, _specialize_t1, _support_core,
+    _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
@@ -368,24 +371,62 @@ def _class_support(block, mode):
     return whole._replace(points=whole.points[:, sigma])
 
 
+def _gathered_support(fm, mode):
+    """A flag's support as a _Support, and one coefficient per table row
+    (None for a connected flag, decoded afresh).
+
+    A connected flag's support is its block's (_block_part over
+    _SUPPORT_CACHE, _class_support on a miss).  The support of a direct sum
+    is the product of its blocks' supports, and where the blocks sit only
+    permutes the point columns.  So the product (_support_product) is
+    taken once per multiset of labelled block keys (_restrict) and mode, on
+    the contiguous layout of the blocks in key order, and kept in
+    _SUPPORT_CACHE under the tagged key ("blocks", keys, mode) with its
+    decoded row coefficients (_row_coefficients); each flag with those
+    blocks gathers its columns from it, so its points pair up in C order of
+    its blocks in key order.
+    """
+    blocks = _flag_blocks(fm)
+    if len(blocks) == 1:
+        return _block_part(fm.key(), mode, _SUPPORT_CACHE, _class_support,
+                           fm), None
+    keys = [_restrict(fm, s) for s in blocks]
+    order = sorted(range(len(blocks)), key=keys.__getitem__)
+    tag = ("blocks", tuple(keys[i] for i in order), mode)
+    entry = _SUPPORT_CACHE.lookup(tag)
+    if entry is None:
+        product = _support_product(fm.n, [
+            _block_part(keys[i], mode, _SUPPORT_CACHE, _class_support)
+            for i in order])
+        entry = (product, _row_coefficients(product))
+        _SUPPORT_CACHE.store(tag, entry)
+    product, polys = entry
+    # column c of the product is element placed[c] of the flag
+    placed = [j for i in order for j in range(fm.n) if blocks[i] >> j & 1]
+    return (product._replace(points=product.points[:, np.argsort(placed)]),
+            polys)
+
+
 def _flag_support(fm, mode="kt"):
     """The full equivariant localization sum of a flag as a _Support.
 
     Valid for any quotient chain, including a rank-0 first constituent
     (the sum itself makes sense verbatim there).  The mode selects the
     numerator; see _flag_kernels.  Each numerator factor depends on one
-    coordinate, so the sum is multiplicative over a direct sum: the blocks'
-    arrays (_block_parts over _SUPPORT_CACHE, _class_support on a miss)
-    multiply by _support_product.  Every count is over den 1, the support
+    coordinate, so the sum is multiplicative over a direct sum: a
+    disconnected flag's support is its blocks' product, kept per multiset
+    of blocks (_gathered_support).  Every count is over den 1, the support
     core's denominator on this route.
     """
-    return _support_product(
-        fm.n, _block_parts(fm, mode, _SUPPORT_CACHE, _class_support))
+    return _gathered_support(fm, mode)[0]
 
 
 def _ktt_support(fm, mode="kt"):
-    """_flag_support decoded to a Laurent polynomial, not cached."""
-    return _decode_support(_flag_support(fm, mode))
+    """_flag_support decoded to a Laurent polynomial.  A disconnected
+    flag's coefficient objects are those kept with its product of blocks,
+    shared with every flag of the same blocks; a connected flag's are
+    decoded afresh."""
+    return _decode_support(*_gathered_support(fm, mode))
 
 
 def kt_equivariant(fm):
@@ -452,26 +493,29 @@ def _flag_of_key(key):
                              for n, bases in key), _trusted=True)
 
 
+def _block_part(key, mode, cache, compute, fm=None):
+    """The part of one block, looked up in cache under (key, mode), and on a
+    miss computed by compute(block, mode) from the block as a flag (fm, or
+    one built by _flag_of_key from the key) and stored."""
+    part = cache.lookup((key, mode))
+    if part is None:
+        part = compute(_flag_of_key(key) if fm is None else fm, mode)
+        cache.store((key, mode), part)
+    return part
+
+
 def _block_parts(fm, mode, cache, compute):
     """(mask, part) per block of a flag (_flag_blocks), each part cached.
 
-    The one block loop of the t -> 1 values and the equivariant supports:
-    a block is keyed by the flag's key() when the flag is connected and by
-    _restrict otherwise, looked up in cache under (key, mode), and on a
-    miss computed by compute(block, mode) from the block as a flag (the
-    flag itself, or one built by _flag_of_key from the key) and stored.
+    The block loop of the t -> 1 values: a block is keyed by the flag's
+    key() when the flag is connected and by _restrict otherwise, and its
+    part comes from _block_part.
     """
     blocks = _flag_blocks(fm)
-    parts = []
-    for s in blocks:
-        key = fm.key() if len(blocks) == 1 else _restrict(fm, s)
-        part = cache.lookup((key, mode))
-        if part is None:
-            part = compute(fm if len(blocks) == 1 else _flag_of_key(key),
-                           mode)
-            cache.store((key, mode), part)
-        parts.append((s, part))
-    return parts
+    if len(blocks) == 1:
+        return [(blocks[0], _block_part(fm.key(), mode, cache, compute, fm))]
+    return [(s, _block_part(_restrict(fm, s), mode, cache, compute))
+            for s in blocks]
 
 
 def _canonical(key):

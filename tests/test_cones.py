@@ -344,6 +344,31 @@ def test_triangulate_translates_cached_cells():
     assert len(empty) == 1 and empty[0].apex == (5, 6) and not empty[0].rays
 
 
+def test_general_cells_keep_the_frames_of_the_placing_solver(monkeypatch):
+    # seven generators in Z^4, one of them not extreme, give three cells:
+    # one frame per cell, each the placing solver's, where building every
+    # cell validated computed the frame a second time
+    gens = [(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 0),
+            (1, 0, 0, 1), (1, 1, 1, 0), (2, 1, 0, 0)]
+    calls = []
+
+    def counted(rays, n, _frame=cones._lattice_frame):
+        calls.append(tuple(rays))
+        return _frame(rays, n)
+
+    monkeypatch.setattr(cones, "_lattice_frame", counted)
+    cells = cones._general_cells(gens)
+    assert len(cells) == 3 and len(calls) == 3
+    assert sorted(calls) == sorted(c.rays for c in cells)
+    for c in cells:
+        assert c == HalfOpenSimplicialCone(c.apex, c.rays, c.open_flags)
+        assert c._lattice() == linalg._lattice_frame(c.rays, 4)
+    # every final cell still passes through the solver: a cell of index 2
+    # raises
+    with pytest.raises(NotUnimodular, match="index 2"):
+        cones._general_cells([(1, 0), (1, 2)])
+
+
 def _plain_python(cell):
     return (all(type(x) is int for x in cell.apex)
             and all(type(x) is int for v in cell.rays for x in v)

@@ -675,6 +675,30 @@ def test_equivariant_polynomial_ops():
     assert phi.specialize_t1() == 1 + u
 
 
+def test_mul_monomial_refuses_a_vector_of_another_length():
+    # zip would drop the extra entry, or pad nothing for a short vector
+    phi = EquivariantPolynomial(2, {(1, 0): 1})
+    for tvec in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match="length %d in dimension 2"
+                           % len(tvec)):
+            phi.mul_monomial(tvec)
+    with pytest.raises(ValueError, match="dimension"):
+        EquivariantPolynomial(2).mul_monomial((1, 2, 3))
+
+
+def test_insert_coordinate_refuses_a_position_outside_the_range():
+    # slicing would append the coordinate at the end, or insert it from
+    # the back for a negative position
+    phi = EquivariantPolynomial(2, {(1, 0): 1})
+    assert phi.insert_coordinate(0, 7) == EquivariantPolynomial(
+        3, {(7, 1, 0): 1})
+    assert phi.insert_coordinate(2, 7) == EquivariantPolynomial(
+        3, {(1, 0, 7): 1})
+    for position in (3, -1):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            phi.insert_coordinate(position, 7)
+
+
 def test_decode_shares_one_coefficient_per_distinct_row():
     # points with equal rows of counts share one AuxPolynomial, and each
     # distinct count is one Fraction object

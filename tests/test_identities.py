@@ -126,7 +126,9 @@ def test_check_direct_sum_catches_a_wrong_block_product(monkeypatch):
 def test_check_direct_sum_catches_a_wrong_support_product(monkeypatch):
     # kt_equivariant multiplies the supports of a flag's blocks; the
     # equivariant check reads the whole sum by one unsplit pass of the
-    # support core, so a wrong product must fail it
+    # support core, so a wrong product must fail it.  The product is kept
+    # per multiset of blocks, so the cache starts empty and is emptied of
+    # the wrong one
     def corrupted(n, parts):
         out = product(n, parts)
         return out._replace(table=out.table * 2)
@@ -134,8 +136,12 @@ def test_check_direct_sum_catches_a_wrong_support_product(monkeypatch):
     product = invariants._support_product
     a = flag(U(1, 2).direct_sum(U(1, 2)))
     b = flag(U(1, 3))
-    monkeypatch.setattr(invariants, "_support_product", corrupted)
-    report = check_direct_sum(a, b)
+    invariants._SUPPORT_CACHE.clear()
+    try:
+        monkeypatch.setattr(invariants, "_support_product", corrupted)
+        report = check_direct_sum(a, b)
+    finally:
+        invariants._SUPPORT_CACHE.clear()
     assert not report.passed
     assert report.details == [("equivariant direct-sum multiplicativity",
                                False),

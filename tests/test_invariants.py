@@ -619,8 +619,9 @@ def test_factored_supports_hold_their_invariants():
     # every rank >= 1 corpus flag in all three numerator modes: each table
     # row is nonzero and held by some point, the decode makes one
     # coefficient object per table row, a product's counts are those of
-    # every pair of points, and a single block's rows (one support core
-    # pass) are distinct
+    # every pair of points (paired in C order of the blocks sorted by
+    # labelled key, as the product kept per multiset of blocks pairs them),
+    # and a single block's rows (one support core pass) are distinct
     flags = [fm for fm in flag_corpus() if fm.ranks[0] >= 1]
     split = 0
     for mode in ("kt", "h", "h_lv"):
@@ -637,6 +638,7 @@ def test_factored_supports_hold_their_invariants():
                 assert len(np.unique(s.table, axis=0)) == len(s.table)
                 continue
             split += 1
+            parts.sort(key=lambda part: invariants._restrict(fm, part[0]))
             points, columns = _pairwise_product(fm.n, parts)
             assert np.array_equal(s.points, points), (fm, mode)
             assert list(s.classes) == sorted(columns), (fm, mode)
@@ -749,17 +751,121 @@ def test_kt_equivariant_is_relabelling_equivariant():
             clear_caches()
             want = kt_equivariant(fm)
             clear_caches()
-            moved = FlagMatroid(
-                [Matroid(fm.n, [_relabel_mask(b, sigma) for b in m.bases_masks])
-                 for m in fm.constituents])
-            got = kt_equivariant(moved)
-            permuted = {}
-            for w, c in want.support.items():
-                image = [0] * fm.n
-                for i, p in enumerate(sigma):
-                    image[p] = w[i]
-                permuted[tuple(image)] = c
-            assert got == EquivariantPolynomial(fm.n, permuted), (fm, sigma)
+            got = kt_equivariant(_relabelled(fm, sigma))
+            assert got == _permuted(want, sigma), (fm, sigma)
+    finally:
+        clear_caches()
+
+
+def _relabelled(fm, sigma):
+    """The flag with element i renamed sigma[i]."""
+    return FlagMatroid(
+        [Matroid(fm.n, [_relabel_mask(b, sigma) for b in m.bases_masks])
+         for m in fm.constituents])
+
+
+def _permuted(phi, sigma):
+    """An equivariant polynomial with coordinate i moved to sigma[i]."""
+    permuted = {}
+    for w, c in phi.support.items():
+        image = [0] * phi.n
+        for i, p in enumerate(sigma):
+            image[p] = w[i]
+        permuted[tuple(image)] = c
+    return EquivariantPolynomial(phi.n, permuted)
+
+
+def _block_shuffle(rng, fm):
+    """A seeded relabelling that moves the blocks of a flag and keeps the
+    order within each, so the relabelled flag's blocks have the labelled
+    keys of the flag's."""
+    slots = list(range(fm.n))
+    rng.shuffle(slots)
+    sigma = [0] * fm.n
+    for s in invariants._flag_blocks(fm):
+        elements = [i for i in range(fm.n) if s >> i & 1]
+        images, slots = slots[:len(elements)], slots[len(elements):]
+        for i, p in zip(elements, sorted(images)):
+            sigma[i] = p
+    return sigma
+
+
+def _product_entries():
+    return [key for key in invariants._SUPPORT_CACHE if key[0] == "blocks"]
+
+
+def test_flags_with_the_same_blocks_gather_one_product(monkeypatch):
+    # every disconnected rank >= 1 corpus flag F in all three modes, against
+    # two seeded relabellings sigma.  One keeps the order within each
+    # block, so sigma F has the block keys of F and gathers the product F
+    # left in the cache, with no product taken; the other is any
+    # relabelling, taken cold, with every product dropped.  Either support
+    # is the sigma-image of the support of F
+    calls = []
+    product = invariants._support_product
+
+    def counted(n, parts):
+        calls.append(n)
+        return product(n, parts)
+
+    monkeypatch.setattr(invariants, "_support_product", counted)
+    flags = [fm for fm in flag_corpus()
+             if fm.ranks[0] >= 1 and len(invariants._flag_blocks(fm)) > 1]
+    assert len(flags) == 577
+    rng = random.Random(41)
+    reordered = 0
+    clear_caches()
+    try:
+        for mode in ("kt", "h", "h_lv"):
+            for fm in flags:
+                want = _ktt_support(fm, mode)
+                sigma = _block_shuffle(rng, fm)
+                moved = _relabelled(fm, sigma)
+                keys = [invariants._restrict(moved, s)
+                        for s in invariants._flag_blocks(moved)]
+                reordered += keys != sorted(keys)
+                taken = len(calls)
+                got = _ktt_support(moved, mode)
+                assert len(calls) == taken, (fm, mode, sigma)
+                assert got == _permuted(want, sigma), (fm, mode, sigma)
+                for key in _product_entries():
+                    del invariants._SUPPORT_CACHE[key]
+                sigma = list(range(fm.n))
+                rng.shuffle(sigma)
+                got = _ktt_support(_relabelled(fm, sigma), mode)
+                assert len(calls) == taken + 1, (fm, mode, sigma)
+                assert got == _permuted(want, sigma), (fm, mode, sigma)
+    finally:
+        clear_caches()
+    assert reordered == 1438
+
+
+def test_equal_blocks_share_one_product_and_its_coefficients():
+    # two copies of one flag: one product entry, under the key of the
+    # block twice.  The copies interleaved keep their order within each
+    # block, so that flag gathers the same product and shares its
+    # coefficient objects.  Both empty the cache of products
+    from flagtutte.matroid import flag_direct_sum
+    fm = flag(U(1, 3), U(2, 3))
+    twice = flag_direct_sum(fm, fm)
+    moved = _relabelled(twice, [0, 2, 4, 1, 3, 5])
+    clear_caches()
+    try:
+        got = _ktt_support(twice)
+        assert got == genfun._decode_support(
+            invariants._whole_support(twice, "kt"))
+        assert _product_entries() == [("blocks", (fm.key(),) * 2, "kt")]
+        other = _ktt_support(moved)
+        assert other == _permuted(got, [0, 2, 4, 1, 3, 5])
+        assert len(_product_entries()) == 1
+        assert ({id(c) for c in other.support.values()}
+                == {id(c) for c in got.support.values()})
+        invariants._SUPPORT_CACHE.clear()
+        assert _product_entries() == []
+        assert _ktt_support(moved) == other
+        assert len(_product_entries()) == 1
+        clear_caches()
+        assert _product_entries() == []
     finally:
         clear_caches()
 
