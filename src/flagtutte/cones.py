@@ -22,13 +22,16 @@ the elements of flag blocks for invariants._canonical.  Per class, one
 boolean reachability closure finds directed cycles (the cone is not pointed)
 and the redundant rays (an edge i -> k is redundant exactly when another
 directed path joins i to k), and the placing loop's cells are kept as int
-arrays, each checked once by its tree flow.  The localization sums work on a
+arrays with one lattice frame each: the tree flow the placing loop solves
+with, as integer rows (signed subtree indicators, then component
+indicators), checked once per class.  The localization sums work on a
 whole flag at a time: _tangent_generators builds the exchange digraphs of
 all its flag bases as one adjacency stack, _triangulate relabels them
 (colour refinement of the whole stack in one batch) and carries each
 class's cells back to every cone of the class by one index gather, as
-arrays of ray tails, ray heads, open flags and owning cone; no cone object
-is built on that route.  triangulate_half_open builds trusted cone objects
+arrays of ray tails, ray heads, open flags and owning cone, and hands on
+the class frames with that gather and the relabelling; no cone object is
+built on that route.  triangulate_half_open builds trusted cone objects
 from the same arrays for the public API.
 """
 
@@ -199,16 +202,6 @@ def default_direction(n):
     return Direction(tuple(range(n, 0, -1)))
 
 
-def _flip_back(tails, heads, opens, signs):
-    """Cells of difference-vector rays, as arrays, flipped along
-    default_direction: a ray e_j - e_i pairs with it to i - j, so exactly
-    the rays with j > i reverse, toggle their open flags and flip the sign
-    of their cell.  A padding slot (tail == head) stays as it is."""
-    back = heads > tails
-    return (np.where(back, heads, tails), np.where(back, tails, heads),
-            opens ^ back, np.where(back.sum(axis=1) & 1, -signs, signs))
-
-
 def flip_cone(cone, direction):
     """Point the cone along the direction, Lawrence-Varchenko style.
 
@@ -359,7 +352,12 @@ def _triangulate_cells(n, codes):
     k, so those edges are dropped.  Ranks and coordinates are spanning-forest
     computations, and each cell's forest_flow is its exact check: dependent
     rays raise InternalAssertion.  The cells are kept as read-only arrays
-    (tails, heads, opens): per cell and ray, its i, its j and its open flag.
+    (tails, heads, opens, frames): per cell and ray, its i, its j and its
+    open flag, and per cell its lattice frame, the tree flow as n int8 rows
+    (the d signed subtree indicators in slot order, then the n - d
+    component indicators).  The frames are checked once: the coordinate
+    rows times the rays must give the identity, and the component rows
+    vanish on every ray and partition the vertices, else InternalAssertion.
     """
     vectors = _edge_vectors(n)
     codes = np.array(sorted(codes, key=vectors.__getitem__), dtype=np.intp)
@@ -380,8 +378,10 @@ def _triangulate_cells(n, codes):
     def independent(idxs):
         return forest_rank([edges[i] for i in idxs], n) == len(idxs)
 
+    flows = {}
+
     def solver(cell):
-        flow = forest_flow([edges[i] for i in cell], n)
+        flow = flows[cell] = forest_flow([edges[i] for i in cell], n)
         if flow is None:
             raise InternalAssertion("cell rays are linearly dependent")
         return lambda v: flow_coordinates(flow, v)
@@ -389,8 +389,26 @@ def _triangulate_cells(n, codes):
     cells, opens = _placing_cells([vectors[c] for c in codes.tolist()],
                                   independent, solver)
     at = np.array(cells)
-    out = (tails[at].astype(np.int8), heads[at].astype(np.int8),
-           np.array(opens, dtype=bool))
+    tails, heads = tails[at], heads[at]
+    # the frame rows one after another, n entries each: for the few small
+    # cells of a class, one list converted once is quicker than index arrays
+    flat, row = [0] * (len(cells) * n * n), 0
+    for cell in cells:
+        components, subtrees = flows[cell]
+        for sign, verts in subtrees + [(1, comp) for comp in components]:
+            for v in verts:
+                flat[row + v] = sign
+            row += n
+    frames = np.array(flat, dtype=np.int8).reshape(len(cells), n, n)
+    # dual[c, k]: the rows of cell c times its ray k
+    k = np.arange(len(cells))[:, None]
+    dual = frames[k, :, heads] - frames[k, :, tails]
+    d = at.shape[1]
+    if (dual != np.eye(d, n)).any() or (frames[:, d:].sum(axis=1) != 1).any():
+        raise InternalAssertion("tree flows are no lattice frames of their "
+                                "cells")
+    out = (tails.astype(np.int8), heads.astype(np.int8),
+           np.array(opens, dtype=bool), frames)
     for a in out:
         a.setflags(write=False)
     return out
@@ -473,17 +491,23 @@ def _triangulate(adj):
     relabelled digraph, is looked up once in the class cache
     _triangulate_cells.  Relabelling coordinates carries a half-open cover
     to a half-open cover, so the class cells are carried back by one index
-    gather.  Returns (tails, heads, opens, owner): per cell, the i and j of
-    its rays (int8, C x d), their open flags and the index of its cone,
-    cells grouped by cone in stack order.  A stack without edges (the
-    tangent cones at the one vertex of a point) has one cell without rays
-    per cone.  Every cone must have the same dimension d, as the tangent
-    cones of one polytope have.
+    gather.  Returns (tails, heads, opens, owner, frames, cell, order): per
+    cell, the i and j of its rays (int8, C x d), their open flags and the
+    index of its cone, cells grouped by cone in stack order; then the
+    frame rows of the stacked class cells (_triangulate_cells), per cell
+    the index of its class cell, and per cone its relabelling: column u of
+    a class frame is coordinate order[cone, u] of the cone.  A stack
+    without edges (the tangent cones at the one vertex of a point) has one
+    cell without rays per cone, all of one class cell whose frame is n
+    component rows.  Every cone must have the same dimension d, as the
+    tangent cones of one polytope have.
     """
     count, n, _ = adj.shape
     if not adj.any():
         none = np.zeros((count, 0), dtype=np.int8)
-        return none, none, none.astype(bool), np.arange(count)
+        return (none, none, none.astype(bool), np.arange(count),
+                np.eye(n, dtype=np.int8)[None], np.zeros(count, dtype=np.intp),
+                np.broadcast_to(np.arange(n), (count, n)))
     order = _colour_order(adj)
     relabelled = adj[np.arange(count)[:, None, None], order[:, :, None],
                      order[:, None, :]]
@@ -494,8 +518,8 @@ def _triangulate(adj):
     classes = [_triangulate_cells(n, key) for key in index if key]
     if len(classes) < len(index) or len({c[0].shape[1] for c in classes}) > 1:
         raise InternalAssertion("cones of one stack differ in dimension")
-    tails, heads, opens = (np.concatenate([c[i] for c in classes])
-                           for i in range(3))
+    tails, heads, opens, frames = (np.concatenate([c[i] for c in classes])
+                                   for i in range(4))
     sizes = np.array([len(c[0]) for c in classes])
     per_cone = sizes[kind]
     owner = np.repeat(np.arange(count), per_cone)
@@ -505,78 +529,7 @@ def _triangulate(adj):
                         - (np.cumsum(per_cone) - per_cone), per_cone))
     return (order[owner[:, None], tails[cell]].astype(np.int8),
             order[owner[:, None], heads[cell]].astype(np.int8),
-            opens[cell], owner)
-
-
-def _forest_rows(tails, heads, opens, n):
-    """Integer membership rows of a stack of forest cones at the origin.
-
-    Cell c has the rays e_heads[c, k] - e_tails[c, k] (a slot with tail ==
-    head is padding) and open flags opens[c].  Returns (M, thr), M int8 (C
-    x H x n) and thr int8 (C x H): a point x of the sum-zero box lies in the
-    cell exactly when M[c] x >= thr[c] row by row.  The rows are +I and -I
-    for each component indicator I of the cell's forest but the first,
-    whose row is implied on the sum-zero box, then per slot the indicator
-    of the ray's head side, the component of its head without the ray:
-    given the component sums, the ray coordinates of x in the span are
-    these head-side sums, with the open flags as thresholds.  Rows past a
-    cell's components and rows of padding slots are zero at threshold 0.
-
-    Components come from least-label propagation; the round in which a
-    vertex takes its final label is its depth below the least vertex of
-    its component, the deeper end of each ray is its child, and ancestors
-    follow the parent pointers by repeated doubling.  The rows are checked
-    exactly: the head-side rows times the rays must be the identity, which
-    holds only for independent rays.  Else InternalAssertion.
-    """
-    C, D = tails.shape
-    cell = np.arange(C)[:, None]
-    tails, heads = tails.astype(np.intp), heads.astype(np.intp)
-    real = tails != heads
-    adj = np.zeros((C, n, n), dtype=bool)
-    adj[cell, tails, heads] = adj[cell, heads, tails] = True
-    adj[:, np.arange(n), np.arange(n)] = True
-    label = np.zeros((C, 1), dtype=np.intp) + np.arange(n)
-    depth = np.zeros((C, n), dtype=np.intp)
-    rounds = 0
-    while True:
-        near = np.where(adj, label[:, None, :], n).min(axis=2, initial=n)
-        moved = near < label
-        if not moved.any():
-            break
-        rounds += 1
-        depth[moved] = rounds
-        label = near
-    deeper = depth[cell, heads] > depth[cell, tails]
-    child = np.where(deeper, heads, tails)
-    up = np.zeros((C, 1), dtype=np.intp) + np.arange(n)
-    at = np.nonzero(real)
-    up[at[0], child[at]] = np.where(deeper, tails, heads)[at]
-    # anc[c, v, u]: u is v or one of its ancestors
-    anc = np.eye(n, dtype=bool) | (up[:, :, None] == np.arange(n))
-    reach = 1
-    while reach < n - 1:
-        anc = anc | anc[cell, up]
-        up = up[cell, up]
-        reach *= 2
-    below = anc.transpose(0, 2, 1)[cell, child]
-    same = label[:, None, :] == label[cell, heads][:, :, None]
-    side = (np.where(deeper[:, :, None], below, same & ~below)
-            & real[:, :, None]).astype(np.int8)
-    # side times ray j: side[c, k, heads[c, j]] - side[c, k, tails[c, j]]
-    slot, ends = cell[:, :, None], np.arange(D)[:, None]
-    if not np.array_equal(side[slot, ends, heads[:, None, :]]
-                          - side[slot, ends, tails[:, None, :]],
-                          np.eye(D, dtype=np.int8) * real[:, None, :]):
-        raise InternalAssertion("rays are not independent difference vectors")
-    roots = label == np.arange(n)
-    comp = (np.cumsum(roots, axis=1) - 1)[cell, label]
-    count = int(roots.sum(axis=1).max(initial=1)) - 1
-    ind = (comp[:, None, :] == np.arange(1, count + 1)[:, None]).astype(
-        np.int8)
-    thr = np.zeros((C, 2 * count + D), dtype=np.int8)
-    thr[:, 2 * count:] = opens & real
-    return np.concatenate([ind, -ind, side], axis=1), thr
+            opens[cell], owner, frames, cell, order)
 
 
 def _general_cells(gens):

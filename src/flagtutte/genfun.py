@@ -11,20 +11,21 @@ invariants.py.  _support_core extracts the full support of a sum of
 half-open unimodular cones.  It takes cell arrays: per half-open cone at
 the origin its integer membership rows over x, each with a threshold, its
 sign and owner, plus per owner int64 arrays of numerator apexes,
-coefficient classes and multiplicities.  On difference-vector rays e_j -
-e_i a cell is a forest cone whose rows are built for all cells at once
-(cones._forest_rows) and tested on the sum-zero difference box; on other
-rays they are the rows of the cone's lattice frame (linalg._lattice_frame)
-and the box is the whole difference box.  One batched pass per chunk of
-owners tests all their cells against the box with one float product and
-adds the signed memberships up to one multiplicity per owner and box
-point; points that cannot reach the apex box are dropped, the rest are
-tested against it in the narrowest integer dtype, and the incidences that
-land are scattered into one dense int64 accumulator.  Its nonzero rows are
-the support in array form (_Support: points, per point a row of a table
-of distinct count rows over the classes, ranked once per pass, and a
-common denominator), which a direct sum multiplies block by block, table
-by table (_support_product), and one decode turns into an
+coefficient classes and multiplicities.  A cell's rows are its lattice
+frame (coordinate rows, span rows as +- pairs), flipped along the default
+direction by one rule (_flipped_rows): on the flag route the tree-flow
+frames that cones._triangulate_cells keeps per class cell, in support()
+each cone's own frame.  Cells whose rays all sum to zero are tested on
+the sum-zero difference box, others on the whole one.  One batched pass
+per chunk of owners tests all their cells against the box with one float
+product and adds the signed memberships up to one multiplicity per owner
+and box point; points that cannot reach the apex box are dropped, the rest
+are tested against it in the narrowest integer dtype, and the incidences
+that land are scattered into one dense int64 accumulator.  Its nonzero
+rows are the support in array form (_Support: points, per point a row of
+a table of distinct count rows over the classes, ranked once per pass,
+and a common denominator), which a direct sum multiplies block by block,
+table by table (_support_product), and one decode turns into an
 EquivariantPolynomial, one shared coefficient per table row
 (_row_coefficients, which the flag route keeps with a product of blocks).
 _specialize_t1 sets t -> 1 in one array pass over all cells: it takes
@@ -34,9 +35,9 @@ substitutes t_i = z^(c_i) and reads the value at z = 1 off the Laurent
 expansion at z = e^s modulo primes, one integer per class by CRT.
 _genfun_kernels gives both cores the distinct cones of a GenFun in the
 same array form, as a table of distinct rays and per-cell slots into it;
-support() flips them along the default direction, since the support does
-not depend on it.  Every box of lattice points comes from the one
-enumerator cones._box_points.
+support() flips them along the default direction (_frame_rows), since
+the support does not depend on it.  Every box of lattice points comes from
+the one enumerator cones._box_points.
 """
 
 from __future__ import annotations
@@ -53,15 +54,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _box_points, _check_length,
-    _flip_back, _forest_rows, _row_ranks, cone_membership, default_direction,
-    flip_cone, slice_cone,
+    Direction, HalfOpenSimplicialCone, _box_points, _check_length, _row_ranks,
+    cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
     DegenerateWeights, GroundSetTooLarge, HypothesisViolated,
     NonCancellingPole,
 )
-from .linalg import difference_vector_graph, vec_dot
+from .linalg import vec_dot
 from .lru import LRUCache
 from .polynomial import AuxPolynomial, _merge_vars
 
@@ -359,7 +359,9 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
     and integer multiplicity vals[b, r] (cls and vals broadcast to B x
     kappa).  _membership_passes tests the cells against blocks of the
     difference box [los - his, his - los], its points of coordinate sum
-    total (0 for the rows of cones._forest_rows, None for the whole box),
+    total (0 when every ray sums to zero, so every cell lies in the
+    sum-zero hyperplane and may leave out one span row that the sum
+    implies, as on the flag route; None for the whole box),
     in float32 or float64 as a bound on |M x| allows, and sums the signed
     memberships to one multiplicity per owner and point, where flipped
     cells cancel.  Only points with nonzero multiplicity that can reach the
@@ -612,34 +614,47 @@ def _genfun_kernels(g):
             list(class_index), den)
 
 
-def _frame_rows(g, rays, slots, opens, signs):
-    """Membership rows of the cells of _genfun_kernels on any rays, each
-    flipped along default_direction.
+def _flipped_rows(coords, span, back, opens, signs):
+    """Membership rows of cells flipped along a direction, from their frames.
 
-    A cell's rows are [L; S; -S] of its cone's lattice frame (coordinates
-    in slot order, then the span equations twice), padded with zero rows,
-    at thresholds [opens; 0; 0].  A ray that pairs negatively with the
-    direction reverses: its L row is negated, its open flag toggled and
-    the cell's sign flipped.  Returns (M, thr, signs), M int64 (C x H x n).
+    Per cell, coords (C x D x n) are its coordinate rows in slot order and
+    span (C x h x n) its span rows, zero in padding; back (C x D) marks the
+    rays that pair negatively with the direction.  A reversed ray's
+    coordinate row is negated, its open flag toggled and its cell's sign
+    flipped, and the span rows enter as +- pairs.  Returns (M, thr, signs):
+    M the rows [coords; span; -span] in their dtype, at thresholds [opens;
+    0; 0].
+    """
+    M = np.concatenate([np.where(back[:, :, None], -coords, coords), span,
+                        -span], axis=1)
+    thr = np.zeros(M.shape[:2], dtype=M.dtype)
+    thr[:, :back.shape[1]] = opens ^ back
+    return M, thr, np.where(back.sum(axis=1) & 1, -signs, signs)
+
+
+def _frame_rows(g, rays, slots, opens, signs):
+    """Membership rows of the cells of _genfun_kernels, each flipped along
+    default_direction (_flipped_rows).
+
+    A cell's coordinate and span rows are those of its cone's lattice frame
+    (HalfOpenSimplicialCone._lattice), int64 and padded with zero rows.
+    Returns (M, thr, signs).
     """
     n, D = g.n, slots.shape[1]
     cones = {t.cone.rays: t.cone for t in g.terms}
     table = list(map(tuple, rays.tolist()))
     frames = [cones[tuple(table[k] for k in at if k < len(table))]._lattice()
               for at in slots.tolist()]
-    h = max(len(span) for _, span in frames)
-    M = np.zeros((len(frames), D + 2 * h, n), dtype=np.int64)
-    for c, (coords, span) in enumerate(frames):
-        _check_width(max(map(abs, sum(coords + span, ())), default=0))
-        M[c, :len(coords)] = np.reshape(coords, (-1, n))
-        M[c, D:D + len(span)] = np.reshape(span, (-1, n))
-    M[:, D + h:] = -M[:, D:D + h]
+    h = max((len(span) for _, span in frames), default=0)
+    coords = np.zeros((len(frames), D, n), dtype=np.int64)
+    span = np.zeros((len(frames), h, n), dtype=np.int64)
+    for c, (L, S) in enumerate(frames):
+        _check_width(max(map(abs, sum(L + S, ())), default=0))
+        coords[c, :len(L)] = np.reshape(L, (len(L), n))
+        span[c, :len(S)] = np.reshape(S, (len(S), n))
     direction = default_direction(n)
     back = np.array([direction.sign(v) < 0 for v in table] + [False])[slots]
-    M[:, :D] *= np.where(back, -1, 1)[:, :, None]
-    thr = np.zeros(M.shape[:2], dtype=np.int64)
-    thr[:, :D] = opens ^ back
-    return M, thr, np.where(back.sum(axis=1) & 1, -signs, signs)
+    return _flipped_rows(coords, span, back, opens, signs)
 
 
 def support(g, direction=None):
@@ -647,11 +662,9 @@ def support(g, direction=None):
 
     The support does not depend on the direction, so the one given is not
     used: every distinct cone is flipped along the default direction and
-    its membership rows go to _support_core.  Difference-vector rays (all
-    engine pipelines) give forest rows (cones._flip_back, _forest_rows)
-    over the sum-zero difference box, any other rays lattice-frame rows
-    (_frame_rows) over the whole one.  Raises GroundSetTooLarge when a box
-    is too large.
+    the rows of its lattice frame (_frame_rows) go to _support_core, over
+    the sum-zero difference box when every ray sums to zero and over the
+    whole one otherwise.  Raises GroundSetTooLarge when a box is too large.
     """
     if not g.terms:
         return EquivariantPolynomial(g.n)
@@ -662,18 +675,10 @@ def support(g, direction=None):
 
     rays, slots, opens, signs, numerators, vars_, classes, den = \
         _genfun_kernels(g)
-    if difference_vector_graph(rays.tolist(), n) is None:
-        cells, total = _frame_rows(g, rays, slots, opens, signs), None
-    else:
-        # each ray's tail and head; the padding slot gets tail == head == 0
-        ends = np.arange(n)
-        tails, heads, opens, signs = _flip_back(
-            np.append((rays < 0) @ ends, 0)[slots],
-            np.append((rays > 0) @ ends, 0)[slots], opens, signs)
-        cells, total = _forest_rows(tails, heads, opens, n) + (signs,), 0
     return _decode_support(_support_core(
-        n, los, his, cells + (np.arange(len(slots)),), numerators, classes,
-        vars_, den, total))
+        n, los, his, _frame_rows(g, rays, slots, opens, signs)
+        + (np.arange(len(slots)),), numerators, classes, vars_, den,
+        None if rays.sum(axis=1).any() else 0))
 
 
 # ---------------------------------------------------------------------- slice

@@ -14,19 +14,22 @@ flag-geometric family (KT, its equivariant refinement, the h-polynomial) is
 computed from the localization sum over flag bases, with the flag as the
 unit of work.  _flag_cells holds, per flag, the half-open triangulations of
 the tangent cones at all its flag bases as int arrays (ray tails, heads,
-open flags and basis per cell), plus each basis's slot order and level
-counts.  One closed-form numerator serves every flag basis (_numerator,
-memoized per mode and slot counts): each coordinate's factor depends only
-on its slot type (inside B_1, inside B_k but not B_1, outside B_k).  Both the
-t = 1 value and the full equivariant sum are multiplicative over a direct
-sum, so both routes split a flag into its blocks (_flag_blocks), look each
-up in the route's cache and compute it on a miss (_block_part).  A t = 1
-block value is one pass of genfun's specialization core over the arrays,
-kept as Python ints in an object array indexed [u, v]; the values
-multiply as arrays (_times, one 1-D convolution), and kt, h and k_char
-read their coefficients off the product and build their polynomial once
-(_poly).  A block support flips the same arrays along the default
-direction and goes through the support core (_flag_kernels).
+open flags and basis per cell), the lattice frames of the class cells with
+each cell's class cell and each basis's relabelling, plus each basis's slot
+order and level counts.  One closed-form numerator serves every flag basis
+(_numerator, memoized per mode and slot counts): each coordinate's factor
+depends only on its slot type (inside B_1, inside B_k but not B_1, outside
+B_k).  Both the t = 1 value and the full equivariant sum are
+multiplicative over a direct sum, so both routes split a flag into its
+blocks (_flag_blocks), look each up in the route's cache and compute it on
+a miss (_block_part).  A t = 1 block value is one pass of genfun's
+specialization core over the arrays, kept as Python ints in an object
+array indexed [u, v]; the values multiply as arrays (_times, one 1-D
+convolution), and kt, h and k_char read their coefficients off the product
+and build their polynomial once (_poly).  A block support reads each
+cell's rows off its class cell's frame, its columns permuted by its
+basis's relabelling, flips them along the default direction and goes
+through the support core (_flag_kernels).
 Relabelled blocks share that pass: it runs once per canonical block key
 (_canonical, coloured by the colour refinement cones._refine that also
 relabels exchange digraphs), and each labelled block permutes the columns
@@ -52,9 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    _box_points, _flip_back, _forest_rows, _refine, _row_ranks,
-    _tangent_generators, _triangulate, tangent_cone_generators,
-    triangulate_half_open,
+    _box_points, _refine, _row_ranks, _tangent_generators, _triangulate,
+    tangent_cone_generators, triangulate_half_open,
 )
 from .corpus import matroid_corpus
 from .errors import (
@@ -64,8 +66,8 @@ from .errors import (
 )
 from .genfun import (
     _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm,
-    _decode_support, _row_coefficients, _specialize_t1, _support_core,
-    _support_product,
+    _decode_support, _flipped_rows, _row_coefficients, _specialize_t1,
+    _support_core, _support_product,
 )
 from .lru import LRUCache
 from .matroid import (
@@ -209,15 +211,21 @@ class _FlagCells(NamedTuple):
 
     Per cell (C x d, d the dimension of the base polytope): tails and heads
     of its rays (the ray e_j - e_i has tail i and head j), open flags, and
-    owner, the index of its flag basis.  Per flag basis (B x n): slots, its
-    coordinates ordered by slot type (inside B_1, inside B_k but not B_1,
-    outside B_k; ascending within a type), and levels, how many of
-    B_1, ..., B_{k-1} hold each coordinate.  Every array is read-only.
+    owner, the index of its flag basis.  frames, cell and order are the
+    class cells' lattice frames, per cell its class cell and per basis its
+    relabelling, as cones._triangulate returns them.  Per flag basis (B x
+    n): slots, its coordinates ordered by slot type (inside B_1, inside B_k
+    but not B_1, outside B_k; ascending within a type), and levels, how
+    many of B_1, ..., B_{k-1} hold each coordinate.  Every array is
+    read-only.
     """
     tails: np.ndarray
     heads: np.ndarray
     opens: np.ndarray
     owner: np.ndarray
+    frames: np.ndarray
+    cell: np.ndarray
+    order: np.ndarray
     slots: np.ndarray
     levels: np.ndarray
 
@@ -235,12 +243,11 @@ def _flag_cells(fm):
         return hit
     n = fm.n
     chains = np.array(fm.flag_bases(), dtype=np.uint64).reshape(-1, fm.k)
-    tails, heads, opens, owner = _triangulate(_tangent_generators(fm, chains))
+    cells = _triangulate(_tangent_generators(fm, chains))
     member = ((chains[:, :, None] >> np.arange(n, dtype=np.uint64))
               & 1).astype(np.int64)
     kind = 2 - member[:, -1] - member[:, 0]
-    out = _FlagCells(tails, heads, opens, owner,
-                     np.argsort(kind * n + np.arange(n), axis=1),
+    out = _FlagCells(*cells, np.argsort(kind * n + np.arange(n), axis=1),
                      member[:, :-1].sum(axis=1))
     for a in out:
         a.setflags(write=False)
@@ -315,10 +322,12 @@ def _flag_kernels(fm, mode):
     ranks, so one closed-form numerator (_numerator) serves every basis:
     all share its cls and vals, and each basis gets one apex block of A,
     its levels (mode "kt") plus the slot steps on its own coordinates.
-    Every cell is flipped along cones.default_direction (cones._flip_back),
-    as _support_core needs, and given its forest rows (cones._forest_rows).
-    Returns ((M, thr, signs, owner), (A, cls, vals), classes), classes the
-    sorted (u, v) exponent pairs.
+    A cell's rows are its class cell's frame, columns permuted by its
+    basis's relabelling, less the first component row (implied on the
+    sum-zero box), flipped along cones.default_direction by _flipped_rows:
+    the ray e_j - e_i pairs with it to i - j, so the rays with j > i
+    reverse.  Returns ((M, thr, signs, owner), (A, cls, vals), classes),
+    classes the sorted (u, v) exponent pairs.
     """
     cells = _flag_cells(fm)
     steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
@@ -326,10 +335,16 @@ def _flag_kernels(fm, mode):
     A = A.astype(np.int64)
     if mode == "kt":
         A += cells.levels[:, None, :]
-    kernels = _flip_back(cells.tails, cells.heads, cells.opens,
-                         np.ones(len(cells.tails), dtype=np.int64))
-    return (_forest_rows(*kernels[:3], fm.n) + kernels[3:] + (cells.owner,),
-            (A, cls, vals), list(classes))
+    n, d = fm.n, cells.tails.shape[1]
+    # column v of a cell's rows is column u of its class frame, where
+    # order[owner, u] = v
+    inv = np.argsort(cells.order, axis=1)[cells.owner]
+    rows = cells.frames[cells.cell[:, None, None], np.arange(n)[:, None],
+                        inv[:, None, :]]
+    return (_flipped_rows(rows[:, :d], rows[:, d + 1:],
+                          cells.heads > cells.tails, cells.opens,
+                          np.ones(len(cells.owner), dtype=np.int64))
+            + (cells.owner,), (A, cls, vals), list(classes))
 
 
 def _whole_support(fm, mode):

@@ -9,7 +9,8 @@ Accepted documents (UTF-8 JSON):
     {"type": "flag", "constituents": [<matroid>, ...]}
 
 Elements are 1-indexed; matrix entries are rationals written as integers or
-"p/q" strings.
+"p/q" strings.  Ranks, sizes, elements and vertex labels must be integers:
+a boolean or a fractional number is refused, not truncated.
 """
 
 import json
@@ -34,6 +35,13 @@ def _entry(value):
                      % (value,))
 
 
+def _integer(value):
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ParseError("expected an integer, got %s" % json.dumps(value))
+    return int(value)
+
+
 def matroid_from_dict(doc):
     """Build a Matroid from one parsed JSON document."""
     if not isinstance(doc, dict):
@@ -41,16 +49,18 @@ def matroid_from_dict(doc):
     kind = doc.get("type")
     try:
         if kind == "uniform":
-            return Matroid.uniform(int(doc["r"]), int(doc["n"]))
+            return Matroid.uniform(_integer(doc["r"]), _integer(doc["n"]))
         if kind == "bases":
-            bases = [tuple(int(e) for e in b) for b in doc["bases"]]
-            return Matroid.from_bases(int(doc["n"]), bases)
+            bases = [tuple(map(_integer, b)) for b in doc["bases"]]
+            return Matroid.from_bases(_integer(doc["n"]), bases)
         if kind == "matrix":
             rows = [[_entry(x) for x in row] for row in doc["rows"]]
             return Matroid.from_matrix(rows)
         if kind == "graphic":
-            edges = [(int(u), int(v)) for u, v in doc["edges"]]
-            return Matroid.graphic(edges, n_vertices=doc.get("vertices"))
+            edges = [(_integer(u), _integer(v)) for u, v in doc["edges"]]
+            vertices = doc.get("vertices")
+            return Matroid.graphic(edges, n_vertices=None if vertices is None
+                                   else _integer(vertices))
     except KeyError as exc:
         raise ParseError("matroid document of type %r is missing field %s"
                          % (kind, exc)) from None

@@ -9,12 +9,15 @@ size of a union-find spanning forest, an edge set is independent exactly
 when it closes no (undirected) cycle, and the coordinates of a vector
 against a forest are its tree flow, i.e. signed subtree sums
 (`difference_vector_graph`, `forest_rank`, `forest_flow`,
-`flow_coordinates`).  The directed questions, pointedness and redundant
-rays, are not asked here: `cones` answers them for a whole exchange digraph
-by one reachability closure.  General rays (public-API cones, matrix
-matroids) go through exact `Fraction` Gaussian elimination (`matrix_rank`),
-one integer column reduction per cone (`_lattice_frame`: the unimodularity
-check and the integer membership rows at once) and a phase-1 simplex.
+`flow_coordinates`).  The tree flow is the placing loop's solver, and the
+flow of each final cell of a class is also that cell's lattice frame, as
+integer rows (`cones._triangulate_cells`).  The directed questions,
+pointedness and redundant rays, are not asked here: `cones` answers them
+for a whole exchange digraph by one reachability closure.  General rays
+(public-API cones, matrix matroids) go through exact `Fraction` Gaussian
+elimination (`matrix_rank`), one integer column reduction per cone
+(`_lattice_frame`: the unimodularity check and the integer membership rows
+at once) and a phase-1 simplex.
 Sizes are tiny (dimensions up to the ground-set size, so <= 64 and in the
 invariant pipeline <= 8), so cubic algorithms are fine.
 """

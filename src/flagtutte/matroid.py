@@ -33,13 +33,16 @@ RANK_TABLE_MAX = 24
 
 
 def _mask_of(subset, n):
-    """Accept an int mask or an iterable of 1-based elements."""
+    """Accept an int mask or an iterable of 1-based elements; an element
+    that is no integer, such as 1.9, is refused rather than truncated."""
     if isinstance(subset, int):
         if subset < 0 or subset >> n:
             raise GroundSetMismatch("mask %d outside ground set [%d]" % (subset, n))
         return subset
     m = 0
     for e in subset:
+        if int(e) != e and not isinstance(e, str):
+            raise GroundSetMismatch("element %r is not an integer" % (e,))
         e = int(e)
         if not 1 <= e <= n:
             raise GroundSetMismatch("element %d outside ground set [%d]" % (e, n))
@@ -158,6 +161,9 @@ class Matroid:
         edges = [(int(u), int(v)) for u, v in edges]
         if not edges:
             raise EmptyBases("graphic matroid needs at least one edge")
+        low = min(map(min, edges))
+        if low < 0:
+            raise InputError("vertex label %d is negative" % low)
         if len(edges) > MAX_GROUND:
             raise GroundSetTooLarge("more than %d edges" % MAX_GROUND)
         nv = max(max(u, v) for u, v in edges)

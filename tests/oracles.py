@@ -3,14 +3,16 @@
 Each computes by the slow, direct route what the library computes by its
 fast one: Fraction elimination for ray coordinates, the Smith form for the
 lattice index, and a per-point crawl of coefficient_at for the support of
-a GenFun.
+a GenFun; and per forest cell the lattice frame of its tree flow.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from flagtutte import EquivariantPolynomial, coefficient_at, default_direction
 from flagtutte.cones import _box_points
-from flagtutte.linalg import _echelon
+from flagtutte.linalg import _echelon, forest_flow
 
 
 def solve_exact(cols, target):
@@ -131,3 +133,17 @@ def support_pure(g, direction=None):
         if poly:
             out[w] = poly
     return EquivariantPolynomial(g.n, out)
+
+
+def forest_frames(tails, heads, n):
+    """Per cell of rays e_heads[c, k] - e_tails[c, k], its lattice frame as
+    cones._triangulate_cells keeps it, one linalg.forest_flow per cell: n
+    int8 rows, the signed subtree indicators in slot order, then the
+    component indicators."""
+    frames = np.zeros((len(tails), n, n), dtype=np.int8)
+    for c, edges in enumerate(zip(tails.tolist(), heads.tolist())):
+        components, subtrees = forest_flow(list(zip(*edges)), n)
+        for r, (sign, verts) in enumerate(
+                subtrees + [(1, comp) for comp in components]):
+            frames[c, r, list(verts)] = sign
+    return frames

@@ -13,6 +13,7 @@ loop, half-open flags, relabelling and the map-back) while the numerators
 and both cores stay; kt and kt_equivariant must not change.
 """
 
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -20,6 +21,15 @@ import numpy as np
 from flagtutte import clear_caches, flag_corpus, invariants, kt, kt_equivariant
 from flagtutte.invariants import _FlagCells
 from flagtutte.matroid import rank_table
+from oracles import forest_frames
+
+
+@cache
+def _path_frames(n):
+    """The tree-flow frames of the chamber cells of every permutation of
+    range(n), in the order of itertools.permutations."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    return forest_frames(perms[:, :-1], perms[:, 1:], n)
 
 
 def _chamber_cells(fm, flag_cells):
@@ -27,8 +37,9 @@ def _chamber_cells(fm, flag_cells):
 
     Cell pi has the rays e_pi(i+1) - e_pi(i) and is owned by the greedy flag
     basis along pi: per constituent, pi's element at step i joins the basis
-    when the rank of pi's first i + 1 elements grows.  slots and levels are
-    those of flag_cells(fm).
+    when the rank of pi's first i + 1 elements grows.  Each chamber is its
+    own class cell, with its tree-flow frame (_path_frames) and no
+    relabelling; slots and levels are those of flag_cells(fm).
     """
     n = fm.n
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
@@ -51,6 +62,8 @@ def _chamber_cells(fm, flag_cells):
     return _FlagCells(perms[:, :-1].astype(np.int8),
                       perms[:, 1:].astype(np.int8),
                       np.zeros((len(perms), n - 1), dtype=bool), owner,
+                      _path_frames(n), order,
+                      np.broadcast_to(np.arange(n), real.slots.shape),
                       real.slots, real.levels)
 
 

@@ -283,6 +283,21 @@ def test_exit_2_non_quotient_flag(capsys):
     assert code == 2
 
 
+def test_exit_2_integer_fields_that_are_no_integers(capsys):
+    # fractional elements and ranks, and negative vertex labels, exit 2
+    # instead of computing on a truncated or aliased matroid
+    for doc, message in [
+            ('{"type":"bases","n":3,"bases":[[1.9,2]]}', "got 1.9"),
+            ('{"type":"uniform","r":true,"n":3}', "got true"),
+            ('{"type":"graphic","edges":[[-1,2],[2,3],[3,-1]]}',
+             "vertex label -1 is negative")]:
+        code, out = run_main("compute", "--invariant", "tutte", "--input",
+                             doc, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert run_main.err.startswith("input error: ") and message in \
+            run_main.err
+
+
 def test_exit_2_kchi_conjecture_on_the_empty_ground_set(capsys):
     code, out = run_main("verify", "--identity", "kchi-conjecture",
                          "--input", '{"type":"uniform","r":0,"n":0}',

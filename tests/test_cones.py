@@ -22,8 +22,10 @@ from flagtutte import (Direction, HalfOpenSimplicialCone, Matroid,
                        triangulate_half_open)
 from flagtutte.errors import (InternalAssertion, NotABasis, NotPointed,
                               NotUnimodular, ZeroPairing)
+from flagtutte.genfun import _flipped_rows
 from flagtutte.invariants import _flag_kernels
 from flagtutte.linalg import forest_flow, nonneg_combination_exists
+from oracles import forest_frames
 
 U = Matroid.uniform
 
@@ -263,8 +265,8 @@ def test_closure_keeps_the_rays_of_the_simplex_reduction():
         for trial in range(6):
             gens = _random_dag(rng, n, path=trial % 2 == 0)
             edges = {(v.index(-1), v.index(1)) for v in gens}
-            tails, heads, _ = cones._triangulate_cells(
-                n, tuple(sorted(i * n + j for i, j in edges)))
+            tails, heads = cones._triangulate_cells(
+                n, tuple(sorted(i * n + j for i, j in edges)))[:2]
             kept = set(zip(tails.ravel().tolist(), heads.ravel().tolist()))
             assert kept == {(v.index(-1), v.index(1))
                             for v in _extreme_by_simplex(gens)}, (n, edges)
@@ -756,18 +758,27 @@ def _sum_zero_box(n, reach):
     return cones._box_points([-reach] * n, [reach] * n, 0)
 
 
+def _flipped(tails, heads, opens):
+    """Cells of difference-vector rays flipped along default_direction: a
+    ray e_j - e_i pairs with it to i - j, so the rays with j > i reverse
+    and toggle their open flags, and each reversal flips the cell's sign.
+    A padding slot (tail == head) stays as it is."""
+    back = heads > tails
+    return (np.where(back, heads, tails), np.where(back, tails, heads),
+            opens ^ back, np.where(back.sum(axis=1) & 1, -1, 1))
+
+
 def _flipped_flag_cells(fm):
     """The tails, heads, open flags and signs of a flag's cells, flipped
     along the default direction as _flag_kernels flips them."""
     cells = invariants._flag_cells(fm)
-    return cones._flip_back(cells.tails, cells.heads, cells.opens,
-                            np.ones(len(cells.tails), dtype=np.int64))
+    return _flipped(cells.tails, cells.heads, cells.opens)
 
 
 def test_forest_rows_match_forest_flow_on_corpus_cells():
     # every flipped cell of the rank >= 1 corpus flags, one call per flag:
-    # the batched rows, which _flag_kernels passes on, and forest_flow
-    # agree on the sum-zero box
+    # the rows _flag_kernels builds from the class frames the
+    # triangulation carries, and forest_flow, agree on the sum-zero box
     boxes, oracle = {}, {}
     for fm in flag_corpus():
         if fm.ranks[0] < 1:
@@ -777,8 +788,6 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
         M, thr = _flag_kernels(fm, "kt")[0][:2]
         X = boxes.setdefault(n, _sum_zero_box(n, 2 if n <= 5 else 1))
         got = _row_members(M, thr, X)
-        assert all(map(np.array_equal, (M, thr), cones._forest_rows(
-            tails, heads, opens, n)))
         for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
                                       opens.tolist())):
             key = (n,) + tuple(map(tuple, cell))
@@ -792,43 +801,87 @@ def test_forest_rows_match_forest_flow_on_corpus_cells():
 
 def test_flag_kernels_flip_as_flip_cone_along_the_default_direction():
     # the kernels reverse the rays e_j - e_i with j > i of the flag's
-    # cells, cell by cell what flip_cone does along default_direction(n)
+    # cells, cell by cell what flip_cone does along default_direction(n):
+    # the same signs and open flags, coordinate rows dual to the flipped
+    # rays and span rows vanishing on them
     for fm in flag_corpus()[::40]:
         n = fm.n
         tails, heads, opens = invariants._flag_cells(fm)[:3]
-        flipped = _flipped_flag_cells(fm)
-        assert np.array_equal(_flag_kernels(fm, "kt")[0][2], flipped[3])
-        flipped = zip(*flipped)
-        for cell, got in zip(zip(tails.tolist(), heads.tolist(),
-                                 opens.tolist()), flipped):
+        M, thr, signs = _flag_kernels(fm, "kt")[0][:3]
+        d = tails.shape[1]
+        flipped = zip(*_flipped_flag_cells(fm))
+        for c, (cell, got) in enumerate(zip(zip(
+                tails.tolist(), heads.tolist(), opens.tolist()), flipped)):
             rays = [tuple((v == j) - (v == i) for v in range(n))
                     for i, j in zip(*cell[:2])]
             want = flip_cone(HalfOpenSimplicialCone((0,) * n, rays, cell[2]),
                              default_direction(n))
-            t, h, o, sign = (a.tolist() for a in got)
+            t, h, o, sign = (np.asarray(a).tolist() for a in got)
             assert [tuple((v == j) - (v == i) for v in range(n))
                     for i, j in zip(t, h)] == list(want.rays), fm
             assert (o, sign) == (list(want.open_flags), want.sign), fm
+            R = np.array(want.rays, dtype=np.int64).reshape(d, n)
+            assert np.array_equal(M[c].astype(np.int64) @ R.T,
+                                  np.eye(len(M[c]), d)), fm
+            assert thr[c].tolist() == list(want.open_flags) + [0] * (
+                len(M[c]) - d), fm
+            assert signs[c] == want.sign, fm
 
 
 def test_forest_rows_pad_cells_of_fewer_rays():
-    # cells of 3, 2, 1 and no rays on n = 4 in one call, padded by slots
-    # with tail == head, at the least vertex of a component or not (3 in
-    # the third cell); then cells on n = 0
+    # cells of 3, 2, 1 and no rays on n = 4 through the flip rule, their
+    # padding slots (tail == head, closed) zero coordinate rows and their
+    # frames' span rows padded by zero rows; then cells on n = 0
     tails = np.array([[0, 1, 3], [2, 2, 0], [1, 3, 1], [0, 2, 2]])
     heads = np.array([[1, 2, 2], [0, 3, 0], [3, 3, 1], [0, 2, 2]])
-    opens = np.array([[True, False, True], [False, True, True],
-                      [True, True, False], [True, True, True]])
-    M, thr = cones._forest_rows(tails, heads, opens, 4)
-    assert M.shape == (4, 2 * 3 + 3, 4) and M.dtype == np.int8
+    opens = np.array([[True, False, True], [False, True, False],
+                      [True, False, False], [False, False, False]])
+    coords = np.zeros((4, 3, 4), dtype=np.int8)
+    span = np.zeros((4, 4, 4), dtype=np.int8)
+    for c in range(4):
+        real = np.flatnonzero(tails[c] != heads[c])
+        frame = forest_frames(tails[c:c + 1, real], heads[c:c + 1, real],
+                              4)[0]
+        coords[c, real] = frame[:len(real)]
+        span[c, :4 - len(real)] = frame[len(real):]
+    M, thr, signs = _flipped_rows(coords, span, heads > tails, opens,
+                                  np.ones(4, dtype=np.int64))
+    assert M.shape == (4, 3 + 2 * 4, 4) and M.dtype == np.int8
     X = _sum_zero_box(4, 2)
     got = _row_members(M, thr, X)
-    for row, cell in zip(got, zip(tails.tolist(), heads.tolist(),
-                                  opens.tolist())):
+    flipped = _flipped(tails, heads, opens)
+    assert signs.tolist() == flipped[3].tolist()
+    for row, cell in zip(got, zip(*(a.tolist() for a in flipped[:3]))):
         assert np.array_equal(row, _flow_members(*cell, X))
     assert got.sum(axis=1).tolist()[-1] == 1
-    M, thr = cones._forest_rows(np.zeros((2, 0), dtype=np.int8),
-                                np.zeros((2, 0), dtype=np.int8),
-                                np.zeros((2, 0), dtype=bool), 0)
+    none = np.zeros((2, 0), dtype=bool)
+    M, thr, signs = _flipped_rows(np.zeros((2, 0, 0), dtype=np.int8),
+                                  np.zeros((2, 0, 0), dtype=np.int8), none,
+                                  none, np.ones(2, dtype=np.int64))
     assert M.shape == (2, 0, 0) and thr.shape == (2, 0)
     assert _row_members(M, thr, np.zeros((1, 0), dtype=np.int64)).all()
+
+
+def test_class_frames_are_checked_once_per_class(monkeypatch):
+    # the tree flow the placing loop solves a class cell with is its frame:
+    # the subtree below each ray in slot order, then the components.  A
+    # negated coordinate row, or a component row that misses its vertex,
+    # raises
+    tails, heads, _, frames = cones._triangulate_cells.__wrapped__(4, (1, 6))
+    assert (tails.tolist(), heads.tolist()) == ([[0, 1]], [[1, 2]])
+    assert frames.tolist() == [[[0, 1, 1, 0], [0, 0, 1, 0], [1, 1, 1, 0],
+                                [0, 0, 0, 1]]]
+    flow = cones.forest_flow
+
+    def negated(edges, n):
+        components, subtrees = flow(edges, n)
+        return components, [(-subtrees[0][0], subtrees[0][1])] + subtrees[1:]
+
+    def missing(edges, n):
+        components, subtrees = flow(edges, n)
+        return components[:-1] + [()], subtrees
+
+    for corrupt in (negated, missing):
+        monkeypatch.setattr(cones, "forest_flow", corrupt)
+        with pytest.raises(InternalAssertion, match="lattice frames"):
+            cones._triangulate_cells.__wrapped__(4, (1, 6))

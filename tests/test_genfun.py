@@ -26,8 +26,9 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
 from flagtutte import genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
-from flagtutte.cones import _box_points, _flip_back, _forest_rows
-from flagtutte.genfun import _decode_support, _specialize_t1, _support_core
+from flagtutte.cones import _box_points
+from flagtutte.genfun import (_decode_support, _flipped_rows, _specialize_t1,
+                              _support_core)
 from flagtutte.invariants import _flag_cells, _flag_kernels
 from flagtutte.linalg import difference_vector_graph
 from oracles import support_pure
@@ -344,7 +345,8 @@ def test_support_with_aux_coefficients():
 def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
     # rays that sum to zero but are not difference vectors: u times the
     # ray-wise differences of one closed cone leave the 3 x 2 parallelogram
-    # {i r1 + j r2}, extracted by one pass of the core over the whole box
+    # {i r1 + j r2}, extracted by one pass of the core over the sum-zero
+    # box, as every cone lies in the sum-zero hyperplane
     calls = []
     core = genfun._support_core
 
@@ -363,7 +365,7 @@ def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
         terms.append(GenFunTerm(u * sign, cone.translate(apex)))
     g = GenFun(3, terms)
     phi = support(g)
-    assert calls == [None]
+    assert calls == [0]
     assert phi == EquivariantPolynomial(3, {
         (i, i + j, -2 * i - j): u for i in range(3) for j in range(2)})
     sympy_support_check(g, phi, (1, 16, 256), aux_syms=("u",))
@@ -504,11 +506,10 @@ def test_support_core_merges_cells_sharing_a_kernel():
     aux = ("u", "v")
     got = _decode_support(
         _support_core(4, los, his, both, numerators, classes, aux, 1))
-    tails, heads, opens, signs = _flip_back(
-        *_flag_cells(fm)[:3], np.ones(len(cells[3]), dtype=np.int64))
+    # the unflipped cells stand for the same rational function
     assert got == support_pure(_kernel_genfun(
-        4, (tails, heads, opens, signs, cells[3]), numerators, classes, aux,
-        1))
+        4, (*_flag_cells(fm)[:3], np.ones(len(cells[3]), dtype=np.int64),
+            cells[3]), numerators, classes, aux, 1))
     assert got == kt_equivariant(fm)
     A, cls, vals = numerators
     empty = _decode_support(_support_core(4, los, his, pair,
@@ -572,8 +573,7 @@ def test_support_empty_genfun():
 
 def _random_forest_cell(rng, n, seen):
     """A random half-open cone at the origin on a forest of difference
-    vectors (possibly no edge, isolated vertices, several components),
-    flipped along the default direction."""
+    vectors (possibly no edge, isolated vertices, several components)."""
     comp = list(range(n))
     rays = []
     for _ in range(rng.randint(0, n - 1)):
@@ -588,16 +588,17 @@ def _random_forest_cell(rng, n, seen):
     seen["open"] += any(flags)
     seen["isolated"] += bool(rays) and len(touched) < n
     seen["components"] += len(touched) > len(rays) + 1
-    cone = HalfOpenSimplicialCone((0,) * n, tuple(rays), flags,
+    return HalfOpenSimplicialCone((0,) * n, tuple(rays), flags,
                                   rng.choice((1, -1)))
-    return flip_cone(cone, default_direction(n))
 
 
 @pytest.mark.parametrize("cap", [None, 1, 300])
 def test_membership_passes_match_cone_membership(monkeypatch, cap):
     # per kernel and box point, the batched multiplicity is the signed sum
-    # of cone_membership over the kernel's cells, for every chunking; cells
-    # of fewer than n - 1 rays take padding slots
+    # of cone_membership over the kernel's cells flipped along the default
+    # direction, for every chunking; each cell's rows are its lattice frame
+    # through the flip rule, and cells of fewer than n - 1 rays take
+    # padding rows
     if cap is not None:
         monkeypatch.setattr(genfun, "_PASS_ENTRIES", cap)
     rng = random.Random(20261018)
@@ -612,27 +613,33 @@ def test_membership_passes_match_cone_membership(monkeypatch, cap):
         rng.shuffle(kernels)
         kernels.sort(key=lambda k: k[0])
         owner = np.array([b for b, _ in kernels], dtype=np.intp)
-        tails = np.zeros((len(kernels), n - 1), dtype=np.int8)
-        heads = np.zeros_like(tails)
-        opens = np.zeros(tails.shape, dtype=bool)
+        coords = np.zeros((len(kernels), n - 1, n), dtype=np.int64)
+        span = np.zeros((len(kernels), n, n), dtype=np.int64)
+        back = np.zeros(coords.shape[:2], dtype=bool)
+        opens = np.zeros_like(back)
+        direction = default_direction(n)
         for c, (_, cell) in enumerate(kernels):
+            L, S = cell._lattice()
+            coords[c, :len(L)] = np.reshape(L, (len(L), n))
+            span[c, :len(S)] = S
             for k, (ray, flag_) in enumerate(zip(cell.rays, cell.open_flags)):
-                tails[c, k], heads[c, k] = ray.index(-1), ray.index(1)
-                opens[c, k] = flag_
+                back[c, k], opens[c, k] = direction.sign(ray) < 0, flag_
         signs = np.array([cell.sign for _, cell in kernels], dtype=np.int64)
         want = np.zeros((4, len(X)), dtype=np.int64)
         for b, cell in kernels:
-            cone = HalfOpenSimplicialCone((0,) * n, cell.rays,
-                                          cell.open_flags)
-            want[b] += [cell.sign * cone_membership(cone, x)
+            flipped = flip_cone(cell, direction)
+            cone = HalfOpenSimplicialCone((0,) * n, flipped.rays,
+                                          flipped.open_flags)
+            want[b] += [flipped.sign * cone_membership(cone, x)
                         for x in X.tolist()]
         got = np.zeros_like(want)
         for b0, p0, mult in genfun._membership_passes(
-                *_forest_rows(tails, heads, opens, n), signs, owner,
+                *_flipped_rows(coords, span, back, opens, signs), owner,
                 X.T.astype(np.float32)):
             got[b0:b0 + len(mult), p0:p0 + mult.shape[1]] = mult
         assert np.array_equal(got, want)
         seen["members"] += int(np.abs(want).sum())
+        seen["reversed"] += int(back.sum())
     assert min(seen.values()) >= 10, seen
 
 

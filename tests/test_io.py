@@ -93,6 +93,28 @@ def test_load_input_errors(tmp_path):
         load_input(str(bad))
 
 
+def test_integer_fields_are_not_truncated():
+    # a fractional number or a boolean where an integer belongs is refused;
+    # int() would read [1.9, 2] as {1, 2} and r = true as 1
+    for doc in ({"type": "bases", "n": 3, "bases": [[1.9, 2]]},
+                {"type": "uniform", "r": 1.5, "n": 3},
+                {"type": "uniform", "r": True, "n": 3},
+                {"type": "uniform", "r": 1, "n": 3.5},
+                {"type": "bases", "n": 3.5, "bases": [[1, 2]]},
+                {"type": "graphic", "edges": [[1, 2.7], [2, 3]]},
+                {"type": "graphic", "vertices": 4.5, "edges": [[1, 2]]}):
+        with pytest.raises(ParseError, match="expected an integer"):
+            matroid_from_dict(doc)
+    # integral values load as before, floats with no fraction included
+    assert matroid_from_dict({"type": "uniform", "r": 2.0, "n": 4}) == U(2, 4)
+    assert matroid_from_dict(
+        {"type": "bases", "n": 3.0, "bases": [[1.0, 2], [1, 3]]}
+    ) == Matroid.from_bases(3, [{1, 2}, {1, 3}])
+    assert matroid_from_dict(
+        {"type": "graphic", "vertices": 3.0, "edges": [[1, 2], [2, 3.0]]}
+    ) == Matroid.graphic([(1, 2), (2, 3)], n_vertices=3)
+
+
 def test_object_to_dict_roundtrip():
     for obj in [U(2, 4), Matroid.from_bases(3, [{1, 2}, {1, 3}]),
                 FlagMatroid((U(1, 3), U(2, 3)))]:

@@ -22,8 +22,7 @@ from flagtutte import (AuxPolynomial, EquivariantPolynomial, GenFun,
                        support, tangent_cone_generators,
                        triangulate_half_open)
 from flagtutte import cones
-from flagtutte.cones import _forest_rows
-from flagtutte.errors import InternalAssertion, NotUnimodular
+from flagtutte.errors import NotUnimodular
 from flagtutte.linalg import (_lattice_frame, difference_vector_graph,
                               flow_coordinates, forest_flow, forest_rank,
                               matrix_rank)
@@ -60,13 +59,6 @@ def _random_system(rng):
     return n, edges, cols, targets
 
 
-def _edge_arrays(edges):
-    """One cell's (1 x d) tails and heads, closed, for _forest_rows."""
-    return (np.array([[i for i, _ in edges]], dtype=np.int8).reshape(1, -1),
-            np.array([[j for _, j in edges]], dtype=np.int8).reshape(1, -1),
-            np.zeros((1, len(edges)), dtype=bool))
-
-
 def _frame_coordinates(frame, x):
     """Coordinates of x from a lattice frame, or None off its span."""
     coords, span = frame
@@ -75,15 +67,24 @@ def _frame_coordinates(frame, x):
     return tuple(sum(a * b for a, b in zip(row, x)) for row in coords)
 
 
-def _row_coordinates(M, d, x):
-    """Coordinates of x from the rows _forest_rows gives a cell of d rays,
-    or None off the span.  The first component's row is implied by
-    sum(x) = 0."""
-    count = (len(M) - d) // 2
-    y = M.astype(np.int64) @ np.array(x, dtype=np.int64)
-    if sum(x) or y[:count].any():
+def _class_frame(edges, n):
+    """The one cell of an independent nonempty edge set as the class cache
+    keeps it, its tree flow as frame rows: (tails, heads, frame)."""
+    tails, heads, _, frames = cones._triangulate_cells.__wrapped__(
+        n, tuple(sorted(i * n + j for i, j in edges)))
+    assert len(frames) == 1
+    return tails[0].tolist(), heads[0].tolist(), frames[0]
+
+
+def _row_coordinates(cell, edges, x):
+    """Coordinates of x, in edge order, from the class cell (_class_frame)
+    of an independent edge set, or None off the span."""
+    tails, heads, frame = cell
+    y = (frame.astype(np.int64) @ np.array(x, dtype=np.int64)).tolist()
+    if any(y[len(edges):]):
         return None
-    return tuple(y[2 * count:].tolist())
+    slots = list(zip(tails, heads))
+    return tuple(y[slots.index(e)] for e in edges)
 
 
 def test_forest_helpers_match_fraction_elimination():
@@ -102,11 +103,8 @@ def test_forest_helpers_match_fraction_elimination():
         seen["isolated"] += len(touched) < n
         if independent:
             frame = _lattice_frame(cols, n)
-            M = _forest_rows(*_edge_arrays(edges), n)[0][0]
-            assert len(M) == 2 * (n - len(cols) - 1) + len(cols)
+            cell = _class_frame(edges, n) if edges else None
         else:
-            with pytest.raises(InternalAssertion):
-                _forest_rows(*_edge_arrays(edges), n)
             with pytest.raises(NotUnimodular, match="dependent"):
                 _lattice_frame(cols, n)
         for t in targets:
@@ -116,7 +114,8 @@ def test_forest_helpers_match_fraction_elimination():
             assert got == want
             if independent:
                 assert _frame_coordinates(frame, t) == want
-                assert _row_coordinates(M, len(cols), t) == want
+                if edges:
+                    assert _row_coordinates(cell, edges, t) == want
     assert min(seen.values()) > 500
 
 
@@ -149,13 +148,18 @@ def test_mixed_rays_take_the_fraction_fallback(monkeypatch):
     assert support(g) == EquivariantPolynomial(3, {(0, 0, 0): 1,
                                                    (0, 1, -1): 1})
     assert calls == []
-    # forest rows take tails and heads, so no ray off the graph reaches
-    # them; dependent difference rays (a cycle, a repeated ray) are
-    # rejected there
-    for tails, heads in [([2, 2, 0], [1, 0, 1]), ([0, 0], [1, 1])]:
-        with pytest.raises(InternalAssertion):
-            _forest_rows(np.array([tails]), np.array([heads]),
-                         np.zeros((1, len(tails)), dtype=bool), 3)
+    # tree-flow frames come from edge codes, so no ray off the graph
+    # reaches them; of dependent difference rays (a triangle whose edge
+    # 2 -> 1 has the detour through 0, a repeated ray) a class cell keeps
+    # independent ones, its frame dual to them
+    for edges, kept in [([(2, 1), (2, 0), (0, 1)], [(2, 0), (0, 1)]),
+                        ([(0, 1), (0, 1)], [(0, 1)])]:
+        cell = _class_frame(edges, 3)
+        assert sorted(zip(*cell[:2])) == sorted(kept)
+        for k, (i, j) in enumerate(kept):
+            ray = tuple((v == j) - (v == i) for v in range(3))
+            assert _row_coordinates(cell, kept, ray) == tuple(
+                int(m == k) for m in range(len(kept)))
     cells = triangulate_half_open((0, 0, 0), [(0, 1, -1), (1, 1, -2),
                                               (1, 0, -1)])
     assert len(cells) == 1 and calls
@@ -260,11 +264,13 @@ def test_forest_flow_isolated_vertices_and_empty_edge_set():
     assert flow_coordinates(flow, (-2, 0, 2, 1)) is None
     assert flow_coordinates(flow, (-2, 1, 1, 0)) is None
     assert forest_flow([(0, 1), (1, 0)], 2) is None
-    # rows without the first component {0, 2}: +-[1], +-[3], then the
-    # head side of the ray e_2 - e_0
-    M, thr = _forest_rows(*_edge_arrays([(0, 2)]), 4)
-    assert M[0, 4:].tolist() == [[0, 0, 1, 0]]
-    assert M[0, :2].sum(axis=0).tolist() == [0, 1, 0, 1]
-    assert np.array_equal(M[0, 2:4], -M[0, :2]) and not thr.any()
-    M, thr = _forest_rows(*_edge_arrays([]), 3)
-    assert M[0].tolist() == [[0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]]
+    # the class frame of the ray e_2 - e_0: the subtree {2} below it, then
+    # the components {0, 2}, {1} and {3}
+    assert _class_frame([(0, 2)], 4)[2].tolist() == [
+        [0, 0, 1, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    # digraphs without edges: one class cell, whose frame is the three
+    # isolated vertices
+    frames, cell, order = cones._triangulate(np.zeros((2, 3, 3),
+                                                      dtype=bool))[4:]
+    assert frames.tolist() == [np.eye(3, dtype=int).tolist()]
+    assert cell.tolist() == [0, 0] and order.tolist() == [[0, 1, 2]] * 2

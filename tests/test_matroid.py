@@ -17,7 +17,7 @@ from flagtutte import (FlagMatroid, GroundSetTooLarge, InvalidRank, Matroid,
                        flag_direct_sum, flag_dual, higgs_factorization,
                        is_quotient, pseudo_basis_masks, pseudo_bases)
 from flagtutte.errors import (EmptyBases, EmptyMatrix, GroundSetExhausted,
-                              GroundSetMismatch)
+                              GroundSetMismatch, InputError)
 from flagtutte.corpus import _K4_EDGES, _cycle_edges, matroid_corpus
 from flagtutte.matroid import RANK_TABLE_MAX, _mask_of, _set_of, rank_table
 
@@ -145,6 +145,20 @@ def test_graphic_examples():
     assert len(k4.bases_masks) == 16  # spanning trees of K4
     path = Matroid.graphic([(1, 2), (1, 3)])
     assert path == U(2, 2)
+
+
+def test_graphic_refuses_negative_vertex_labels():
+    # parent[-1] in the union-find would alias the highest vertex: the
+    # triangle on -1, 2, 3 read as a multigraph with a loop
+    with pytest.raises(InputError, match="vertex label -1 is negative"):
+        Matroid.graphic([(-1, 2), (2, 3), (3, -1)])
+    assert Matroid.graphic([(0, 2), (2, 3), (3, 0)]) == U(2, 3)
+
+
+def test_elements_that_are_no_integers_are_refused():
+    with pytest.raises(GroundSetMismatch, match="element 1.9 is not an"):
+        Matroid.from_bases(3, [[1.9, 2]])
+    assert Matroid.from_bases(3, [[1.0, 2]]) == Matroid.from_bases(3, [[1, 2]])
 
 
 def test_graphic_keys_of_the_corpus_graphs():
