@@ -32,7 +32,7 @@ class's cells back to every cone of the class by one index gather, as
 arrays of ray tails, ray heads, open flags and owning cone, and hands on
 the class frames with that gather and the relabelling; no cone object is
 built on that route.  triangulate_half_open builds trusted cone objects
-from the same arrays for the public API.
+from the same arrays and class frames for the public API.
 """
 
 from __future__ import annotations
@@ -584,7 +584,9 @@ def _origin_cells(generators):
     The generators are made primitive and deduplicated, then triangulated
     as one digraph by _triangulate when all are difference vectors, else by
     _general_cells.  Rays within a cell and the cells themselves come out
-    sorted.
+    sorted.  A difference-vector cell holds its class cell's frame, columns
+    relabelled and coordinate rows in its ray order, so neither it nor a
+    translate of it computes a Hermite normal form.
     """
     n = len(generators[0])
     gens = sorted({primitive(v) for v in generators})
@@ -593,15 +595,20 @@ def _origin_cells(generators):
         return _general_cells(gens)
     adj = np.zeros((1, n, n), dtype=bool)
     adj[0, [i for i, _ in edges], [j for _, j in edges]] = True
-    tails, heads, opens = _triangulate(adj)[:3]
+    tails, heads, opens, _, frames, cell, order = _triangulate(adj)
+    # column u of a class frame is coordinate order[0, u]
+    rows = frames[cell][:, :, np.argsort(order[0])].tolist()
     origin = (0,) * n
     vectors = _edge_vectors(n)
     codes = tails.astype(np.intp) * n + heads
     out = []
-    for c, flags in zip(codes.tolist(), opens.tolist()):
-        rays, flags = zip(*sorted(zip(map(vectors.__getitem__, c), flags)))
-        out.append(HalfOpenSimplicialCone(origin, rays, flags, 1,
-                                          _trusted=True))
+    for c, flags, frame in zip(codes.tolist(), opens.tolist(), rows):
+        d = len(c)
+        rays, flags, coords = zip(*sorted(zip(
+            map(vectors.__getitem__, c), flags, map(tuple, frame[:d]))))
+        cone = HalfOpenSimplicialCone(origin, rays, flags, 1, _trusted=True)
+        cone._frame = coords, tuple(map(tuple, frame[d:]))
+        out.append(cone)
     return tuple(sorted(out, key=HalfOpenSimplicialCone.key))
 
 

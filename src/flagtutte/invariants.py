@@ -21,8 +21,8 @@ order and level counts.  One closed-form numerator serves every flag basis
 depends only on its slot type (inside B_1, inside B_k but not B_1, outside
 B_k).  Both the t = 1 value and the full equivariant sum are
 multiplicative over a direct sum, so both routes split a flag into its
-blocks (_flag_blocks), look each up in the route's cache and compute it on
-a miss (_block_part).  A t = 1 block value is one pass of genfun's
+blocks (_flag_blocks) and look each up in the route's cache by its
+labelled key (_block_part).  A t = 1 block value is one pass of genfun's
 specialization core over the arrays, kept as Python ints in an object
 array indexed [u, v]; the values multiply as arrays (_times, one 1-D
 convolution), and kt, h and k_char read their coefficients off the product
@@ -30,15 +30,21 @@ and build their polynomial once (_poly).  A block support reads each
 cell's rows off its class cell's frame, its columns permuted by its
 basis's relabelling, flips them along the default direction and goes
 through the support core (_flag_kernels).
-Relabelled blocks share that pass: it runs once per canonical block key
-(_canonical, coloured by the colour refinement cones._refine that also
-relabels exchange digraphs), and each labelled block permutes the columns
-of the canonical points.  The supports of a disconnected flag's blocks
-multiply as arrays once per multiset of labelled block keys, and the
-product is kept with its decoded row coefficients: each flag with those
-blocks gathers its columns from it (_gathered_support).  Verifiers compare
-supports undecoded (_flag_support), as tallies of counts per distinct
-(point, class image) row (_tally).
+Relabelling a block leaves its value and permutes its support's columns,
+so a block whose labelled key misses asks one relabelling-class index, kept
+in the same cache (_class_part): per degree profile and mode, the first
+block met.  A block of a known profile that the colour-order map, checked
+exactly, or equal canonical keys (_canonical, coloured by the colour
+refinement cones._refine that also relabels exchange digraphs) carry onto
+that representative takes its value as is and its support with the point
+columns gathered; any other block is computed in its own labelling, and
+a block whose profile is new pays the profile alone.  The supports of a
+disconnected flag's blocks multiply as arrays once per multiset of
+labelled block keys, and the product is kept with its decoded row
+coefficients: each flag with those blocks gathers its columns from it
+(_gathered_support).  Verifiers compare supports undecoded
+(_flag_support), as tallies of counts per distinct (point, class image)
+row (_tally).
 Every `compute` invariant and `verify` identity is one entry of _INVARIANTS
 or _IDENTITIES: its input kind, functions, and for an identity its default.
 """
@@ -65,7 +71,7 @@ from .errors import (
     UnknownIdentity, UnknownInvariant,
 )
 from .genfun import (
-    _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm,
+    _SUPPORT_CELLS, EquivariantPolynomial, GenFun, GenFunTerm, _Support,
     _decode_support, _flipped_rows, _row_coefficients, _specialize_t1,
     _support_core, _support_product,
 )
@@ -368,30 +374,13 @@ def _whole_support(fm, mode):
                          ("u", "v"), 1)
 
 
-def _class_support(block, mode):
-    """The support of a connected block in array form, one support core
-    pass per isomorphism class.
-
-    Relabelling a block permutes the coordinates of its support, so the
-    pass runs (along the class's own default direction; the support does
-    not depend on it) only when the canonical key (_canonical) misses
-    _SUPPORT_CACHE, and the block's support is one gather of the point
-    columns stored under that key.
-    """
-    ckey, sigma = _canonical(block.key())
-    whole = _SUPPORT_CACHE.lookup((ckey, mode))
-    if whole is None:
-        whole = _whole_support(_flag_of_key(ckey), mode)
-        _SUPPORT_CACHE.store((ckey, mode), whole)
-    return whole._replace(points=whole.points[:, sigma])
-
-
 def _gathered_support(fm, mode):
     """A flag's support as a _Support, and one coefficient per table row
     (None for a connected flag, decoded afresh).
 
     A connected flag's support is its block's (_block_part over
-    _SUPPORT_CACHE, _class_support on a miss).  The support of a direct sum
+    _SUPPORT_CACHE: on a miss, a relabelled representative's support with
+    its columns gathered, else _whole_support).  The support of a direct sum
     is the product of its blocks' supports, and where the blocks sit only
     permutes the point columns.  So the product (_support_product) is
     taken once per multiset of labelled block keys (_restrict) and mode, on
@@ -403,7 +392,7 @@ def _gathered_support(fm, mode):
     """
     blocks = _flag_blocks(fm)
     if len(blocks) == 1:
-        return _block_part(fm.key(), mode, _SUPPORT_CACHE, _class_support,
+        return _block_part(fm.key(), mode, _SUPPORT_CACHE, _whole_support,
                            fm), None
     keys = [_restrict(fm, s) for s in blocks]
     order = sorted(range(len(blocks)), key=keys.__getitem__)
@@ -411,7 +400,7 @@ def _gathered_support(fm, mode):
     entry = _SUPPORT_CACHE.lookup(tag)
     if entry is None:
         product = _support_product(fm.n, [
-            _block_part(keys[i], mode, _SUPPORT_CACHE, _class_support)
+            _block_part(keys[i], mode, _SUPPORT_CACHE, _whole_support)
             for i in order])
         entry = (product, _row_coefficients(product))
         _SUPPORT_CACHE.store(tag, entry)
@@ -509,13 +498,108 @@ def _flag_of_key(key):
 
 
 def _block_part(key, mode, cache, compute, fm=None):
-    """The part of one block, looked up in cache under (key, mode), and on a
-    miss computed by compute(block, mode) from the block as a flag (fm, or
-    one built by _flag_of_key from the key) and stored."""
+    """The part of one connected block, looked up in cache under (key,
+    mode), and on a miss taken from the relabelling-class index
+    (_class_part) and stored."""
     part = cache.lookup((key, mode))
     if part is None:
-        part = compute(_flag_of_key(key) if fm is None else fm, mode)
+        part = _class_part(key, mode, cache, compute, fm)
         cache.store((key, mode), part)
+    return part
+
+
+class _Representative(NamedTuple):
+    """The first block met of one degree profile and mode (_class_part):
+    its labelled key, its elements in colour order (by degree tuple, then
+    label), its part, and its _canonical (key, map), None until needed."""
+    key: tuple
+    order: np.ndarray
+    part: object
+    canon: tuple = None
+
+
+def _key_bits(key):
+    """Per constituent of a flag key, its bases as a (B x n) uint64 0/1
+    array: entry (b, i) is bit i of basis b."""
+    shifts = np.arange(key[0][0], dtype=np.uint64)
+    return [(np.array(bases, dtype=np.uint64)[:, None] >> shifts) & 1
+            for _, bases in key]
+
+
+def _profile(key, degrees):
+    """The degree profile of a flag key: n, the basis count of each
+    constituent and the sorted multiset of per-element degree tuples (how
+    many bases of each constituent hold the element).  Relabelling keeps
+    it."""
+    return (key[0][0], tuple(len(bases) for _, bases in key),
+            tuple(sorted(map(tuple, degrees.tolist()))))
+
+
+def _class_part(key, mode, cache, compute, fm):
+    """The part of a connected block whose labelled key missed cache,
+    through the relabelling-class index kept in the same cache.
+
+    Relabelling a block permutes the torus coordinates, so its t -> 1
+    value is unchanged and its support's point columns are permuted.  The
+    index holds, under ("class", degree profile, mode) (_profile), the
+    first block met of that profile (_Representative).  A block of a new
+    profile is computed by compute(block, mode) in its own labelling and
+    becomes the representative.  A block of a known profile that is a
+    relabelling of the representative (_relabelling) takes the
+    representative's part, moved by the map (_moved); any other block is
+    computed in its own labelling and does not enter the index.
+    """
+    bits = _key_bits(key)
+    degrees = np.stack([b.sum(axis=0) for b in bits], axis=1)
+    order = np.lexsort(degrees.T[::-1])
+    tag = ("class", _profile(key, degrees), mode)
+    rep = cache.lookup(tag)
+    if rep is not None:
+        sigma = _relabelling(key, bits, order, rep, cache, tag)
+        if sigma is not None:
+            return _moved(rep.part, sigma)
+    part = compute(_flag_of_key(key) if fm is None else fm, mode)
+    if rep is None:
+        cache.store(tag, _Representative(key, order, part))
+    return part
+
+
+def _relabelling(key, bits, order, rep, cache, tag):
+    """A map sigma carrying the block of key onto the representative rep,
+    element i to element sigma[i], or None when there is none.
+
+    First the colour-order map: the elements of both in colour order,
+    paired by position, checked exactly against every constituent's sorted
+    basis masks.  If that fails, the two _canonical keys are compared, the
+    representative's computed once and kept in its entry; equal keys give
+    the map through the canonical labelling.  Past _canonical's budget a
+    key is its own canonical key, so a block that the colour-order map
+    misses is then computed anew: correct, only not shared.
+    """
+    if len(order) == len(rep.order) and len(bits) == len(rep.key):
+        sigma = np.empty(len(order), dtype=np.intp)
+        sigma[order] = rep.order
+        moved = np.uint64(1) << sigma.astype(np.uint64)
+        if all(np.array_equal(np.sort(b @ moved),
+                              np.array(bases, dtype=np.uint64))
+               for b, (_, bases) in zip(bits, rep.key)):
+            return sigma
+    if rep.canon is None:
+        rep = rep._replace(canon=_canonical(rep.key))
+        cache.store(tag, rep)
+    ckey, at = _canonical(key)
+    if ckey != rep.canon[0]:
+        return None
+    # key under at equals rep.key under rep.canon[1]
+    return np.argsort(rep.canon[1])[at]
+
+
+def _moved(part, sigma):
+    """A representative's part as the part of a block that sigma carries
+    onto it: a t -> 1 value as is, a support with its point columns
+    gathered by sigma."""
+    if isinstance(part, _Support):
+        return part._replace(points=part.points[:, sigma])
     return part
 
 
@@ -524,7 +608,8 @@ def _block_parts(fm, mode, cache, compute):
 
     The block loop of the t -> 1 values: a block is keyed by the flag's
     key() when the flag is connected and by _restrict otherwise, and its
-    part comes from _block_part.
+    part comes from _block_part, which serves a relabelling of a block
+    already computed from the relabelling-class index (_class_part).
     """
     blocks = _flag_blocks(fm)
     if len(blocks) == 1:
@@ -554,9 +639,7 @@ def _canonical(key):
     total = sum(len(bases) for _, bases in key)
     if n < 2 or total > _CANON_ENTRIES:
         return key, np.arange(n)
-    shifts = np.arange(n, dtype=np.uint64)
-    bits = [(np.array(bases, dtype=np.uint64)[:, None] >> shifts) & 1
-            for _, bases in key]
+    bits = _key_bits(key)
     pairs = np.stack([b.T @ b for b in bits], axis=2)
     code = _row_ranks(pairs.reshape(n * n, -1))[0].reshape(n, n)
     colour = _refine(code[None], code.diagonal()[None, :, None])[0]
@@ -603,10 +686,9 @@ def _localization_array(fm, mode):
 
     The sum is multiplicative over a direct sum, so a flag is the product
     (_times) of its blocks' values (_block_parts over _VALUE_CACHE,
-    _connected_value on a miss); the empty product is 1.  Values stay keyed
-    by labelled blocks: a canonical key costs more than most connected
-    blocks do, and those rarely share a class.  The array may be a cached
-    one, read-only.
+    _connected_value on a miss, unless a relabelling of the block was met:
+    _class_part); the empty product is 1.  The array may be a cached one,
+    read-only.
     """
     parts = [part for _, part in _block_parts(fm, mode, _VALUE_CACHE,
                                               _connected_value)]

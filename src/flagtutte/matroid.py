@@ -32,18 +32,30 @@ MAX_GROUND = 64
 RANK_TABLE_MAX = 24
 
 
+def _integer(value, error, what):
+    """value as an int.  A bool, or a number that is no integer such as
+    1.9, is refused by error rather than truncated; an integral float such
+    as 3.0 is read as 3, as io reads it."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if (whole is None or isinstance(value, bool)
+            or (whole != value and not isinstance(value, str))):
+        raise error("%s %r is not an integer" % (what, value))
+    return whole
+
+
 def _mask_of(subset, n):
     """Accept an int mask or an iterable of 1-based elements; an element
-    that is no integer, such as 1.9, is refused rather than truncated."""
+    that is no integer (_integer) is refused rather than truncated."""
     if isinstance(subset, int):
         if subset < 0 or subset >> n:
             raise GroundSetMismatch("mask %d outside ground set [%d]" % (subset, n))
         return subset
     m = 0
     for e in subset:
-        if int(e) != e and not isinstance(e, str):
-            raise GroundSetMismatch("element %r is not an integer" % (e,))
-        e = int(e)
+        e = _integer(e, GroundSetMismatch, "element")
         if not 1 <= e <= n:
             raise GroundSetMismatch("element %d outside ground set [%d]" % (e, n))
         m |= 1 << (e - 1)
@@ -108,7 +120,7 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, n, bases):
-        n = int(n)
+        n = _integer(n, GroundSetMismatch, "ground set size")
         if n < 1:
             raise GroundSetMismatch("ground set must have at least one element")
         if n > MAX_GROUND:
@@ -120,6 +132,8 @@ class Matroid:
 
     @classmethod
     def uniform(cls, r, n):
+        r = _integer(r, InvalidRank, "rank")
+        n = _integer(n, GroundSetMismatch, "ground set size")
         if n < 0 or r < 0 or r > n:
             raise InvalidRank("need 0 <= r <= n, got r=%d n=%d" % (r, n))
         if n > MAX_GROUND:
@@ -158,7 +172,9 @@ class Matroid:
 
     @classmethod
     def graphic(cls, edges, n_vertices=None):
-        edges = [(int(u), int(v)) for u, v in edges]
+        edges = [(_integer(u, GroundSetMismatch, "vertex label"),
+                  _integer(v, GroundSetMismatch, "vertex label"))
+                 for u, v in edges]
         if not edges:
             raise EmptyBases("graphic matroid needs at least one edge")
         low = min(map(min, edges))
@@ -168,7 +184,8 @@ class Matroid:
             raise GroundSetTooLarge("more than %d edges" % MAX_GROUND)
         nv = max(max(u, v) for u, v in edges)
         if n_vertices is not None:
-            nv = max(nv, int(n_vertices))
+            nv = max(nv, _integer(n_vertices, GroundSetMismatch,
+                                  "vertex count"))
         n = len(edges)
         r = forest_rank(edges, nv + 1)
         return cls(n, [sum(1 << i for i in combo)

@@ -23,7 +23,8 @@ from flagtutte import (AuxPolynomial, Direction, EquivariantPolynomial,
                        flip_cone, kt_equivariant, slice_cone, slice_genfun,
                        support, tangent_cone_generators,
                        triangulate_half_open)
-from flagtutte import genfun, invariants
+from flagtutte import clear_caches, genfun, invariants
+from flagtutte import cones as cones_module
 from flagtutte.errors import (GroundSetTooLarge, HypothesisViolated,
                               NonCancellingPole)
 from flagtutte.cones import _box_points
@@ -322,6 +323,35 @@ def test_brion_series_matches_polytope_membership():
         from itertools import product
         expect = sum(1 for w in product(*box) if fm.polytope_membership(w))
         assert count == expect
+
+
+def test_brion_series_reduces_no_difference_cone_to_hermite_form(
+        monkeypatch):
+    # the six vertex cones of U(2, 4): each memoized cell holds its class
+    # cell's frame and every translate keeps it, so neither sweep calls
+    # _lattice_frame, the Hermite normal form of a cell's rays
+    calls = []
+    frame = cones_module._lattice_frame
+
+    def counted(rays, n):
+        calls.append(rays)
+        return frame(rays, n)
+
+    monkeypatch.setattr(cones_module, "_lattice_frame", counted)
+    fm = flag(U(2, 4))
+    vertex_cones = [(tuple(b >> i & 1 for i in range(4)),
+                     tangent_cone_generators(fm, (b,)))
+                    for (b,) in fm.flag_bases()]
+    clear_caches()
+    try:
+        first = brion_series(4, vertex_cones)
+        second = brion_series(4, vertex_cones)
+    finally:
+        clear_caches()
+    assert calls == []
+    assert first == second
+    assert sorted(w for w, _ in first.items()) == sorted(
+        tuple(b >> i & 1 for i in range(4)) for (b,) in fm.flag_bases())
 
 
 # ------------------------------------------- aux coefficients and fallback

@@ -183,8 +183,8 @@ def planted(monkeypatch):
             rows[0] = len(s.table)
             return s._replace(rows=rows, table=np.vstack([s.table, row]))
 
-        compute = invariants._class_support
-        monkeypatch.setattr(invariants, "_class_support", mutated)
+        compute = invariants._whole_support
+        monkeypatch.setattr(invariants, "_whole_support", mutated)
 
     clear_caches()
     yield plant

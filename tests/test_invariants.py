@@ -18,12 +18,12 @@ import pytest
 
 from flagtutte import (AuxPolynomial, EquivariantPolynomial, FlagMatroid,
                        Matroid, beta_invariant, beta_polynomial,
-                       characteristic, clear_caches, compute_invariant,
-                       count_lattice_points, flag, flag_corpus,
-                       h_candidate_lv, h_polynomial, h_value_uv, k_char, kt,
-                       kt_equivariant, lv_tutte, lv_tutte_equivariant,
-                       poincare, quotient_corpus, reduced_beta_via_higgs,
-                       tutte)
+                       cache_stats, characteristic, clear_caches,
+                       compute_invariant, count_lattice_points, flag,
+                       flag_corpus, h_candidate_lv, h_polynomial, h_value_uv,
+                       k_char, kt, kt_equivariant, lv_tutte,
+                       lv_tutte_equivariant, poincare, quotient_corpus,
+                       reduced_beta_via_higgs, tutte)
 from flagtutte import cones, genfun, invariants
 from flagtutte.errors import (GroundSetTooLarge, HasLoopOrColoop,
                               InputError, NotAQuotient, RankGapZero,
@@ -555,9 +555,19 @@ def test_split_values_equal_whole_values(monkeypatch):
         assert a == b, label
 
 
+def _degree_profile(key):
+    """n, the basis count of each constituent and the sorted per-element
+    degree tuples of a flag key, counted bit by bit."""
+    n = key[0][0]
+    return (n, tuple(len(bases) for _, bases in key),
+            tuple(sorted(tuple(sum(b >> i & 1 for b in bases)
+                               for _, bases in key) for i in range(n))))
+
+
 def test_value_cache_holds_block_entries_only():
     # the t -> 1 route caches blocks, never a whole disconnected flag: one
-    # entry per distinct (labelled block key, mode) over the corpus
+    # entry per distinct (labelled block key, mode) over the corpus, and
+    # one relabelling-class index entry per (degree profile, mode)
     flags = flag_corpus()
     modes = ("kt", "h", "h_lv")
     clear_caches()
@@ -569,8 +579,10 @@ def test_value_cache_holds_block_entries_only():
         assert invariants._VALUE_CACHE.evictions == 0
     finally:
         clear_caches()
-    assert held == {(key, mode) for key in _block_keys(flags)
-                    for mode in modes}
+    keys = _block_keys(flags)
+    assert held == ({(key, mode) for key in keys for mode in modes}
+                    | {("class", _degree_profile(key), mode)
+                       for key in keys for mode in modes})
 
 
 def test_split_supports_equal_whole_supports(monkeypatch):
@@ -633,7 +645,7 @@ def test_factored_supports_hold_their_invariants():
             phi = genfun._decode_support(s)
             assert len({id(c) for c in phi.support.values()}) == len(s.table)
             parts = invariants._block_parts(
-                fm, mode, invariants._SUPPORT_CACHE, invariants._class_support)
+                fm, mode, invariants._SUPPORT_CACHE, invariants._whole_support)
             if len(parts) == 1:
                 assert len(np.unique(s.table, axis=0)) == len(s.table)
                 continue
@@ -893,6 +905,120 @@ def test_relabelled_blocks_share_one_support_pass(monkeypatch):
     finally:
         clear_caches()
     assert len(a.support) == len(b.support)
+
+
+def _cells_misses():
+    return cache_stats()["invariants.cells_cache"]["misses"]
+
+
+def test_relabelled_corpus_blocks_are_served_by_the_index(monkeypatch):
+    # every connected corpus block key K, then a seeded relabelling sigma K:
+    # the three t -> 1 values and the kt support of sigma K come from the
+    # index without a new cells_cache miss, some through the _canonical
+    # fallback, and equal sigma K computed in its own labelling after every
+    # cache is cleared
+    canonical = invariants._canonical
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return canonical(key)
+
+    monkeypatch.setattr(invariants, "_canonical", counted)
+    rng = random.Random(44)
+    keys = sorted(_block_keys(flag_corpus()))
+    assert len(keys) == 375
+    modes = ("kt", "h", "h_lv")
+    values = invariants._VALUE_CACHE, invariants._connected_value
+    supports = invariants._SUPPORT_CACHE, invariants._whole_support
+    served, fallbacks = [], 0
+    clear_caches()
+    try:
+        for key in keys:
+            sigma = list(range(key[0][0]))
+            rng.shuffle(sigma)
+            moved = _relabel_key(key, sigma)
+            for mode in modes:
+                invariants._block_part(key, mode, *values)
+            invariants._block_part(key, "kt", *supports)
+            misses, before = _cells_misses(), len(calls)
+            got = [invariants._block_part(moved, mode, *values)
+                   for mode in modes]
+            got.append(invariants._block_part(moved, "kt", *supports))
+            assert _cells_misses() == misses, (key, sigma)
+            fallbacks += len(calls) > before
+            served.append((moved, got))
+        clear_caches()
+        for moved, got in served:
+            block = invariants._flag_of_key(moved)
+            for mode, value in zip(modes, got):
+                assert np.array_equal(
+                    value, invariants._connected_value(block, mode)), moved
+            assert (genfun._decode_support(got[-1]) == genfun._decode_support(
+                invariants._whole_support(block, "kt"))), moved
+    finally:
+        clear_caches()
+    assert fallbacks == 58
+
+
+def test_index_is_exact_when_every_block_shares_one_profile(monkeypatch):
+    # one degree-profile bucket for every block: each labelled miss meets
+    # one representative per mode, mostly not a relabelling of it, so the
+    # exact colour-order check and the _canonical fallback alone decide
+    flags = flag_corpus()
+    modes = ("kt", "h", "h_lv")
+    clear_caches()
+    try:
+        want = [invariants._localization_value(fm, mode)
+                for mode in modes for fm in flags]
+        clear_caches()
+        monkeypatch.setattr(invariants, "_profile", lambda key, degrees: 0)
+        got = [invariants._localization_value(fm, mode)
+               for mode in modes for fm in flags]
+        digest = _digest(kt_equivariant(fm) for fm in flags
+                         if fm.ranks[0] >= 1)
+        held = [key for key in invariants._VALUE_CACHE if key[0] == "class"]
+    finally:
+        clear_caches()
+    assert got == want
+    assert digest == (
+        "eb01973dc40e385ef9082e2e3680ac7f50abbee3802c384f64de18e3410b3c9d")
+    assert held == [("class", 0, mode) for mode in modes]
+
+
+def test_a_relabelling_the_colour_order_misses_is_shared(monkeypatch):
+    # U(2, 3) with elements 2 and 3 doubled: parallel classes {1}, {2, 4}
+    # and {3, 5}.  Renamed by sigma they are {1}, {3, 4} and {2, 5}, and
+    # pairing the elements of degree 3 in index order maps neither pair
+    # onto a pair, so the exact check refuses that map and equal canonical
+    # keys share the value and the support
+    canonical = invariants._canonical
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return canonical(key)
+
+    monkeypatch.setattr(invariants, "_canonical", counted)
+    m = Matroid.from_bases(5, [{1, 2}, {1, 3}, {1, 4}, {1, 5}, {2, 3},
+                               {2, 5}, {3, 4}, {4, 5}])
+    sigma = [0, 2, 4, 3, 1]
+    fm = flag(m)
+    moved = _relabelled(fm, sigma)
+    assert moved.key() != fm.key()
+    clear_caches()
+    try:
+        a, phi = kt(fm), kt_equivariant(fm)
+        assert calls == []
+        misses = _cells_misses()
+        b, psi = kt(moved), kt_equivariant(moved)
+        assert _cells_misses() == misses
+        # the block's and the representative's, once per cache
+        assert calls == [fm.key(), moved.key()] * 2
+    finally:
+        clear_caches()
+    assert b == a
+    assert psi == _permuted(phi, sigma)
 
 
 def test_canonical_keys_match_a_brute_force_minimum():

@@ -161,6 +161,38 @@ def test_elements_that_are_no_integers_are_refused():
     assert Matroid.from_bases(3, [[1.0, 2]]) == Matroid.from_bases(3, [[1, 2]])
 
 
+def test_from_bases_refuses_a_size_that_is_no_integer():
+    # int() would build a 3-element matroid from 3.5 and a 1-element one
+    # from True
+    for n in (3.5, True, "three"):
+        with pytest.raises(GroundSetMismatch, match="is not an integer"):
+            Matroid.from_bases(n, [[1]])
+    assert Matroid.from_bases(3.0, [[1, 2]]) == Matroid.from_bases(3, [[1, 2]])
+
+
+def test_uniform_refuses_numbers_that_are_no_integers():
+    # U(2.5, 4) used to raise a bare TypeError from a shift
+    with pytest.raises(InvalidRank, match="rank 2.5 is not an integer"):
+        U(2.5, 4)
+    with pytest.raises(InvalidRank, match="rank True is not an integer"):
+        U(True, 4)
+    with pytest.raises(GroundSetMismatch, match="size 4.5 is not an integer"):
+        U(2, 4.5)
+    assert U(2.0, 4.0) == U(2, 4)
+
+
+def test_graphic_refuses_labels_that_are_no_integers():
+    # int() would read the edge (1, 2.7) as (1, 2) and 3.5 vertices as 3
+    with pytest.raises(GroundSetMismatch, match="label 2.7 is not an"):
+        Matroid.graphic([(1, 2.7), (2, 3)])
+    with pytest.raises(GroundSetMismatch, match="label True is not an"):
+        Matroid.graphic([(True, 2), (2, 3)])
+    with pytest.raises(GroundSetMismatch, match="count 3.5 is not an"):
+        Matroid.graphic([(1, 2), (2, 3)], n_vertices=3.5)
+    assert (Matroid.graphic([(1.0, 2), (2, 3)], n_vertices=4.0)
+            == Matroid.graphic([(1, 2), (2, 3)], n_vertices=4))
+
+
 def test_graphic_keys_of_the_corpus_graphs():
     # every edge subset of K4 and the 5- and 6-cycles: the keys match the
     # signed incidence matrix's matroid and a digest of the keys of the
