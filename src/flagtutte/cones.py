@@ -636,16 +636,19 @@ def triangulate_half_open(apex, generators):
     return cells
 
 
-def _box_points(los, his, total=None, weights=None):
+def _box_points(los, his, total=None, weights=None, cone=False):
     """The integer points of the box prod_i [los[i], his[i]], as a (P x n)
     array in lexicographic order; with a total, only the points on the
-    hyperplane sum_i weights[i] x_i = total (unit weights by default).
+    hyperplane sum_i weights[i] x_i = total (unit weights by default); with
+    cone (unit weights), only the points whose prefix sums x_1 + ... + x_i
+    are all >= 0, the type-A positive-root cone.
 
     Coordinates are added one at a time, each prefix taking only the values
-    of the next from which the later ones can still reach the total; each
-    level keeps its values and their prefixes' indices for one read-back.
-    The array is int64, or exact Python ints where a sum could near 2^63.
-    With n = 0 the box is one empty point, on the hyperplane iff total = 0.
+    of the next from which the later ones can still reach the total (and
+    keep its sum >= 0); each level keeps its values and their prefixes'
+    indices for one read-back.  The array is int64, or exact Python ints
+    where a sum could near 2^63.  With n = 0 the box is one empty point, on
+    the hyperplane iff total = 0.
     """
     n = len(los)
     w = [1] * n if weights is None else [int(x) for x in weights]
@@ -667,6 +670,8 @@ def _box_points(los, his, total=None, weights=None):
             a, b = (total - sums - rest[i + 1][k] for k in (1, 0))
             a, b = (a, b) if w[i] > 0 else (b, a)
             lo, hi = np.maximum(lo, -(-a // w[i])), np.minimum(hi, b // w[i])
+        if cone:
+            lo = np.maximum(lo, -sums)
         counts = np.maximum(hi - lo + 1, 0).astype(np.intp)
         parent = np.repeat(np.arange(len(sums)), counts)
         vals = (np.repeat(lo - np.cumsum(counts) + counts, counts)

@@ -10,24 +10,31 @@ Two integer cores serve both the GenFun API and the localization sums of
 invariants.py.  _support_core extracts the full support of a sum of
 half-open unimodular cones.  It takes cell arrays: per half-open cone at
 the origin its integer membership rows over x, each with a threshold, its
-sign and owner, plus per owner int64 arrays of numerator apexes,
-coefficient classes and multiplicities.  A cell's rows are its lattice
-frame (coordinate rows, span rows as +- pairs), flipped along the default
-direction by one rule (_flipped_rows): on the flag route the tree-flow
-frames that cones._triangulate_cells keeps per class cell, in support()
-each cone's own frame.  Cells whose rays all sum to zero are tested on
-the sum-zero difference box, others on the whole one.  One batched pass
-per chunk of owners tests all their cells against the box with one float
-product and adds the signed memberships up to one multiplicity per owner
-and box point; points that cannot reach the apex box are dropped, the rest
-are tested against it in the narrowest integer dtype, and the incidences
-that land are scattered into one dense int64 accumulator.  Its nonzero
-rows are the support in array form (_Support: points, per point a row of
-a table of distinct count rows over the classes, ranked once per pass,
-and a common denominator), which a direct sum multiplies block by block,
-table by table (_support_product), and one decode turns into an
-EquivariantPolynomial, one shared coefficient per table row
-(_row_coefficients, which the flag route keeps with a product of blocks).
+sign and owner, plus per owner a numerator as the product of two half
+factors, each a table of rows (t-exponents on its slots, an additive
+class code, a multiplicity), and a Pascal map from codes to coefficient
+classes.  A cell's rows are its lattice frame (coordinate rows, span rows
+as +- pairs), flipped along the default direction by one rule
+(_flipped_rows): on the flag route the tree-flow frames that
+cones._triangulate_cells keeps per class cell, in support() each cone's
+own frame.  Flipped, a difference vector is e_j - e_i with j < i, so
+cells on difference vectors lie in the type-A positive-root cone and are
+tested on the points of the sum-zero difference box with nonnegative
+prefix sums; other cells whose rays all sum to zero take the whole
+sum-zero box, the rest the whole box.  One batched pass per chunk of
+owners tests all their cells against the box with one float product and
+adds the signed memberships up to one multiplicity per owner and box
+point.  Every nonzero (owner, point) pair of a pass then tests each
+half's rows against the apex box on that half's slots, in the narrowest
+integer dtype, and the pairs of fitting rows are scattered by code into
+one dense int64 accumulator, which the Pascal map turns into counts per
+class at the end.  Its nonzero rows are the support in array form
+(_Support: points, per point a row of a table of distinct count rows
+over the classes, ranked once per pass, and a common denominator), which
+a direct sum multiplies block by block, table by table
+(_support_product), and one decode turns into an EquivariantPolynomial,
+one shared coefficient per table row (_row_coefficients, which the flag
+route keeps with a product of blocks).
 _specialize_t1 sets t -> 1 in one array pass over all cells: it takes
 per-cell arrays (open flags, sign, numerator index) and the pairings of
 every ray and numerator apex with a weight that pairs no ray to zero,
@@ -36,8 +43,9 @@ expansion at z = e^s modulo primes, one integer per class by CRT.
 _genfun_kernels gives both cores the distinct cones of a GenFun in the
 same array form, as a table of distinct rays and per-cell slots into it;
 support() flips them along the default direction (_frame_rows), since
-the support does not depend on it.  Every box of lattice points comes from
-the one enumerator cones._box_points.
+the support does not depend on it, and passes each cell's apexes as one
+half factor and the unit as the other.  Every box of lattice points comes
+from the one enumerator cones._box_points.
 """
 
 from __future__ import annotations
@@ -303,6 +311,7 @@ class _Support(NamedTuple):
 
 _SUPPORT_CELLS = 40_000_000
 _PASS_ENTRIES = 1 << 18
+_SCATTER_ENTRIES = 1 << 18
 # never written; still bound because the benchmark worker reads its length
 _member_cache = LRUCache(0)
 _box_cache = LRUCache(256)
@@ -348,35 +357,51 @@ def _membership_passes(M, thr, signs, owner, XT):
 
 
 def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
-                  total=0):
+                  box="cone"):
     """The support extractor of signed sums of half-open unimodular cones.
 
     cells = (M, thr, signs, owner): per already-flipped half-open cone at
     the origin, its integer membership rows (C x H x n: x lies in cell c
     exactly when M[c] x >= thr[c] row by row), sign and owner (ascending),
-    the index of its numerator.  numerators = (A, cls, vals): per owner b
-    and monomial r its apex A[b, r] (int64, B x kappa x n), class cls[b, r]
-    and integer multiplicity vals[b, r] (cls and vals broadcast to B x
-    kappa).  _membership_passes tests the cells against blocks of the
-    difference box [los - his, his - los], its points of coordinate sum
-    total (0 when every ray sums to zero, so every cell lies in the
-    sum-zero hyperplane and may leave out one span row that the sum
-    implies, as on the flag route; None for the whole box),
-    in float32 or float64 as a bound on |M x| allows, and sums the signed
-    memberships to one multiplicity per owner and point, where flipped
-    cells cancel.  Only points with nonzero multiplicity that can reach the
-    apex box [los, his] are broadcast against the owner's monomials, in the
-    narrowest unsigned dtype that holds the shifted sums, and the
-    incidences w = apex + x inside the box are scattered into one dense
-    int64 accumulator over the box and the classes; the result's Newton
-    polytope lies in the convex hull of the apexes, so none outside
-    counts.  Returns the nonzero rows as a _Support over the classes that
-    occur (class c with count k is the monomial classes[c] in aux_vars with
-    coefficient k / den), its table the distinct rows in lexicographic
-    order (cones._row_ranks).  Raises
-    GroundSetTooLarge, before allocating, when the accumulator, or the
-    whole difference box times n, would exceed _SUPPORT_CELLS entries, and
-    when |M x| may reach 2^53.
+    the index of its numerator.  numerators = (order, base, halves, codes,
+    pascal) gives each owner b's numerator as a product of two half
+    factors: slot s of b is coordinate order[b, s] (B x n), and the halves
+    (steps, code, vals) take the first steps.shape[2] slots and the rest.
+    A half's rows are its t-exponents on its slots (steps, one x R x width
+    when all owners share them, else B x R x width), each with an additive
+    class code and an integer multiplicity (code and vals, one or B x R).
+    Row pair (r0, r1) is the monomial t^(base[b] + the steps of r0 and r1
+    on b's coordinates), base broadcast to B x n, with multiplicity
+    vals0[r0] vals1[r1] in code code0[r0] + code1[r1], and pascal[k] (one
+    row per code in the sorted array codes) spreads code k over the
+    classes.
+
+    _membership_passes tests the cells against blocks of the difference
+    box [los - his, his - los], in float32 or float64 as a bound on |M x|
+    allows, and sums the signed memberships to one multiplicity per owner
+    and point, where flipped cells cancel.  box names which points it
+    tests: "cone" those of the sum-zero box with every prefix sum >= 0
+    (when every flipped ray is a difference vector e_j - e_i with j < i, as
+    on the flag route: the cells lie in the type-A positive-root cone),
+    "zero" the whole sum-zero box (when every ray sums to zero, so that a
+    cell may leave out a span row that the sum implies), "whole" the whole
+    box.  The (owner, point) pairs of nonzero multiplicity that can reach
+    the apex box [los, his] go on, all pairs of a pass at once: each half
+    keeps the rows whose steps land inside the box on its own slots,
+    tested slot by slot in the narrowest unsigned dtype that holds the
+    shifted sums, and every pair of kept rows is one incidence w = apex +
+    x inside the box.  The incidences are scattered by code into one dense
+    int64 accumulator over the box and the codes, and pascal maps its
+    nonzero rows to the classes at the end; the result's Newton polytope
+    lies in the convex hull of the apexes, so none outside counts.  The
+    fit tests and the incidences of one scatter stay near _SCATTER_ENTRIES
+    entries.  Returns the nonzero
+    rows as a _Support over the classes that occur (class c with count k
+    is the monomial classes[c] in aux_vars with coefficient k / den), its
+    table the distinct rows in lexicographic order (cones._row_ranks).
+    Raises GroundSetTooLarge, before allocating, when the apex box times
+    the classes, or the whole difference box times n, would exceed
+    _SUPPORT_CELLS entries, and when |M x| may reach 2^53.
     """
     ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
     space = prod(ranges)
@@ -388,7 +413,7 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
 
     dkey = tuple(lo - hi for lo, hi in zip(los, his))
     whole = prod(1 - 2 * d for d in dkey)
-    if total is None and whole * n > _SUPPORT_CELLS:
+    if box == "whole" and whole * n > _SUPPORT_CELLS:
         raise GroundSetTooLarge(
             "difference box of %d points in dimension %d exceeds %d cells"
             % (whole, n, _SUPPORT_CELLS))
@@ -398,58 +423,101 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
              * -min(dkey, default=0))
     if bound >> 53:
         raise GroundSetTooLarge("membership rows reach %d" % bound)
-    X = _box_cache.lookup((total, dkey))
+    X = _box_cache.lookup((box, dkey))
     if X is None:
         # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
-        X = _box_points(dkey, [-d for d in dkey], total).astype(
-            np.min_scalar_type(min(dkey, default=0) - 1))
-        _box_cache.store((total, dkey), X)
+        X = _box_points(dkey, [-d for d in dkey],
+                        None if box == "whole" else 0, cone=box == "cone"
+                        ).astype(np.min_scalar_type(min(dkey, default=0) - 1))
+        _box_cache.store((box, dkey), X)
     XT = X.T.astype(np.float32 if bound < 1 << 24 else np.float64)
-    lo = np.array(los, dtype=np.int64)
     rng = np.array(ranges, dtype=np.int64)
     strides = np.cumprod([1] + ranges)[:-1].astype(np.int64)
     # shifted sums x + (apex - lo) lie in [-(r - 1), 2 (r - 1)]; in an
     # unsigned dtype holding 2 (r - 1) a negative sum wraps to >= r, so one
     # compare against the range tests both ends of the box
     narrow = np.min_scalar_type(2 * (max(ranges, default=1) - 1))
-    rng_narrow = rng.astype(narrow)
 
-    A, cls, vals = numerators
-    cls, vals = (np.broadcast_to(a, A.shape[:2]) for a in (cls, vals))
-    shifted = A - lo
-    # x can land only inside [-max(B), range - 1 - min(B)]
-    low, high = -shifted.max(axis=1), rng - shifted.min(axis=1)
-    offsets = shifted @ strides
-    shifted = shifted.astype(narrow)
-    acc = np.zeros(space * n_cls, dtype=np.int64)
+    order, base, ((S0, c0, v0), (S1, c1, v1)), codes, pascal = numerators
+    R0, R1, h = S0.shape[1], S1.shape[1], S0.shape[2]
+    shift = np.broadcast_to(base - np.array(los, dtype=np.int64),
+                            order.shape)
+    # x can land only inside [-max(shift), range - 1 - min(shift)], the
+    # least and greatest step of each slot taken to its coordinate
+    inv = np.argsort(order, axis=1)
+    low, high = (np.take_along_axis(np.concatenate(
+        [np.broadcast_to(fn(S, axis=1), (len(order), S.shape[2]))
+         for S in (S0, S1)], axis=1), inv, axis=1) + shift
+        for fn in (np.max, np.min))
+    low, high = -low, rng - high
+    # per owner and row, where the row's steps move the flat accumulator
+    # index; merge[b, r0 * R1 + r1] is the rank among codes of the code of
+    # row pair (r0, r1), and weights its multiplicity, one row per owner or
+    # one shared
+    walk = (strides * len(codes))[order]
+    m0, m1 = (np.matmul(S.astype(np.int64), walk[:, part, None])[..., 0]
+              for S, part in ((S0, slice(None, h)), (S1, slice(h, None))))
+    merge = np.searchsorted(codes, c0[:, :, None] + c1[:, None, :])
+    merge = merge.reshape(len(merge), R0 * R1)
+    weights = (v0[:, :, None] * v1[:, None, :]).reshape(len(merge), R0 * R1)
+    S0, S1 = S0.astype(narrow), S1.astype(narrow)
+    # a chunk of pairs tests its two halves' rows and pairs them up in
+    # arrays of at most about _SCATTER_ENTRIES entries
+    step = max(1, _SCATTER_ENTRIES // max(R0 * R1, R0 * h + R1 * (n - h)))
+
+    acc = np.zeros(space * len(codes), dtype=np.int64)
     for b0, p0, mult in _membership_passes(*cells, XT):
-        codes, weights = [], []
-        for b, m in enumerate(mult, b0):
-            rows = np.nonzero(m)[0] + p0
-            Xr = X[rows]
-            fit = ((Xr >= low[b]) & (Xr < high[b])).all(axis=1)
-            rows, Xr = rows[fit], Xr[fit]
-            if len(rows) == 0:
-                continue
-            Xn, Bn = Xr.astype(narrow), shifted[b]
-            inside = np.ones((len(Xn), len(Bn)), dtype=bool)
-            for i in range(n):
-                inside &= np.add.outer(Xn[:, i], Bn[:, i]) < rng_narrow[i]
-            at, mons = np.nonzero(inside)
-            codes.append(((Xr @ strides)[at] + offsets[b, mons]) * n_cls
-                         + cls[b, mons])
-            weights.append(m[rows[at] - p0] * vals[b, mons])
-        if codes:
-            np.add.at(acc, np.concatenate(codes), np.concatenate(weights))
+        own, pts = np.nonzero(mult)
+        weight = mult[own, pts]
+        own += b0
+        Xr = X[pts + p0]
+        fit = ((Xr >= low[own]) & (Xr < high[own])).all(axis=1)
+        own, weight, Y = own[fit], weight[fit], Xr[fit] + shift[own[fit]]
+        # per pair: the flat index of x + base, then x + base - lo and the
+        # ranges in slot order
+        flat = Y @ strides * len(codes)
+        slot = order[own]
+        Y = Y[np.arange(len(Y))[:, None], slot].astype(narrow)
+        top = rng[slot].astype(narrow)
+        for s in range(0, len(own), step):
+            o, y, t = own[s:s + step], Y[s:s + step], top[s:s + step]
+            # fit[p, r]: row r of a half lands inside the box on its slots
+            fits = [_fits(y[:, part], t[:, part],
+                          S[o] if len(S) > 1 else S[0])
+                    for S, part in ((S0, slice(None, h)),
+                                    (S1, slice(h, None)))]
+            # incidence i is pair p, row pair (r0, r1): i = (p R0 + r0) R1
+            # + r1, and the row pair's index in merge is i - p R0 R1
+            i = np.flatnonzero(fits[0][:, :, None] & fits[1][:, None, :])
+            i0, r1 = np.divmod(i, R1)
+            p = i0 // R0
+            k = i - p * (R0 * R1)
+            if len(merge) > 1:
+                k += o[p] * (R0 * R1)
+            np.add.at(acc, (flat[s:s + step, None] + m0[o]).ravel()[i0]
+                      + m1[o].ravel()[p * R1 + r1] + merge.ravel()[k],
+                      weight[s:s + step][p] * weights.ravel()[k])
 
-    acc = acc.reshape(space, n_cls)
+    acc = acc.reshape(space, len(codes))
     at = np.flatnonzero(acc.any(axis=1))
-    counts = acc[at]
+    counts = acc[at] @ pascal
+    nonzero = counts.any(axis=1)
+    at, counts = at[nonzero], counts[nonzero]
     keep = np.flatnonzero(counts.any(axis=0))
     counts = counts[:, keep]
     rows, first = _row_ranks(counts - counts.min(initial=0))
-    return _Support(at[:, None] // strides % rng + lo, rows, counts[first],
+    return _Support(at[:, None] // strides % rng
+                    + np.array(los, dtype=np.int64), rows, counts[first],
                     tuple(classes[c] for c in keep.tolist()), aux_vars, den)
+
+
+def _fits(y, top, steps):
+    """fit[p, r]: every y[p, s] + steps[r, s] < top[p, s], tested slot by
+    slot (steps per p when 3-d, in the support core's narrow dtype)."""
+    fit = np.ones(y.shape[:1] + steps.shape[-2:-1], dtype=bool)
+    for s in range(y.shape[1]):
+        fit &= (y[:, s, None] + steps[..., s]) < top[:, s, None]
+    return fit
 
 
 def _row_coefficients(s):
@@ -663,8 +731,12 @@ def support(g, direction=None):
     The support does not depend on the direction, so the one given is not
     used: every distinct cone is flipped along the default direction and
     the rows of its lattice frame (_frame_rows) go to _support_core, over
-    the sum-zero difference box when every ray sums to zero and over the
-    whole one otherwise.  Raises GroundSetTooLarge when a box is too large.
+    the positive-root part of the sum-zero difference box when every ray
+    is a difference vector, over the sum-zero box when every ray sums to
+    zero and over the whole box otherwise.  Each cell's numerator is the
+    core's first half factor (its apexes, classes and multiplicities on
+    every coordinate), the second the unit, and each class its own code.
+    Raises GroundSetTooLarge when a box is too large.
     """
     if not g.terms:
         return EquivariantPolynomial(g.n)
@@ -673,12 +745,19 @@ def support(g, direction=None):
     los = tuple(min(a[c] for a in apexes) for c in range(n))
     his = tuple(max(a[c] for a in apexes) for c in range(n))
 
-    rays, slots, opens, signs, numerators, vars_, classes, den = \
+    rays, slots, opens, signs, (A, cls, vals), vars_, classes, den = \
         _genfun_kernels(g)
+    n_cls = max(len(classes), 1)
+    unit = (np.zeros((1, 1, 0), dtype=np.int64),
+            np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64))
+    numerators = (np.broadcast_to(np.arange(n), (len(slots), n)), 0,
+                  ((A, cls, vals), unit), np.arange(n_cls),
+                  np.eye(n_cls, dtype=np.int64))
+    box = ("whole" if rays.sum(axis=1).any() else
+           "cone" if (np.abs(rays).sum(axis=1) == 2).all() else "zero")
     return _decode_support(_support_core(
         n, los, his, _frame_rows(g, rays, slots, opens, signs)
-        + (np.arange(len(slots)),), numerators, classes, vars_, den,
-        None if rays.sum(axis=1).any() else 0))
+        + (np.arange(len(slots)),), numerators, classes, vars_, den, box))
 
 
 # ---------------------------------------------------------------------- slice

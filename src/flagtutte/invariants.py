@@ -281,16 +281,36 @@ _SLOT_TERMS = {
 }
 
 
+# A digit row's (u, v, m) exponent sums, each below 2^7 as n <= 64, as one
+# integer code: the codes of two sets of slots add to the code of their union
+_CODE = np.array([1 << 14, 1 << 7, 1], dtype=np.int64)
+
+
+class _Numerator(NamedTuple):
+    """The closed-form numerator of a flag basis, from its slot counts.
+
+    steps (R x n int8) are the t-exponents of the digit rows on the slots,
+    ordered by type, and code their (u, v, m) codes (_CODE).  The Pascal
+    split turns the rows into distinct monomials: split row i is digit row
+    rows[i] in class cls[i] with multiplicity vals[i].  classes lists the
+    (u, v) exponent pairs, sorted.
+    """
+    steps: np.ndarray
+    code: np.ndarray
+    rows: np.ndarray
+    cls: np.ndarray
+    vals: np.ndarray
+    classes: tuple
+
+
 @lru_cache(maxsize=256)
 def _numerator(mode, counts):
-    """The closed-form numerator of a flag with counts slots of each type.
+    """The _Numerator of a flag with counts slots of each type.
 
-    One term per slot gives one row per mixed-radix digit vector; a row that
-    picked (1 + uv) m times splits by Pascal's triangle into m + 1 distinct
-    rows.  Returns read-only (steps, cls, vals) and classes: per row, its
-    t-exponent on each slot (int8, slots ordered by type), its class index
-    and its multiplicity; classes lists the (u, v)-exponent pairs, sorted.
-    Memoized per (mode, counts).
+    One term per slot gives one digit row per mixed-radix digit vector,
+    the first slot the fastest; a row that picked (1 + uv) m times splits
+    by Pascal's triangle into m + 1 rows, (u + j, v + j) with weight
+    C(m, j).  The arrays are read-only.  Memoized per (mode, counts).
     """
     terms = _SLOT_TERMS[mode]
     width = max(len(t) for t in terms)
@@ -301,18 +321,21 @@ def _numerator(mode, counts):
     place = np.cumprod(np.concatenate(([1], radix)))
     digits = np.arange(place[-1])[:, None] // place[:-1] % radix
     chosen = table[types, digits]
-    U, V, M = chosen[:, :, 1:].sum(axis=1).T
+    uvm = chosen[:, :, 1:].sum(axis=1)
+    U, V, M = uvm.T
     reps = M + 1
     rows = np.repeat(np.arange(len(M)), reps)
     j = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
     vstr = sum(counts) + 1
     used, cls = np.unique((U[rows] + j) * vstr + V[rows] + j,
                           return_inverse=True)
-    out = (chosen[rows, :, 0].astype(np.int8), cls.reshape(-1),
-           np.abs(_pascal(int(M.max()) + 1)[M[rows], j]))
-    for a in out:
+    out = _Numerator(chosen[:, :, 0].astype(np.int8), uvm @ _CODE, rows,
+                     cls.reshape(-1),
+                     np.abs(_pascal(int(M.max()) + 1)[M[rows], j]),
+                     tuple(divmod(int(c), vstr) for c in used))
+    for a in out[:-1]:
         a.setflags(write=False)
-    return out + (tuple(divmod(int(c), vstr) for c in used),)
+    return out
 
 
 def _slot_counts(fm):
@@ -320,27 +343,49 @@ def _slot_counts(fm):
     return (r1, rk - r1, fm.n - rk)
 
 
+def _apex_box(cells, steps, levels):
+    """The least and greatest numerator exponent of each coordinate over
+    all flag bases: coordinate i of a basis takes the steps of its slot,
+    plus its level."""
+    rank = np.argsort(cells.slots, axis=1)
+    return ((steps.min(axis=0)[rank] + levels).min(axis=0),
+            (steps.max(axis=0)[rank] + levels).max(axis=0))
+
+
 def _flag_kernels(fm, mode):
     """The localization sum of a flag as arrays for _support_core.
 
     The cells of _flag_cells, each owned by its flag basis.  How many
     coordinates each slot type of _SLOT_TERMS holds depends only on the
-    ranks, so one closed-form numerator (_numerator) serves every basis:
-    all share its cls and vals, and each basis gets one apex block of A,
-    its levels (mode "kt") plus the slot steps on its own coordinates.
+    ranks, so one closed-form numerator (_numerator) serves every basis,
+    and its digit rows factor over any split of the slots: the slots,
+    ordered by type, split at n // 2 into two half factors of digit rows
+    and codes.  Basis b places slot s on coordinate cells.slots[b, s] and
+    adds its levels (mode "kt"); the Pascal split maps each code to its
+    classes.
     A cell's rows are its class cell's frame, columns permuted by its
     basis's relabelling, less the first component row (implied on the
     sum-zero box), flipped along cones.default_direction by _flipped_rows:
     the ray e_j - e_i pairs with it to i - j, so the rays with j > i
-    reverse.  Returns ((M, thr, signs, owner), (A, cls, vals), classes),
-    classes the sorted (u, v) exponent pairs.
+    reverse.  Returns ((M, thr, signs, owner), (order, levels, halves,
+    codes, pascal), classes), classes the sorted (u, v) exponent pairs.
     """
     cells = _flag_cells(fm)
-    steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
-    A = steps[:, np.argsort(cells.slots, axis=1)].transpose(1, 0, 2)
-    A = A.astype(np.int64)
-    if mode == "kt":
-        A += cells.levels[:, None, :]
+    counts = _slot_counts(fm)
+    whole = _numerator(mode, counts)
+    # digit row d0 + R0 d1 is the pair of half rows (d0, d1), R0 the rows
+    # over the first n // 2 slots, and its code their sum
+    h = fm.n // 2
+    R0 = prod(len(_SLOT_TERMS[mode][t])
+              for t in np.repeat(np.arange(3), counts)[:h].tolist())
+    halves = ((whole.steps[None, :R0, :h],
+               whole.code[None, :R0] - whole.code[0],
+               np.ones((1, R0), dtype=np.int64)),
+              (whole.steps[None, ::R0, h:], whole.code[None, ::R0],
+               np.ones((1, len(whole.code) // R0), dtype=np.int64)))
+    codes, at = np.unique(whole.code, return_inverse=True)
+    pascal = np.zeros((len(codes), len(whole.classes)), dtype=np.int64)
+    pascal[at[whole.rows], whole.cls] = whole.vals
     n, d = fm.n, cells.tails.shape[1]
     # column v of a cell's rows is column u of its class frame, where
     # order[owner, u] = v
@@ -350,28 +395,28 @@ def _flag_kernels(fm, mode):
     return (_flipped_rows(rows[:, :d], rows[:, d + 1:],
                           cells.heads > cells.tails, cells.opens,
                           np.ones(len(cells.owner), dtype=np.int64))
-            + (cells.owner,), (A, cls, vals), list(classes))
+            + (cells.owner,),
+            (cells.slots, (mode == "kt") * cells.levels, halves, codes,
+             pascal), list(whole.classes))
 
 
 def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
     pass of the support core over the whole flag, never split.
 
-    Raises GroundSetTooLarge before any array is built when the apexes,
-    flag bases times numerator rows times n entries, would pass the support
-    core's _SUPPORT_CELLS budget.
+    Raises GroundSetTooLarge before any array is built when the scatter's
+    cost estimate, flag bases times split numerator rows times n, passes
+    the support core's _SUPPORT_CELLS budget.
     """
-    entries = (len(fm.flag_bases())
-               * len(_numerator(mode, _slot_counts(fm))[0]) * fm.n)
+    whole = _numerator(mode, _slot_counts(fm))
+    entries = len(fm.flag_bases()) * len(whole.rows) * fm.n
     if entries > _SUPPORT_CELLS:
         raise GroundSetTooLarge("support apexes of %d entries exceed %d"
                                 % (entries, _SUPPORT_CELLS))
     cells, numerators, classes = _flag_kernels(fm, mode)
-    A = numerators[0]
-    los = tuple(A.min(axis=(0, 1)).tolist())
-    his = tuple(A.max(axis=(0, 1)).tolist())
-    return _support_core(fm.n, los, his, cells, numerators, classes,
-                         ("u", "v"), 1)
+    los, his = _apex_box(_flag_cells(fm), whole.steps, numerators[1])
+    return _support_core(fm.n, tuple(los.tolist()), tuple(his.tolist()),
+                         cells, numerators, classes, ("u", "v"), 1)
 
 
 def _gathered_support(fm, mode):
@@ -710,19 +755,16 @@ def _connected_value(fm, mode):
     the shared slot steps with w gathered in each basis's slot order.
     """
     cells = _flag_cells(fm)
-    steps, cls, vals, classes = _numerator(mode, _slot_counts(fm))
+    num = _numerator(mode, _slot_counts(fm))
     levels = (mode == "kt") * cells.levels
-    # the apex box: coordinate i of a basis takes the steps of its slot
-    rank = np.argsort(cells.slots, axis=1)
-    los = steps.min(axis=0)[rank] + levels
-    his = steps.max(axis=0)[rank] + levels
-    points = prod((his.max(axis=0) - los.min(axis=0) + 1).tolist())
+    los, his = _apex_box(cells, num.steps, levels)
+    points = prod((his - los + 1).tolist())
     w = np.arange(1, fm.n + 1, dtype=np.int64)
     values = _specialize_t1(w[cells.heads] - w[cells.tails],
-                            w[cells.slots] @ steps.T + (levels @ w)[:, None],
-                            points, cells.opens, 1, cells.owner, cls, vals,
-                            len(classes))
-    u, v = np.array(classes).T
+                            w[cells.slots] @ num.steps[num.rows].T
+                            + (levels @ w)[:, None], points, cells.opens, 1,
+                            cells.owner, num.cls, num.vals, len(num.classes))
+    u, v = np.array(num.classes).T
     out = np.zeros((u.max() + 1, v.max() + 1), dtype=object)
     out[u, v] = values
     out.setflags(write=False)

@@ -3,7 +3,8 @@
 Each computes by the slow, direct route what the library computes by its
 fast one: Fraction elimination for ray coordinates, the Smith form for the
 lattice index, and a per-point crawl of coefficient_at for the support of
-a GenFun; and per forest cell the lattice frame of its tree flow.
+a GenFun; per forest cell the lattice frame of its tree flow; and the
+support core's scatter owner by owner over every split numerator row.
 """
 
 from fractions import Fraction
@@ -11,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from flagtutte import EquivariantPolynomial, coefficient_at, default_direction
-from flagtutte.cones import _box_points
+from flagtutte.cones import _box_points, _row_ranks
+from flagtutte.genfun import _Support, _membership_passes
+from flagtutte.invariants import _flag_cells, _numerator, _slot_counts
 from flagtutte.linalg import _echelon, forest_flow
 
 
@@ -147,3 +150,62 @@ def forest_frames(tails, heads, n):
                 subtrees + [(1, comp) for comp in components]):
             frames[c, r, list(verts)] = sign
     return frames
+
+
+def flag_apexes(fm, mode):
+    """The numerators of a flag's bases as one apex block each: (A, cls,
+    vals), A (bases x split rows x n) int64, each basis's apexes its levels
+    (mode "kt") plus the split rows' steps on its own coordinates, and cls
+    and vals the split rows' classes and multiplicities, shared."""
+    cells = _flag_cells(fm)
+    num = _numerator(mode, _slot_counts(fm))
+    A = num.steps[num.rows][:, np.argsort(cells.slots, axis=1)]
+    A = A.transpose(1, 0, 2).astype(np.int64)
+    if mode == "kt":
+        A += cells.levels[:, None, :]
+    return A, num.cls, num.vals
+
+
+def support_core_per_basis(n, los, his, cells, numerators, classes,
+                           aux_vars, den):
+    """Reference for genfun._support_core on the flag route: numerators =
+    (A, cls, vals) as flag_apexes gives them, over the whole sum-zero
+    difference box, uncut.  Each owner's nonzero points that can reach the
+    apex box are tested against every one of its apexes, coordinate by
+    coordinate, and the incidences scattered into a dense accumulator over
+    the box and the classes."""
+    ranges = [hi - lo + 1 for lo, hi in zip(los, his)]
+    n_cls = max(len(classes), 1)
+    dkey = tuple(lo - hi for lo, hi in zip(los, his))
+    X = _box_points(dkey, [-d for d in dkey], 0)
+    XT = X.T.astype(np.float64)
+    lo = np.array(los, dtype=np.int64)
+    rng = np.array(ranges, dtype=np.int64)
+    strides = np.cumprod([1] + ranges)[:-1].astype(np.int64)
+    A, cls, vals = numerators
+    cls, vals = (np.broadcast_to(a, A.shape[:2]) for a in (cls, vals))
+    shifted = A - lo
+    low, high = -shifted.max(axis=1), rng - shifted.min(axis=1)
+    offsets = shifted @ strides
+    acc = np.zeros(int(np.prod(ranges)) * n_cls, dtype=np.int64)
+    for b0, p0, mult in _membership_passes(*cells, XT):
+        for b, m in enumerate(mult, b0):
+            rows = np.nonzero(m)[0] + p0
+            Xr = X[rows]
+            fit = ((Xr >= low[b]) & (Xr < high[b])).all(axis=1)
+            rows, Xr = rows[fit], Xr[fit]
+            inside = np.ones((len(rows), A.shape[1]), dtype=bool)
+            for i in range(n):
+                inside &= np.add.outer(Xr[:, i], shifted[b, :, i]) < rng[i]
+                inside &= np.add.outer(Xr[:, i], shifted[b, :, i]) >= 0
+            at, mons = np.nonzero(inside)
+            np.add.at(acc, ((Xr @ strides)[at] + offsets[b, mons]) * n_cls
+                      + cls[b, mons], m[rows[at] - p0] * vals[b, mons])
+    acc = acc.reshape(-1, n_cls)
+    at = np.flatnonzero(acc.any(axis=1))
+    counts = acc[at]
+    keep = np.flatnonzero(counts.any(axis=0))
+    counts = counts[:, keep]
+    rows, first = _row_ranks(counts - counts.min(initial=0))
+    return _Support(at[:, None] // strides % rng + lo, rows, counts[first],
+                    tuple(classes[c] for c in keep.tolist()), aux_vars, den)

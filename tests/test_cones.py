@@ -9,7 +9,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -686,10 +686,11 @@ def test_box_points_past_int64_match_the_small_box():
         assert scaled.tolist() == want
 
 
-@pytest.mark.parametrize("hyperplane", [None, "unit", "weighted"])
+@pytest.mark.parametrize("hyperplane", [None, "unit", "weighted", "cone"])
 def test_box_points_match_product(hyperplane):
     # seeded boxes with negative bounds and empty ranges, against a
-    # brute-force filter of itertools.product in its (lexicographic) order
+    # brute-force filter of itertools.product in its (lexicographic) order;
+    # "cone" keeps the points of unit sum whose prefix sums are all >= 0
     rng = random.Random(20261020)
     seen = Counter()
     for _ in range(200):
@@ -702,11 +703,18 @@ def test_box_points_match_product(hyperplane):
         w = weights or [1] * n
         want = [x for x in product(*(range(lo, hi + 1)
                                      for lo, hi in zip(los, his)))
-                if total is None or sum(map(int.__mul__, w, x)) == total]
-        got = cones._box_points(los, his, total, weights)
+                if (total is None or sum(map(int.__mul__, w, x)) == total)
+                and (hyperplane != "cone" or min(accumulate(x)) >= 0)]
+        got = cones._box_points(los, his, total, weights,
+                                cone=hyperplane == "cone")
         assert got.dtype == np.int64 and got.shape == (len(want), n)
         assert list(map(tuple, got.tolist())) == want
         seen["empty range"] += any(hi < lo for lo, hi in zip(los, his))
+        if hyperplane == "cone":
+            seen["cut"] += sum(
+                sum(x) == total and min(accumulate(x)) < 0
+                for x in product(*(range(lo, hi + 1)
+                                   for lo, hi in zip(los, his))))
         seen["negative bound"] += min(los) < 0
         seen["points"] += len(want)
     assert min(seen.values()) > 0, seen

@@ -32,7 +32,7 @@ from flagtutte.genfun import (_decode_support, _flipped_rows, _specialize_t1,
                               _support_core)
 from flagtutte.invariants import _flag_cells, _flag_kernels
 from flagtutte.linalg import difference_vector_graph
-from oracles import support_pure
+from oracles import flag_apexes, support_core_per_basis, support_pure
 
 U = Matroid.uniform
 
@@ -375,8 +375,9 @@ def test_support_with_aux_coefficients():
 def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
     # rays that sum to zero but are not difference vectors: u times the
     # ray-wise differences of one closed cone leave the 3 x 2 parallelogram
-    # {i r1 + j r2}, extracted by one pass of the core over the sum-zero
-    # box, as every cone lies in the sum-zero hyperplane
+    # {i r1 + j r2}, extracted by one pass of the core over the whole
+    # sum-zero box, as every cone lies in the sum-zero hyperplane but not in
+    # the positive-root cone (r1 has prefix sums 1, 2, 0)
     calls = []
     core = genfun._support_core
 
@@ -395,7 +396,7 @@ def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
         terms.append(GenFunTerm(u * sign, cone.translate(apex)))
     g = GenFun(3, terms)
     phi = support(g)
-    assert calls == [0]
+    assert calls == ["zero"]
     assert phi == EquivariantPolynomial(3, {
         (i, i + j, -2 * i - j): u for i in range(3) for j in range(2)})
     sympy_support_check(g, phi, (1, 16, 256), aux_syms=("u",))
@@ -539,11 +540,11 @@ def test_support_core_merges_cells_sharing_a_kernel():
     # the unflipped cells stand for the same rational function
     assert got == support_pure(_kernel_genfun(
         4, (*_flag_cells(fm)[:3], np.ones(len(cells[3]), dtype=np.int64),
-            cells[3]), numerators, classes, aux, 1))
+            cells[3]), flag_apexes(fm, "kt"), classes, aux, 1))
     assert got == kt_equivariant(fm)
-    A, cls, vals = numerators
-    empty = _decode_support(_support_core(4, los, his, pair,
-                                          (A[:1], cls, vals), classes, aux, 1))
+    order, levels, *rest = numerators
+    empty = _decode_support(_support_core(
+        4, los, his, pair, (order[:1], levels[:1], *rest), classes, aux, 1))
     assert empty == EquivariantPolynomial(4) and empty.aux_vars == ()
 
 
@@ -670,7 +671,63 @@ def test_membership_passes_match_cone_membership(monkeypatch, cap):
         assert np.array_equal(got, want)
         seen["members"] += int(np.abs(want).sum())
         seen["reversed"] += int(back.sum())
+        # flipped, every ray is e_j - e_i with j < i: no cell reaches a
+        # point with a negative prefix sum, which the core's cone box leaves
+        # out
+        below = (np.cumsum(X, axis=1) < 0).any(axis=1)
+        assert not want[:, below].any()
+        seen["below the cone"] += int(below.sum())
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "caps", [(None, None), (1, None), (None, 1)],
+    ids=["default", "pass-entries-1", "scatter-entries-1"])
+def test_support_core_matches_per_basis_reference(monkeypatch, caps):
+    # the scatter of the half factors gives the arrays of the per-basis
+    # reference core (every split row tested coordinate by coordinate, on
+    # the uncut sum-zero box): points, rows, table and classes, in all
+    # three modes, also for one basis and point per pass and for one pair
+    # per scatter chunk
+    flags = random.Random(20261022).sample(
+        [fm for fm in flag_corpus() if fm.ranks[0] >= 1], 8)
+    flags.append(flag(U(2, 5), U(3, 5)))
+    wants = []
+    for fm in flags:
+        for mode in ("kt", "h", "h_lv"):
+            cells, _, classes = _flag_kernels(fm, mode)
+            A = flag_apexes(fm, mode)
+            wants.append(support_core_per_basis(
+                fm.n, tuple(A[0].min(axis=(0, 1)).tolist()),
+                tuple(A[0].max(axis=(0, 1)).tolist()), cells, A, classes,
+                ("u", "v"), 1))
+    assert sum(len(w.points) > 0 for w in wants) >= 20
+    for name, cap in zip(("_PASS_ENTRIES", "_SCATTER_ENTRIES"), caps):
+        if cap is not None:
+            monkeypatch.setattr(genfun, name, cap)
+    for (fm, mode), want in zip(
+            [(fm, mode) for fm in flags for mode in ("kt", "h", "h_lv")],
+            wants):
+        got = invariants._whole_support(fm, mode)
+        for field in ("points", "rows", "table"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                (fm, mode, field)
+        assert got.classes == want.classes and got.den == want.den
+
+
+def test_brion_series_of_a_triangle_off_the_positive_root_cone():
+    # the unimodular triangle 0, (1, -1, 0), (2, -3, 1) holds no other
+    # lattice point.  Its ray (2, -3, 1) sums to zero but has prefix sums
+    # (2, -1, 0), so the rays are no difference vectors and the core takes
+    # the whole sum-zero box: cut to the positive-root cone it would lose
+    # points
+    a, b = (1, -1, 0), (2, -3, 1)
+    ab = tuple(y - x for x, y in zip(a, b))
+    cones = [((0, 0, 0), (a, b)),
+             (a, (tuple(-x for x in a), ab)),
+             (b, (tuple(-x for x in b), tuple(-x for x in ab)))]
+    assert brion_series(3, cones) == EquivariantPolynomial(
+        3, {(0, 0, 0): 1, a: 1, b: 1})
 
 
 def test_one_basis_per_pass_is_byte_identical(monkeypatch):

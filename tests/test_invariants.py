@@ -464,6 +464,15 @@ def test_kt_equivariant_golden_digest_over_full_corpus():
         "eb01973dc40e385ef9082e2e3680ac7f50abbee3802c384f64de18e3410b3c9d")
 
 
+def test_kt_equivariant_golden_digest_of_a_multipass_flag():
+    # n = 8, past every corpus flag: 420 flag bases and 2,520 cells, so
+    # the support core runs many membership passes
+    fm = flag(U(2, 8), U(4, 8))
+    got = kt_equivariant(fm).canonical_str()
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "2d5c3a54e9c1a34287688898bb1393378b0a49a10ff26623747d99ca49268230")
+
+
 def test_kt_golden_digests_of_larger_flags():
     cases = [
         (flag(U(4, 9)),
@@ -1480,22 +1489,53 @@ def _numerator_oracle(fm, fb, mode):
     return out
 
 
+def _expanded_numerators(numerators, classes, bases):
+    """Per flag basis, the monomials of its numerator in the support core's
+    factor form: a Counter of (apex, u, v) over every pair of half rows
+    and every class of its code.  A monomial met twice fails."""
+    order, levels, halves, codes, pascal = numerators
+    # the flag route shares its half rows between the bases
+    assert all(len(a) == 1 for half in halves for a in half)
+    (S0, c0, v0), (S1, c1, v1) = (tuple(a[0] for a in half)
+                                  for half in halves)
+    h = S0.shape[1]
+    sums = np.add.outer(c0, c1)
+    rank = np.searchsorted(codes, sums)
+    assert np.array_equal(codes[rank], sums)
+    weight = np.multiply.outer(v0, v1)
+    spread = [[(tuple(classes[c]), int(pascal[k, c]))
+               for c in np.flatnonzero(pascal[k]).tolist()]
+              for k in range(len(codes))]
+    out = []
+    for b in range(bases):
+        apex = np.zeros((len(S0), len(S1), len(order[b])), dtype=np.int64)
+        apex += levels[b]
+        apex[:, :, order[b, :h]] += S0[:, None, :]
+        apex[:, :, order[b, h:]] += S1[None, :, :]
+        rows = Counter()
+        apexes = map(tuple, apex.reshape(-1, apex.shape[2]).tolist())
+        for a, k, w in zip(apexes, rank.ravel().tolist(),
+                           weight.ravel().tolist()):
+            for uv, m in spread[k]:
+                assert (a,) + uv not in rows
+                rows[(a,) + uv] = m * w
+        out.append(rows)
+    return out
+
+
 def test_flag_numerator_matches_subset_oracle():
+    # the numerator's two half factors, multiplied out and spread over the
+    # classes by the Pascal map, give each basis's monomials
     flags = flag_corpus()[::10] + [flag(U(4, 9)), flag(U(2, 7), U(4, 7)),
                                    flag(U(1, 5), U(2, 5), U(3, 5))]
     for fm in flags:
         bases = fm.flag_bases()
         for mode in ("kt", "h", "h_lv"):
-            _, (A, cls, vals), classes = _flag_kernels(fm, mode)
-            # one apex block per basis, in flag-basis order
-            assert len(A) == len(bases), (fm, mode)
-            for fb, block in zip(bases, A):
-                rows = Counter()
-                for apex, c, k in zip(block.tolist(), cls.tolist(),
-                                      vals.tolist()):
-                    key = (tuple(apex),) + tuple(classes[c])
-                    assert key not in rows, (fm, mode, fb)
-                    rows[key] = k
+            _, numerators, classes = _flag_kernels(fm, mode)
+            # one owner per basis, in flag-basis order
+            assert len(numerators[0]) == len(bases), (fm, mode)
+            for fb, rows in zip(bases, _expanded_numerators(
+                    numerators, classes, len(bases))):
                 assert rows == _numerator_oracle(fm, fb, mode), (fm, mode, fb)
 
 
@@ -1520,9 +1560,8 @@ def test_numerator_is_built_once_per_flag():
             kt_equivariant(fm)
         info = invariants._numerator.cache_info()
         assert info.misses == info.currsize == 68
-        steps, cls, vals, _ = invariants._numerator("kt", (2, 1, 3))
-        assert not (steps.flags.writeable or cls.flags.writeable
-                    or vals.flags.writeable)
+        arrays = invariants._numerator("kt", (2, 1, 3))[:-1]
+        assert not any(a.flags.writeable for a in arrays)
     finally:
         for cache in caches:
             cache.clear()
