@@ -17,7 +17,6 @@ _MEMOS = {
     "cones.triangulate_cells": cones._triangulate_cells,
     "cones.origin_cells": cones._origin_cells,
     "cones.edge_vectors": cones._edge_vectors,
-    "genfun.interned": genfun._interned,
     "genfun.flipped_cached": genfun._flipped_cached,
     "genfun.prime_tables": genfun._prime_tables,
     "invariants.numerator": invariants._numerator,

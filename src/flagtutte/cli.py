@@ -40,7 +40,8 @@ def _build_parser():
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic weight fallbacks")
+                        help="accepted for compatibility and changes no "
+                        "result")
     common.add_argument("--threads", type=int, default=None,
                         help="worker count (default: FLAGTUTTE_THREADS or "
                              "available parallelism)")

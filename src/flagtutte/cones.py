@@ -163,10 +163,11 @@ class Direction:
     infinitesimal; pairings compare lexicographically, so no ray with integer
     entries can ever pair to zero.  zeta entries are exact rationals; sign()
     pairs with zeta scaled by its common denominator, in integers (a
-    positive scale keeps every sign).
+    positive scale keeps every sign).  Directions compare and hash by
+    key(), the hash computed once.
     """
 
-    __slots__ = ("zeta", "lex_tiebreak", "_zeta_int")
+    __slots__ = ("zeta", "lex_tiebreak", "_zeta_int", "_hash")
 
     def __init__(self, zeta, lex_tiebreak=None):
         self.zeta = tuple(Fraction(z) for z in zeta)
@@ -179,9 +180,16 @@ class Direction:
         self.lex_tiebreak = tuple(int(i) for i in lex_tiebreak)
         if sorted(self.lex_tiebreak) != list(range(1, n + 1)):
             raise ValueError("lex_tiebreak must be a permutation of 1..n")
+        self._hash = hash(self.key())
 
     def key(self):
         return (self.zeta, self.lex_tiebreak)
+
+    def __eq__(self, other):
+        return isinstance(other, Direction) and self.key() == other.key()
+
+    def __hash__(self):
+        return self._hash
 
     def pairing(self, v):
         """The symbolic pairing as a lex-comparable tuple."""

@@ -20,15 +20,14 @@ cones._triangulate_cells keeps per class cell, in support() each cone's
 own frame.  Flipped, a difference vector is e_j - e_i with j < i, so
 cells on difference vectors lie in the type-A positive-root cone and are
 tested on the points of the sum-zero difference box with nonnegative
-prefix sums; other cells whose rays all sum to zero take the whole
-sum-zero box, the rest the whole box.  One batched pass per chunk of
-owners tests all their cells against the box with one float product and
-adds the signed memberships up to one multiplicity per owner and box
-point.  Every nonzero (owner, point) pair of a pass then tests each
-half's rows against the apex box on that half's slots, in the narrowest
-integer dtype, and the pairs of fitting rows are scattered by code into
-one dense int64 accumulator, which the Pascal map turns into counts per
-class at the end.  Its nonzero rows are the support in array form
+prefix sums, any other cells on the whole difference box.  One batched
+pass per chunk of owners tests all their cells against the box with one
+float product and adds the signed memberships up to one multiplicity per
+owner and box point.  Every nonzero (owner, point) pair of a pass then
+tests each half's rows against the apex box on that half's slots, in
+the narrowest integer dtype, and the pairs of fitting rows are scattered
+by code into one dense int64 accumulator, which the Pascal map turns
+into counts per class at the end.  Its nonzero rows are the support in array form
 (_Support: points, per point a row of a table of distinct count rows
 over the classes, ranked once per pass, and a common denominator), which
 a direct sum multiplies block by block, table by table
@@ -62,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import (
-    Direction, HalfOpenSimplicialCone, _box_points, _check_length, _row_ranks,
+    HalfOpenSimplicialCone, _box_points, _check_length, _row_ranks,
     cone_membership, default_direction, flip_cone, slice_cone,
 )
 from .errors import (
@@ -239,19 +238,10 @@ class EquivariantPolynomial:
 # ----------------------------------------------------------------- flip cache
 
 
-@lru_cache(maxsize=1024)
-def _interned(dir_key):
-    """The one Direction object per key() that flips are cached under."""
-    return Direction(*dir_key)
-
-
 @lru_cache(maxsize=262144)
 def _flipped_cached(cone, direction):
-    """The cone flipped along a direction returned by _interned.
-
-    A Direction hashes by identity, so the interned object is an O(1) cache
-    key; callers intern once per sweep, not once per cell.
-    """
+    """The cone flipped along a direction, one entry per equal direction:
+    a Direction compares and hashes by key(), its hash kept in a slot."""
     return flip_cone(cone, direction)
 
 
@@ -270,7 +260,6 @@ def coefficient_at(g, w, direction=None):
     _check_length(w, g.n, "point")
     _check_length(direction.zeta, g.n, "direction")
     w = tuple(int(x) for x in w)
-    direction = _interned(direction.key())
     total = AuxPolynomial.zero()
     for term in g.terms:
         fc = _flipped_cached(term.cone, direction)
@@ -382,12 +371,11 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
     and point, where flipped cells cancel.  box names which points it
     tests: "cone" those of the sum-zero box with every prefix sum >= 0
     (when every flipped ray is a difference vector e_j - e_i with j < i, as
-    on the flag route: the cells lie in the type-A positive-root cone),
-    "zero" the whole sum-zero box (when every ray sums to zero, so that a
-    cell may leave out a span row that the sum implies), "whole" the whole
-    box.  The (owner, point) pairs of nonzero multiplicity that can reach
-    the apex box [los, his] go on, all pairs of a pass at once: each half
-    keeps the rows whose steps land inside the box on its own slots,
+    on the flag route: the cells lie in the type-A positive-root cone, and
+    a cell may leave out a span row that the sum implies), "whole" the
+    whole box.  The (owner, point) pairs of nonzero multiplicity that can
+    reach the apex box [los, his] go on, all pairs of a pass at once: each
+    half keeps the rows whose steps land inside the box on its own slots,
     tested slot by slot in the narrowest unsigned dtype that holds the
     shifted sums, and every pair of kept rows is one incidence w = apex +
     x inside the box.  The incidences are scattered by code into one dense
@@ -395,10 +383,10 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
     nonzero rows to the classes at the end; the result's Newton polytope
     lies in the convex hull of the apexes, so none outside counts.  The
     fit tests and the incidences of one scatter stay near _SCATTER_ENTRIES
-    entries.  Returns the nonzero
-    rows as a _Support over the classes that occur (class c with count k
-    is the monomial classes[c] in aux_vars with coefficient k / den), its
-    table the distinct rows in lexicographic order (cones._row_ranks).
+    entries.  Returns the nonzero rows as a _Support over the classes that
+    occur (class c with count k is the monomial classes[c] in aux_vars with
+    coefficient k / den), its table the distinct rows in lexicographic
+    order (cones._row_ranks).
     Raises GroundSetTooLarge, before allocating, when the apex box times
     the classes, or the whole difference box times n, would exceed
     _SUPPORT_CELLS entries, and when |M x| may reach 2^53.
@@ -426,8 +414,9 @@ def _support_core(n, los, his, cells, numerators, classes, aux_vars, den,
     X = _box_cache.lookup((box, dkey))
     if X is None:
         # the smallest signed dtype holding -min(dkey) - 1 holds every |x|
-        X = _box_points(dkey, [-d for d in dkey],
-                        None if box == "whole" else 0, cone=box == "cone"
+        cone = box == "cone"
+        X = _box_points(dkey, [-d for d in dkey], 0 if cone else None,
+                        cone=cone
                         ).astype(np.min_scalar_type(min(dkey, default=0) - 1))
         _box_cache.store((box, dkey), X)
     XT = X.T.astype(np.float32 if bound < 1 << 24 else np.float64)
@@ -546,8 +535,6 @@ def _decode_support(s, polys=None):
     in place.
     """
     n = s.points.shape[1]
-    if not len(s.points):
-        return EquivariantPolynomial._trusted(n, {}, s.aux_vars)
     if polys is None:
         polys = _row_coefficients(s)
     support = dict(zip(map(tuple, s.points.tolist()),
@@ -570,13 +557,11 @@ def _support_product(n, parts):
     exponents do; the product's classes are the code sums taken, in (u, v)
     order, and each block's step scatters the table so far into one array
     per class of the block, then sums them weighted by the block's table in
-    one integer product.  One block is its own product; the product over no
-    blocks (n = 0) is the unit, one point of length 0 with count 1 in class
-    (0, 0).  Raises GroundSetTooLarge, before allocating, when the product
-    would exceed _SUPPORT_CELLS cells of points times classes.
+    one integer product.  The product over no blocks (n = 0) is the unit,
+    one point of length 0 with count 1 in class (0, 0).  Raises
+    GroundSetTooLarge, before allocating, when the product would exceed
+    _SUPPORT_CELLS cells of points times classes.
     """
-    if len(parts) == 1:
-        return parts[0]
     if not parts:
         return _Support(np.zeros((1, n), dtype=np.int64),
                         np.zeros(1, dtype=np.intp),
@@ -732,10 +717,10 @@ def support(g, direction=None):
     used: every distinct cone is flipped along the default direction and
     the rows of its lattice frame (_frame_rows) go to _support_core, over
     the positive-root part of the sum-zero difference box when every ray
-    is a difference vector, over the sum-zero box when every ray sums to
-    zero and over the whole box otherwise.  Each cell's numerator is the
-    core's first half factor (its apexes, classes and multiplicities on
-    every coordinate), the second the unit, and each class its own code.
+    is a difference vector and over the whole box otherwise.  Each cell's
+    numerator is the core's first half factor (its apexes, classes and
+    multiplicities on every coordinate), the second the unit, and each
+    class its own code.
     Raises GroundSetTooLarge when a box is too large.
     """
     if not g.terms:
@@ -753,8 +738,8 @@ def support(g, direction=None):
     numerators = (np.broadcast_to(np.arange(n), (len(slots), n)), 0,
                   ((A, cls, vals), unit), np.arange(n_cls),
                   np.eye(n_cls, dtype=np.int64))
-    box = ("whole" if rays.sum(axis=1).any() else
-           "cone" if (np.abs(rays).sum(axis=1) == 2).all() else "zero")
+    box = ("cone" if not rays.sum(axis=1).any()
+           and (np.abs(rays).sum(axis=1) == 2).all() else "whole")
     return _decode_support(_support_core(
         n, los, his, _frame_rows(g, rays, slots, opens, signs)
         + (np.arange(len(slots)),), numerators, classes, vars_, den, box))

@@ -20,9 +20,11 @@ order and level counts.  One closed-form numerator serves every flag basis
 (_numerator, memoized per mode and slot counts): each coordinate's factor
 depends only on its slot type (inside B_1, inside B_k but not B_1, outside
 B_k).  Both the t = 1 value and the full equivariant sum are
-multiplicative over a direct sum, so both routes split a flag into its
-blocks (_flag_blocks) and look each up in the route's cache by its
-labelled key (_block_part).  A t = 1 block value is one pass of genfun's
+multiplicative over a direct sum, so both routes take a flag's blocks
+and their labelled keys from one walk (_labelled_blocks: the flag's own
+key() when it is connected, else _restrict's) and look each up in the
+route's cache (_block_part); a miss computes on the flag its key builds
+(_flag_of_key).  A t = 1 block value is one pass of genfun's
 specialization core over the arrays, kept as Python ints in an object
 array indexed [u, v]; the values multiply as arrays (_times, one 1-D
 convolution), and kt, h and k_char read their coefficients off the product
@@ -404,15 +406,16 @@ def _whole_support(fm, mode):
     """The support of a flag's localization sum in array form, from one
     pass of the support core over the whole flag, never split.
 
-    Raises GroundSetTooLarge before any array is built when the scatter's
-    cost estimate, flag bases times split numerator rows times n, passes
-    the support core's _SUPPORT_CELLS budget.
+    Raises GroundSetTooLarge before any array is built when a cost
+    estimate, flag bases times split numerator rows times n, passes the
+    support core's _SUPPORT_CELLS budget (no array of that size is built).
     """
     whole = _numerator(mode, _slot_counts(fm))
-    entries = len(fm.flag_bases()) * len(whole.rows) * fm.n
-    if entries > _SUPPORT_CELLS:
-        raise GroundSetTooLarge("support apexes of %d entries exceed %d"
-                                % (entries, _SUPPORT_CELLS))
+    cost = len(fm.flag_bases()) * len(whole.rows) * fm.n
+    if cost > _SUPPORT_CELLS:
+        raise GroundSetTooLarge(
+            "support cost estimate of %d (flag bases x split numerator "
+            "rows x n) exceeds %d" % (cost, _SUPPORT_CELLS))
     cells, numerators, classes = _flag_kernels(fm, mode)
     los, his = _apex_box(_flag_cells(fm), whole.steps, numerators[1])
     return _support_core(fm.n, tuple(los.tolist()), tuple(his.tolist()),
@@ -428,30 +431,28 @@ def _gathered_support(fm, mode):
     its columns gathered, else _whole_support).  The support of a direct sum
     is the product of its blocks' supports, and where the blocks sit only
     permutes the point columns.  So the product (_support_product) is
-    taken once per multiset of labelled block keys (_restrict) and mode, on
-    the contiguous layout of the blocks in key order, and kept in
+    taken once per multiset of labelled block keys (_labelled_blocks) and
+    mode, on the contiguous layout of the blocks in key order, and kept in
     _SUPPORT_CACHE under the tagged key ("blocks", keys, mode) with its
     decoded row coefficients (_row_coefficients); each flag with those
     blocks gathers its columns from it, so its points pair up in C order of
     its blocks in key order.
     """
-    blocks = _flag_blocks(fm)
+    blocks = sorted(_labelled_blocks(fm), key=lambda block: block[1])
     if len(blocks) == 1:
-        return _block_part(fm.key(), mode, _SUPPORT_CACHE, _whole_support,
-                           fm), None
-    keys = [_restrict(fm, s) for s in blocks]
-    order = sorted(range(len(blocks)), key=keys.__getitem__)
-    tag = ("blocks", tuple(keys[i] for i in order), mode)
+        return _block_part(blocks[0][1], mode, _SUPPORT_CACHE,
+                           _whole_support), None
+    tag = ("blocks", tuple(key for _, key in blocks), mode)
     entry = _SUPPORT_CACHE.lookup(tag)
     if entry is None:
         product = _support_product(fm.n, [
-            _block_part(keys[i], mode, _SUPPORT_CACHE, _whole_support)
-            for i in order])
+            _block_part(key, mode, _SUPPORT_CACHE, _whole_support)
+            for _, key in blocks])
         entry = (product, _row_coefficients(product))
         _SUPPORT_CACHE.store(tag, entry)
     product, polys = entry
     # column c of the product is element placed[c] of the flag
-    placed = [j for i in order for j in range(fm.n) if blocks[i] >> j & 1]
+    placed = [j for s, _ in blocks for j in range(fm.n) if s >> j & 1]
     return (product._replace(points=product.points[:, np.argsort(placed)]),
             polys)
 
@@ -537,18 +538,27 @@ def _restrict(fm, s):
     return tuple(_relabel([m.bases_masks for m in fm.constituents], s))
 
 
+def _labelled_blocks(fm):
+    """(mask, labelled key) per block of a flag (_flag_blocks): the
+    flag's own key() when it is connected, else _restrict's."""
+    blocks = _flag_blocks(fm)
+    if len(blocks) == 1:
+        return [(blocks[0], fm.key())]
+    return [(s, _restrict(fm, s)) for s in blocks]
+
+
 def _flag_of_key(key):
     return FlagMatroid(tuple(Matroid(n, bases, _trusted=True)
                              for n, bases in key), _trusted=True)
 
 
-def _block_part(key, mode, cache, compute, fm=None):
+def _block_part(key, mode, cache, compute):
     """The part of one connected block, looked up in cache under (key,
     mode), and on a miss taken from the relabelling-class index
     (_class_part) and stored."""
     part = cache.lookup((key, mode))
     if part is None:
-        part = _class_part(key, mode, cache, compute, fm)
+        part = _class_part(key, mode, cache, compute)
         cache.store((key, mode), part)
     return part
 
@@ -580,7 +590,7 @@ def _profile(key, degrees):
             tuple(sorted(map(tuple, degrees.tolist()))))
 
 
-def _class_part(key, mode, cache, compute, fm):
+def _class_part(key, mode, cache, compute):
     """The part of a connected block whose labelled key missed cache,
     through the relabelling-class index kept in the same cache.
 
@@ -588,9 +598,9 @@ def _class_part(key, mode, cache, compute, fm):
     value is unchanged and its support's point columns are permuted.  The
     index holds, under ("class", degree profile, mode) (_profile), the
     first block met of that profile (_Representative).  A block of a new
-    profile is computed by compute(block, mode) in its own labelling and
-    becomes the representative.  A block of a known profile that is a
-    relabelling of the representative (_relabelling) takes the
+    profile is computed by compute(_flag_of_key(key), mode) in its own
+    labelling and becomes the representative.  A block of a known profile
+    that is a relabelling of the representative (_relabelling) takes the
     representative's part, moved by the map (_moved); any other block is
     computed in its own labelling and does not enter the index.
     """
@@ -603,7 +613,7 @@ def _class_part(key, mode, cache, compute, fm):
         sigma = _relabelling(key, bits, order, rep, cache, tag)
         if sigma is not None:
             return _moved(rep.part, sigma)
-    part = compute(_flag_of_key(key) if fm is None else fm, mode)
+    part = compute(_flag_of_key(key), mode)
     if rep is None:
         cache.store(tag, _Representative(key, order, part))
     return part
@@ -646,21 +656,6 @@ def _moved(part, sigma):
     if isinstance(part, _Support):
         return part._replace(points=part.points[:, sigma])
     return part
-
-
-def _block_parts(fm, mode, cache, compute):
-    """(mask, part) per block of a flag (_flag_blocks), each part cached.
-
-    The block loop of the t -> 1 values: a block is keyed by the flag's
-    key() when the flag is connected and by _restrict otherwise, and its
-    part comes from _block_part, which serves a relabelling of a block
-    already computed from the relabelling-class index (_class_part).
-    """
-    blocks = _flag_blocks(fm)
-    if len(blocks) == 1:
-        return [(blocks[0], _block_part(fm.key(), mode, cache, compute, fm))]
-    return [(s, _block_part(_restrict(fm, s), mode, cache, compute))
-            for s in blocks]
 
 
 def _canonical(key):
@@ -730,13 +725,13 @@ def _localization_array(fm, mode):
     ints in an object array indexed [u, v].
 
     The sum is multiplicative over a direct sum, so a flag is the product
-    (_times) of its blocks' values (_block_parts over _VALUE_CACHE,
-    _connected_value on a miss, unless a relabelling of the block was met:
-    _class_part); the empty product is 1.  The array may be a cached one,
-    read-only.
+    (_times) of its blocks' values (_block_part over _VALUE_CACHE per
+    labelled key of _labelled_blocks, _connected_value on a miss, unless a
+    relabelling of the block was met: _class_part); the empty product is
+    1.  The array may be a cached one, read-only.
     """
-    parts = [part for _, part in _block_parts(fm, mode, _VALUE_CACHE,
-                                              _connected_value)]
+    parts = [_block_part(key, mode, _VALUE_CACHE, _connected_value)
+             for _, key in _labelled_blocks(fm)]
     return reduce(_times, parts) if parts else np.ones((1, 1), dtype=object)
 
 
@@ -1440,7 +1435,11 @@ _IDENTITIES = {
 
 
 def compute_invariant(name, obj, equivariant=False, seed=0):
-    """Compute a named invariant (_INVARIANTS) of a loaded input."""
+    """Compute a named invariant (_INVARIANTS) of a loaded input.
+
+    seed is accepted for compatibility and changes no result: the flag
+    routes pair every ray with one weight vector and draw no fallback.
+    """
     t0 = time.perf_counter()
     entry = _INVARIANTS.get(name)
     if entry is None:

@@ -233,6 +233,47 @@ def test_evaluate_t1_open_ray_is_a_pole():
         evaluate_t1(GenFun(2, (GenFunTerm(ONE, cone),)))
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_evaluate_t1_falls_back_to_a_seeded_weight(monkeypatch, seed):
+    # the closed segment {0, r, 2r} along r = (1, 1, -1): r pairs to 0 with
+    # the first two candidates, (1, 2, 3) and the primes (2, 3, 5), so the
+    # value comes from the first seeded random weight
+    r = (1, 1, -1)
+    ray = HalfOpenSimplicialCone((0, 0, 0), (r,), (False,))
+    g = GenFun(3, (GenFunTerm(ONE, ray),
+                   GenFunTerm(-ONE, ray.translate(tuple(3 * x for x in r)))))
+    tried = []
+    candidates = genfun._weight_candidates
+
+    def recorded(n, seed):
+        for w in candidates(n, seed):
+            tried.append(w)
+            yield w
+
+    monkeypatch.setattr(genfun, "_weight_candidates", recorded)
+    assert evaluate_t1(g, seed) == AuxPolynomial.constant(3)
+    assert tried[:2] == [(1, 2, 3), (2, 3, 5)] and len(tried) == 3
+    assert _dot(tried[2], r) != 0
+    assert support(g) == EquivariantPolynomial(3, {(0, 0, 0): 1, r: 1,
+                                                   (2, 2, -2): 1})
+    assert support(g).specialize_t1() == AuxPolynomial.constant(3)
+
+
+def test_directions_compare_and_hash_by_value():
+    # two equal directions share every flip cache entry: the first
+    # coefficient_at misses once per term, the second not at all
+    a, b = Direction((2, 7, 3), (3, 1, 2)), Direction((2, 7, 3), (3, 1, 2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Direction((2, 7, 3)) and a != a.key()
+    g = _vertex_cone_genfun()
+    clear_caches()
+    first = coefficient_at(g, (1, 1, 0), a)
+    misses = genfun._flipped_cached.cache_info().misses
+    assert misses == len(g.terms) > 0
+    assert coefficient_at(g, (1, 1, 0), b) == first == ONE
+    assert genfun._flipped_cached.cache_info().misses == misses
+
+
 def test_newton_polytope_bound():
     # every support point lies in the convex hull of the apexes: here the
     # trapezoid {sum = 2, 0 <= x1 <= 1, x2 >= 0, x3 >= 0}
@@ -376,8 +417,8 @@ def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
     # rays that sum to zero but are not difference vectors: u times the
     # ray-wise differences of one closed cone leave the 3 x 2 parallelogram
     # {i r1 + j r2}, extracted by one pass of the core over the whole
-    # sum-zero box, as every cone lies in the sum-zero hyperplane but not in
-    # the positive-root cone (r1 has prefix sums 1, 2, 0)
+    # difference box, as the rays are not difference vectors, so the cones
+    # need not lie in the positive-root cone (r1 has prefix sums 1, 2, 0)
     calls = []
     core = genfun._support_core
 
@@ -396,7 +437,7 @@ def test_support_of_sum_zero_rays_off_the_graph(monkeypatch):
         terms.append(GenFunTerm(u * sign, cone.translate(apex)))
     g = GenFun(3, terms)
     phi = support(g)
-    assert calls == ["zero"]
+    assert calls == ["whole"]
     assert phi == EquivariantPolynomial(3, {
         (i, i + j, -2 * i - j): u for i in range(3) for j in range(2)})
     sympy_support_check(g, phi, (1, 16, 256), aux_syms=("u",))
@@ -719,7 +760,7 @@ def test_brion_series_of_a_triangle_off_the_positive_root_cone():
     # the unimodular triangle 0, (1, -1, 0), (2, -3, 1) holds no other
     # lattice point.  Its ray (2, -3, 1) sums to zero but has prefix sums
     # (2, -1, 0), so the rays are no difference vectors and the core takes
-    # the whole sum-zero box: cut to the positive-root cone it would lose
+    # the whole difference box: cut to the positive-root cone it would lose
     # points
     a, b = (1, -1, 0), (2, -3, 1)
     ab = tuple(y - x for x, y in zip(a, b))

@@ -473,6 +473,46 @@ def test_kt_equivariant_golden_digest_of_a_multipass_flag():
         "2d5c3a54e9c1a34287688898bb1393378b0a49a10ff26623747d99ca49268230")
 
 
+def _three_step_flags():
+    """flag(m1, m2, m3) per chain of quotient_corpus() pairs (m1, m2),
+    (m2, m3) whose consecutive keys differ, in corpus order."""
+    pairs = quotient_corpus()
+    after = {}
+    for m1, m2 in pairs:
+        after.setdefault(m1.key(), []).append(m2)
+    return [flag(m1, m2, m3) for m1, m2 in pairs if m1.key() != m2.key()
+            for m3 in after.get(m2.key(), []) if m2.key() != m3.key()]
+
+
+def test_kt_and_k_char_golden_digests_over_three_step_flags():
+    flags = _three_step_flags()
+    assert len(flags) == 388
+    assert _digest(kt(fm) for fm in flags) == (
+        "3c0520f9f52777876b3edcb1dc5f82cc10a4333a56ff2c6599b90dde73f7d1c1")
+    assert _digest(k_char(fm) for fm in flags) == (
+        "46c80fdcb874dfd0c54fa4bb96ce9b58c4c225d9433967a95eeffbdd1ee700ae")
+
+
+def test_kt_equivariant_golden_digest_over_three_step_flags():
+    flags = [fm for fm in _three_step_flags() if fm.ranks[0] >= 1]
+    assert len(flags) == 128
+    assert _digest(kt_equivariant(fm) for fm in flags) == (
+        "957510aeda391ec66cd1e9de43da737d4578848845cf2358965cdd0031e96f06")
+
+
+def test_h_polynomial_golden_digest_over_three_step_flags():
+    # the other 356 flags raise HasLoopOrColoop
+    polys = []
+    for fm in _three_step_flags():
+        try:
+            polys.append(h_polynomial(fm))
+        except HasLoopOrColoop:
+            pass
+    assert len(polys) == 32
+    assert _digest(polys) == (
+        "be63b947c267b76c38705eed1d16ad892ccb9653d16a4334f418ef7896c349c0")
+
+
 def test_kt_golden_digests_of_larger_flags():
     cases = [
         (flag(U(4, 9)),
@@ -653,13 +693,15 @@ def test_factored_supports_hold_their_invariants():
                                   np.arange(len(s.table))), (fm, mode)
             phi = genfun._decode_support(s)
             assert len({id(c) for c in phi.support.values()}) == len(s.table)
-            parts = invariants._block_parts(
-                fm, mode, invariants._SUPPORT_CACHE, invariants._whole_support)
-            if len(parts) == 1:
+            blocks = invariants._labelled_blocks(fm)
+            if len(blocks) == 1:
                 assert len(np.unique(s.table, axis=0)) == len(s.table)
                 continue
             split += 1
-            parts.sort(key=lambda part: invariants._restrict(fm, part[0]))
+            parts = [(mask, invariants._block_part(
+                key, mode, invariants._SUPPORT_CACHE,
+                invariants._whole_support))
+                for mask, key in sorted(blocks, key=lambda b: b[1])]
             points, columns = _pairwise_product(fm.n, parts)
             assert np.array_equal(s.points, points), (fm, mode)
             assert list(s.classes) == sorted(columns), (fm, mode)
@@ -708,12 +750,12 @@ def test_support_product_guard():
 
 
 def test_support_apex_guard():
-    # 2,520 flag bases times 6,912 numerator rows times 10 coordinates of
-    # apexes are past the 4e7-cell budget, refused before they are built
-    # (unguarded, the apex array alone needs 1.4 GB)
+    # the cost estimate, 2,520 flag bases times 6,912 numerator rows times
+    # 10 coordinates, is past the 4e7 budget, so the flag is refused before
+    # any array is built (unguarded, it computes in minutes)
     fm = flag(U(2, 10), U(5, 10))
     t0 = time.perf_counter()
-    with pytest.raises(GroundSetTooLarge, match="support apexes"):
+    with pytest.raises(GroundSetTooLarge, match="support cost estimate"):
         kt_equivariant(fm)
     assert time.perf_counter() - t0 < 1.0
 
@@ -748,14 +790,8 @@ def _relabel_key(key, sigma):
 
 
 def _block_keys(flags):
-    """Every distinct block key of the flags, as _block_parts forms them."""
-    keys = set()
-    for fm in flags:
-        blocks = invariants._flag_blocks(fm)
-        for s in blocks:
-            keys.add(fm.key() if len(blocks) == 1
-                     else invariants._restrict(fm, s))
-    return keys
+    """Every distinct labelled block key of the flags."""
+    return {key for fm in flags for _, key in invariants._labelled_blocks(fm)}
 
 
 def test_kt_equivariant_is_relabelling_equivariant():
